@@ -227,6 +227,8 @@ class Problem:
         self.constraints = constraints
         self.params = params
         self._within_sym: dict[int, np.ndarray | None] = {}
+        # ||within_sym(view)||_2, filled on first use by the objective layer
+        self._within_norm: dict[int, float] = {}
         self._x_sqnorm = tuple(float(np.sum(v * v)) for v in dataset.views)
 
     @property

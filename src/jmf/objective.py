@@ -10,10 +10,18 @@ The objective over factors (W, H_1..H_N) is
 
 The sparsity term acts through the all-ones r x r operator: under
 nonnegativity, sum_j ||h_j||_1^2 = Tr(H^T 1 1^T H).
+
+With all other factors fixed, F is a quadratic in W or in one H_I.
+``QuadSubproblem``, built by ``w_subproblem`` and ``h_subproblem``, is the
+one place where that block quadratic is written out.  The public gradient,
+Hessian quadratic form and Lipschitz functions here, and the multiplicative
+updates in ``solvers``, are views of it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -66,37 +74,19 @@ def objective_value(problem: Problem, factors: Factorization) -> float:
 def grad_W(problem: Problem, factors: Factorization) -> np.ndarray:
     """2 sum_I (W H_I H_I^T - X_I H_I^T) + 2 gamma1 W."""
     _check_shapes(problem, factors)
-    g = 2.0 * problem.params.gamma1 * factors.W
-    for x, h in zip(problem.dataset.views, factors.H):
-        g += 2.0 * (factors.W @ (h @ h.T) - x @ h.T)
-    return g
+    return w_subproblem(problem, factors.H).grad(factors.W)
 
 
-def _cross_term(problem: Problem, H: list[np.ndarray], view: int) -> np.ndarray:
-    """C = sum over partner views J of H_J @ M_J (r x n_I)."""
-    c = np.zeros((H[view].shape[0], problem.n[view]))
-    for j, mat in problem.between_partners(view):
-        c += H[j] @ mat
-    return c
+def _check_view(problem: Problem, view: int) -> None:
+    if not (0 <= view < problem.n_views):
+        raise ValueError(f"unknown view index {view}")
 
 
 def grad_H(problem: Problem, factors: Factorization, view: int) -> np.ndarray:
     _check_shapes(problem, factors)
-    if not (0 <= view < problem.n_views):
-        raise ValueError(f"unknown view index {view}")
-    p = problem.params
-    w, h = factors.W, factors.H[view]
-    x = problem.dataset.views[view]
-    g = 2.0 * (w.T @ (w @ h)) - 2.0 * (w.T @ x)
-    s = problem.within_sym(view)
-    if p.lambda1 and s is not None:
-        g -= p.lambda1 * (h @ s)
-    if p.lambda2:
-        g -= p.lambda2 * _cross_term(problem, factors.H, view)
-    if p.gamma2:
-        # all-ones r x r operator: every row gets the column sums
-        g += 2.0 * p.gamma2 * np.tile(h.sum(axis=0), (h.shape[0], 1))
-    return g
+    _check_view(problem, view)
+    q = h_subproblem(problem, factors.W, factors.H, view)
+    return q.grad(factors.H[view])
 
 
 def _projected(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -137,36 +127,28 @@ def spectral_norm(mat: np.ndarray, tol: float = 1e-8,
 
 def lipschitz_W(problem: Problem, factors: Factorization) -> float:
     """2 ||sum_I H_I H_I^T + gamma1 I||_2 on the r x r matrix."""
-    r = problem.rank
-    a = problem.params.gamma1 * np.eye(r)
-    for h in factors.H:
-        a += h @ h.T
-    return 2.0 * spectral_norm(a)
+    return w_subproblem(problem, factors.H).lipschitz()
 
 
 def lipschitz_H(problem: Problem, factors: Factorization, view: int) -> float:
     """2 ||W^T W + gamma2 * ones||_2 + lambda1 ||sum_t Theta + Theta^T||_2."""
-    r = problem.rank
-    m = factors.W.T @ factors.W + problem.params.gamma2 * np.ones((r, r))
-    lip = 2.0 * spectral_norm(m)
-    s = problem.within_sym(view)
-    if problem.params.lambda1 and s is not None:
-        lip += problem.params.lambda1 * spectral_norm(s)
-    return lip
+    return h_subproblem(problem, factors.W, factors.H, view).lipschitz()
+
+
+def _quadratic_form(q: QuadSubproblem, direction: np.ndarray,
+                    expected: tuple) -> float:
+    d = np.asarray(direction, dtype=float)
+    if d.shape != expected:
+        raise ValueError(f"direction shape {d.shape} != {expected}")
+    return float(np.sum(d * q.hess_apply(d)))
 
 
 def hessian_quadratic_form_W(problem: Problem, factors: Factorization,
                              direction: np.ndarray,
                              extra_prox: float = 0.0) -> float:
     """vec(D)^T Q_W vec(D) = 2 Tr(D (sum_I H_I H_I^T + (g1+tau1) I) D^T)."""
-    d = np.asarray(direction, dtype=float)
-    if d.shape != factors.W.shape:
-        raise ValueError(f"direction shape {d.shape} != {factors.W.shape}")
-    r = problem.rank
-    a = (problem.params.gamma1 + extra_prox) * np.eye(r)
-    for h in factors.H:
-        a += h @ h.T
-    return 2.0 * float(np.sum((d @ a) * d))
+    q = w_subproblem(problem, factors.H, tau1=extra_prox)
+    return _quadratic_form(q, direction, factors.W.shape)
 
 
 def hessian_quadratic_form_H(problem: Problem, factors: Factorization,
@@ -178,21 +160,21 @@ def hessian_quadratic_form_H(problem: Problem, factors: Factorization,
     2 Tr(D^T (W^T W + gamma2 * ones) D) - lambda1 Tr(D S D^T) + 2 tau ||D||^2
     with S the summed symmetrized within-constraints.
     """
-    if not (0 <= view < problem.n_views):
-        raise ValueError(f"unknown view index {view}")
-    d = np.asarray(direction, dtype=float)
-    expected = (problem.rank, problem.n[view])
-    if d.shape != expected:
-        raise ValueError(f"direction shape {d.shape} != {expected}")
-    r = problem.rank
-    m = factors.W.T @ factors.W + problem.params.gamma2 * np.ones((r, r))
-    val = 2.0 * float(np.sum((m @ d) * d))
-    s = problem.within_sym(view)
-    if problem.params.lambda1 and s is not None:
-        val -= problem.params.lambda1 * float(np.sum((d @ s) * d))
-    if extra_prox:
-        val += 2.0 * extra_prox * float(np.sum(d * d))
-    return val
+    _check_view(problem, view)
+    q = h_subproblem(problem, factors.W, factors.H, view, tau2=extra_prox)
+    return _quadratic_form(q, direction, (problem.rank, problem.n[view]))
+
+
+def _lambda_max(mat: np.ndarray) -> float:
+    """Largest eigenvalue of a small symmetric matrix."""
+    return float(np.linalg.eigvalsh(mat)[-1])
+
+
+def _within_norm(problem: Problem, view: int) -> float:
+    """||S_I||_2 of the view's summed within-constraints, computed once."""
+    if view not in problem._within_norm:
+        problem._within_norm[view] = spectral_norm(problem.within_sym(view))
+    return problem._within_norm[view]
 
 
 @dataclass
@@ -201,12 +183,23 @@ class QuadSubproblem:
 
     grad(X) = hess_apply(X) + g0; value(X) omits the additive constant, so it
     is only meaningful for comparisons within one subproblem.
+
+    ``hess_mats`` holds the Hessian operator.  For kind "w" it is ``(A,)``
+    with A = sum_I H_I H_I^T + (gamma1 + tau1) I, applied as D -> 2 D A.
+    For kind "h" it is ``(M, S, lambda1, tau2)`` with
+    M = W^T W + gamma2 * ones and S the view's summed symmetrized
+    within-constraints (or None), applied as
+    D -> 2 M D - lambda1 D S + 2 tau2 D.
+
+    ``lipschitz()`` is computed on request: 2 lambda_max of the r x r
+    matrix (plus 2 tau2 and lambda1 ||S||_2 for kind "h").  ``s_norm``
+    supplies ||S||_2, which the builder caches per problem and view.
     """
 
     hess_mats: tuple
     g0: np.ndarray
     kind: str  # "w" or "h"
-    lip: float
+    s_norm: Callable[[], float] | None = None
 
     def hess_apply(self, d: np.ndarray) -> np.ndarray:
         if self.kind == "w":
@@ -228,7 +221,14 @@ class QuadSubproblem:
             np.sum(self.g0 * x))
 
     def lipschitz(self) -> float:
-        return self.lip
+        if self.kind == "w":
+            (a,) = self.hess_mats
+            return 2.0 * _lambda_max(a)
+        m, s, lam1, tau = self.hess_mats
+        lip = 2.0 * (_lambda_max(m) + tau)
+        if s is not None and lam1:
+            lip += lam1 * self.s_norm()
+        return lip
 
 
 def w_subproblem(problem: Problem, H: list[np.ndarray],
@@ -246,7 +246,7 @@ def w_subproblem(problem: Problem, H: list[np.ndarray],
     g0 = -2.0 * b
     if tau1 and anchor is not None:
         g0 = g0 - 2.0 * tau1 * anchor
-    return QuadSubproblem((a,), g0, "w", 2.0 * spectral_norm(a))
+    return QuadSubproblem((a,), g0, "w")
 
 
 def h_subproblem(problem: Problem, W: np.ndarray, H: list[np.ndarray],
@@ -260,11 +260,12 @@ def h_subproblem(problem: Problem, W: np.ndarray, H: list[np.ndarray],
     m = W.T @ W + p.gamma2 * np.ones((r, r))
     g0 = -2.0 * (W.T @ x)
     if p.lambda2:
-        g0 -= p.lambda2 * _cross_term(problem, H, view)
+        # C = sum over partner views J of H_J @ M_J (r x n_I)
+        c = np.zeros((r, x.shape[1]))
+        for j, mat in problem.between_partners(view):
+            c += H[j] @ mat
+        g0 -= p.lambda2 * c
     if tau2 and anchor is not None:
         g0 -= 2.0 * tau2 * anchor
-    s = problem.within_sym(view)
-    lip = 2.0 * spectral_norm(m) + 2.0 * tau2
-    if p.lambda1 and s is not None:
-        lip += p.lambda1 * spectral_norm(s)
-    return QuadSubproblem((m, s, p.lambda1, tau2), g0, "h", lip)
+    return QuadSubproblem((m, problem.within_sym(view), p.lambda1, tau2), g0,
+                          "h", functools.partial(_within_norm, problem, view))

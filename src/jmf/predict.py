@@ -7,9 +7,8 @@ import numpy as np
 
 from .model import (Algorithm, Factorization, MultiViewDataset, Problem,
                     SolverConfig)
-from .objective import (QuadSubproblem, _projected, h_subproblem,
-                        spectral_norm, w_subproblem)
-from .solvers import _ne_minimize, _panls_minimize, _pg_minimize
+from .objective import QuadSubproblem, h_subproblem, w_subproblem
+from .solvers import _ne_minimize, _panls_minimize, _pg_minimize, _pgn
 
 
 @dataclass
@@ -51,7 +50,7 @@ def _minimize(q: QuadSubproblem, x0: np.ndarray,
               config: SolverConfig) -> np.ndarray:
     """Drive one convex subproblem to the configured relative tolerance."""
     x = x0
-    pn0 = float(np.linalg.norm(_projected(x, q.grad(x))))
+    pn0 = _pgn(x, q.grad(x))
     target = max(config.tolerance * pn0, 1e-14)
     inner = SolverConfig(**{**config.__dict__,
                             "inner_tol": target, "inner_tol_rel": 0.0})
@@ -62,7 +61,7 @@ def _minimize(q: QuadSubproblem, x0: np.ndarray,
             x = _panls_minimize(q, x, inner)
         else:  # Ne and MUR both fall back to the Nesterov engine here
             x = _ne_minimize(q, x, inner)
-        if float(np.linalg.norm(_projected(x, q.grad(x)))) <= target:
+        if _pgn(x, q.grad(x)) <= target:
             break
     return x
 
@@ -130,34 +129,28 @@ def predict_right(model: TrainedModel, test, config: SolverConfig | None = None
           for i in idx}
     matching = all(views[i].shape[1] == model.problem.n[i] for i in idx)
 
-    def quads():
+    def quad(i: int) -> QuadSubproblem:
+        if not matching:
+            r = model.problem.rank
+            mat = w.T @ w + model.params.gamma2 * np.ones((r, r))
+            return QuadSubproblem((mat, None, 0.0, 0.0),
+                                  -2.0 * (w.T @ views[i]), "h")
         full = list(model.factors.H)
-        for i in idx:
-            full[i] = hs[i]
-        out = {}
-        for i in idx:
-            if matching:
-                out[i] = h_subproblem(model.problem, w, full, i,
-                                      x_view=views[i])
-            else:
-                r = model.problem.rank
-                mat = w.T @ w + model.params.gamma2 * np.ones((r, r))
-                out[i] = QuadSubproblem((mat, None, 0.0, 0.0),
-                                        -2.0 * (w.T @ views[i]), "h",
-                                        2.0 * spectral_norm(mat))
-        return out
+        for j in idx:
+            full[j] = hs[j]
+        return h_subproblem(model.problem, w, full, i, x_view=views[i])
 
     def residual():
-        qs = quads()
-        return float(np.sqrt(sum(
-            np.sum(_projected(hs[i], qs[i].grad(hs[i])) ** 2) for i in idx)))
+        return float(np.linalg.norm(
+            [_pgn(hs[i], quad(i).grad(hs[i])) for i in idx]))
 
     pn0 = residual()
     target = max(config.tolerance * pn0, 1e-14)
     for _ in range(config.max_outer_iters):
-        qs = quads()
         for i in idx:
-            hs[i] = _minimize(qs[i], hs[i], config)
+            # built just before its solve, so it sees the views updated
+            # earlier in this sweep
+            hs[i] = _minimize(quad(i), hs[i], config)
         if residual() <= target:
             break
     return [hs[i] for i in idx]

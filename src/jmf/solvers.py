@@ -10,10 +10,9 @@ import numpy as np
 from .model import (Algorithm, DivergenceError, Factorization, Problem,
                     SolverConfig, SolverReport, StopRule, Termination,
                     TracePoint)
-from .objective import (QuadSubproblem, _projected, grad_H, grad_W,
-                        h_subproblem, objective_value,
-                        projected_gradient_norm, reconstruction_error,
-                        w_subproblem)
+from .objective import (QuadSubproblem, _projected, h_subproblem,
+                        objective_value, projected_gradient_norm,
+                        reconstruction_error, w_subproblem)
 
 _EPS = 1e-12  # multiplicative-update denominator guard
 
@@ -78,33 +77,25 @@ def _gradient_stop_reason(state: StopState, grad_norm: float,
 # multiplicative updates
 
 def mur_step_W(problem: Problem, factors: Factorization) -> np.ndarray:
+    """Ratio update W * num / den, where -grad/2 = num - den splits the W
+    quadratic by sign: num = -g0/2 and den = W A."""
+    q = w_subproblem(problem, factors.H)
+    (a,) = q.hess_mats
     w = factors.W
-    num = None
-    den = problem.params.gamma1 * w
-    for x, h in zip(problem.dataset.views, factors.H):
-        ht = h.T
-        part = x @ ht
-        num = part if num is None else num + part
-        den = den + w @ (h @ ht)
-    return w * (num / np.maximum(den, _EPS))
+    return w * (-0.5 * q.g0 / np.maximum(w @ a, _EPS))
 
 
 def mur_step_H(problem: Problem, factors: Factorization,
                view: int) -> np.ndarray:
-    p = problem.params
-    w, h = factors.W, factors.H[view]
-    x = problem.dataset.views[view]
-    num = w.T @ x
-    s = problem.within_sym(view)
-    if p.lambda1 and s is not None:
-        num = num + 0.5 * p.lambda1 * (h @ s)
-    if p.lambda2:
-        for j, mat in problem.between_partners(view):
-            num = num + 0.5 * p.lambda2 * (factors.H[j] @ mat)
-    den = w.T @ (w @ h)
-    if p.gamma2:
-        den = den + p.gamma2 * np.tile(h.sum(axis=0), (h.shape[0], 1))
-    return h * (num / np.maximum(den, _EPS))
+    """Ratio update H * num / den on the H_I quadratic, split by sign:
+    num = -g0/2 + (lambda1/2) H S and den = M H."""
+    q = h_subproblem(problem, factors.W, factors.H, view)
+    m, s, lam1, _ = q.hess_mats
+    h = factors.H[view]
+    num = -0.5 * q.g0
+    if lam1 and s is not None:
+        num = num + 0.5 * lam1 * (h @ s)
+    return h * (num / np.maximum(m @ h, _EPS))
 
 
 # ---------------------------------------------------------------------------

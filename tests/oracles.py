@@ -71,6 +71,65 @@ def naive_objective(problem, factors):
     return total
 
 
+def naive_mur_W(problem, factors, eps=1e-12):
+    """Loop-based multiplicative W update: W * num / max(den, eps).
+
+    num = sum_I X_I H_I^T and den = W (sum_I H_I H_I^T) + gamma1 W, the
+    negative and positive parts of half the W gradient.
+    """
+    p = problem.params
+    w, hs = factors.W, factors.H
+    m, r = w.shape
+    out = np.zeros_like(w)
+    for i in range(m):
+        for k in range(r):
+            num = 0.0
+            den = p.gamma1 * w[i, k]
+            for x, h in zip(problem.dataset.views, hs):
+                for j in range(x.shape[1]):
+                    num += x[i, j] * h[k, j]
+                    for l in range(r):
+                        den += w[i, l] * h[l, j] * h[k, j]
+            out[i, k] = w[i, k] * num / max(den, eps)
+    return out
+
+
+def naive_mur_H(problem, factors, view, eps=1e-12):
+    """Loop-based multiplicative update of H_view: H * num / max(den, eps).
+
+    num = W^T X + (lambda1 / 2) H sum_t (Theta_t + Theta_t^T)
+          + (lambda2 / 2) sum of the partner terms of every stored R pair;
+    den = W^T W H + gamma2 1 1^T H.
+    """
+    p = problem.params
+    w, hs = factors.W, factors.H
+    h = hs[view]
+    x = problem.dataset.views[view]
+    m, r = w.shape
+    n = h.shape[1]
+    out = np.zeros_like(h)
+    for k in range(r):
+        for j in range(n):
+            num = sum(w[i, k] * x[i, j] for i in range(m))
+            for theta in problem.constraints.within.get(view, ()):
+                for s in range(n):
+                    num += 0.5 * p.lambda1 * h[k, s] * (theta[s, j]
+                                                        + theta[j, s])
+            for (a, b), r_ab in problem.constraints.between.items():
+                if a == view:  # Tr(H_view R H_b^T): partner H_b R^T
+                    for s in range(r_ab.shape[1]):
+                        num += 0.5 * p.lambda2 * hs[b][k, s] * r_ab[j, s]
+                if b == view:  # Tr(H_a R H_view^T): partner H_a R
+                    for s in range(r_ab.shape[0]):
+                        num += 0.5 * p.lambda2 * hs[a][k, s] * r_ab[s, j]
+            den = 0.0
+            for l in range(r):
+                den += sum(w[i, k] * w[i, l] for i in range(m)) * h[l, j]
+                den += p.gamma2 * h[l, j]
+            out[k, j] = h[k, j] * num / max(den, eps)
+    return out
+
+
 def brute_auc(scores, labels):
     """Pairwise positive-vs-negative counting with half credit for ties."""
     s = np.asarray(scores, dtype=float).ravel()

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import jmf.objective
 from jmf import (ConstraintSet, Factorization, Hyperparameters,
-                 MultiViewDataset, grad_H, grad_W, lipschitz_H, lipschitz_W,
-                 new_problem, objective_value, projected_gradient_norm,
-                 reconstruction_error, spectral_norm)
+                 MultiViewDataset, SolverConfig, grad_H, grad_W, lipschitz_H,
+                 lipschitz_W, new_problem, objective_value,
+                 projected_gradient_norm, reconstruction_error, solve,
+                 spectral_norm)
 from jmf.objective import (h_subproblem, hessian_quadratic_form_H,
                            hessian_quadratic_form_W, w_subproblem)
 from oracles import (dense_hessian_H, dense_hessian_W, finite_diff_grad,
@@ -254,3 +256,48 @@ def test_quad_subproblem_gradients_match_full_gradients():
         qh = h_subproblem(prob, fac.W, fac.H, i)
         assert np.allclose(qh.grad(fac.H[i]), grad_H(prob, fac, i),
                            rtol=1e-12)
+
+
+def counted_spectral_norm(monkeypatch):
+    """Route jmf.objective.spectral_norm through a call counter."""
+    calls = []
+    original = jmf.objective.spectral_norm
+
+    def counting(mat, *args, **kwargs):
+        calls.append(mat.shape)
+        return original(mat, *args, **kwargs)
+
+    monkeypatch.setattr(jmf.objective, "spectral_norm", counting)
+    return calls
+
+
+def networked_problem():
+    return make_problem(seed=3, lambda1=0.05, lambda2=0.05, gamma1=0.1,
+                        gamma2=0.1)
+
+
+@pytest.mark.parametrize("algorithm", ["PG", "PANLS", "MUR"])
+def test_solvers_without_step_size_never_compute_spectral_norms(
+        monkeypatch, algorithm):
+    calls = counted_spectral_norm(monkeypatch)
+    prob = networked_problem()
+    cfg = SolverConfig(algorithm=algorithm, max_outer_iters=5)
+    solve(prob, cfg, random_factors(prob, seed=4))
+    assert calls == []
+
+
+def test_projected_gradient_norm_never_computes_spectral_norms(monkeypatch):
+    calls = counted_spectral_norm(monkeypatch)
+    prob = networked_problem()
+    projected_gradient_norm(prob, random_factors(prob, seed=4))
+    assert calls == []
+
+
+def test_ne_computes_each_within_norm_once(monkeypatch):
+    calls = counted_spectral_norm(monkeypatch)
+    prob = networked_problem()
+    cfg = SolverConfig(algorithm="Ne", max_outer_iters=5)
+    _, report = solve(prob, cfg, random_factors(prob, seed=4))
+    assert report.iterations > 1
+    # one power iteration per view's summed within-constraints, then cached
+    assert sorted(calls) == sorted((ni, ni) for ni in prob.n)

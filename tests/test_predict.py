@@ -5,7 +5,9 @@ from jmf import (ConstraintSet, Factorization, Hyperparameters,
                  MultiViewDataset, SolverConfig, SyntheticSpec, TrainedModel,
                  generate, init_factors, new_problem, predict_class,
                  predict_left, predict_right, predict_view, solve)
-from oracles import make_problem
+from jmf.objective import h_subproblem
+from jmf.solvers import _pgn
+from oracles import make_problem, random_factors
 
 CFG = SolverConfig(algorithm="Ne", stop_rule="ObjectiveRatio",
                    tolerance=1e-9)
@@ -144,3 +146,22 @@ def test_predict_right_output_nonnegative():
     test = {i: rng.random((45, 6)) for i in range(3)}
     hs = predict_right(model, test)
     assert all(h.min() >= 0 for h in hs)
+
+
+def test_predict_right_sweeps_views_in_order():
+    # each view's subproblem must see the partners updated earlier in the
+    # same sweep, so after one sweep the last view is solved against the
+    # returned partners
+    prob = make_problem(seed=1, m=8, n=(5, 6), r=2, lambda1=0.05,
+                        lambda2=0.5, gamma2=0.1)
+    fac = random_factors(prob, seed=2)
+    cfg = SolverConfig(algorithm="PG", tolerance=1e-10, max_outer_iters=1)
+    model = TrainedModel(problem=prob, factors=fac, config=cfg)
+    hs = predict_right(model, dict(enumerate(prob.dataset.views)))
+    last = prob.n_views - 1
+    q = h_subproblem(prob, fac.W, hs, last)
+    # predict_right starts every view from rng(config.seed).random
+    rng = np.random.default_rng(cfg.seed)
+    h_start = [rng.random((prob.rank, ni)) for ni in prob.n][last]
+    pn0 = _pgn(h_start, q.grad(h_start))
+    assert _pgn(hs[last], q.grad(hs[last])) <= cfg.tolerance * pn0

@@ -9,7 +9,8 @@ from jmf.objective import h_subproblem, w_subproblem
 from jmf.solvers import (StopState, _rescale, check_stop_gradient,
                          check_stop_objective, mur_step_H, mur_step_W,
                          ne_subproblem, panls_subproblem, pg_subproblem)
-from oracles import make_problem, random_factors
+from oracles import (make_problem, naive_mur_H, naive_mur_W,
+                     random_factors)
 
 CFG = dict(stop_rule="ObjectiveRatio", tolerance=1e-7)
 
@@ -119,6 +120,20 @@ def test_mur_stays_nonnegative_with_all_weights():
             fac.H[i] = mur_step_H(prob, fac, i)
     assert fac.W.min() >= 0
     assert all(h.min() >= 0 for h in fac.H)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mur_steps_match_loop_oracle_with_all_weights(seed):
+    # pins where every weight enters the MUR ratios, networks included
+    prob = make_problem(seed=seed, lambda1=0.3, lambda2=0.2, gamma1=0.4,
+                        gamma2=0.5)
+    fac = random_factors(prob, seed=seed + 10)
+    np.testing.assert_allclose(mur_step_W(prob, fac),
+                               naive_mur_W(prob, fac), rtol=1e-12, atol=0)
+    for i in range(prob.n_views):
+        np.testing.assert_allclose(mur_step_H(prob, fac, i),
+                                   naive_mur_H(prob, fac, i),
+                                   rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
