@@ -16,16 +16,37 @@ With all other factors fixed, F is a quadratic in W or in one H_I.
 one place where that block quadratic is written out.  The public gradient,
 Hessian quadratic form and Lipschitz functions here, and the multiplicative
 updates in ``solvers``, are views of it.
+
+The only products with the views X_I that F and the block quadratics need
+are the two kept in a ``Grams`` record: xht = sum_I X_I H_I^T (the W
+quadratic's linear term) and wtx[I] = W^T X_I (the H_I quadratic's).  A
+solve fills it once per outer iteration and reads F, the projected
+gradient and the next W build from it, so it forms 2 N products with the
+views per iteration instead of recomputing them for each reader.  F's fit
+term comes from the trace identity
+
+    sum_I ||X_I - W H_I||^2 = ||X||^2 - 2 <W, xht> + <W^T W, sum_I H_I H_I^T>
+
+(Kim, He & Park, J. Global Optim. 2014), which needs no m x n_I residual.
+Its terms cancel, leaving a rounding error of a few eps ||X||^2, so the
+fit's relative error grows as the fit shrinks: about 1e-12 at
+``FIT_FLOOR`` ||X||^2 and 1e-9 at 1e-7 ||X||^2.  Below ``FIT_FLOOR``
+||X||^2 the fit is therefore summed from the residuals themselves, which
+keeps small fits (and the objective-ratio rule's differences of them)
+accurate and an exact factorization at 0.0.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .model import Factorization, Problem
+
+# fits below this share of ||X||^2 are summed from the residual (see above)
+FIT_FLOOR = 1e-4
 
 
 def _check_shapes(problem: Problem, factors: Factorization) -> None:
@@ -50,10 +71,42 @@ def reconstruction_error(problem: Problem, factors: Factorization) -> float:
     return total
 
 
-def objective_value(problem: Problem, factors: Factorization) -> float:
+@dataclass
+class Grams:
+    """Products with the views shared within one outer iteration.
+
+    ``xht`` is sum_I X_I H_I^T for the current H and ``wtx[I]`` is W^T X_I
+    for the current W; each must be renewed when its factor changes.
+    """
+
+    xht: np.ndarray
+    wtx: list[np.ndarray | None]
+
+    @classmethod
+    def of(cls, problem: Problem, factors: Factorization) -> "Grams":
+        return cls(view_products(problem.dataset.views, factors.H),
+                   [factors.W.T @ x for x in problem.dataset.views])
+
+
+def view_products(views: Sequence[np.ndarray],
+                  H: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_I X_I H_I^T over the given views."""
+    return sum(x @ h.T for x, h in zip(views, H))
+
+
+def objective_value(problem: Problem, factors: Factorization,
+                    grams: Grams | None = None) -> float:
+    """F at ``factors``; ``grams`` supplies xht, formed here when None."""
     _check_shapes(problem, factors)
     p = problem.params
-    value = reconstruction_error(problem, factors)
+    w = factors.W
+    xht = (view_products(problem.dataset.views, factors.H) if grams is None
+           else grams.xht)
+    x_sq = problem.x_squared_norm()
+    value = x_sq - 2.0 * float(np.vdot(w, xht)) + float(
+        np.vdot(w.T @ w, sum(h @ h.T for h in factors.H)))
+    if not value >= FIT_FLOOR * x_sq:  # also catches a NaN identity
+        value = reconstruction_error(problem, factors)
     if p.lambda1:
         for i, h in enumerate(factors.H):
             for theta in problem.constraints.within.get(i, ()):
@@ -94,12 +147,21 @@ def _projected(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.where(x > 0, g, np.minimum(g, 0.0))
 
 
-def projected_gradient_norm(problem: Problem, factors: Factorization) -> float:
-    """Frobenius norm of the projected gradients stacked over W and all H_I."""
-    total = float(np.sum(_projected(factors.W, grad_W(problem, factors)) ** 2))
-    for i in range(problem.n_views):
-        total += float(np.sum(
-            _projected(factors.H[i], grad_H(problem, factors, i)) ** 2))
+def projected_gradient_norm(problem: Problem, factors: Factorization,
+                            grams: Grams | None = None) -> float:
+    """Frobenius norm of the projected gradients stacked over W and all H_I.
+
+    ``grams`` supplies the products with the views; None forms them here.
+    """
+    _check_shapes(problem, factors)
+    if grams is None:
+        grams = Grams.of(problem, factors)
+    w, hs = factors.W, factors.H
+    q = w_subproblem(problem, hs, xht=grams.xht)
+    total = float(np.sum(_projected(w, q.grad(w)) ** 2))
+    for i, wtx in enumerate(grams.wtx):
+        q = h_subproblem(problem, w, hs, i, wtx=wtx)
+        total += float(np.sum(_projected(hs[i], q.grad(hs[i])) ** 2))
     return float(np.sqrt(total))
 
 
@@ -233,17 +295,19 @@ class QuadSubproblem:
 
 def w_subproblem(problem: Problem, H: list[np.ndarray],
                  tau1: float = 0.0, anchor: np.ndarray | None = None,
-                 views: list[np.ndarray] | None = None) -> QuadSubproblem:
-    """Quadratic model of the W update (optionally with a proximal anchor)."""
-    xs = problem.dataset.views if views is None else views
+                 xht: np.ndarray | None = None) -> QuadSubproblem:
+    """Quadratic model of the W update (optionally with a proximal anchor).
+
+    ``xht`` is sum_I X_I H_I^T when the caller already holds it (or holds
+    it for other data with the views' rows, as prediction does).
+    """
     r = H[0].shape[0]
     a = (problem.params.gamma1 + tau1) * np.eye(r)
-    b = None
-    for x, h in zip(xs, H):
+    for h in H:
         a += h @ h.T
-        bt = x @ h.T
-        b = bt if b is None else b + bt
-    g0 = -2.0 * b
+    if xht is None:
+        xht = view_products(problem.dataset.views, H)
+    g0 = -2.0 * xht
     if tau1 and anchor is not None:
         g0 = g0 - 2.0 * tau1 * anchor
     return QuadSubproblem((a,), g0, "w")
@@ -252,16 +316,21 @@ def w_subproblem(problem: Problem, H: list[np.ndarray],
 def h_subproblem(problem: Problem, W: np.ndarray, H: list[np.ndarray],
                  view: int, tau2: float = 0.0,
                  anchor: np.ndarray | None = None,
-                 x_view: np.ndarray | None = None) -> QuadSubproblem:
-    """Quadratic model of one view's H update with the other factors fixed."""
+                 wtx: np.ndarray | None = None) -> QuadSubproblem:
+    """Quadratic model of one view's H update with the other factors fixed.
+
+    ``wtx`` is W^T X_I when the caller already holds it (or holds it for
+    other data with the view's columns, as prediction does).
+    """
     p = problem.params
     r = W.shape[1]
-    x = problem.dataset.views[view] if x_view is None else x_view
+    if wtx is None:
+        wtx = W.T @ problem.dataset.views[view]
     m = W.T @ W + p.gamma2 * np.ones((r, r))
-    g0 = -2.0 * (W.T @ x)
+    g0 = -2.0 * wtx
     if p.lambda2:
         # C = sum over partner views J of H_J @ M_J (r x n_I)
-        c = np.zeros((r, x.shape[1]))
+        c = np.zeros((r, wtx.shape[1]))
         for j, mat in problem.between_partners(view):
             c += H[j] @ mat
         g0 -= p.lambda2 * c

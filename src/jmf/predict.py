@@ -7,7 +7,8 @@ import numpy as np
 
 from .model import (Algorithm, Factorization, MultiViewDataset, Problem,
                     SolverConfig)
-from .objective import QuadSubproblem, h_subproblem, w_subproblem
+from .objective import (QuadSubproblem, h_subproblem, view_products,
+                        w_subproblem)
 from .solvers import _ne_minimize, _panls_minimize, _pg_minimize, _pgn
 
 
@@ -72,8 +73,9 @@ def predict_left(model: TrainedModel, test, config: SolverConfig | None = None
     config = config or model.config
     views = _as_view_map(model, test)
     idx = sorted(views)
-    q = w_subproblem(model.problem, [model.factors.H[i] for i in idx],
-                     views=[views[i] for i in idx])
+    hs = [model.factors.H[i] for i in idx]
+    q = w_subproblem(model.problem, hs,
+                     xht=view_products([views[i] for i in idx], hs))
     m_test = views[idx[0]].shape[0]
     rng = np.random.default_rng(config.seed)
     w0 = rng.random((m_test, model.problem.rank))
@@ -128,17 +130,18 @@ def predict_right(model: TrainedModel, test, config: SolverConfig | None = None
     hs = {i: rng.random((model.problem.rank, views[i].shape[1]))
           for i in idx}
     matching = all(views[i].shape[1] == model.problem.n[i] for i in idx)
+    # W is frozen, so each view's product with it is formed once per call
+    wtx = {i: w.T @ views[i] for i in idx}
 
     def quad(i: int) -> QuadSubproblem:
         if not matching:
             r = model.problem.rank
             mat = w.T @ w + model.params.gamma2 * np.ones((r, r))
-            return QuadSubproblem((mat, None, 0.0, 0.0),
-                                  -2.0 * (w.T @ views[i]), "h")
+            return QuadSubproblem((mat, None, 0.0, 0.0), -2.0 * wtx[i], "h")
         full = list(model.factors.H)
         for j in idx:
             full[j] = hs[j]
-        return h_subproblem(model.problem, w, full, i, x_view=views[i])
+        return h_subproblem(model.problem, w, full, i, wtx=wtx[i])
 
     def residual():
         return float(np.linalg.norm(

@@ -10,9 +10,9 @@ import numpy as np
 from .model import (Algorithm, DivergenceError, Factorization, Problem,
                     SolverConfig, SolverReport, StopRule, Termination,
                     TracePoint)
-from .objective import (QuadSubproblem, _projected, h_subproblem,
+from .objective import (Grams, QuadSubproblem, _projected, h_subproblem,
                         objective_value, projected_gradient_norm,
-                        reconstruction_error, w_subproblem)
+                        reconstruction_error, view_products, w_subproblem)
 
 _EPS = 1e-12  # multiplicative-update denominator guard
 
@@ -76,20 +76,23 @@ def _gradient_stop_reason(state: StopState, grad_norm: float,
 # ---------------------------------------------------------------------------
 # multiplicative updates
 
-def mur_step_W(problem: Problem, factors: Factorization) -> np.ndarray:
+def mur_step_W(problem: Problem, factors: Factorization,
+               xprod: np.ndarray | None = None) -> np.ndarray:
     """Ratio update W * num / den, where -grad/2 = num - den splits the W
-    quadratic by sign: num = -g0/2 and den = W A."""
-    q = w_subproblem(problem, factors.H)
+    quadratic by sign: num = -g0/2 and den = W A.  ``xprod`` is
+    sum_I X_I H_I^T when the caller holds it."""
+    q = w_subproblem(problem, factors.H, xht=xprod)
     (a,) = q.hess_mats
     w = factors.W
     return w * (-0.5 * q.g0 / np.maximum(w @ a, _EPS))
 
 
-def mur_step_H(problem: Problem, factors: Factorization,
-               view: int) -> np.ndarray:
+def mur_step_H(problem: Problem, factors: Factorization, view: int,
+               xprod: np.ndarray | None = None) -> np.ndarray:
     """Ratio update H * num / den on the H_I quadratic, split by sign:
-    num = -g0/2 + (lambda1/2) H S and den = M H."""
-    q = h_subproblem(problem, factors.W, factors.H, view)
+    num = -g0/2 + (lambda1/2) H S and den = M H.  ``xprod`` is W^T X_I
+    when the caller holds it."""
+    q = h_subproblem(problem, factors.W, factors.H, view, wtx=xprod)
     m, s, lam1, _ = q.hess_mats
     h = factors.H[view]
     num = -0.5 * q.g0
@@ -257,97 +260,117 @@ def _panls_minimize(q: QuadSubproblem, x0: np.ndarray,
 
 def _build_quad(problem: Problem, factors: Factorization, target,
                 config: SolverConfig, anchor: np.ndarray | None = None,
-                proximal: bool = False) -> tuple[QuadSubproblem, np.ndarray]:
+                proximal: bool = False, xprod: np.ndarray | None = None
+                ) -> tuple[QuadSubproblem, np.ndarray]:
+    """The target block's quadratic.  ``xprod`` is the block's product with
+    the views when the caller holds it: sum_I X_I H_I^T for W, W^T X_I for
+    H_I."""
     if isinstance(target, str):
         if target.lower() != "w":
             raise ValueError(f"unknown subproblem target {target!r}")
         tau = config.tau1 if proximal else 0.0
         q = w_subproblem(problem, factors.H, tau1=tau,
-                         anchor=anchor if proximal else None)
+                         anchor=anchor if proximal else None, xht=xprod)
         return q, factors.W
     view = int(target)
     tau = config.tau2 if proximal else 0.0
     q = h_subproblem(problem, factors.W, factors.H, view, tau2=tau,
-                     anchor=anchor if proximal else None)
+                     anchor=anchor if proximal else None, wtx=xprod)
     return q, factors.H[view]
 
 
 def pg_subproblem(problem: Problem, factors: Factorization, target,
-                  config: SolverConfig) -> tuple[np.ndarray, bool]:
+                  config: SolverConfig, xprod: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, bool]:
     """Armijo projected-gradient solve of one subproblem.
 
     Returns the updated factor and a flag set when the step-size search was
     exhausted before reaching the inner tolerance.
     """
-    q, start = _build_quad(problem, factors, target, config)
+    q, start = _build_quad(problem, factors, target, config, xprod=xprod)
     return _pg_minimize(q, start, config)
 
 
 def ne_subproblem(problem: Problem, factors: Factorization, target,
-                  config: SolverConfig) -> np.ndarray:
+                  config: SolverConfig, xprod: np.ndarray | None = None
+                  ) -> np.ndarray:
     """Nesterov iteration with the subproblem Lipschitz step size."""
-    q, start = _build_quad(problem, factors, target, config)
+    q, start = _build_quad(problem, factors, target, config, xprod=xprod)
     return _ne_minimize(q, start, config)
 
 
 def panls_subproblem(problem: Problem, factors: Factorization, target,
-                     config: SolverConfig,
-                     anchor: np.ndarray) -> np.ndarray:
+                     config: SolverConfig, anchor: np.ndarray,
+                     xprod: np.ndarray | None = None) -> np.ndarray:
     """Proximal subproblem solve switching between PG and active-set CG."""
     q, start = _build_quad(problem, factors, target, config, anchor=anchor,
-                           proximal=True)
+                           proximal=True, xprod=xprod)
     return _panls_minimize(q, start, config)
 
 
 # ---------------------------------------------------------------------------
 # outer loop
 
-def _rescale(w: np.ndarray, hs: list[np.ndarray]) -> None:
-    """Product-preserving normalization: unit W columns, scale into H rows."""
+def _rescale(w: np.ndarray, hs: list[np.ndarray]) -> np.ndarray:
+    """Product-preserving normalization: unit W columns, scale into H rows.
+
+    Returns the divisor of each W column: its norm, or 1 for a zero column.
+    """
     norms = np.linalg.norm(w, axis=0)
-    keep = norms > 0
-    w[:, keep] /= norms[keep]
+    norms[norms == 0] = 1.0
+    w /= norms
     for h in hs:
-        h[keep, :] *= norms[keep, None]
+        h *= norms[:, None]
+    return norms
 
 
-def _outer_update(problem: Problem, config: SolverConfig, w: np.ndarray,
-                  hs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    factors = Factorization(w, hs)
+def _block_step(problem: Problem, config: SolverConfig,
+                factors: Factorization, target,
+                xprod: np.ndarray) -> np.ndarray:
+    """The configured algorithm's update of one block ("w" or a view)."""
     alg = config.algorithm
     if alg is Algorithm.MUR:
-        factors.W = mur_step_W(problem, factors)
-        for i in range(problem.n_views):
-            factors.H[i] = mur_step_H(problem, factors, i)
-    elif alg is Algorithm.PG:
-        factors.W, _ = pg_subproblem(problem, factors, "w", config)
-        for i in range(problem.n_views):
-            factors.H[i], _ = pg_subproblem(problem, factors, i, config)
-    elif alg is Algorithm.NE:
-        factors.W = ne_subproblem(problem, factors, "w", config)
-        for i in range(problem.n_views):
-            factors.H[i] = ne_subproblem(problem, factors, i, config)
-    elif alg is Algorithm.PANLS:
-        anchor_w = factors.W.copy()
-        anchors_h = [h.copy() for h in factors.H]
-        factors.W = panls_subproblem(problem, factors, "w", config, anchor_w)
-        for i in range(problem.n_views):
-            factors.H[i] = panls_subproblem(problem, factors, i, config,
-                                            anchors_h[i])
-    else:  # pragma: no cover
-        raise ValueError(f"unknown algorithm {alg}")
-    return factors.W, factors.H
+        if target == "w":
+            return mur_step_W(problem, factors, xprod)
+        return mur_step_H(problem, factors, target, xprod)
+    if alg is Algorithm.PG:
+        return pg_subproblem(problem, factors, target, config, xprod)[0]
+    if alg is Algorithm.NE:
+        return ne_subproblem(problem, factors, target, config, xprod)
+    if alg is Algorithm.PANLS:
+        # the build reads the anchor before the engine moves a copy of it
+        anchor = factors.W if target == "w" else factors.H[target]
+        return panls_subproblem(problem, factors, target, config, anchor,
+                                xprod)
+    raise ValueError(f"unknown algorithm {alg}")  # pragma: no cover
+
+
+def _outer_update(problem: Problem, config: SolverConfig,
+                  factors: Factorization, grams: Grams) -> None:
+    """Update W from ``grams.xht``, then each H_I, recording W^T X_I for the
+    new W in ``grams.wtx``."""
+    factors.W = _block_step(problem, config, factors, "w", grams.xht)
+    for i, x in enumerate(problem.dataset.views):
+        grams.wtx[i] = factors.W.T @ x
+        factors.H[i] = _block_step(problem, config, factors, i,
+                                   grams.wtx[i])
 
 
 def solve(problem: Problem, config: SolverConfig,
           init: Factorization) -> tuple[Factorization, SolverReport]:
-    """Alternate W and H updates until a stop rule or the iteration cap."""
+    """Alternate W and H updates until a stop rule or the iteration cap.
+
+    Each outer iteration forms 2 N products with the views, kept in one
+    ``Grams`` record that F, the projected gradient and the next W build
+    read.
+    """
     if init.W.shape != (problem.m, problem.rank):
         raise ValueError("initial W does not match the problem shapes")
-    w = init.W.copy()
-    hs = [h.copy() for h in init.H]
+    factors = init.copy()
+    views = problem.dataset.views
+    grams = Grams(view_products(views, factors.H), [None] * len(views))
 
-    f_init = objective_value(problem, Factorization(w, hs))
+    f_init = objective_value(problem, factors, grams)
     state = StopState(initial_objective=f_init)
 
     trace: list[TracePoint] = []
@@ -358,19 +381,25 @@ def solve(problem: Problem, config: SolverConfig,
         # overflow produces inf/nan, caught below as divergence; the
         # intermediate warnings are expected noise on runaway weights
         with np.errstate(over="ignore", invalid="ignore"):
-            w, hs = _outer_update(problem, config, w, hs)
-            if not (np.isfinite(w).all()
-                    and all(np.isfinite(h).all() for h in hs)):
+            _outer_update(problem, config, factors, grams)
+            if not (np.isfinite(factors.W).all()
+                    and all(np.isfinite(h).all() for h in factors.H)):
                 raise DivergenceError(
                     f"non-finite factor at outer iteration {it}", trace)
             if config.normalize_rows:
-                _rescale(w, hs)
-            factors = Factorization(w, hs)
-            f_curr = objective_value(problem, factors)
+                norms = _rescale(factors.W, factors.H)
+                for wtx in grams.wtx:
+                    wtx /= norms[:, None]
+            grams.xht = view_products(views, factors.H)
+            f_curr = objective_value(problem, factors, grams)
+            g_curr = projected_gradient_norm(problem, factors, grams)
         if not np.isfinite(f_curr):
             raise DivergenceError(
                 f"non-finite objective at outer iteration {it}", trace)
-        g_curr = projected_gradient_norm(problem, factors)
+        if not np.isfinite(g_curr):
+            raise DivergenceError(
+                f"non-finite projected-gradient norm at outer iteration {it}",
+                trace)
         trace.append(TracePoint(it, f_curr, g_curr,
                                 time.perf_counter() - start))
         if config.stop_rule is StopRule.OBJECTIVE_RATIO:
@@ -384,12 +413,11 @@ def solve(problem: Problem, config: SolverConfig,
                 break
         f_prev = f_curr
 
-    final = Factorization(w, hs)
     report = SolverReport(
         trace=trace,
         termination=termination,
         final_objective=trace[-1].objective,
-        reconstruction_error=reconstruction_error(problem, final),
+        reconstruction_error=reconstruction_error(problem, factors),
         iterations=trace[-1].iteration,
     )
-    return final, report
+    return factors, report

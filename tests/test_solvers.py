@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from jmf import (Algorithm, ConstraintSet, Factorization, Hyperparameters,
-                 MultiViewDataset, SolverConfig, StopRule, SyntheticSpec,
-                 Termination, generate, init_factors, new_problem,
-                 objective_value, reconstruction_error, solve)
+import jmf.solvers
+from jmf import (Algorithm, ConstraintSet, DivergenceError, Factorization,
+                 Hyperparameters, MultiViewDataset, SolverConfig, StopRule,
+                 SyntheticSpec, Termination, generate, init_factors,
+                 new_problem, objective_value, reconstruction_error, solve)
 from jmf.objective import h_subproblem, w_subproblem
 from jmf.solvers import (StopState, _rescale, check_stop_gradient,
                          check_stop_objective, mur_step_H, mur_step_W,
@@ -239,6 +240,23 @@ def test_solve_single_iteration_trace():
         _, report = solve(prob, cfg, init_factors(prob, 0))
         assert len(report.trace) == 1
         assert report.termination is Termination.MAX_ITERS
+
+
+def test_non_finite_gradient_norm_is_divergence(monkeypatch):
+    real = jmf.solvers.projected_gradient_norm
+    calls = []
+
+    def overflowing(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs) if len(calls) == 1 else np.inf
+
+    monkeypatch.setattr(jmf.solvers, "projected_gradient_norm", overflowing)
+    prob = make_problem(seed=1, with_constraints=False)
+    cfg = SolverConfig(algorithm="PG", max_outer_iters=10,
+                       stop_rule="ObjectiveRatio", tolerance=1e-300)
+    with pytest.raises(DivergenceError) as err:
+        solve(prob, cfg, init_factors(prob, 0))
+    assert len(err.value.trace) == 1
 
 
 def test_solve_deterministic():
