@@ -213,6 +213,9 @@ class SolverReport:
     final_objective: float
     reconstruction_error: float
     iterations: int
+    # block solves (W or one H_I, in any outer iteration) whose Armijo
+    # step-size search ran out of backtracks before the inner tolerance
+    exhausted_searches: int = 0
 
 
 class Problem:

@@ -38,7 +38,8 @@ accurate and an exact factorization at 0.0.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -142,9 +143,25 @@ def grad_H(problem: Problem, factors: Factorization, view: int) -> np.ndarray:
     return q.grad(factors.H[view])
 
 
-def _projected(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """KKT residual: at the zero bound, positive gradients are projected out."""
-    return np.where(x > 0, g, np.minimum(g, 0.0))
+def _projected(x: np.ndarray, g: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """KKT residual: at the zero bound, positive gradients are projected out.
+
+    Zeroes g where x <= 0 and g >= 0 by a multiply with a mask, which does
+    not branch per entry as ``np.where`` does; every entry's square equals
+    that of ``np.where(x > 0, g, np.minimum(g, 0.0))`` for finite g (a
+    +inf gradient at the bound becomes NaN instead of 0).  ``out`` is an
+    optional buffer of x's shape.
+    """
+    return np.multiply(g, (x > 0) | (g < 0), out=out)
+
+
+def projected_norm(x: np.ndarray, g: np.ndarray,
+                   out: np.ndarray | None = None) -> float:
+    """Frobenius norm of one block's projected gradient ``_projected(x, g)``,
+    written to the optional buffer ``out`` on the way."""
+    p = _projected(x, g, out)
+    return math.sqrt(np.vdot(p, p))
 
 
 def projected_gradient_norm(problem: Problem, factors: Factorization,
@@ -158,11 +175,11 @@ def projected_gradient_norm(problem: Problem, factors: Factorization,
         grams = Grams.of(problem, factors)
     w, hs = factors.W, factors.H
     q = w_subproblem(problem, hs, xht=grams.xht)
-    total = float(np.sum(_projected(w, q.grad(w)) ** 2))
+    norms = [projected_norm(w, q.grad(w))]
     for i, wtx in enumerate(grams.wtx):
         q = h_subproblem(problem, w, hs, i, wtx=wtx)
-        total += float(np.sum(_projected(hs[i], q.grad(hs[i])) ** 2))
-    return float(np.sqrt(total))
+        norms.append(projected_norm(hs[i], q.grad(hs[i])))
+    return float(np.linalg.norm(norms))
 
 
 def spectral_norm(mat: np.ndarray, tol: float = 1e-8,
@@ -202,7 +219,7 @@ def _quadratic_form(q: QuadSubproblem, direction: np.ndarray,
     d = np.asarray(direction, dtype=float)
     if d.shape != expected:
         raise ValueError(f"direction shape {d.shape} != {expected}")
-    return float(np.sum(d * q.hess_apply(d)))
+    return float(np.vdot(d, q.hess_apply(d)))
 
 
 def hessian_quadratic_form_W(problem: Problem, factors: Factorization,
@@ -253,6 +270,12 @@ class QuadSubproblem:
     within-constraints (or None), applied as
     D -> 2 M D - lambda1 D S + 2 tau2 D.
 
+    The doubled r x r matrix (2A or 2M) is formed once when the
+    subproblem is built and ``hess_apply`` multiplies by it, which saves
+    a pass and a temporary over each product.  Doubling is exact, so
+    D (2A) equals 2 (D A) bit for bit (2M likewise) unless an entry
+    overflows or falls into the subnormal range.
+
     ``lipschitz()`` is computed on request: 2 lambda_max of the r x r
     matrix (plus 2 tau2 and lambda1 ||S||_2 for kind "h").  ``s_norm``
     supplies ||S||_2, which the builder caches per problem and view.
@@ -262,13 +285,16 @@ class QuadSubproblem:
     g0: np.ndarray
     kind: str  # "w" or "h"
     s_norm: Callable[[], float] | None = None
+    _doubled: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._doubled = 2.0 * self.hess_mats[0]
 
     def hess_apply(self, d: np.ndarray) -> np.ndarray:
         if self.kind == "w":
-            (a,) = self.hess_mats
-            return 2.0 * (d @ a)
-        m, s, lam1, tau = self.hess_mats
-        out = 2.0 * (m @ d)
+            return d @ self._doubled
+        _, s, lam1, tau = self.hess_mats
+        out = self._doubled @ d
         if s is not None and lam1:
             out -= lam1 * (d @ s)
         if tau:
@@ -276,11 +302,13 @@ class QuadSubproblem:
         return out
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.hess_apply(x) + self.g0
+        out = self.hess_apply(x)
+        out += self.g0
+        return out
 
     def value(self, x: np.ndarray) -> float:
-        return 0.5 * float(np.sum(x * self.hess_apply(x))) + float(
-            np.sum(self.g0 * x))
+        return 0.5 * float(np.vdot(x, self.hess_apply(x))) + float(
+            np.vdot(self.g0, x))
 
     def lipschitz(self) -> float:
         if self.kind == "w":

@@ -7,9 +7,9 @@ import numpy as np
 
 from .model import (Algorithm, Factorization, MultiViewDataset, Problem,
                     SolverConfig)
-from .objective import (QuadSubproblem, h_subproblem, view_products,
-                        w_subproblem)
-from .solvers import _ne_minimize, _panls_minimize, _pg_minimize, _pgn
+from .objective import (QuadSubproblem, h_subproblem, projected_norm,
+                        view_products, w_subproblem)
+from .solvers import _ne_minimize, _panls_minimize, _pg_minimize
 
 
 @dataclass
@@ -51,7 +51,7 @@ def _minimize(q: QuadSubproblem, x0: np.ndarray,
               config: SolverConfig) -> np.ndarray:
     """Drive one convex subproblem to the configured relative tolerance."""
     x = x0
-    pn0 = _pgn(x, q.grad(x))
+    pn0 = projected_norm(x, q.grad(x))
     target = max(config.tolerance * pn0, 1e-14)
     inner = SolverConfig(**{**config.__dict__,
                             "inner_tol": target, "inner_tol_rel": 0.0})
@@ -59,10 +59,10 @@ def _minimize(q: QuadSubproblem, x0: np.ndarray,
         if config.algorithm is Algorithm.PG:
             x, _ = _pg_minimize(q, x, inner)
         elif config.algorithm is Algorithm.PANLS:
-            x = _panls_minimize(q, x, inner)
+            x, _ = _panls_minimize(q, x, inner)
         else:  # Ne and MUR both fall back to the Nesterov engine here
             x = _ne_minimize(q, x, inner)
-        if _pgn(x, q.grad(x)) <= target:
+        if projected_norm(x, q.grad(x)) <= target:
             break
     return x
 
@@ -145,7 +145,7 @@ def predict_right(model: TrainedModel, test, config: SolverConfig | None = None
 
     def residual():
         return float(np.linalg.norm(
-            [_pgn(hs[i], quad(i).grad(hs[i])) for i in idx]))
+            [projected_norm(hs[i], quad(i).grad(hs[i])) for i in idx]))
 
     pn0 = residual()
     target = max(config.tolerance * pn0, 1e-14)

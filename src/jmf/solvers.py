@@ -1,6 +1,7 @@
 """Alternating outer loop and the four subproblem update algorithms."""
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -10,8 +11,8 @@ import numpy as np
 from .model import (Algorithm, DivergenceError, Factorization, Problem,
                     SolverConfig, SolverReport, StopRule, Termination,
                     TracePoint)
-from .objective import (Grams, QuadSubproblem, _projected, h_subproblem,
-                        objective_value, projected_gradient_norm,
+from .objective import (Grams, QuadSubproblem, h_subproblem, objective_value,
+                        projected_gradient_norm, projected_norm,
                         reconstruction_error, view_products, w_subproblem)
 
 _EPS = 1e-12  # multiplicative-update denominator guard
@@ -103,78 +104,133 @@ def mur_step_H(problem: Problem, factors: Factorization, view: int,
 
 # ---------------------------------------------------------------------------
 # generic engines on a quadratic subproblem
-
-def _pgn(x: np.ndarray, g: np.ndarray) -> float:
-    return float(np.linalg.norm(_projected(x, g)))
-
+#
+# Each engine owns its iterate and a few work buffers of the block's shape
+# and writes its elementwise updates into them, so an inner step allocates
+# only the one Hessian product it forms.
 
 def _inner_tol(config: SolverConfig, pn0: float) -> float:
     return max(config.inner_tol, config.inner_tol_rel * pn0)
 
 
 def _armijo_step(q: QuadSubproblem, x: np.ndarray, g: np.ndarray,
-                 config: SolverConfig) -> tuple[np.ndarray, bool]:
+                 config: SolverConfig, out: np.ndarray,
+                 d: np.ndarray) -> bool:
     """One projected step with the smallest backtracking exponent.
 
-    Returns (next iterate, search-exhausted flag).
+    Writes the next iterate into ``out`` (``d`` is a work buffer) and
+    returns True when the search is exhausted, in which case the
+    iterate stays x and ``out`` holds nothing of use.
     """
     for t in range(config.max_backtracks + 1):
         alpha = config.alpha0 * config.beta ** t
-        xn = np.maximum(x - alpha * g, 0.0)
-        d = xn - x
-        decrease = (1.0 - config.sigma) * float(np.sum(g * d)) \
-            + 0.5 * float(np.sum(d * q.hess_apply(d)))
+        np.multiply(g, alpha, out=out)
+        np.subtract(x, out, out=out)
+        np.maximum(out, 0.0, out=out)
+        np.subtract(out, x, out=d)
+        decrease = (1.0 - config.sigma) * float(np.vdot(g, d)) \
+            + 0.5 * float(np.vdot(d, q.hess_apply(d)))
         if decrease <= 0:
-            return xn, False
-    return x, True
+            return False
+    return True
 
 
 def _pg_minimize(q: QuadSubproblem, x0: np.ndarray,
                  config: SolverConfig) -> tuple[np.ndarray, bool]:
+    """Armijo projected gradient; returns (iterate, search-exhausted flag).
+
+    The gradient is formed afresh after each accepted step rather than
+    carried over as g + H d from the search, so rounding does not
+    accumulate from one step to the next.
+    """
     x = x0.copy()
+    xn, work = np.empty_like(x), np.empty_like(x)
     g = q.grad(x)
-    pn = _pgn(x, g)
+    pn = projected_norm(x, g, work)
     tol = _inner_tol(config, pn)
     for _ in range(config.inner_iters):
         if pn <= tol:
             break
-        x, exhausted = _armijo_step(q, x, g, config)
-        if exhausted:
+        if _armijo_step(q, x, g, config, xn, work):
             return x, True
+        x, xn = xn, x
         g = q.grad(x)
-        pn = _pgn(x, g)
+        pn = projected_norm(x, g, work)
     return x, False
 
 
 def _ne_minimize(q: QuadSubproblem, x0: np.ndarray,
                  config: SolverConfig) -> np.ndarray:
+    """Nesterov's projected iteration with step 1 / L.
+
+    Each step projects the gradient step from the extrapolated point
+    y = x + b (x - x_prev).  The gradient is affine, so that step is
+    z + b (z - z_prev) with z = x - grad(x) / L: one Hessian product per
+    step, in the gradient at its new iterate, and no y is kept.
+    """
     lip = q.lipschitz()
     if lip <= 0:
         return x0.copy()
     x = x0.copy()
-    pn = _pgn(x, q.grad(x))
+    g = q.grad(x)
+    work = np.empty_like(x)
+    pn = projected_norm(x, g, work)
     tol = _inner_tol(config, pn)
     if pn <= tol:
         return x
-    y = x.copy()
+    neg_step = -1.0 / lip
+    # at the start y = x, so the first step is z itself
+    z = np.multiply(g, neg_step)
+    z += x
+    step = z.copy()
     alpha = config.alpha0
     for _ in range(config.inner_iters):
-        xn = np.maximum(y - q.grad(y) / lip, 0.0)
-        alpha_next = 0.5 * (1.0 + np.sqrt(4.0 * alpha * alpha + 1.0))
-        y = xn + ((alpha - 1.0) / alpha_next) * (xn - x)
-        x, alpha = xn, alpha_next
-        pn = _pgn(x, q.grad(x))
+        x = np.maximum(step, 0.0, out=x)
+        g = q.grad(x)
+        pn = projected_norm(x, g, work)
         if pn <= tol:
             break
+        alpha_next = 0.5 * (1.0 + math.sqrt(4.0 * alpha * alpha + 1.0))
+        b = (alpha - 1.0) / alpha_next
+        # the new z goes where the last step was; the old z's buffer then
+        # takes the next step, z_new + b (z_new - z)
+        z_new = np.multiply(g, neg_step, out=step)
+        z_new += x
+        z -= z_new
+        z *= -b
+        z += z_new
+        z, step, alpha = z_new, z, alpha_next
     return x
 
 
+def _step_to_bound(x: np.ndarray, d: np.ndarray, out: np.ndarray) -> float:
+    """Longest step along d that keeps x nonnegative: the least x / -d over
+    the entries with d < 0, inf when there is none.
+
+    Branch-free: the ratios x / max(-d, 0) are inf or NaN where d >= 0,
+    and ``np.fmin`` skips NaN.  ``out`` is a work buffer.
+    """
+    np.negative(d, out=out)
+    np.maximum(out, 0.0, out=out)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(x, out, out=out)
+    step = float(np.fmin.reduce(out, axis=None))
+    return np.inf if np.isnan(step) else step
+
+
 def _panls_minimize(q: QuadSubproblem, x0: np.ndarray,
-                    config: SolverConfig) -> np.ndarray:
-    """PG steps alternating with conjugate gradients on the inactive set."""
+                    config: SolverConfig) -> tuple[np.ndarray, bool]:
+    """PG steps alternating with conjugate gradients on the inactive set.
+
+    Returns (iterate, search-exhausted flag).  A CG step that stops short
+    of the bound keeps every inactive entry positive, so its new gradient
+    is g + step H d (the CG residual recursion) from the one product the
+    step forms; a step clipped at the bound forms the gradient afresh.
+    """
     x = x0.copy()
+    xn, work = np.empty_like(x), np.empty_like(x)
     g = q.grad(x)
-    pn = _pgn(x, g)
+    pn = projected_norm(x, g, work)
     tol = _inner_tol(config, pn)
     eta = config.eta
     k = 0
@@ -183,13 +239,14 @@ def _panls_minimize(q: QuadSubproblem, x0: np.ndarray,
         # constrained PG phase
         rounds_without_progress = 0
         while pn > tol and k < cap:
-            x, exhausted = _armijo_step(q, x, g, config)
+            if _armijo_step(q, x, g, config, xn, work):
+                return x, True
+            x, xn = xn, x
             k += 1
             g = q.grad(x)
-            pn = _pgn(x, g)
-            if exhausted:
-                return x
-            interior = float(np.linalg.norm(g * (x > 0)))
+            pn = projected_norm(x, g, work)
+            np.multiply(g, x > 0, out=work)
+            interior = math.sqrt(np.vdot(work, work))
             if interior < eta * pn:
                 eta *= config.rho
                 rounds_without_progress = 0
@@ -199,63 +256,62 @@ def _panls_minimize(q: QuadSubproblem, x0: np.ndarray,
                     break
         if pn <= tol or k >= cap:
             break
-        # unconstrained CG phase restricted to the inactive set
+        # unconstrained CG phase restricted to the inactive set; the
+        # direction starts at the residual -(g * mask)
         mask = x > 0
-        resid = -(g * mask)
-        direction = resid.copy()
-        rr = float(np.sum(resid * resid))
+        direction = np.multiply(g, mask)
+        np.negative(direction, out=direction)
+        rr = float(np.vdot(direction, direction))
         while pn > tol and k < cap:
             if rr == 0.0:
                 break
             qd = q.hess_apply(direction)
-            curv = float(np.sum(direction * qd))
+            curv = float(np.vdot(direction, qd))
             if curv <= 0:
                 # breakdown: fall back to a PG step
-                x, _ = _armijo_step(q, x, g, config)
+                if _armijo_step(q, x, g, config, xn, work):
+                    return x, True
+                x, xn = xn, x
                 k += 1
                 g = q.grad(x)
-                pn = _pgn(x, g)
+                pn = projected_norm(x, g, work)
                 break
             step = rr / curv
             # truncate at the nonnegativity boundary
-            blocking = mask & (direction < 0)
-            if np.any(blocking):
-                limits = np.where(blocking, x / -np.where(blocking, direction,
-                                                          -1.0), np.inf)
-                step_max = float(limits.min())
-            else:
-                step_max = np.inf
-            if step >= step_max:
-                active_before = x.size - int(mask.sum())
-                x = np.maximum(x + step_max * direction, 0.0)
-                k += 1
+            step_max = _step_to_bound(x, direction, work)
+            clipped = step >= step_max
+            np.multiply(direction, step_max if clipped else step, out=work)
+            x += work
+            np.maximum(x, 0.0, out=x)
+            k += 1
+            if clipped:
+                active_before = x.size - np.count_nonzero(mask)
                 g = q.grad(x)
-                pn = _pgn(x, g)
-                new_mask = x > 0
-                growth = (x.size - int(new_mask.sum())) - active_before
+                pn = projected_norm(x, g, work)
+                np.greater(x, 0.0, out=mask)
+                growth = (x.size - np.count_nonzero(mask)) - active_before
                 uncertain = np.any(
                     (np.abs(g) >= pn ** config.panls_alpha)
                     & (x >= pn ** config.panls_beta))
                 if uncertain and 0 < growth <= config.n2:
                     break  # return to the PG phase
                 # restart CG at the reduced dimension
-                mask = new_mask
-                resid = -(g * mask)
-                direction = resid.copy()
-                rr = float(np.sum(resid * resid))
+                np.multiply(g, mask, out=direction)
+                np.negative(direction, out=direction)
+                rr = float(np.vdot(direction, direction))
                 continue
-            x = np.maximum(x + step * direction, 0.0)
-            k += 1
-            g = q.grad(x)
-            pn = _pgn(x, g)
-            interior = float(np.linalg.norm(g * mask))
-            if interior < eta * pn:
+            qd *= step
+            g += qd
+            pn = projected_norm(x, g, work)
+            # work = g * mask = -(new residual)
+            np.multiply(g, mask, out=work)
+            rr_new = float(np.vdot(work, work))
+            if math.sqrt(rr_new) < eta * pn:
                 break  # return to the PG phase
-            resid_new = -(g * mask)
-            rr_new = float(np.sum(resid_new * resid_new))
-            direction = resid_new + (rr_new / rr) * direction
-            resid, rr = resid_new, rr_new
-    return x
+            direction *= rr_new / rr
+            direction -= work
+            rr = rr_new
+    return x, False
 
 
 def _build_quad(problem: Problem, factors: Factorization, target,
@@ -301,8 +357,13 @@ def ne_subproblem(problem: Problem, factors: Factorization, target,
 
 def panls_subproblem(problem: Problem, factors: Factorization, target,
                      config: SolverConfig, anchor: np.ndarray,
-                     xprod: np.ndarray | None = None) -> np.ndarray:
-    """Proximal subproblem solve switching between PG and active-set CG."""
+                     xprod: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, bool]:
+    """Proximal subproblem solve switching between PG and active-set CG.
+
+    Returns the updated factor and a flag set when a step-size search was
+    exhausted before reaching the inner tolerance.
+    """
     q, start = _build_quad(problem, factors, target, config, anchor=anchor,
                            proximal=True, xprod=xprod)
     return _panls_minimize(q, start, config)
@@ -326,17 +387,18 @@ def _rescale(w: np.ndarray, hs: list[np.ndarray]) -> np.ndarray:
 
 def _block_step(problem: Problem, config: SolverConfig,
                 factors: Factorization, target,
-                xprod: np.ndarray) -> np.ndarray:
-    """The configured algorithm's update of one block ("w" or a view)."""
+                xprod: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The configured algorithm's update of one block ("w" or a view), with
+    the flag of an exhausted step-size search."""
     alg = config.algorithm
     if alg is Algorithm.MUR:
         if target == "w":
-            return mur_step_W(problem, factors, xprod)
-        return mur_step_H(problem, factors, target, xprod)
+            return mur_step_W(problem, factors, xprod), False
+        return mur_step_H(problem, factors, target, xprod), False
     if alg is Algorithm.PG:
-        return pg_subproblem(problem, factors, target, config, xprod)[0]
+        return pg_subproblem(problem, factors, target, config, xprod)
     if alg is Algorithm.NE:
-        return ne_subproblem(problem, factors, target, config, xprod)
+        return ne_subproblem(problem, factors, target, config, xprod), False
     if alg is Algorithm.PANLS:
         # the build reads the anchor before the engine moves a copy of it
         anchor = factors.W if target == "w" else factors.H[target]
@@ -346,14 +408,18 @@ def _block_step(problem: Problem, config: SolverConfig,
 
 
 def _outer_update(problem: Problem, config: SolverConfig,
-                  factors: Factorization, grams: Grams) -> None:
+                  factors: Factorization, grams: Grams) -> int:
     """Update W from ``grams.xht``, then each H_I, recording W^T X_I for the
-    new W in ``grams.wtx``."""
-    factors.W = _block_step(problem, config, factors, "w", grams.xht)
+    new W in ``grams.wtx``.  Returns how many of the block solves ran out
+    of step-size search."""
+    factors.W, exhausted = _block_step(problem, config, factors, "w",
+                                       grams.xht)
     for i, x in enumerate(problem.dataset.views):
         grams.wtx[i] = factors.W.T @ x
-        factors.H[i] = _block_step(problem, config, factors, i,
-                                   grams.wtx[i])
+        factors.H[i], flag = _block_step(problem, config, factors, i,
+                                         grams.wtx[i])
+        exhausted += flag
+    return exhausted
 
 
 def solve(problem: Problem, config: SolverConfig,
@@ -376,12 +442,13 @@ def solve(problem: Problem, config: SolverConfig,
     trace: list[TracePoint] = []
     termination = Termination.MAX_ITERS
     f_prev = f_init
+    exhausted = 0
     start = time.perf_counter()
     for it in range(1, config.max_outer_iters + 1):
         # overflow produces inf/nan, caught below as divergence; the
         # intermediate warnings are expected noise on runaway weights
         with np.errstate(over="ignore", invalid="ignore"):
-            _outer_update(problem, config, factors, grams)
+            exhausted += _outer_update(problem, config, factors, grams)
             if not (np.isfinite(factors.W).all()
                     and all(np.isfinite(h).all() for h in factors.H)):
                 raise DivergenceError(
@@ -419,5 +486,6 @@ def solve(problem: Problem, config: SolverConfig,
         final_objective=trace[-1].objective,
         reconstruction_error=reconstruction_error(problem, factors),
         iterations=trace[-1].iteration,
+        exhausted_searches=exhausted,
     )
     return factors, report

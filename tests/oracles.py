@@ -8,7 +8,8 @@ import itertools
 import numpy as np
 
 from jmf import (ConstraintSet, Factorization, Hyperparameters,
-                 MultiViewDataset, new_problem)
+                 MultiViewDataset, SolverConfig, new_problem)
+from jmf.objective import QuadSubproblem
 
 
 def make_problem(seed=0, m=6, n=(4, 5, 3), r=2, lambda1=0.0, lambda2=0.0,
@@ -192,3 +193,168 @@ def best_matching_score(corr):
     for perm in itertools.permutations(range(r)):
         best = max(best, sum(corr[i, perm[i]] for i in range(r)))
     return best
+
+
+# ---------------------------------------------------------------------------
+# the projected inner engines (PG, Ne, PANLS) as they were before each step
+# was cut to one Hessian product: every step recomputes the gradient with
+# q.grad, the projection uses np.where, and sums allocate temporaries.
+# Kept verbatim, renamed, as the reference the current engines must match.
+
+def ref_projected(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """KKT residual: positive gradients at the zero bound are projected out."""
+    return np.where(x > 0, g, np.minimum(g, 0.0))
+
+
+def ref_pgn(x: np.ndarray, g: np.ndarray) -> float:
+    return float(np.linalg.norm(ref_projected(x, g)))
+
+
+def ref_inner_tol(config: SolverConfig, pn0: float) -> float:
+    return max(config.inner_tol, config.inner_tol_rel * pn0)
+
+
+def ref_armijo_step(q: QuadSubproblem, x: np.ndarray, g: np.ndarray,
+                    config: SolverConfig) -> tuple[np.ndarray, bool]:
+    """One projected step with the smallest backtracking exponent.
+
+    Returns (next iterate, search-exhausted flag).
+    """
+    for t in range(config.max_backtracks + 1):
+        alpha = config.alpha0 * config.beta ** t
+        xn = np.maximum(x - alpha * g, 0.0)
+        d = xn - x
+        decrease = (1.0 - config.sigma) * float(np.sum(g * d)) \
+            + 0.5 * float(np.sum(d * q.hess_apply(d)))
+        if decrease <= 0:
+            return xn, False
+    return x, True
+
+
+def ref_pg_minimize(q: QuadSubproblem, x0: np.ndarray,
+                    config: SolverConfig) -> tuple[np.ndarray, bool]:
+    x = x0.copy()
+    g = q.grad(x)
+    pn = ref_pgn(x, g)
+    tol = ref_inner_tol(config, pn)
+    for _ in range(config.inner_iters):
+        if pn <= tol:
+            break
+        x, exhausted = ref_armijo_step(q, x, g, config)
+        if exhausted:
+            return x, True
+        g = q.grad(x)
+        pn = ref_pgn(x, g)
+    return x, False
+
+
+def ref_ne_minimize(q: QuadSubproblem, x0: np.ndarray,
+                    config: SolverConfig) -> np.ndarray:
+    lip = q.lipschitz()
+    if lip <= 0:
+        return x0.copy()
+    x = x0.copy()
+    pn = ref_pgn(x, q.grad(x))
+    tol = ref_inner_tol(config, pn)
+    if pn <= tol:
+        return x
+    y = x.copy()
+    alpha = config.alpha0
+    for _ in range(config.inner_iters):
+        xn = np.maximum(y - q.grad(y) / lip, 0.0)
+        alpha_next = 0.5 * (1.0 + np.sqrt(4.0 * alpha * alpha + 1.0))
+        y = xn + ((alpha - 1.0) / alpha_next) * (xn - x)
+        x, alpha = xn, alpha_next
+        pn = ref_pgn(x, q.grad(x))
+        if pn <= tol:
+            break
+    return x
+
+
+def ref_panls_minimize(q: QuadSubproblem, x0: np.ndarray,
+                       config: SolverConfig) -> np.ndarray:
+    """PG steps alternating with conjugate gradients on the inactive set."""
+    x = x0.copy()
+    g = q.grad(x)
+    pn = ref_pgn(x, g)
+    tol = ref_inner_tol(config, pn)
+    eta = config.eta
+    k = 0
+    cap = config.inner_iters
+    while pn > tol and k < cap:
+        # constrained PG phase
+        rounds_without_progress = 0
+        while pn > tol and k < cap:
+            x, exhausted = ref_armijo_step(q, x, g, config)
+            k += 1
+            g = q.grad(x)
+            pn = ref_pgn(x, g)
+            if exhausted:
+                return x
+            interior = float(np.linalg.norm(g * (x > 0)))
+            if interior < eta * pn:
+                eta *= config.rho
+                rounds_without_progress = 0
+            else:
+                rounds_without_progress += 1
+                if rounds_without_progress > config.n1:
+                    break
+        if pn <= tol or k >= cap:
+            break
+        # unconstrained CG phase restricted to the inactive set
+        mask = x > 0
+        resid = -(g * mask)
+        direction = resid.copy()
+        rr = float(np.sum(resid * resid))
+        while pn > tol and k < cap:
+            if rr == 0.0:
+                break
+            qd = q.hess_apply(direction)
+            curv = float(np.sum(direction * qd))
+            if curv <= 0:
+                # breakdown: fall back to a PG step
+                x, _ = ref_armijo_step(q, x, g, config)
+                k += 1
+                g = q.grad(x)
+                pn = ref_pgn(x, g)
+                break
+            step = rr / curv
+            # truncate at the nonnegativity boundary
+            blocking = mask & (direction < 0)
+            if np.any(blocking):
+                limits = np.where(blocking, x / -np.where(blocking, direction,
+                                                          -1.0), np.inf)
+                step_max = float(limits.min())
+            else:
+                step_max = np.inf
+            if step >= step_max:
+                active_before = x.size - int(mask.sum())
+                x = np.maximum(x + step_max * direction, 0.0)
+                k += 1
+                g = q.grad(x)
+                pn = ref_pgn(x, g)
+                new_mask = x > 0
+                growth = (x.size - int(new_mask.sum())) - active_before
+                uncertain = np.any(
+                    (np.abs(g) >= pn ** config.panls_alpha)
+                    & (x >= pn ** config.panls_beta))
+                if uncertain and 0 < growth <= config.n2:
+                    break  # return to the PG phase
+                # restart CG at the reduced dimension
+                mask = new_mask
+                resid = -(g * mask)
+                direction = resid.copy()
+                rr = float(np.sum(resid * resid))
+                continue
+            x = np.maximum(x + step * direction, 0.0)
+            k += 1
+            g = q.grad(x)
+            pn = ref_pgn(x, g)
+            interior = float(np.linalg.norm(g * mask))
+            if interior < eta * pn:
+                break  # return to the PG phase
+            resid_new = -(g * mask)
+            rr_new = float(np.sum(resid_new * resid_new))
+            direction = resid_new + (rr_new / rr) * direction
+            resid, rr = resid_new, rr_new
+    return x

@@ -266,7 +266,7 @@ def test_criterion_9_subproblem_agreement(capsys):
         q = w_subproblem(prob, fac.H)
         w_pg, _ = pg_subproblem(prob, fac, "w", cfg("PG"))
         w_ne = ne_subproblem(prob, fac, "w", cfg("Ne"))
-        w_pa = panls_subproblem(prob, fac, "w", cfg("PANLS"), fac.W.copy())
+        w_pa, _ = panls_subproblem(prob, fac, "w", cfg("PANLS"), fac.W.copy())
         vals = [q.value(w) for w in (w_pg, w_ne, w_pa)]
         spread = (max(vals) - min(vals)) / max(1.0, abs(min(vals)))
         worst = max(worst, spread)

@@ -6,7 +6,7 @@ from jmf import (ConstraintSet, Factorization, Hyperparameters,
                  generate, init_factors, new_problem, predict_class,
                  predict_left, predict_right, predict_view, solve)
 from jmf.objective import h_subproblem
-from jmf.solvers import _pgn
+from jmf.objective import projected_norm
 from oracles import make_problem, random_factors
 
 CFG = SolverConfig(algorithm="Ne", stop_rule="ObjectiveRatio",
@@ -163,5 +163,5 @@ def test_predict_right_sweeps_views_in_order():
     # predict_right starts every view from rng(config.seed).random
     rng = np.random.default_rng(cfg.seed)
     h_start = [rng.random((prob.rank, ni)) for ni in prob.n][last]
-    pn0 = _pgn(h_start, q.grad(h_start))
-    assert _pgn(hs[last], q.grad(hs[last])) <= cfg.tolerance * pn0
+    pn0 = projected_norm(h_start, q.grad(h_start))
+    assert projected_norm(hs[last], q.grad(hs[last])) <= cfg.tolerance * pn0

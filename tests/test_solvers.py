@@ -171,7 +171,7 @@ def test_panls_one_dim_proximal_minimizer():
     cfg = SolverConfig(algorithm="PANLS", inner_tol=1e-12,
                        inner_tol_rel=0.0, tau1=1e-3, **CFG)
     anchor = np.array([[0.0]])
-    w = panls_subproblem(prob, fac, "w", cfg, anchor)
+    w, _ = panls_subproblem(prob, fac, "w", cfg, anchor)
     assert w == pytest.approx(np.array([[2.0 / 1.001]]), abs=1e-6)
 
 
@@ -192,8 +192,8 @@ def test_panls_unique_minimizer_from_different_starts():
     fac_b = random_factors(prob, seed=11)
     fac_b.H = [h.copy() for h in fac_a.H]  # same subproblem, other start
     anchor = np.zeros(fac_a.W.shape)
-    wa = panls_subproblem(prob, fac_a, "w", cfg, anchor)
-    wb = panls_subproblem(prob, fac_b, "w", cfg, anchor)
+    wa, _ = panls_subproblem(prob, fac_a, "w", cfg, anchor)
+    wb, _ = panls_subproblem(prob, fac_b, "w", cfg, anchor)
     assert wa == pytest.approx(wb, abs=1e-6)
 
 
@@ -210,7 +210,7 @@ def test_subproblem_descent(seed):
         elif alg == "Ne":
             out = ne_subproblem(prob, fac, "w", cfg)
         else:
-            out = panls_subproblem(prob, fac, "w", cfg, fac.W)
+            out, _ = panls_subproblem(prob, fac, "w", cfg, fac.W)
         assert q.value(out) <= before + 1e-10
         assert out.min() >= 0
 
@@ -224,7 +224,7 @@ def test_strictly_convex_w_subproblem_agreement(seed):
     q = w_subproblem(prob, fac.H)
     w_pg, _ = pg_subproblem(prob, fac, "w", cfg("PG"))
     w_ne = ne_subproblem(prob, fac, "w", cfg("Ne"))
-    w_pa = panls_subproblem(prob, fac, "w", cfg("PANLS"), fac.W.copy())
+    w_pa, _ = panls_subproblem(prob, fac, "w", cfg("PANLS"), fac.W.copy())
     vals = [q.value(w) for w in (w_pg, w_ne, w_pa)]
     scale = max(1.0, abs(min(vals)))
     assert max(vals) - min(vals) <= 1e-4 * scale
