@@ -8,15 +8,17 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .evaluate import auc_score, evaluate_factors
 from .model import (Algorithm, ConstraintSet, DivergenceError, Factorization,
-                    Hyperparameters, MultiViewDataset, SolverConfig, StopRule,
-                    init_factors, new_problem)
+                    Hyperparameters, MultiViewDataset, Problem, SolverConfig,
+                    SolverReport, StopRule, Termination, init_factors,
+                    new_problem)
 from .predict import (TrainedModel, predict_class, predict_left,
                       predict_right, predict_view)
 from .solvers import solve
@@ -38,6 +40,24 @@ def read_matrix(path: Path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
+def _write_csv(path: Path, cols: list[str], rows: list[dict]) -> None:
+    """A header line, then one line per row; a missing field is empty."""
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for row in rows:
+            fh.write(",".join(str(row.get(c, "")) for c in cols) + "\n")
+
+
+def _read_constraints(base: Path, within, between) -> ConstraintSet:
+    """Read the files of a ``within`` map (view -> list of files) and a
+    ``between`` map ("i,j" -> file), both relative to ``base``."""
+    return ConstraintSet(
+        within={int(i): [read_matrix(base / p) for p in paths]
+                for i, paths in (within or {}).items()},
+        between={tuple(int(t) for t in key.split(",")): read_matrix(base / p)
+                 for key, p in (between or {}).items()})
+
+
 class UsageError(Exception):
     pass
 
@@ -48,6 +68,49 @@ def _max_workers(n_tasks: int, serial: bool) -> int:
     cap = os.environ.get("JMF_THREADS")
     limit = int(cap) if cap else (os.cpu_count() or 1)
     return max(1, min(limit, n_tasks))
+
+
+@dataclass
+class RunResult:
+    """One solve and its score; ``report is None`` means it diverged."""
+
+    config: SolverConfig
+    factors: Factorization | None = None
+    report: SolverReport | None = None
+    auc: float | None = None  # set when the run has a ground truth
+
+
+def _run_one(task: tuple[Problem, object, SolverConfig]) -> RunResult:
+    """Solve one (problem, ground truth or None, config) task from the
+    config's seed and score it; safe for worker processes."""
+    problem, truth, config = task
+    try:
+        factors, report = solve(problem, config,
+                                init_factors(problem, config.seed))
+    except DivergenceError:
+        return RunResult(config)
+    auc = evaluate_factors(factors, truth).auc if truth is not None else None
+    return RunResult(config, factors, report, auc)
+
+
+def run_all(tasks: list, serial: bool = False) -> Iterator[RunResult]:
+    """Run the tasks in the process pool (capped by ``JMF_THREADS``), or
+    in this process when ``serial``, yielding results in task order."""
+    workers = _max_workers(len(tasks), serial)
+    if workers == 1:
+        yield from map(_run_one, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_run_one, tasks)
+
+
+def _solver_configs(entries: list[dict]) -> list[SolverConfig]:
+    """Build and check the solver entries of an experiment config."""
+    configs = [SolverConfig(**entry) for entry in entries]
+    if any(c.algorithm is Algorithm.MUR
+           and c.stop_rule is StopRule.GRADIENT_RATIO for c in configs):
+        raise UsageError("MUR runs only under the objective-ratio stop rule")
+    return configs
 
 
 # ---------------------------------------------------------------------------
@@ -105,19 +168,10 @@ def _load_source(cfg: dict):
         files = source["files"]
         base = Path(files.get("base", "."))
         views = [read_matrix(base / p) for p in files["views"]]
-        within = {int(i): [read_matrix(base / p) for p in paths]
-                  for i, paths in (files.get("within") or {}).items()}
-        between = {}
-        for key, p in (files.get("between") or {}).items():
-            i, j = (int(t) for t in key.split(","))
-            between[(i, j)] = read_matrix(base / p)
-        return (MultiViewDataset(views),
-                ConstraintSet(within=within, between=between), None)
+        constraints = _read_constraints(base, files.get("within"),
+                                        files.get("between"))
+        return MultiViewDataset(views), constraints, None
     raise UsageError("config needs a 'source' with 'synthetic' or 'files'")
-
-
-def _solver_config(d: dict, seed: int) -> SolverConfig:
-    return SolverConfig(**{**d, "seed": seed})
 
 
 def _run_tag(cfg: SolverConfig) -> str:
@@ -165,52 +219,20 @@ def load_model(model_dir: Path) -> TrainedModel:
     meta = json.loads((model_dir / "model.json").read_text())
     w = read_matrix(model_dir / meta["W"])
     hs = [read_matrix(model_dir / p) for p in meta["H"]]
-    within = {int(i): [read_matrix(model_dir / p) for p in paths]
-              for i, paths in meta.get("within", {}).items()}
-    between = {}
-    for key, p in meta.get("between", {}).items():
-        i, j = (int(t) for t in key.split(","))
-        between[(i, j)] = read_matrix(model_dir / p)
+    constraints = _read_constraints(model_dir, meta.get("within"),
+                                    meta.get("between"))
     # shape-only placeholder dataset; prediction never reads training X
     dataset = MultiViewDataset([np.zeros((1, n)) for n in meta["n"]])
     with warnings.catch_warnings():
         # the 1-row placeholder always trips the overcomplete-rank warning
         warnings.simplefilter("ignore", UserWarning)
-        problem = new_problem(dataset,
-                              ConstraintSet(within=within, between=between),
+        problem = new_problem(dataset, constraints,
                               Hyperparameters(**meta["hyperparameters"]))
     config = SolverConfig(algorithm=meta.get("algorithm", "PANLS"),
                           stop_rule=meta.get("stop_rule", "ObjectiveRatio"),
                           seed=int(meta.get("seed", 0)))
     return TrainedModel(problem=problem,
                         factors=Factorization(w, hs), config=config)
-
-
-def _run_single(payload):
-    """One (solver config, seed) benchmark run; safe for worker processes."""
-    problem, truth, cfg_dict, seed = payload
-    config = _solver_config(cfg_dict, seed)
-    init = init_factors(problem, seed)
-    try:
-        factors, report = solve(problem, config, init)
-    except DivergenceError:
-        return {"seed": seed, "diverged": True}
-    row = {
-        "seed": seed,
-        "diverged": False,
-        "seconds": report.trace[-1].seconds,
-        "iterations": report.iterations,
-        "objective": report.final_objective,
-        "reconstruction_error": report.reconstruction_error,
-        "termination": report.termination.value,
-        "trace": [(p.iteration, p.objective, p.grad_norm, p.seconds)
-                  for p in report.trace],
-        "W": factors.W,
-        "H": factors.H,
-    }
-    if truth is not None:
-        row["auc"] = evaluate_factors(factors, truth).auc
-    return row
 
 
 def cmd_solve(args) -> int:
@@ -220,85 +242,67 @@ def cmd_solve(args) -> int:
     problem = new_problem(dataset, constraints, params)
     seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
              else [int(s) for s in cfg.get("seeds", [0])])
-    solver_cfgs = cfg.get("solvers") or []
-    if not solver_cfgs or not seeds:
+    if not cfg.get("solvers") or not seeds:
         raise UsageError("config needs at least one solver and one seed")
-    for sc in solver_cfgs:
-        trial = _solver_config(sc, 0)
-        if (trial.algorithm is Algorithm.MUR
-                and trial.stop_rule is StopRule.GRADIENT_RATIO):
-            raise UsageError(
-                "MUR runs only under the objective-ratio stop rule")
+    configs = _solver_configs(cfg["solvers"])
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = [(problem, truth, sc, seed)
-             for sc in solver_cfgs for seed in seeds]
-    workers = _max_workers(len(tasks), args.serial)
-    if workers == 1:
-        results = [_run_single(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_single, tasks))
+    results = run_all([(problem, truth, replace(config, seed=s))
+                       for config in configs for s in seeds], args.serial)
 
     summary = []
-    any_ok = False
-    pos = 0
-    for sc in solver_cfgs:
-        rows = results[pos:pos + len(seeds)]
-        pos += len(seeds)
-        tag = _run_tag(_solver_config(sc, 0))
-        ok = [r for r in rows if not r["diverged"]]
-        for r in rows:
-            run_dir = out / "runs" / f"{tag}_seed{r['seed']}"
+    for config in configs:
+        runs = list(itertools.islice(results, len(seeds)))
+        ok = [r for r in runs if r.report is not None]
+        tag = _run_tag(config)
+        for r in runs:
+            run_dir = out / "runs" / f"{tag}_seed{r.config.seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
-            if r["diverged"]:
+            if r.report is None:
                 (run_dir / "DIVERGED").write_text("")
                 continue
             with open(run_dir / "trace.csv", "w") as fh:
                 fh.write("iter,objective,grad_norm,seconds\n")
-                for it, f, g, s in r["trace"]:
-                    fh.write(f"{it},{f:.17g},{g:.17g},{s:.17g}\n")
-            _save_model(run_dir, problem,
-                        Factorization(r["W"], r["H"]),
-                        _solver_config(sc, r["seed"]))
-        any_ok = any_ok or bool(ok)
+                for p in r.report.trace:
+                    fh.write(f"{p.iteration},{p.objective:.17g},"
+                             f"{p.grad_norm:.17g},{p.seconds:.17g}\n")
+            _save_model(run_dir, problem, r.factors, r.config)
         entry = {
             "tag": tag,
-            "algorithm": _solver_config(sc, 0).algorithm.value,
-            "stop_rule": _solver_config(sc, 0).stop_rule.value,
-            "tolerance": _solver_config(sc, 0).tolerance,
-            "runs": len(rows),
-            "diverged": len(rows) - len(ok),
-            "cap_exceeded": sum(1 for r in ok
-                                if r["termination"] == "MaxIters"),
+            "algorithm": config.algorithm.value,
+            "stop_rule": config.stop_rule.value,
+            "tolerance": config.tolerance,
+            "runs": len(runs),
+            "diverged": len(runs) - len(ok),
+            "cap_exceeded": sum(1 for r in ok if r.report.termination
+                                is Termination.MAX_ITERS),
         }
         if ok:
             entry["mean_final_objective"] = float(
-                np.mean([r["objective"] for r in ok]))
-            entry["mean_seconds"] = float(np.mean([r["seconds"] for r in ok]))
+                np.mean([r.report.final_objective for r in ok]))
+            entry["mean_seconds"] = float(
+                np.mean([r.report.trace[-1].seconds for r in ok]))
             entry["mean_iterations"] = float(
-                np.mean([r["iterations"] for r in ok]))
+                np.mean([r.report.iterations for r in ok]))
             entry["mean_reconstruction_error"] = float(
-                np.mean([r["reconstruction_error"] for r in ok]))
+                np.mean([r.report.reconstruction_error for r in ok]))
             if truth is not None:
-                entry["mean_auc"] = float(np.mean([r["auc"] for r in ok]))
+                entry["mean_auc"] = float(np.mean([r.auc for r in ok]))
         summary.append(entry)
 
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
-    cols = ["tag", "algorithm", "stop_rule", "tolerance", "runs", "diverged",
-            "cap_exceeded", "mean_final_objective", "mean_seconds",
-            "mean_iterations", "mean_reconstruction_error", "mean_auc"]
-    with open(out / "summary.csv", "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for entry in summary:
-            fh.write(",".join(str(entry.get(c, "")) for c in cols) + "\n")
+    _write_csv(out / "summary.csv",
+               ["tag", "algorithm", "stop_rule", "tolerance", "runs",
+                "diverged", "cap_exceeded", "mean_final_objective",
+                "mean_seconds", "mean_iterations",
+                "mean_reconstruction_error", "mean_auc"], summary)
     for entry in summary:
         print(f"{entry['tag']}: "
               f"err={entry.get('mean_reconstruction_error', 'n/a')} "
               f"auc={entry.get('mean_auc', 'n/a')} "
               f"iters={entry.get('mean_iterations', 'n/a')}")
-    return 0 if any_ok else 1
+    return 0 if any(e["diverged"] < e["runs"] for e in summary) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +323,7 @@ def cmd_gridsearch(args) -> int:
     dataset, constraints, truth = _load_source(cfg)
     grid = {**DEFAULT_GRID, **(cfg.get("grid") or {})}
     seeds = [int(s) for s in cfg.get("grid_seeds", [0, 1, 2])]
-    solver = cfg.get("solver") or {"algorithm": "PANLS"}
+    (config,) = _solver_configs([cfg.get("solver") or {"algorithm": "PANLS"}])
     base = dict(cfg.get("hyperparameters") or {})
     rank = int(base.get("rank", truth.rank))
 
@@ -329,28 +333,25 @@ def cmd_gridsearch(args) -> int:
         raise UsageError("empty parameter grid")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
+    tasks = []
+    for l1, l2, g1, g2 in cells:
+        problem = new_problem(dataset, constraints, Hyperparameters(
+            rank=rank, lambda1=l1, lambda2=l2, gamma1=g1, gamma2=g2))
+        tasks += [(problem, truth, replace(config, seed=s)) for s in seeds]
+    # each cell's runs are reduced as they arrive, so no factors pile up
+    results = run_all(tasks)
     rows = []
     for l1, l2, g1, g2 in cells:
-        params = Hyperparameters(rank=rank, lambda1=l1, lambda2=l2,
-                                 gamma1=g1, gamma2=g2)
-        problem = new_problem(dataset, constraints, params)
-        aucs, errs = [], []
-        for seed in seeds:
-            config = _solver_config(solver, seed)
-            try:
-                factors, report = solve(problem, config,
-                                        init_factors(problem, seed))
-            except DivergenceError:
-                continue
-            aucs.append(evaluate_factors(factors, truth).auc)
-            errs.append(report.reconstruction_error)
+        ok = [r for r in itertools.islice(results, len(seeds))
+              if r.report is not None]
+        aucs = [r.auc for r in ok]
+        errs = [r.report.reconstruction_error for r in ok]
         rows.append({
             "lambda1": l1, "lambda2": l2, "gamma1": g1, "gamma2": g2,
             "mean_auc": float(np.mean(aucs)) if aucs else float("nan"),
             "mean_reconstruction_error":
                 float(np.mean(errs)) if errs else float("nan"),
-            "completed": len(aucs),
+            "completed": len(ok),
         })
 
     finished = [r for r in rows if r["completed"]]
@@ -358,12 +359,9 @@ def cmd_gridsearch(args) -> int:
         print("every grid cell diverged", file=sys.stderr)
         return 1
     best = select_best(finished)
-    cols = ["lambda1", "lambda2", "gamma1", "gamma2", "mean_auc",
-            "mean_reconstruction_error", "completed"]
-    with open(out / "grid.csv", "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for r in rows:
-            fh.write(",".join(str(r[c]) for c in cols) + "\n")
+    _write_csv(out / "grid.csv",
+               ["lambda1", "lambda2", "gamma1", "gamma2", "mean_auc",
+                "mean_reconstruction_error", "completed"], rows)
     (out / "best.json").write_text(json.dumps(best, indent=2))
     print("best cell:", json.dumps(best))
     return 0
@@ -475,11 +473,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, FileNotFoundError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (UsageError, ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,12 +1,13 @@
 """JMF-based prediction: fit W on new rows (JMF/L) or H on new columns (JMF/R)."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import (Algorithm, Factorization, MultiViewDataset, Problem,
-                    SolverConfig)
+from .model import (Algorithm, ConstraintSet, Factorization, MultiViewDataset,
+                    Problem, SolverConfig)
 from .objective import (QuadSubproblem, h_subproblem, projected_norm,
                         view_products, w_subproblem)
 from .solvers import _ne_minimize, _panls_minimize, _pg_minimize
@@ -20,12 +21,12 @@ class TrainedModel:
     factors: Factorization
     config: SolverConfig = field(default_factory=SolverConfig)
 
-    @property
-    def params(self):
-        return self.problem.params
 
-
-def _as_view_map(model: TrainedModel, test) -> dict[int, np.ndarray]:
+def _as_view_map(model: TrainedModel, test, axis: int = 1
+                 ) -> dict[int, np.ndarray]:
+    """The test views by index, checked against the model on ``axis``, the
+    one they share with training: columns (1) for JMF/L, where the views
+    must also agree on their rows, or rows (0) for JMF/R."""
     if isinstance(test, MultiViewDataset):
         views = dict(enumerate(test.views))
     elif isinstance(test, dict):
@@ -37,34 +38,38 @@ def _as_view_map(model: TrainedModel, test) -> dict[int, np.ndarray]:
     for i, x in views.items():
         if not (0 <= i < model.problem.n_views):
             raise ValueError(f"unknown view index {i}")
-        if x.ndim != 2 or x.shape[1] != model.problem.n[i]:
+        # the row count is W's: a loaded model's placeholder dataset has
+        # a single row
+        want = model.problem.n[i] if axis else model.factors.W.shape[0]
+        if x.ndim != 2 or x.shape[axis] != want:
             raise ValueError(
-                f"test view {i} has {x.shape[1] if x.ndim == 2 else '?'} "
-                f"columns, expected {model.problem.n[i]}")
-    rows = {x.shape[0] for x in views.values()}
-    if len(rows) != 1:
+                f"test view {i} has {x.shape[axis] if x.ndim == 2 else '?'} "
+                f"{('rows', 'columns')[axis]}, expected {want}")
+    if axis and len({x.shape[0] for x in views.values()}) != 1:
         raise ValueError("test views disagree on the row count")
     return views
 
 
 def _minimize(q: QuadSubproblem, x0: np.ndarray,
-              config: SolverConfig) -> np.ndarray:
-    """Drive one convex subproblem to the configured relative tolerance."""
-    x = x0
-    pn0 = projected_norm(x, q.grad(x))
-    target = max(config.tolerance * pn0, 1e-14)
-    inner = SolverConfig(**{**config.__dict__,
-                            "inner_tol": target, "inner_tol_rel": 0.0})
-    for _ in range(config.max_outer_iters):
-        if config.algorithm is Algorithm.PG:
-            x, _ = _pg_minimize(q, x, inner)
-        elif config.algorithm is Algorithm.PANLS:
-            x, _ = _panls_minimize(q, x, inner)
-        else:  # Ne and MUR both fall back to the Nesterov engine here
-            x = _ne_minimize(q, x, inner)
-        if projected_norm(x, q.grad(x)) <= target:
-            break
-    return x
+              config: SolverConfig) -> tuple[np.ndarray, bool]:
+    """Drive one convex subproblem to the configured relative tolerance in
+    one engine call of at most inner_iters * max_outer_iters steps.
+    Returns (iterate, search-exhausted flag) and warns when exhausted."""
+    pn0 = projected_norm(x0, q.grad(x0))
+    inner = replace(config, inner_tol=max(config.tolerance * pn0, 1e-14),
+                    inner_tol_rel=0.0,
+                    inner_iters=config.inner_iters * config.max_outer_iters)
+    if config.algorithm is Algorithm.PG:
+        x, exhausted = _pg_minimize(q, x0, inner)
+    elif config.algorithm is Algorithm.PANLS:
+        x, exhausted = _panls_minimize(q, x0, inner)
+    else:  # Ne and MUR both fall back to the Nesterov engine here
+        x, exhausted = _ne_minimize(q, x0, inner), False
+    if exhausted:
+        warnings.warn("the step-size search ran out before the prediction "
+                      "subproblem reached its tolerance", RuntimeWarning,
+                      stacklevel=3)
+    return x, exhausted
 
 
 def predict_left(model: TrainedModel, test, config: SolverConfig | None = None
@@ -79,7 +84,7 @@ def predict_left(model: TrainedModel, test, config: SolverConfig | None = None
     m_test = views[idx[0]].shape[0]
     rng = np.random.default_rng(config.seed)
     w0 = rng.random((m_test, model.problem.rank))
-    return _minimize(q, w0, config)
+    return _minimize(q, w0, config)[0]
 
 
 def predict_class(w_hat: np.ndarray) -> np.ndarray:
@@ -106,42 +111,34 @@ def predict_right(model: TrainedModel, test, config: SolverConfig | None = None
 
     Views are updated in ascending order, each seeing the freshest others
     (the between-view terms couple them); sweeps repeat until the projected
-    gradient has shrunk by the configured tolerance.
+    gradient has shrunk by the configured tolerance, or stop at once when a
+    view's step-size search runs out.
 
-    Within/between regularizers apply only to views whose test column count
-    matches the training one; otherwise the plain least-squares subproblem
-    (plus the sparsity term) is solved.
+    Within/between regularizers apply only when every test view's column
+    count matches the training one; otherwise the plain least-squares
+    subproblem (plus the sparsity term) is solved.
     """
     config = config or model.config
-    if isinstance(test, MultiViewDataset):
-        views = dict(enumerate(test.views))
-    else:
-        views = {int(k): np.asarray(v, dtype=float) for k, v in test.items()}
-    if not views:
-        raise ValueError("no test views supplied")
-    w = model.factors.W
-    for i, x in views.items():
-        if x.shape[0] != w.shape[0]:
-            raise ValueError(
-                f"test view {i} has {x.shape[0]} rows, expected {w.shape[0]}")
-
+    views = _as_view_map(model, test, axis=0)
     idx = sorted(views)
     rng = np.random.default_rng(config.seed)
     hs = {i: rng.random((model.problem.rank, views[i].shape[1]))
           for i in idx}
-    matching = all(views[i].shape[1] == model.problem.n[i] for i in idx)
+    problem = model.problem
+    if any(views[i].shape[1] != problem.n[i] for i in idx):
+        # no constraint to check against the views; new_problem would
+        # also warn again about a loaded model's placeholder dataset
+        problem = Problem(problem.dataset, ConstraintSet.empty(),
+                          problem.params)
+    w = model.factors.W
     # W is frozen, so each view's product with it is formed once per call
     wtx = {i: w.T @ views[i] for i in idx}
 
     def quad(i: int) -> QuadSubproblem:
-        if not matching:
-            r = model.problem.rank
-            mat = w.T @ w + model.params.gamma2 * np.ones((r, r))
-            return QuadSubproblem((mat, None, 0.0, 0.0), -2.0 * wtx[i], "h")
         full = list(model.factors.H)
         for j in idx:
             full[j] = hs[j]
-        return h_subproblem(model.problem, w, full, i, wtx=wtx[i])
+        return h_subproblem(problem, w, full, i, wtx=wtx[i])
 
     def residual():
         return float(np.linalg.norm(
@@ -153,7 +150,9 @@ def predict_right(model: TrainedModel, test, config: SolverConfig | None = None
         for i in idx:
             # built just before its solve, so it sees the views updated
             # earlier in this sweep
-            hs[i] = _minimize(quad(i), hs[i], config)
+            hs[i], exhausted = _minimize(quad(i), hs[i], config)
+            if exhausted:
+                return [hs[i] for i in idx]
         if residual() <= target:
             break
     return [hs[i] for i in idx]

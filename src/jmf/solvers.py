@@ -28,10 +28,6 @@ class StopState:
     initial_objective: float
     initial_gradient_norm: float | None = None
     window: deque = field(default_factory=lambda: deque(maxlen=10))
-    previous_objective: float = 0.0
-
-    def __post_init__(self):
-        self.previous_objective = self.initial_objective
 
 
 def check_stop_objective(f_prev: float, f_curr: float, f_initial: float,

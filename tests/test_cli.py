@@ -77,6 +77,20 @@ def solve_config(tmp_path, solvers, seeds, constraints=False, **hyper):
     return path
 
 
+def grid_config(tmp_path, solver, seeds, **grid):
+    cfg = {
+        "source": {"synthetic": {"dataset": "D1", "seed": 0}},
+        "hyperparameters": {"rank": 4},
+        "grid": {"lambda1": [0.001], "lambda2": [0.001],
+                 "gamma1": [1e-4], "gamma2": [0.01], **grid},
+        "grid_seeds": seeds,
+        "solver": solver,
+    }
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 def test_solve_summary_and_traces(tmp_path):
     cfg = solve_config(
         tmp_path,
@@ -104,7 +118,7 @@ def test_solve_summary_and_traces(tmp_path):
     assert len(csv_lines) == 3  # header + 2 rows
 
 
-def test_solve_parallel_matches_serial(tmp_path):
+def test_solve_parallel_matches_serial(tmp_path, monkeypatch):
     cfg = solve_config(
         tmp_path,
         [{"algorithm": "PG", "stop_rule": "ObjectiveRatio",
@@ -118,15 +132,27 @@ def test_solve_parallel_matches_serial(tmp_path):
     b = json.loads((par_out / "summary.json").read_text())[0]
     assert a["mean_final_objective"] == pytest.approx(
         b["mean_final_objective"], abs=1e-12)
+    # gridsearch runs through the same pool, capped by JMF_THREADS
+    grid = grid_config(
+        tmp_path, {"algorithm": "PG", "tolerance": 1e-3,
+                   "max_outer_iters": 60},
+        seeds=[0, 1], lambda2=[0.001, 10.0])
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("JMF_THREADS", threads)
+        outs.append(tmp_path / f"grid{threads}")
+        assert run(["gridsearch", "--config", grid, "--out", outs[-1]]) == 0
+    for name in ("grid.csv", "best.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def test_solve_rejects_mur_gradient_rule(tmp_path, capsys):
-    cfg = solve_config(
-        tmp_path,
-        [{"algorithm": "MUR", "stop_rule": "GradientRatio",
-          "tolerance": 1e-4}],
-        seeds=[0])
-    assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 2
+@pytest.mark.parametrize("command", ["solve", "gridsearch"])
+def test_solve_rejects_mur_gradient_rule(tmp_path, capsys, command):
+    entry = {"algorithm": "MUR", "stop_rule": "GradientRatio",
+             "tolerance": 1e-4}
+    cfg = (solve_config(tmp_path, [entry], seeds=[0]) if command == "solve"
+           else grid_config(tmp_path, entry, seeds=[0]))
+    assert run([command, "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert "objective-ratio" in capsys.readouterr().err
 
 
@@ -169,17 +195,9 @@ def test_select_best_error_breaks_near_ties():
 
 
 def test_gridsearch_end_to_end(tmp_path):
-    cfg = {
-        "source": {"synthetic": {"dataset": "D1", "seed": 0}},
-        "hyperparameters": {"rank": 4},
-        "grid": {"lambda1": [0.001], "lambda2": [0.001],
-                 "gamma1": [1e-4], "gamma2": [0.01]},
-        "grid_seeds": [0],
-        "solver": {"algorithm": "Ne", "stop_rule": "ObjectiveRatio",
-                   "tolerance": 1e-4, "max_outer_iters": 150},
-    }
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(cfg))
+    path = grid_config(
+        tmp_path, {"algorithm": "Ne", "stop_rule": "ObjectiveRatio",
+                   "tolerance": 1e-4, "max_outer_iters": 150}, seeds=[0])
     out = tmp_path / "out"
     assert run(["gridsearch", "--config", path, "--out", out]) == 0
     best = json.loads((out / "best.json").read_text())
@@ -237,6 +255,15 @@ def test_predict_missing_test_file_exit_2(tmp_path):
     assert run(["predict", "--model", model_dir, "--mode", "l-class",
                 "--test", tmp_path / "missing.csv",
                 "--out", tmp_path / "pred"]) == 2
+
+
+def test_predict_r_mode_unknown_view_exit_2(tmp_path, capsys):
+    model_dir, truth = ground_truth_model_dir(tmp_path)
+    write_matrix(tmp_path / "X_1.csv", truth.x0[0])
+    assert run(["predict", "--model", model_dir, "--mode", "r",
+                "--test", tmp_path / "X_1.csv", "--views", "5",
+                "--out", tmp_path / "pred"]) == 2
+    assert "error: unknown view index 5" in capsys.readouterr().err
 
 
 def test_predict_r_mode_reproduces_training_error(tmp_path, capsys):

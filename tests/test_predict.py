@@ -8,6 +8,7 @@ from jmf import (ConstraintSet, Factorization, Hyperparameters,
 from jmf.objective import h_subproblem
 from jmf.objective import projected_norm
 from oracles import make_problem, random_factors
+from test_engines import count_products
 
 CFG = SolverConfig(algorithm="Ne", stop_rule="ObjectiveRatio",
                    tolerance=1e-9)
@@ -69,6 +70,21 @@ def test_predict_left_output_nonnegative():
     rng = np.random.default_rng(0)
     test = {i: rng.random((4, x.shape[1])) for i, x in enumerate(truth.x0)}
     assert predict_left(model, test).min() >= 0
+
+
+@pytest.mark.parametrize("algorithm", ["PG", "PANLS"])
+def test_predict_left_stops_at_an_exhausted_search(monkeypatch, algorithm):
+    prob = make_problem(seed=3, m=10, n=(6, 8), r=3)
+    model = TrainedModel(problem=prob, factors=random_factors(prob, seed=1))
+    # one trial step, far too long: the first search runs out
+    cfg = SolverConfig(algorithm=algorithm, max_backtracks=0, alpha0=1e12)
+    count = count_products(monkeypatch)
+    with pytest.warns(RuntimeWarning):
+        w_hat = predict_left(model, prob.dataset, cfg)
+    assert count[0] <= 5
+    # the search left the start, rng(config.seed).random, where it was
+    start = np.random.default_rng(cfg.seed).random((prob.m, prob.rank))
+    assert np.array_equal(w_hat, start)
 
 
 def test_predict_class_examples():
@@ -138,6 +154,14 @@ def test_predict_right_rejects_row_mismatch():
     model, truth = trained_model()
     with pytest.raises(ValueError):
         predict_right(model, {0: np.ones((44, 5))})
+
+
+def test_predict_right_rejects_unknown_view_and_vectors():
+    model, truth = ground_truth_model()
+    with pytest.raises(ValueError, match="unknown view index 5"):
+        predict_right(model, {5: truth.x0[0]})
+    with pytest.raises(ValueError):
+        predict_right(model, {0: truth.x0[0][:, 0]})
 
 
 def test_predict_right_output_nonnegative():
