@@ -80,10 +80,12 @@ class RunResult:
     auc: float | None = None  # set when the run has a ground truth
 
 
-def _run_one(task: tuple[Problem, object, SolverConfig]) -> RunResult:
-    """Solve one (problem, ground truth or None, config) task from the
-    config's seed and score it; safe for worker processes."""
-    problem, truth, config = task
+def _run_one(problem: Problem, truth, params: Hyperparameters,
+             config: SolverConfig) -> RunResult:
+    """Solve ``problem`` under ``params`` from the config's seed and score
+    it against ``truth`` (None when there is no ground truth)."""
+    if params != problem.params:
+        problem = Problem(problem.dataset, problem.constraints, params)
     try:
         factors, report = solve(problem, config,
                                 init_factors(problem, config.seed))
@@ -93,15 +95,35 @@ def _run_one(task: tuple[Problem, object, SolverConfig]) -> RunResult:
     return RunResult(config, factors, report, auc)
 
 
-def run_all(tasks: list, serial: bool = False) -> Iterator[RunResult]:
-    """Run the tasks in the process pool (capped by ``JMF_THREADS``), or
-    in this process when ``serial``, yielding results in task order."""
+# the (problem, ground truth) every task of a worker process shares, sent
+# once per process by the pool initializer rather than once per task
+_shared: tuple = ()
+
+
+def _share(problem: Problem, truth) -> None:
+    global _shared
+    _shared = (problem, truth)
+
+
+def _run_shared(task: tuple[Hyperparameters, SolverConfig]) -> RunResult:
+    return _run_one(*_shared, *task)
+
+
+def run_all(problem: Problem, truth, tasks: list,
+            serial: bool = False) -> Iterator[RunResult]:
+    """Run the (hyperparameters, config) tasks on the shared problem's
+    data and ground truth, in the process pool (capped by
+    ``JMF_THREADS``) or in this process when ``serial``, yielding results
+    in task order.  A task whose hyperparameters differ from the
+    problem's is solved on a problem with the same data and constraints
+    (already checked by ``new_problem``) and its own weights."""
     workers = _max_workers(len(tasks), serial)
     if workers == 1:
-        yield from map(_run_one, tasks)
+        yield from (_run_one(problem, truth, *task) for task in tasks)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_run_one, tasks)
+    with ProcessPoolExecutor(max_workers=workers, initializer=_share,
+                             initargs=(problem, truth)) as pool:
+        yield from pool.map(_run_shared, tasks)
 
 
 def _solver_configs(entries: list[dict]) -> list[SolverConfig]:
@@ -248,7 +270,8 @@ def cmd_solve(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    results = run_all([(problem, truth, replace(config, seed=s))
+    results = run_all(problem, truth,
+                      [(params, replace(config, seed=s))
                        for config in configs for s in seeds], args.serial)
 
     summary = []
@@ -333,13 +356,12 @@ def cmd_gridsearch(args) -> int:
         raise UsageError("empty parameter grid")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tasks = []
-    for l1, l2, g1, g2 in cells:
-        problem = new_problem(dataset, constraints, Hyperparameters(
-            rank=rank, lambda1=l1, lambda2=l2, gamma1=g1, gamma2=g2))
-        tasks += [(problem, truth, replace(config, seed=s)) for s in seeds]
+    problem = new_problem(dataset, constraints, Hyperparameters(rank=rank))
+    tasks = [(Hyperparameters(rank=rank, lambda1=l1, lambda2=l2, gamma1=g1,
+                              gamma2=g2), replace(config, seed=s))
+             for l1, l2, g1, g2 in cells for s in seeds]
     # each cell's runs are reduced as they arrive, so no factors pile up
-    results = run_all(tasks)
+    results = run_all(problem, truth, tasks)
     rows = []
     for l1, l2, g1, g2 in cells:
         ok = [r for r in itertools.islice(results, len(seeds))

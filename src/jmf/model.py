@@ -284,7 +284,9 @@ class Problem:
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a solve produces a non-finite objective value."""
+    """Raised when a solve blows up: a factor, F or the projected-gradient
+    norm stops being finite, or the objective-ratio rule stops with F
+    above its start.  ``trace`` holds the iterations before that one."""
 
     def __init__(self, message: str, trace=None):
         super().__init__(message)

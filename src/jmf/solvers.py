@@ -16,6 +16,10 @@ from .objective import (Grams, QuadSubproblem, h_subproblem, objective_value,
                         reconstruction_error, view_products, w_subproblem)
 
 _EPS = 1e-12  # multiplicative-update denominator guard
+_RISE_TOL = 1e-12  # a relative rise of F over its start beyond rounding
+# Gillis and Glineur's inner stop for repeated MUR steps (``_mur_minimize``)
+_MUR_DELTA = 0.1  # 0.01 took 84 outer iterations on perfbench d2-mur, not 60
+_MUR_ALPHA = 2.0  # so the steps after one build cost about twice that build
 
 
 # ---------------------------------------------------------------------------
@@ -73,29 +77,92 @@ def _gradient_stop_reason(state: StopState, grad_norm: float,
 # ---------------------------------------------------------------------------
 # multiplicative updates
 
+def _mur_ratio(q: QuadSubproblem, x: np.ndarray, half_neg_g0: np.ndarray,
+               out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """One Lee-Seung ratio step x * num / max(den, eps) on ``q``, written
+    to ``out`` (``work`` is a buffer of x's shape).
+
+    -grad/2 = num - den splits the quadratic by sign: for W, num = -g0/2
+    and den = x A; for H_I, num = -g0/2 + (lambda1/2) x S and den = M x.
+    ``half_neg_g0`` is -g0/2, the same on every step of one quadratic.
+    """
+    if q.kind == "w":
+        (a,) = q.hess_mats
+        np.matmul(x, a, out=work)
+        np.maximum(work, _EPS, out=work)
+        np.divide(half_neg_g0, work, out=out)
+    else:
+        m, s, lam1, _ = q.hess_mats
+        if lam1 and s is not None:
+            np.matmul(x, s, out=out)
+            out *= 0.5 * lam1
+            out += half_neg_g0
+        else:
+            out[...] = half_neg_g0
+        np.matmul(m, x, out=work)
+        np.maximum(work, _EPS, out=work)
+        out /= work
+    out *= x
+    return out
+
+
+def _mur_rho(problem: Problem, view: int | None) -> float:
+    """Gillis and Glineur's rho for W (``view`` None) or H_I: one plus the
+    cost of building the block quadratic over the cost of one ratio step,
+    from the shapes alone."""
+    m, r = problem.m, problem.rank
+    if view is None:
+        return 1.0 + sum(problem.n) * (m + r) / (m * (r + 1))
+    n = problem.n[view]
+    return 1.0 + m * (n + r) / (n * (r + 1))
+
+
+def _mur_minimize(q: QuadSubproblem, x0: np.ndarray, config: SolverConfig,
+                  rho: float) -> np.ndarray:
+    """Repeated ratio steps on one built quadratic (N. Gillis and
+    F. Glineur, Neural Computation 24(4), 2012).
+
+    Each step lowers q by the Lee-Seung auxiliary function.  The steps stop
+    once one moves x by at most ``_MUR_DELTA`` times the first step's
+    move (Frobenius norm), or after min(floor(1 + ``_MUR_ALPHA`` rho),
+    ``config.inner_iters``) steps.
+    """
+    cap = min(int(1.0 + _MUR_ALPHA * rho), config.inner_iters)
+    x = x0.copy()
+    xn, work = np.empty_like(x), np.empty_like(x)
+    half_neg_g0 = -0.5 * q.g0
+    first = None
+    for _ in range(cap):
+        _mur_ratio(q, x, half_neg_g0, xn, work)
+        np.subtract(xn, x, out=work)
+        move = math.sqrt(np.vdot(work, work))
+        x, xn = xn, x
+        if first is None:
+            first = move
+        # on the first step this holds only when x did not move
+        if move <= _MUR_DELTA * first:
+            break
+    return x
+
+
 def mur_step_W(problem: Problem, factors: Factorization,
                xprod: np.ndarray | None = None) -> np.ndarray:
-    """Ratio update W * num / den, where -grad/2 = num - den splits the W
-    quadratic by sign: num = -g0/2 and den = W A.  ``xprod`` is
-    sum_I X_I H_I^T when the caller holds it."""
-    q = w_subproblem(problem, factors.H, xht=xprod)
-    (a,) = q.hess_mats
-    w = factors.W
-    return w * (-0.5 * q.g0 / np.maximum(w @ a, _EPS))
+    """The paper's single multiplicative update of W: one ratio step on
+    the W quadratic (see ``_mur_ratio``).  ``xprod`` is sum_I X_I H_I^T
+    when the caller holds it.  ``solve`` repeats the step through
+    ``mur_subproblem`` instead."""
+    q, w = _build_quad(problem, factors, "w", None, xprod=xprod)
+    return _mur_ratio(q, w, -0.5 * q.g0, np.empty_like(w), np.empty_like(w))
 
 
 def mur_step_H(problem: Problem, factors: Factorization, view: int,
                xprod: np.ndarray | None = None) -> np.ndarray:
-    """Ratio update H * num / den on the H_I quadratic, split by sign:
-    num = -g0/2 + (lambda1/2) H S and den = M H.  ``xprod`` is W^T X_I
-    when the caller holds it."""
-    q = h_subproblem(problem, factors.W, factors.H, view, wtx=xprod)
-    m, s, lam1, _ = q.hess_mats
-    h = factors.H[view]
-    num = -0.5 * q.g0
-    if lam1 and s is not None:
-        num = num + 0.5 * lam1 * (h @ s)
-    return h * (num / np.maximum(m @ h, _EPS))
+    """The paper's single multiplicative update of H_I: one ratio step on
+    the H_I quadratic (see ``_mur_ratio``).  ``xprod`` is W^T X_I when the
+    caller holds it.  ``solve`` repeats the step through
+    ``mur_subproblem`` instead."""
+    q, h = _build_quad(problem, factors, view, None, xprod=xprod)
+    return _mur_ratio(q, h, -0.5 * q.g0, np.empty_like(h), np.empty_like(h))
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +378,13 @@ def _panls_minimize(q: QuadSubproblem, x0: np.ndarray,
 
 
 def _build_quad(problem: Problem, factors: Factorization, target,
-                config: SolverConfig, anchor: np.ndarray | None = None,
+                config: SolverConfig | None, anchor: np.ndarray | None = None,
                 proximal: bool = False, xprod: np.ndarray | None = None
                 ) -> tuple[QuadSubproblem, np.ndarray]:
-    """The target block's quadratic.  ``xprod`` is the block's product with
-    the views when the caller holds it: sum_I X_I H_I^T for W, W^T X_I for
-    H_I."""
+    """The target block's quadratic and its current factor.  ``config`` is
+    read only for a proximal build's weights.  ``xprod`` is the block's
+    product with the views when the caller holds it: sum_I X_I H_I^T for
+    W, W^T X_I for H_I."""
     if isinstance(target, str):
         if target.lower() != "w":
             raise ValueError(f"unknown subproblem target {target!r}")
@@ -329,6 +397,18 @@ def _build_quad(problem: Problem, factors: Factorization, target,
     q = h_subproblem(problem, factors.W, factors.H, view, tau2=tau,
                      anchor=anchor if proximal else None, wtx=xprod)
     return q, factors.H[view]
+
+
+def mur_subproblem(problem: Problem, factors: Factorization, target,
+                   config: SolverConfig, xprod: np.ndarray | None = None
+                   ) -> np.ndarray:
+    """Multiplicative update of one block: the quadratic is built once and
+    the ratio step repeated on it until Gillis and Glineur's inner stop
+    (``_mur_minimize``), so the steps after the first form no products
+    with the views."""
+    q, start = _build_quad(problem, factors, target, config, xprod=xprod)
+    view = None if q.kind == "w" else int(target)
+    return _mur_minimize(q, start, config, _mur_rho(problem, view))
 
 
 def pg_subproblem(problem: Problem, factors: Factorization, target,
@@ -385,12 +465,13 @@ def _block_step(problem: Problem, config: SolverConfig,
                 factors: Factorization, target,
                 xprod: np.ndarray) -> tuple[np.ndarray, bool]:
     """The configured algorithm's update of one block ("w" or a view), with
-    the flag of an exhausted step-size search."""
+    the flag of an exhausted step-size search.  Every algorithm builds the
+    block quadratic once and hands it to its inner engine; MUR's engine
+    repeats the paper's ratio step on it (``mur_subproblem``)."""
     alg = config.algorithm
     if alg is Algorithm.MUR:
-        if target == "w":
-            return mur_step_W(problem, factors, xprod), False
-        return mur_step_H(problem, factors, target, xprod), False
+        return mur_subproblem(problem, factors, target, config,
+                              xprod), False
     if alg is Algorithm.PG:
         return pg_subproblem(problem, factors, target, config, xprod)
     if alg is Algorithm.NE:
@@ -433,6 +514,9 @@ def solve(problem: Problem, config: SolverConfig,
     grams = Grams(view_products(views, factors.H), [None] * len(views))
 
     f_init = objective_value(problem, factors, grams)
+    # the size of F's rounding: F itself, or the data's ||X||^2 when F
+    # starts near 0, as at an exact factorization
+    rise_floor = _RISE_TOL * max(abs(f_init), problem.x_squared_norm())
     state = StopState(initial_objective=f_init)
 
     trace: list[TracePoint] = []
@@ -463,17 +547,22 @@ def solve(problem: Problem, config: SolverConfig,
             raise DivergenceError(
                 f"non-finite projected-gradient norm at outer iteration {it}",
                 trace)
-        trace.append(TracePoint(it, f_curr, g_curr,
-                                time.perf_counter() - start))
         if config.stop_rule is StopRule.OBJECTIVE_RATIO:
-            if check_stop_objective(f_prev, f_curr, f_init, config.tolerance):
-                termination = Termination.TOLERANCE_MET
-                break
+            reason = (Termination.TOLERANCE_MET if check_stop_objective(
+                f_prev, f_curr, f_init, config.tolerance) else None)
+            # the rule also stops when F is no lower than at the start;
+            # above it by more than rounding, the solve has gone astray
+            if reason and f_curr > f_init + rise_floor:
+                raise DivergenceError(
+                    f"objective {f_curr:.6g} above its start {f_init:.6g} "
+                    f"at outer iteration {it}", trace)
         else:
             reason = _gradient_stop_reason(state, g_curr, config.tolerance)
-            if reason is not None:
-                termination = reason
-                break
+        trace.append(TracePoint(it, f_curr, g_curr,
+                                time.perf_counter() - start))
+        if reason is not None:
+            termination = reason
+            break
         f_prev = f_curr
 
     report = SolverReport(

@@ -1,20 +1,27 @@
-"""The projected inner engines (PG, Ne, PANLS) after they were cut to one
-Hessian product per inner step.
+"""The inner engines on one built block quadratic.
 
-The engines must follow the reference copies in ``oracles.py`` (equal in
-exact arithmetic), the branch-free projection and the doubled Hessian
-operator must agree with the forms they replaced, the product counts per
-step are pinned, and an exhausted step-size search is reported.
+The projected engines (PG, Ne, PANLS) must follow the reference copies in
+``oracles.py`` (equal in exact arithmetic), the branch-free projection and
+the doubled Hessian operator must agree with the forms they replaced, the
+product counts per step are pinned, and an exhausted step-size search is
+reported.  The MUR engine's first step is the paper's single update, its
+repeated steps never raise the block quadratic, and its inner stop keeps
+to Gillis and Glineur's rule.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import jmf.solvers
 from jmf import SolverConfig, init_factors, solve
 from jmf.objective import (QuadSubproblem, _projected, h_subproblem,
                            projected_norm, w_subproblem)
-from jmf.solvers import (_ne_minimize, _panls_minimize, _pg_minimize,
+from jmf.solvers import (_MUR_ALPHA, _MUR_DELTA, _mur_minimize, _mur_rho,
+                         _ne_minimize, _panls_minimize, _pg_minimize,
+                         mur_step_H, mur_step_W, mur_subproblem,
                          panls_subproblem, pg_subproblem)
 from oracles import (make_problem, random_factors, ref_ne_minimize,
                      ref_panls_minimize, ref_pg_minimize, ref_pgn)
@@ -234,3 +241,125 @@ def test_default_solves_report_no_exhaustion(algorithm):
                                          max_outer_iters=20),
                       init_factors(prob, 0))
     assert report.exhausted_searches == 0
+
+
+# ---------------------------------------------------------------------------
+# repeated multiplicative steps
+
+
+def mur_quads(prob, fac):
+    """The W and every H_I quadratic MUR builds (no proximal term), each
+    with its start."""
+    quads = [(w_subproblem(prob, fac.H), fac.W)]
+    for i, h in enumerate(fac.H):
+        quads.append((h_subproblem(prob, fac.W, fac.H, i), h))
+    return quads
+
+
+def record_mur_steps(monkeypatch) -> list:
+    """Make every ratio step append a copy of its result to the returned
+    list; ``monkeypatch`` is the fixture or a ``MonkeyPatch.context()``."""
+    steps = []
+    original = jmf.solvers._mur_ratio
+
+    def recorded(*args):
+        out = original(*args)
+        steps.append(out.copy())
+        return out
+
+    monkeypatch.setattr(jmf.solvers, "_mur_ratio", recorded)
+    return steps
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_mur_step_is_the_paper_update(seed):
+    prob = make_problem(seed=seed, m=12, n=(7, 9, 5), r=3, lambda1=1e-3,
+                        lambda2=1e-3, gamma1=1e-2, gamma2=1e-2)
+    fac = random_factors(prob, seed=seed + 100)
+    paper = [mur_step_W(prob, fac)] + [mur_step_H(prob, fac, i)
+                                       for i in range(prob.n_views)]
+    for (q, x0), step in zip(mur_quads(prob, fac), paper):
+        # capped at one step by rho = 0 and by the config
+        assert np.array_equal(
+            _mur_minimize(q, x0, SolverConfig(), rho=0.0), step)
+        assert np.array_equal(
+            _mur_minimize(q, x0, SolverConfig(inner_iters=1), rho=50.0),
+            step)
+
+
+@st.composite
+def mur_cases(draw):
+    seed = draw(st.integers(0, 2**16))
+    r = draw(st.integers(1, 4))
+    m = draw(st.integers(r, 15))
+    n = tuple(draw(st.lists(st.integers(r, 12), min_size=1, max_size=3)))
+    lam = draw(st.sampled_from([0.0, 1e-3, 0.05]))
+    gamma1 = draw(st.sampled_from([1e-3, 0.1, 1.0]))
+    gamma2 = draw(st.sampled_from([1e-3, 0.1, 1.0]))
+    prob = make_problem(seed=seed, m=m, n=n, r=r, lambda1=lam, lambda2=lam,
+                        gamma1=gamma1, gamma2=gamma2)
+    return prob, random_factors(prob, seed=seed + 1)
+
+
+@given(mur_cases(), st.sampled_from([0.0, 0.4, 3.0, 40.0]))
+def test_repeated_mur_steps_never_raise_the_block_quadratic(case, rho):
+    prob, fac = case
+    with pytest.MonkeyPatch.context() as mp:
+        steps = record_mur_steps(mp)
+        for q, x0 in mur_quads(prob, fac):
+            steps.clear()
+            x = _mur_minimize(q, x0, SolverConfig(), rho)
+            values = [q.value(x0)] + [q.value(s) for s in steps]
+            for prev, curr in zip(values, values[1:]):
+                assert curr <= prev + 1e-10 * max(1.0, abs(prev))
+            assert np.array_equal(x, steps[-1])
+            assert x.min() >= 0
+
+
+@given(mur_cases(), st.sampled_from([0.0, 0.6, 1.0, 2.5, 7.0]),
+       st.integers(1, 20))
+def test_mur_inner_stop_follows_gillis_glineur(case, rho, inner_iters):
+    prob, fac = case
+    cap = min(int(1 + _MUR_ALPHA * rho), inner_iters)
+    with pytest.MonkeyPatch.context() as mp:
+        steps = record_mur_steps(mp)
+        for q, x0 in mur_quads(prob, fac):
+            steps.clear()
+            _mur_minimize(q, x0, SolverConfig(inner_iters=inner_iters), rho)
+            assert 1 <= len(steps) <= cap
+            # each move in Frobenius norm, summed as the engine sums it
+            moves = [math.sqrt(np.vdot(b - a, b - a))
+                     for a, b in zip([x0] + steps, steps)]
+            # every step but the last moved more than delta times the
+            # first; the last did too only when the cap ended the steps
+            assert all(mv > _MUR_DELTA * moves[0] for mv in moves[1:-1])
+            if len(steps) < cap:
+                assert moves[-1] <= _MUR_DELTA * moves[0]
+
+
+def test_mur_subproblem_caps_its_steps_by_the_block_shapes(monkeypatch):
+    steps = record_mur_steps(monkeypatch)
+    prob = make_problem(seed=4, m=12, n=(7, 9), r=3, gamma1=1e-2,
+                        gamma2=1e-2)
+    fac = random_factors(prob, seed=5)
+    assert _mur_rho(prob, None) == 1 + 16 * 15 / (12 * 4)
+    assert _mur_rho(prob, 1) == 1 + 12 * 12 / (9 * 4)
+    for target, rho in [("w", _mur_rho(prob, None)), (0, _mur_rho(prob, 0)),
+                        (1, _mur_rho(prob, 1))]:
+        steps.clear()
+        mur_subproblem(prob, fac, target, SolverConfig(algorithm="MUR"))
+        assert 1 <= len(steps) <= int(1 + _MUR_ALPHA * rho)
+
+
+def test_mur_zero_entries_stay_zero_over_repeated_steps():
+    prob = make_problem(seed=6, m=10, n=(6, 8), r=3, lambda1=1e-3,
+                        lambda2=1e-3, gamma1=1e-2, gamma2=1e-2)
+    fac = random_factors(prob, seed=7)
+    fac.W[[0, 3], [1, 2]] = 0.0
+    fac.H[1][:, 4] = 0.0
+    cfg = SolverConfig(algorithm="MUR", inner_iters=500)
+    w = mur_subproblem(prob, fac, "w", cfg)
+    h = mur_subproblem(prob, fac, 1, cfg)
+    assert w[0, 1] == 0.0 and w[3, 2] == 0.0
+    assert np.all(h[:, 4] == 0.0)
+    assert w.min() >= 0 and h.min() >= 0

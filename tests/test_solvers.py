@@ -14,6 +14,7 @@ from oracles import (make_problem, naive_mur_H, naive_mur_W,
                      random_factors)
 
 CFG = dict(stop_rule="ObjectiveRatio", tolerance=1e-7)
+ALGORITHMS = ["MUR", "PG", "Ne", "PANLS"]
 
 
 def exact_problem():
@@ -257,6 +258,35 @@ def test_non_finite_gradient_norm_is_divergence(monkeypatch):
     with pytest.raises(DivergenceError) as err:
         solve(prob, cfg, init_factors(prob, 0))
     assert len(err.value.trace) == 1
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_objective_ratio_stop_above_the_start_is_divergence(algorithm):
+    # network weights this large make the H blocks nonconvex: F climbs
+    # from about 31 to 190-680 in four outer iterations, still finite,
+    # and the objective-ratio rule stops on the lost net progress
+    prob = make_problem(seed=0, m=12, n=(6, 8), r=2, lambda1=0.05,
+                        lambda2=0.05, gamma2=0.01)
+    init = init_factors(prob, 0)
+    with pytest.raises(DivergenceError, match="above its start") as err:
+        solve(prob, SolverConfig(algorithm=algorithm, max_outer_iters=200),
+              init)
+    trace = err.value.trace
+    assert trace and all(np.isfinite(p.objective) for p in trace)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_exact_start_stops_with_tolerance_met(algorithm):
+    # F starts at 0 and stays there up to rounding (about 1e-31)
+    rng = np.random.default_rng(31)
+    w0 = rng.random((6, 2))
+    hs0 = [rng.random((2, n)) for n in (4, 5)]
+    prob = new_problem(MultiViewDataset([w0 @ h for h in hs0]),
+                       ConstraintSet.empty(), Hyperparameters(rank=2))
+    _, report = solve(prob, SolverConfig(algorithm=algorithm, **CFG),
+                      Factorization(w0, hs0))
+    assert report.termination is Termination.TOLERANCE_MET
+    assert report.iterations == 1
 
 
 def test_solve_deterministic():
