@@ -82,10 +82,9 @@ class RunResult:
 
 def _run_one(problem: Problem, truth, params: Hyperparameters,
              config: SolverConfig) -> RunResult:
-    """Solve ``problem`` under ``params`` from the config's seed and score
-    it against ``truth`` (None when there is no ground truth)."""
-    if params != problem.params:
-        problem = Problem(problem.dataset, problem.constraints, params)
+    """Solve ``problem``'s data under ``params`` from the config's seed and
+    score it against ``truth`` (None when there is no ground truth)."""
+    problem = problem.with_params(params)
     try:
         factors, report = solve(problem, config,
                                 init_factors(problem, config.seed))
@@ -114,9 +113,10 @@ def run_all(problem: Problem, truth, tasks: list,
     """Run the (hyperparameters, config) tasks on the shared problem's
     data and ground truth, in the process pool (capped by
     ``JMF_THREADS``) or in this process when ``serial``, yielding results
-    in task order.  A task whose hyperparameters differ from the
-    problem's is solved on a problem with the same data and constraints
-    (already checked by ``new_problem``) and its own weights."""
+    in task order.  Each task is solved on the shared problem's data and
+    constraints (already checked by ``new_problem``) under its own
+    weights, and the tasks of one process share the caches that do not
+    depend on the weights."""
     workers = _max_workers(len(tasks), serial)
     if workers == 1:
         yield from (_run_one(problem, truth, *task) for task in tasks)

@@ -234,6 +234,16 @@ class Problem:
         self._within_norm: dict[int, float] = {}
         self._x_sqnorm = tuple(float(np.sum(v * v)) for v in dataset.views)
 
+    def with_params(self, params: Hyperparameters) -> Problem:
+        """The same data and constraints under ``params``, sharing the
+        caches that do not depend on the weights: S_I, ||S_I||_2 and
+        ||X_I||^2."""
+        other = Problem(self.dataset, self.constraints, params)
+        other._within_sym = self._within_sym
+        other._within_norm = self._within_norm
+        other._x_sqnorm = self._x_sqnorm
+        return other
+
     @property
     def m(self) -> int:
         return self.dataset.m

@@ -109,12 +109,21 @@ def _mur_ratio(q: QuadSubproblem, x: np.ndarray, half_neg_g0: np.ndarray,
 def _mur_rho(problem: Problem, view: int | None) -> float:
     """Gillis and Glineur's rho for W (``view`` None) or H_I: one plus the
     cost of building the block quadratic over the cost of one ratio step,
-    from the shapes alone."""
+    in multiply-adds divided by r, from the shapes and the network terms
+    in use.  An H_I build adds H_J M_J for each between-partner J when
+    lambda2 > 0; an H_I step adds x S when lambda1 > 0 and S exists."""
     m, r = problem.m, problem.rank
     if view is None:
         return 1.0 + sum(problem.n) * (m + r) / (m * (r + 1))
-    n = problem.n[view]
-    return 1.0 + m * (n + r) / (n * (r + 1))
+    p, n = problem.params, problem.n[view]
+    build = m * (n + r)
+    if p.lambda2:
+        build += n * sum(problem.n[j]
+                         for j, _ in problem.between_partners(view))
+    step = n * (r + 1)
+    if p.lambda1 and problem.within_sym(view) is not None:
+        step += n * n
+    return 1.0 + build / step
 
 
 def _mur_minimize(q: QuadSubproblem, x0: np.ndarray, config: SolverConfig,

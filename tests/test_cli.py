@@ -4,10 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import jmf.objective
 from jmf import (ConstraintSet, Factorization, Hyperparameters, SolverConfig,
                  SyntheticSpec, generate, init_factors, new_problem, solve)
-from jmf.cli import (_save_model, load_model, main, read_matrix, select_best,
-                     write_matrix)
+from jmf.cli import (_save_model, load_model, main, read_matrix, run_all,
+                     select_best, write_matrix)
+from oracles import make_problem
 
 
 def run(argv):
@@ -144,6 +146,26 @@ def test_solve_parallel_matches_serial(tmp_path, monkeypatch):
         assert run(["gridsearch", "--config", grid, "--out", outs[-1]]) == 0
     for name in ("grid.csv", "best.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_run_all_keeps_the_weight_free_caches(monkeypatch):
+    # S_I and ||S_I||_2 do not depend on the weights, so the serial runs
+    # of two cells x two seeds compute each view's norm once
+    calls = []
+    norm = jmf.objective.spectral_norm
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return norm(mat)
+
+    monkeypatch.setattr(jmf.objective, "spectral_norm", counted)
+    problem = make_problem(seed=3, m=8, n=(5, 6), r=2)
+    tasks = [(Hyperparameters(rank=2, lambda1=l1, lambda2=1e-3),
+              SolverConfig(algorithm="Ne", max_outer_iters=3, seed=s))
+             for l1 in (1e-3, 1e-2) for s in (0, 1)]
+    results = list(run_all(problem, None, tasks, serial=True))
+    assert [r.config.seed for r in results] == [0, 1, 0, 1]
+    assert calls == [(5, 5), (6, 6)]
 
 
 @pytest.mark.parametrize("command", ["solve", "gridsearch"])

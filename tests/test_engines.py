@@ -344,6 +344,18 @@ def test_mur_subproblem_caps_its_steps_by_the_block_shapes(monkeypatch):
     fac = random_factors(prob, seed=5)
     assert _mur_rho(prob, None) == 1 + 16 * 15 / (12 * 4)
     assert _mur_rho(prob, 1) == 1 + 12 * 12 / (9 * 4)
+    # lambda2 adds H_0 M_0 (7 x 9) to the H_1 build, lambda1 adds x S
+    # (9 x 9) to its step; W's quadratic has no network term
+    for l1, l2, build, step in [(1e-3, 0, 12 * 12, 9 * 4 + 81),
+                                (0, 1e-3, 12 * 12 + 9 * 7, 9 * 4),
+                                (1e-3, 1e-3, 12 * 12 + 9 * 7, 9 * 4 + 81)]:
+        net = make_problem(seed=4, m=12, n=(7, 9), r=3, lambda1=l1,
+                           lambda2=l2)
+        assert _mur_rho(net, None) == _mur_rho(prob, None)
+        assert _mur_rho(net, 1) == 1 + build / step
+    unlinked = make_problem(seed=4, m=12, n=(7, 9), r=3, lambda1=1e-3,
+                            lambda2=1e-3, with_constraints=False)
+    assert _mur_rho(unlinked, 1) == _mur_rho(prob, 1)
     for target, rho in [("w", _mur_rho(prob, None)), (0, _mur_rho(prob, 0)),
                         (1, _mur_rho(prob, 1))]:
         steps.clear()
