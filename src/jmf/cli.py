@@ -8,7 +8,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -126,9 +126,20 @@ def run_all(problem: Problem, truth, tasks: list,
         yield from pool.map(_run_shared, tasks)
 
 
+def _from_json(cls, entry: dict):
+    """``cls`` from a JSON object whose keys are its field names."""
+    names = {f.name for f in fields(cls)}
+    bad = [f"unknown key {k!r}" for k in sorted(set(entry) - names)]
+    bad += [f"missing key {f.name!r}" for f in fields(cls)
+            if f.default is MISSING and f.name not in entry]
+    if bad:
+        raise UsageError(f"{cls.__name__}: {', '.join(bad)}")
+    return cls(**entry)
+
+
 def _solver_configs(entries: list[dict]) -> list[SolverConfig]:
     """Build and check the solver entries of an experiment config."""
-    configs = [SolverConfig(**entry) for entry in entries]
+    configs = [_from_json(SolverConfig, entry) for entry in entries]
     if any(c.algorithm is Algorithm.MUR
            and c.stop_rule is StopRule.GRADIENT_RATIO for c in configs):
         raise UsageError("MUR runs only under the objective-ratio stop rule")
@@ -245,11 +256,11 @@ def load_model(model_dir: Path) -> TrainedModel:
                                     meta.get("between"))
     # shape-only placeholder dataset; prediction never reads training X
     dataset = MultiViewDataset([np.zeros((1, n)) for n in meta["n"]])
+    params = _from_json(Hyperparameters, meta["hyperparameters"])
     with warnings.catch_warnings():
         # the 1-row placeholder always trips the overcomplete-rank warning
         warnings.simplefilter("ignore", UserWarning)
-        problem = new_problem(dataset, constraints,
-                              Hyperparameters(**meta["hyperparameters"]))
+        problem = new_problem(dataset, constraints, params)
     config = SolverConfig(algorithm=meta.get("algorithm", "PANLS"),
                           stop_rule=meta.get("stop_rule", "ObjectiveRatio"),
                           seed=int(meta.get("seed", 0)))
@@ -260,7 +271,7 @@ def load_model(model_dir: Path) -> TrainedModel:
 def cmd_solve(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
     dataset, constraints, truth = _load_source(cfg)
-    params = Hyperparameters(**cfg["hyperparameters"])
+    params = _from_json(Hyperparameters, cfg["hyperparameters"])
     problem = new_problem(dataset, constraints, params)
     seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
              else [int(s) for s in cfg.get("seeds", [0])])

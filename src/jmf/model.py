@@ -106,9 +106,6 @@ class ConstraintSet:
     def empty(cls) -> "ConstraintSet":
         return cls()
 
-    def is_empty(self) -> bool:
-        return not self.within and not self.between
-
 
 @dataclass(frozen=True)
 class Hyperparameters:
@@ -153,7 +150,7 @@ class Factorization:
 
 @dataclass
 class SolverConfig:
-    """Algorithm choice, stopping rule and solver constants."""
+    """Algorithm choice, stopping rule and iteration budgets."""
 
     algorithm: Algorithm = Algorithm.PANLS
     stop_rule: StopRule = StopRule.OBJECTIVE_RATIO
@@ -166,36 +163,14 @@ class SolverConfig:
     # of the subproblem's entry projected-gradient norm
     inner_tol: float = 1e-6
     inner_tol_rel: float = 0.01
-    # PG (Armijo along the projection arc)
-    sigma: float = 0.01
-    beta: float = 0.1
-    alpha0: float = 1.0
-    max_backtracks: int = 50
-    # PANLS phase switching and proximal weights
-    eta: float = 0.1
-    rho: float = 0.5
-    panls_alpha: float = 1.0
-    panls_beta: float = 0.1
-    n1: int = 2
-    n2: int = 1
-    tau1: float = 1e-3
-    tau2: float = 1e-3
 
     def __post_init__(self):
         self.algorithm = Algorithm(self.algorithm)
         self.stop_rule = StopRule(self.stop_rule)
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if not (0 < self.sigma < 1):
-            raise ValueError("sigma must lie in (0, 1)")
-        if not (0 < self.beta < 1):
-            raise ValueError("beta must lie in (0, 1)")
-        if not (0 < self.rho < 1):
-            raise ValueError("rho must lie in (0, 1)")
         if self.max_outer_iters < 1 or self.inner_iters < 1:
             raise ValueError("iteration caps must be positive")
-        if self.tau1 < 0 or self.tau2 < 0:
-            raise ValueError("proximal weights must be nonnegative")
 
 
 @dataclass

@@ -99,6 +99,8 @@ def predict_view(model: TrainedModel, test, target_view: int = 0,
                  config: SolverConfig | None = None) -> np.ndarray:
     """Reconstruct a held-out view from the others: X_hat = W_hat @ H_target."""
     views = _as_view_map(model, test)
+    if not (0 <= target_view < model.problem.n_views):
+        raise ValueError(f"unknown view index {target_view}")
     if target_view in views:
         raise ValueError("the target view must not be supplied as input")
     w_hat = predict_left(model, views, config)

@@ -20,6 +20,20 @@ _RISE_TOL = 1e-12  # a relative rise of F over its start beyond rounding
 # Gillis and Glineur's inner stop for repeated MUR steps (``_mur_minimize``)
 _MUR_DELTA = 0.1  # 0.01 took 84 outer iterations on perfbench d2-mur, not 60
 _MUR_ALPHA = 2.0  # so the steps after one build cost about twice that build
+# Armijo search on the projection arc, PG and PANLS (Lin, Neural Comput. 2007)
+_SIGMA = 0.01  # sufficient-decrease fraction
+_BETA = 0.1  # step shrink factor
+_ALPHA0 = 1.0  # first trial step
+_MAX_BACKTRACKS = 50  # shrinks before the search counts as exhausted
+# PANLS phase switching (the source paper, arXiv:1707.08183)
+_ETA = 0.1  # first eta: a PG step with interior gradient < eta pn scales
+_RHO = 0.5  # eta by rho; CG goes back to PG once it is below eta pn
+_N1 = 2  # CG starts after more than n1 PG steps in a row without that
+_N2 = 1  # a clipped CG step that adds 1..n2 active entries goes back to
+_PANLS_ALPHA = 1.0  # PG when an entry has |g| >= pn^alpha
+_PANLS_BETA = 0.1  # and x >= pn^beta
+_TAU = 1e-3  # PANLS's proximal weight, tau1 for W and tau2 for H_I
+_NE_T0 = 1.0  # Ne's t0 in t' = (1 + sqrt(4 t^2 + 1)) / 2 (Nesterov, 1983)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +174,7 @@ def mur_step_W(problem: Problem, factors: Factorization,
     the W quadratic (see ``_mur_ratio``).  ``xprod`` is sum_I X_I H_I^T
     when the caller holds it.  ``solve`` repeats the step through
     ``mur_subproblem`` instead."""
-    q, w = _build_quad(problem, factors, "w", None, xprod=xprod)
+    q, w = _build_quad(problem, factors, "w", xprod=xprod)
     return _mur_ratio(q, w, -0.5 * q.g0, np.empty_like(w), np.empty_like(w))
 
 
@@ -170,7 +184,7 @@ def mur_step_H(problem: Problem, factors: Factorization, view: int,
     the H_I quadratic (see ``_mur_ratio``).  ``xprod`` is W^T X_I when the
     caller holds it.  ``solve`` repeats the step through
     ``mur_subproblem`` instead."""
-    q, h = _build_quad(problem, factors, view, None, xprod=xprod)
+    q, h = _build_quad(problem, factors, view, xprod=xprod)
     return _mur_ratio(q, h, -0.5 * q.g0, np.empty_like(h), np.empty_like(h))
 
 
@@ -186,21 +200,20 @@ def _inner_tol(config: SolverConfig, pn0: float) -> float:
 
 
 def _armijo_step(q: QuadSubproblem, x: np.ndarray, g: np.ndarray,
-                 config: SolverConfig, out: np.ndarray,
-                 d: np.ndarray) -> bool:
+                 out: np.ndarray, d: np.ndarray) -> bool:
     """One projected step with the smallest backtracking exponent.
 
     Writes the next iterate into ``out`` (``d`` is a work buffer) and
     returns True when the search is exhausted, in which case the
     iterate stays x and ``out`` holds nothing of use.
     """
-    for t in range(config.max_backtracks + 1):
-        alpha = config.alpha0 * config.beta ** t
+    for t in range(_MAX_BACKTRACKS + 1):
+        alpha = _ALPHA0 * _BETA ** t
         np.multiply(g, alpha, out=out)
         np.subtract(x, out, out=out)
         np.maximum(out, 0.0, out=out)
         np.subtract(out, x, out=d)
-        decrease = (1.0 - config.sigma) * float(np.vdot(g, d)) \
+        decrease = (1.0 - _SIGMA) * float(np.vdot(g, d)) \
             + 0.5 * float(np.vdot(d, q.hess_apply(d)))
         if decrease <= 0:
             return False
@@ -223,7 +236,7 @@ def _pg_minimize(q: QuadSubproblem, x0: np.ndarray,
     for _ in range(config.inner_iters):
         if pn <= tol:
             break
-        if _armijo_step(q, x, g, config, xn, work):
+        if _armijo_step(q, x, g, xn, work):
             return x, True
         x, xn = xn, x
         g = q.grad(x)
@@ -255,7 +268,7 @@ def _ne_minimize(q: QuadSubproblem, x0: np.ndarray,
     z = np.multiply(g, neg_step)
     z += x
     step = z.copy()
-    alpha = config.alpha0
+    alpha = _NE_T0
     for _ in range(config.inner_iters):
         x = np.maximum(step, 0.0, out=x)
         g = q.grad(x)
@@ -304,14 +317,14 @@ def _panls_minimize(q: QuadSubproblem, x0: np.ndarray,
     g = q.grad(x)
     pn = projected_norm(x, g, work)
     tol = _inner_tol(config, pn)
-    eta = config.eta
+    eta = _ETA
     k = 0
     cap = config.inner_iters
     while pn > tol and k < cap:
         # constrained PG phase
         rounds_without_progress = 0
         while pn > tol and k < cap:
-            if _armijo_step(q, x, g, config, xn, work):
+            if _armijo_step(q, x, g, xn, work):
                 return x, True
             x, xn = xn, x
             k += 1
@@ -320,11 +333,11 @@ def _panls_minimize(q: QuadSubproblem, x0: np.ndarray,
             np.multiply(g, x > 0, out=work)
             interior = math.sqrt(np.vdot(work, work))
             if interior < eta * pn:
-                eta *= config.rho
+                eta *= _RHO
                 rounds_without_progress = 0
             else:
                 rounds_without_progress += 1
-                if rounds_without_progress > config.n1:
+                if rounds_without_progress > _N1:
                     break
         if pn <= tol or k >= cap:
             break
@@ -341,7 +354,7 @@ def _panls_minimize(q: QuadSubproblem, x0: np.ndarray,
             curv = float(np.vdot(direction, qd))
             if curv <= 0:
                 # breakdown: fall back to a PG step
-                if _armijo_step(q, x, g, config, xn, work):
+                if _armijo_step(q, x, g, xn, work):
                     return x, True
                 x, xn = xn, x
                 k += 1
@@ -363,9 +376,9 @@ def _panls_minimize(q: QuadSubproblem, x0: np.ndarray,
                 np.greater(x, 0.0, out=mask)
                 growth = (x.size - np.count_nonzero(mask)) - active_before
                 uncertain = np.any(
-                    (np.abs(g) >= pn ** config.panls_alpha)
-                    & (x >= pn ** config.panls_beta))
-                if uncertain and 0 < growth <= config.n2:
+                    (np.abs(g) >= pn ** _PANLS_ALPHA)
+                    & (x >= pn ** _PANLS_BETA))
+                if uncertain and 0 < growth <= _N2:
                     break  # return to the PG phase
                 # restart CG at the reduced dimension
                 np.multiply(g, mask, out=direction)
@@ -387,24 +400,22 @@ def _panls_minimize(q: QuadSubproblem, x0: np.ndarray,
 
 
 def _build_quad(problem: Problem, factors: Factorization, target,
-                config: SolverConfig | None, anchor: np.ndarray | None = None,
-                proximal: bool = False, xprod: np.ndarray | None = None
+                anchor: np.ndarray | None = None,
+                xprod: np.ndarray | None = None
                 ) -> tuple[QuadSubproblem, np.ndarray]:
-    """The target block's quadratic and its current factor.  ``config`` is
-    read only for a proximal build's weights.  ``xprod`` is the block's
-    product with the views when the caller holds it: sum_I X_I H_I^T for
-    W, W^T X_I for H_I."""
+    """The block's quadratic, proximal with weight ``_TAU`` about a given
+    ``anchor``, and its current factor.  ``xprod`` is the block's product
+    with the views if the caller holds it: sum X_I H_I^T (W), W^T X_I (H_I)."""
+    tau = 0.0 if anchor is None else _TAU
     if isinstance(target, str):
         if target.lower() != "w":
             raise ValueError(f"unknown subproblem target {target!r}")
-        tau = config.tau1 if proximal else 0.0
-        q = w_subproblem(problem, factors.H, tau1=tau,
-                         anchor=anchor if proximal else None, xht=xprod)
+        q = w_subproblem(problem, factors.H, tau1=tau, anchor=anchor,
+                         xht=xprod)
         return q, factors.W
     view = int(target)
-    tau = config.tau2 if proximal else 0.0
     q = h_subproblem(problem, factors.W, factors.H, view, tau2=tau,
-                     anchor=anchor if proximal else None, wtx=xprod)
+                     anchor=anchor, wtx=xprod)
     return q, factors.H[view]
 
 
@@ -415,7 +426,7 @@ def mur_subproblem(problem: Problem, factors: Factorization, target,
     the ratio step repeated on it until Gillis and Glineur's inner stop
     (``_mur_minimize``), so the steps after the first form no products
     with the views."""
-    q, start = _build_quad(problem, factors, target, config, xprod=xprod)
+    q, start = _build_quad(problem, factors, target, xprod=xprod)
     view = None if q.kind == "w" else int(target)
     return _mur_minimize(q, start, config, _mur_rho(problem, view))
 
@@ -428,7 +439,7 @@ def pg_subproblem(problem: Problem, factors: Factorization, target,
     Returns the updated factor and a flag set when the step-size search was
     exhausted before reaching the inner tolerance.
     """
-    q, start = _build_quad(problem, factors, target, config, xprod=xprod)
+    q, start = _build_quad(problem, factors, target, xprod=xprod)
     return _pg_minimize(q, start, config)
 
 
@@ -436,7 +447,7 @@ def ne_subproblem(problem: Problem, factors: Factorization, target,
                   config: SolverConfig, xprod: np.ndarray | None = None
                   ) -> np.ndarray:
     """Nesterov iteration with the subproblem Lipschitz step size."""
-    q, start = _build_quad(problem, factors, target, config, xprod=xprod)
+    q, start = _build_quad(problem, factors, target, xprod=xprod)
     return _ne_minimize(q, start, config)
 
 
@@ -449,8 +460,8 @@ def panls_subproblem(problem: Problem, factors: Factorization, target,
     Returns the updated factor and a flag set when a step-size search was
     exhausted before reaching the inner tolerance.
     """
-    q, start = _build_quad(problem, factors, target, config, anchor=anchor,
-                           proximal=True, xprod=xprod)
+    q, start = _build_quad(problem, factors, target, anchor=anchor,
+                           xprod=xprod)
     return _panls_minimize(q, start, config)
 
 

@@ -4,10 +4,12 @@ Everything here is written with naive loops or dense materialization,
 deliberately avoiding the library's own vectorized code paths.
 """
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
-from jmf import (ConstraintSet, Factorization, Hyperparameters,
+import jmf.solvers
+from jmf import (Algorithm, ConstraintSet, Factorization, Hyperparameters,
                  MultiViewDataset, SolverConfig, new_problem)
 from jmf.objective import QuadSubproblem
 
@@ -200,6 +202,23 @@ def best_matching_score(corr):
 # was cut to one Hessian product: every step recomputes the gradient with
 # q.grad, the projection uses np.where, and sums allocate temporaries.
 # Kept verbatim, renamed, as the reference the current engines must match.
+# They read their settings from the namespace ``ref_settings`` builds.
+
+def ref_settings(config: SolverConfig) -> SimpleNamespace:
+    """``config``'s inner_* fields plus the algorithm constants, read from
+    ``jmf.solvers`` at call time so that a monkeypatched constant reaches
+    the engine and its reference alike.  ``alpha0`` is Ne's t0 when
+    ``config.algorithm`` is Ne and the Armijo first step otherwise."""
+    s = jmf.solvers
+    ne = config.algorithm is Algorithm.NE
+    return SimpleNamespace(
+        inner_iters=config.inner_iters, inner_tol=config.inner_tol,
+        inner_tol_rel=config.inner_tol_rel, sigma=s._SIGMA, beta=s._BETA,
+        alpha0=s._NE_T0 if ne else s._ALPHA0,
+        max_backtracks=s._MAX_BACKTRACKS, eta=s._ETA, rho=s._RHO,
+        panls_alpha=s._PANLS_ALPHA, panls_beta=s._PANLS_BETA, n1=s._N1,
+        n2=s._N2)
+
 
 def ref_projected(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """KKT residual: positive gradients at the zero bound are projected out."""
@@ -210,12 +229,12 @@ def ref_pgn(x: np.ndarray, g: np.ndarray) -> float:
     return float(np.linalg.norm(ref_projected(x, g)))
 
 
-def ref_inner_tol(config: SolverConfig, pn0: float) -> float:
+def ref_inner_tol(config: SimpleNamespace, pn0: float) -> float:
     return max(config.inner_tol, config.inner_tol_rel * pn0)
 
 
 def ref_armijo_step(q: QuadSubproblem, x: np.ndarray, g: np.ndarray,
-                    config: SolverConfig) -> tuple[np.ndarray, bool]:
+                    config: SimpleNamespace) -> tuple[np.ndarray, bool]:
     """One projected step with the smallest backtracking exponent.
 
     Returns (next iterate, search-exhausted flag).
@@ -232,7 +251,7 @@ def ref_armijo_step(q: QuadSubproblem, x: np.ndarray, g: np.ndarray,
 
 
 def ref_pg_minimize(q: QuadSubproblem, x0: np.ndarray,
-                    config: SolverConfig) -> tuple[np.ndarray, bool]:
+                    config: SimpleNamespace) -> tuple[np.ndarray, bool]:
     x = x0.copy()
     g = q.grad(x)
     pn = ref_pgn(x, g)
@@ -249,7 +268,7 @@ def ref_pg_minimize(q: QuadSubproblem, x0: np.ndarray,
 
 
 def ref_ne_minimize(q: QuadSubproblem, x0: np.ndarray,
-                    config: SolverConfig) -> np.ndarray:
+                    config: SimpleNamespace) -> np.ndarray:
     lip = q.lipschitz()
     if lip <= 0:
         return x0.copy()
@@ -272,7 +291,7 @@ def ref_ne_minimize(q: QuadSubproblem, x0: np.ndarray,
 
 
 def ref_panls_minimize(q: QuadSubproblem, x0: np.ndarray,
-                       config: SolverConfig) -> np.ndarray:
+                       config: SimpleNamespace) -> np.ndarray:
     """PG steps alternating with conjugate gradients on the inactive set."""
     x = x0.copy()
     g = q.grad(x)

@@ -195,6 +195,20 @@ def test_solve_missing_config_exit_2(tmp_path):
                 "--out", tmp_path / "o"]) == 2
 
 
+@pytest.mark.parametrize("solver, weights, message", [
+    ({"algoritm": "PG"}, {}, "SolverConfig: unknown key 'algoritm'"),
+    ({"algorithm": "PANLS", "eta": 0.2, "max_outer_iters": 1}, {},
+     "SolverConfig: unknown key 'eta'"),
+    ({"algorithm": "PG", "max_outer_iters": 1}, {"lamda1": 0.1},
+     "Hyperparameters: unknown key 'lamda1'"),
+], ids=["misspelled-solver-key", "removed-solver-key", "misspelled-weight"])
+def test_solve_bad_config_key_exit_2(tmp_path, capsys, solver, weights,
+                                     message):
+    cfg = solve_config(tmp_path, [solver], seeds=[0], **weights)
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # grid search selection rule
 
@@ -286,6 +300,18 @@ def test_predict_r_mode_unknown_view_exit_2(tmp_path, capsys):
                 "--test", tmp_path / "X_1.csv", "--views", "5",
                 "--out", tmp_path / "pred"]) == 2
     assert "error: unknown view index 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["-1", "3"])
+def test_predict_lview_unknown_target_view_exit_2(tmp_path, capsys, target):
+    model_dir, truth = ground_truth_model_dir(tmp_path)
+    write_matrix(tmp_path / "X_1.csv", truth.x0[0])
+    out = tmp_path / "pred"
+    assert run(["predict", "--model", model_dir, "--mode", "l-view",
+                "--test", tmp_path / "X_1.csv", "--target-view", target,
+                "--out", out]) == 2
+    assert f"error: unknown view index {target}" in capsys.readouterr().err
+    assert not list(out.iterdir())
 
 
 def test_predict_r_mode_reproduces_training_error(tmp_path, capsys):

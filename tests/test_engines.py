@@ -24,7 +24,8 @@ from jmf.solvers import (_MUR_ALPHA, _MUR_DELTA, _mur_minimize, _mur_rho,
                          mur_step_H, mur_step_W, mur_subproblem,
                          panls_subproblem, pg_subproblem)
 from oracles import (make_problem, random_factors, ref_ne_minimize,
-                     ref_panls_minimize, ref_pg_minimize, ref_pgn)
+                     ref_panls_minimize, ref_pg_minimize, ref_pgn,
+                     ref_settings)
 
 TAU = 1e-2
 
@@ -58,14 +59,14 @@ def test_engines_match_their_reference(engine, seed):
     for q, x0 in weighted_quads(seed):
         if engine == "PG":
             new, flag = _pg_minimize(q, x0, cfg)
-            ref, ref_flag = ref_pg_minimize(q, x0, cfg)
+            ref, ref_flag = ref_pg_minimize(q, x0, ref_settings(cfg))
             assert flag == ref_flag
         elif engine == "Ne":
             new = _ne_minimize(q, x0, cfg)
-            ref = ref_ne_minimize(q, x0, cfg)
+            ref = ref_ne_minimize(q, x0, ref_settings(cfg))
         else:
             new, _ = _panls_minimize(q, x0, cfg)
-            ref = ref_panls_minimize(q, x0, cfg)
+            ref = ref_panls_minimize(q, x0, ref_settings(cfg))
         assert q.value(new) == pytest.approx(q.value(ref), rel=1e-10)
         np.testing.assert_allclose(new, ref, rtol=0, atol=1e-8)
         assert not np.shares_memory(new, x0)
@@ -164,6 +165,15 @@ def test_ne_forms_one_product_per_step(monkeypatch, steps):
         assert count[0] - before == steps + 1
 
 
+def test_ne_momentum_does_not_read_the_armijo_first_step(monkeypatch):
+    cfg = engine_config(algorithm="Ne")
+    quads = weighted_quads(1)
+    before = [_ne_minimize(q, x0, cfg) for q, x0 in quads]
+    monkeypatch.setattr(jmf.solvers, "_ALPHA0", 7.0)
+    for (q, x0), x in zip(quads, before):
+        assert np.array_equal(_ne_minimize(q, x0, cfg), x)
+
+
 def interior_quad(r=6, rows=40):
     """A W quadratic whose minimizer and start lie far inside the
     nonnegative orthant, with r well-spread Hessian eigenvalues, so no
@@ -181,12 +191,15 @@ def test_unclipped_cg_step_forms_one_product(monkeypatch):
     q, x0 = interior_quad()
     # n1 = 0 hands over to CG after one PG step; the interior never
     # falls below eta times the projected gradient, so CG keeps going
-    base = dict(algorithm="PANLS", inner_tol=0.0, inner_tol_rel=0.0, n1=0)
+    monkeypatch.setattr(jmf.solvers, "_N1", 0)
+    base = dict(algorithm="PANLS", inner_tol=0.0, inner_tol_rel=0.0)
     products = {}
     for engine in (_panls_minimize, ref_panls_minimize):
         for k in (3, 4):
             before = count[0]
-            out = engine(q, x0, SolverConfig(inner_iters=k, **base))
+            cfg = SolverConfig(inner_iters=k, **base)
+            out = engine(q, x0, cfg if engine is _panls_minimize
+                         else ref_settings(cfg))
             products[engine, k] = count[0] - before
             x = out[0] if isinstance(out, tuple) else out
             assert x.min() > 1.0  # every step stayed off the bound
@@ -200,19 +213,20 @@ def test_unclipped_cg_step_forms_one_product(monkeypatch):
 # exhausted step-size searches
 
 
-def overshooting(algorithm):
+def overshooting(monkeypatch, algorithm):
     # one trial step, far too long for any block; no rescale, so the
     # factors are exactly what the engines returned
-    return SolverConfig(algorithm=algorithm, max_backtracks=0, alpha0=1e12,
-                        max_outer_iters=3, tolerance=1e-300,
-                        normalize_rows=False)
+    monkeypatch.setattr(jmf.solvers, "_MAX_BACKTRACKS", 0)
+    monkeypatch.setattr(jmf.solvers, "_ALPHA0", 1e12)
+    return SolverConfig(algorithm=algorithm, max_outer_iters=3,
+                        tolerance=1e-300, normalize_rows=False)
 
 
 @pytest.mark.parametrize("algorithm", ["PG", "PANLS"])
-def test_exhausted_searches_are_counted(algorithm):
+def test_exhausted_searches_are_counted(monkeypatch, algorithm):
     prob = make_problem(seed=3, m=10, n=(6, 8), r=2, gamma1=0.1)
     init = init_factors(prob, 0)
-    final, report = solve(prob, overshooting(algorithm), init)
+    final, report = solve(prob, overshooting(monkeypatch, algorithm), init)
     blocks = 1 + prob.n_views
     assert report.exhausted_searches == blocks * report.iterations
     # an exhausted first search leaves every block where it was
@@ -221,15 +235,16 @@ def test_exhausted_searches_are_counted(algorithm):
 
 
 @pytest.mark.parametrize("algorithm", ["PG", "PANLS"])
-def test_subproblem_returns_the_exhaustion_flag(algorithm):
+def test_subproblem_returns_the_exhaustion_flag(monkeypatch, algorithm):
     prob = make_problem(seed=3, m=10, n=(6, 8), r=2, gamma1=0.1)
     fac = random_factors(prob, seed=1)
-    cfg = overshooting(algorithm)
+    cfg = overshooting(monkeypatch, algorithm)
     if algorithm == "PG":
         w, flag = pg_subproblem(prob, fac, "w", cfg)
     else:
         w, flag = panls_subproblem(prob, fac, "w", cfg, fac.W)
     assert flag and np.array_equal(w, fac.W)
+    monkeypatch.undo()  # back to the default search
     _, flag = pg_subproblem(prob, fac, "w", SolverConfig(algorithm="PG"))
     assert not flag
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import jmf.solvers
 from jmf import (ConstraintSet, Factorization, Hyperparameters,
                  MultiViewDataset, SolverConfig, SyntheticSpec, TrainedModel,
                  generate, init_factors, new_problem, predict_class,
@@ -77,7 +78,9 @@ def test_predict_left_stops_at_an_exhausted_search(monkeypatch, algorithm):
     prob = make_problem(seed=3, m=10, n=(6, 8), r=3)
     model = TrainedModel(problem=prob, factors=random_factors(prob, seed=1))
     # one trial step, far too long: the first search runs out
-    cfg = SolverConfig(algorithm=algorithm, max_backtracks=0, alpha0=1e12)
+    monkeypatch.setattr(jmf.solvers, "_MAX_BACKTRACKS", 0)
+    monkeypatch.setattr(jmf.solvers, "_ALPHA0", 1e12)
+    cfg = SolverConfig(algorithm=algorithm)
     count = count_products(monkeypatch)
     with pytest.warns(RuntimeWarning):
         w_hat = predict_left(model, prob.dataset, cfg)
@@ -110,6 +113,13 @@ def test_predict_view_rejects_target_in_input():
     model, truth = ground_truth_model()
     with pytest.raises(ValueError):
         predict_view(model, {0: truth.x0[0], 1: truth.x0[1]}, target_view=0)
+
+
+@pytest.mark.parametrize("target", [-1, 3])
+def test_predict_view_rejects_unknown_target(target):
+    model, truth = ground_truth_model()
+    with pytest.raises(ValueError, match=f"unknown view index {target}"):
+        predict_view(model, {0: truth.x0[0]}, target_view=target)
 
 
 def test_predict_view_one_dim_multiplication():

@@ -170,7 +170,7 @@ def test_panls_one_dim_proximal_minimizer():
     # min (2-w)^2 + tau1*(w-0)^2 has minimizer 2/(1+tau1)
     prob, fac = one_dim_problem()
     cfg = SolverConfig(algorithm="PANLS", inner_tol=1e-12,
-                       inner_tol_rel=0.0, tau1=1e-3, **CFG)
+                       inner_tol_rel=0.0, **CFG)
     anchor = np.array([[0.0]])
     w, _ = panls_subproblem(prob, fac, "w", cfg, anchor)
     assert w == pytest.approx(np.array([[2.0 / 1.001]]), abs=1e-6)
@@ -377,6 +377,3 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(algorithm="nope", stop_rule="ObjectiveRatio",
                      tolerance=1e-6)
-    with pytest.raises(ValueError):
-        SolverConfig(algorithm="PG", stop_rule="ObjectiveRatio",
-                     tolerance=1e-6, beta=1.5)
