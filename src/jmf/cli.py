@@ -126,14 +126,19 @@ def run_all(problem: Problem, truth, tasks: list,
         yield from pool.map(_run_shared, tasks)
 
 
+def _check_keys(what: str, entry: dict, names, required=()) -> None:
+    """Raise ``UsageError`` naming each key of ``entry`` outside ``names``
+    and each ``required`` key it lacks."""
+    bad = [f"unknown key {k!r}" for k in sorted(set(entry) - set(names))]
+    bad += [f"missing key {k!r}" for k in required if k not in entry]
+    if bad:
+        raise UsageError(f"{what}: {', '.join(bad)}")
+
+
 def _from_json(cls, entry: dict):
     """``cls`` from a JSON object whose keys are its field names."""
-    names = {f.name for f in fields(cls)}
-    bad = [f"unknown key {k!r}" for k in sorted(set(entry) - names)]
-    bad += [f"missing key {f.name!r}" for f in fields(cls)
-            if f.default is MISSING and f.name not in entry]
-    if bad:
-        raise UsageError(f"{cls.__name__}: {', '.join(bad)}")
+    _check_keys(cls.__name__, entry, [f.name for f in fields(cls)],
+                [f.name for f in fields(cls) if f.default is MISSING])
     return cls(**entry)
 
 
@@ -354,11 +359,14 @@ def cmd_gridsearch(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
     if "synthetic" not in (cfg.get("source") or {}):
         raise UsageError("grid search needs a synthetic source (AUC oracle)")
+    _check_keys("grid", cfg.get("grid") or {}, DEFAULT_GRID)
+    base = dict(cfg.get("hyperparameters") or {})
+    _check_keys("Hyperparameters", base,
+                [f.name for f in fields(Hyperparameters)])
     dataset, constraints, truth = _load_source(cfg)
     grid = {**DEFAULT_GRID, **(cfg.get("grid") or {})}
     seeds = [int(s) for s in cfg.get("grid_seeds", [0, 1, 2])]
     (config,) = _solver_configs([cfg.get("solver") or {"algorithm": "PANLS"}])
-    base = dict(cfg.get("hyperparameters") or {})
     rank = int(base.get("rank", truth.rank))
 
     cells = list(itertools.product(grid["lambda1"], grid["lambda2"],

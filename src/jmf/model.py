@@ -191,6 +191,10 @@ class SolverReport:
     # block solves (W or one H_I, in any outer iteration) whose Armijo
     # step-size search ran out of backtracks before the inner tolerance
     exhausted_searches: int = 0
+    # outer steps started from the extrapolated iterate (PG, Ne, PANLS),
+    # and those of them redone from the plain iterate because F rose
+    extrapolated_steps: int = 0
+    redone_steps: int = 0
 
 
 class Problem:

@@ -22,8 +22,10 @@ are the two kept in a ``Grams`` record: xht = sum_I X_I H_I^T (the W
 quadratic's linear term) and wtx[I] = W^T X_I (the H_I quadratic's).  A
 solve fills it once per outer iteration and reads F, the projected
 gradient and the next W build from it, so it forms 2 N products with the
-views per iteration instead of recomputing them for each reader.  F's fit
-term comes from the trace identity
+views per iteration instead of recomputing them for each reader.  A step
+started from an extrapolated iterate forms N more, for the W build from
+it, and a step redone from the plain iterate 2 N more.  F's fit term
+comes from the trace identity
 
     sum_I ||X_I - W H_I||^2 = ||X||^2 - 2 <W, xht> + <W^T W, sum_I H_I H_I^T>
 
@@ -99,7 +101,6 @@ def objective_value(problem: Problem, factors: Factorization,
                     grams: Grams | None = None) -> float:
     """F at ``factors``; ``grams`` supplies xht, formed here when None."""
     _check_shapes(problem, factors)
-    p = problem.params
     w = factors.W
     xht = (view_products(problem.dataset.views, factors.H) if grams is None
            else grams.xht)
@@ -108,6 +109,14 @@ def objective_value(problem: Problem, factors: Factorization,
         np.vdot(w.T @ w, sum(h @ h.T for h in factors.H)))
     if not value >= FIT_FLOOR * x_sq:  # also catches a NaN identity
         value = reconstruction_error(problem, factors)
+    return value + penalty_value(problem, factors)
+
+
+def penalty_value(problem: Problem, factors: Factorization) -> float:
+    """F's network and sparsity terms, everything but the fit: the part of
+    F that a product-preserving rescale of the factors can change."""
+    p = problem.params
+    value = 0.0
     if p.lambda1:
         for i, h in enumerate(factors.H):
             for theta in problem.constraints.within.get(i, ()):

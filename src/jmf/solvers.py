@@ -12,8 +12,9 @@ from .model import (Algorithm, DivergenceError, Factorization, Problem,
                     SolverConfig, SolverReport, StopRule, Termination,
                     TracePoint)
 from .objective import (Grams, QuadSubproblem, h_subproblem, objective_value,
-                        projected_gradient_norm, projected_norm,
-                        reconstruction_error, view_products, w_subproblem)
+                        penalty_value, projected_gradient_norm,
+                        projected_norm, reconstruction_error, view_products,
+                        w_subproblem)
 
 _EPS = 1e-12  # multiplicative-update denominator guard
 _RISE_TOL = 1e-12  # a relative rise of F over its start beyond rounding
@@ -34,6 +35,13 @@ _PANLS_ALPHA = 1.0  # PG when an entry has |g| >= pn^alpha
 _PANLS_BETA = 0.1  # and x >= pn^beta
 _TAU = 1e-3  # PANLS's proximal weight, tau1 for W and tau2 for H_I
 _NE_T0 = 1.0  # Ne's t0 in t' = (1 + sqrt(4 t^2 + 1)) / 2 (Nesterov, 1983)
+# extrapolation of the outer iterate, PG, Ne and PANLS (``solve``; A. Ang
+# and N. Gillis, Neural Computation 31(2), 2019)
+_EXTRAP_BETA = 0.5  # first weight beta
+_EXTRAP_BETA_BAR = 1.0  # first ceiling on beta
+_EXTRAP_GROW = 1.01  # a fall: beta <- min(ceiling, 1.01 beta)
+_EXTRAP_BAR_GROW = 1.005  # and ceiling <- min(1, 1.005 ceiling)
+_EXTRAP_SHRINK = 1.5  # a rise: ceiling <- beta, beta <- beta / 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +527,15 @@ def _outer_update(problem: Problem, config: SolverConfig,
     return exhausted
 
 
+def _extrapolated(factors: Factorization, prev: Factorization,
+                  beta: float) -> Factorization:
+    """max(0, X + beta (X - X_prev)) for W and each H_I: the point from
+    which an extrapolated outer step starts."""
+    w, *hs = [np.maximum(x + beta * (x - x_prev), 0.0) for x, x_prev in
+              zip((factors.W, *factors.H), (prev.W, *prev.H))]
+    return Factorization(w, hs)
+
+
 def solve(problem: Problem, config: SolverConfig,
           init: Factorization) -> tuple[Factorization, SolverReport]:
     """Alternate W and H updates until a stop rule or the iteration cap.
@@ -526,6 +543,17 @@ def solve(problem: Problem, config: SolverConfig,
     Each outer iteration forms 2 N products with the views, kept in one
     ``Grams`` record that F, the projected gradient and the next W build
     read.
+
+    PG, Ne and PANLS start each outer iteration after the first from the
+    extrapolated iterate max(0, X_k + beta (X_k - X_k-1)) of every factor
+    (A. Ang and N. Gillis, Neural Computation 31(2), 2019), whose W build
+    needs N more products.  beta grows after a step that lowers F and
+    shrinks after one that raises it.  A step that raises F is redone
+    from the plain iterate, 2 N products more, unless F before the
+    rescale did not rise; then the step stays and the next one starts
+    plain.  F, the projected gradient, the stop rules, the trace and the
+    returned factors read only the plain iterates.  MUR keeps the plain
+    loop: a ratio step cannot revive an entry the projection set to 0.
     """
     if init.W.shape != (problem.m, problem.rank):
         raise ValueError("initial W does not match the problem shapes")
@@ -542,24 +570,57 @@ def solve(problem: Problem, config: SolverConfig,
     trace: list[TracePoint] = []
     termination = Termination.MAX_ITERS
     f_prev = f_init
-    exhausted = 0
+    exhausted = extrapolated = redone = 0
+    accelerated = config.algorithm is not Algorithm.MUR
+    # the plain iterate before ``factors`` when the next step extrapolates
+    prev = None
+    beta, beta_bar = _EXTRAP_BETA, _EXTRAP_BETA_BAR
     start = time.perf_counter()
     for it in range(1, config.max_outer_iters + 1):
         # overflow produces inf/nan, caught below as divergence; the
         # intermediate warnings are expected noise on runaway weights
         with np.errstate(over="ignore", invalid="ignore"):
-            exhausted += _outer_update(problem, config, factors, grams)
-            if not (np.isfinite(factors.W).all()
-                    and all(np.isfinite(h).all() for h in factors.H)):
-                raise DivergenceError(
-                    f"non-finite factor at outer iteration {it}", trace)
-            if config.normalize_rows:
-                norms = _rescale(factors.W, factors.H)
-                for wtx in grams.wtx:
-                    wtx /= norms[:, None]
-            grams.xht = view_products(views, factors.H)
-            f_curr = objective_value(problem, factors, grams)
-            g_curr = projected_gradient_norm(problem, factors, grams)
+            extrapolate, kept_rise = prev is not None, False
+            while True:
+                if extrapolate:
+                    step = _extrapolated(factors, prev, beta)
+                    step_grams = Grams(view_products(views, step.H),
+                                       [None] * len(views))
+                    extrapolated += 1
+                else:
+                    step = Factorization(factors.W, factors.H)
+                    step_grams = Grams(grams.xht, [None] * len(views))
+                exhausted += _outer_update(problem, config, step,
+                                           step_grams)
+                # an extrapolated step that overflows is redone below
+                if not extrapolate and not (
+                        np.isfinite(step.W).all()
+                        and all(np.isfinite(h).all() for h in step.H)):
+                    raise DivergenceError(
+                        f"non-finite factor at outer iteration {it}", trace)
+                if extrapolate:
+                    # the rescale changes only these terms of F
+                    penalty_before = penalty_value(problem, step)
+                if config.normalize_rows:
+                    norms = _rescale(step.W, step.H)
+                    for wtx in step_grams.wtx:
+                        wtx /= norms[:, None]
+                step_grams.xht = view_products(views, step.H)
+                f_curr = objective_value(problem, step, step_grams)
+                if not extrapolate:
+                    break
+                if f_curr <= f_prev:
+                    beta = min(beta_bar, _EXTRAP_GROW * beta)
+                    beta_bar = min(1.0, _EXTRAP_BAR_GROW * beta_bar)
+                    break
+                beta_bar, beta = beta, beta / _EXTRAP_SHRINK
+                kept_rise = (f_curr - penalty_value(problem, step)
+                             + penalty_before <= f_prev)
+                if kept_rise:
+                    break  # only the rescale raised F
+                redone += 1
+                extrapolate = False
+            g_curr = projected_gradient_norm(problem, step, step_grams)
         if not np.isfinite(f_curr):
             raise DivergenceError(
                 f"non-finite objective at outer iteration {it}", trace)
@@ -567,6 +628,9 @@ def solve(problem: Problem, config: SolverConfig,
             raise DivergenceError(
                 f"non-finite projected-gradient norm at outer iteration {it}",
                 trace)
+        # after a kept rise the next step starts plain
+        prev = factors if accelerated and not kept_rise else None
+        factors, grams = step, step_grams
         if config.stop_rule is StopRule.OBJECTIVE_RATIO:
             reason = (Termination.TOLERANCE_MET if check_stop_objective(
                 f_prev, f_curr, f_init, config.tolerance) else None)
@@ -592,5 +656,7 @@ def solve(problem: Problem, config: SolverConfig,
         reconstruction_error=reconstruction_error(problem, factors),
         iterations=trace[-1].iteration,
         exhausted_searches=exhausted,
+        extrapolated_steps=extrapolated,
+        redone_steps=redone,
     )
     return factors, report

@@ -242,6 +242,23 @@ def test_gridsearch_end_to_end(tmp_path):
     assert len(grid_lines) == 2
 
 
+@pytest.mark.parametrize("section, key, message", [
+    ("grid", "lamda1", "grid: unknown key 'lamda1'"),
+    ("hyperparameters", "rnak", "Hyperparameters: unknown key 'rnak'"),
+], ids=["misspelled-grid-key", "misspelled-rank"])
+def test_gridsearch_bad_config_key_exit_2(tmp_path, capsys, section, key,
+                                          message):
+    path = grid_config(tmp_path, {"algorithm": "PG", "max_outer_iters": 1},
+                       seeds=[0])
+    cfg = json.loads(path.read_text())
+    cfg[section][key] = [0.001] if section == "grid" else 2
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run(["gridsearch", "--config", path, "--out", out]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (out / "grid.csv").exists()
+
+
 def test_gridsearch_requires_synthetic_source(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"source": {"files": {"views": []}},

@@ -1,9 +1,11 @@
 """The Gram record a solve shares within each outer iteration.
 
 A solve forms the products with the views once per outer iteration and
-reads F, the projected gradient and the next W build from them; these
-tests pin that count and check that the record describes the factors the
-solve returns.
+reads F, the projected gradient and the next W build from them: 2 N per
+iteration, plus N for each step started from the extrapolated iterate
+and 2 N for each step redone from the plain one (PG, Ne and PANLS).
+These tests pin that count and check that the record describes the
+factors the solve returns.
 """
 import numpy as np
 import pytest
@@ -49,16 +51,27 @@ def count_view_products(problem) -> list:
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_two_products_with_each_view_per_outer_iteration(algorithm,
                                                          normalize):
-    counts = {}
+    counts, reports = {}, {}
     for iters in (3, 6):
         prob = weighted_problem()
         count = count_view_products(prob)
         cfg = SolverConfig(algorithm=algorithm, normalize_rows=normalize,
                            tolerance=1e-300, max_outer_iters=iters)
-        _, report = solve(prob, cfg, init_factors(prob, 0))
-        assert report.iterations == iters
+        _, reports[iters] = solve(prob, cfg, init_factors(prob, 0))
+        assert reports[iters].iterations == iters
         counts[iters] = count[0]
-    assert counts[6] - counts[3] == 3 * 2 * prob.n_views
+    n = prob.n_views
+    extrapolated = (reports[6].extrapolated_steps
+                    - reports[3].extrapolated_steps)
+    redone = reports[6].redone_steps - reports[3].redone_steps
+    if algorithm == "MUR":
+        assert extrapolated == redone == 0
+    else:
+        assert extrapolated > 0
+    # an extrapolated start's W build needs N more products, and a step
+    # redone from the plain iterate repeats the 2 N of a plain one
+    assert counts[6] - counts[3] == (3 * 2 * n + extrapolated * n
+                                     + redone * 2 * n)
 
 
 @pytest.mark.parametrize("normalize", [True, False])

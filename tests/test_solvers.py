@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import jmf.solvers
 from jmf import (Algorithm, ConstraintSet, DivergenceError, Factorization,
@@ -318,6 +322,77 @@ def test_solve_outputs_nonnegative_factors():
         fac, _ = solve(prob, cfg, init_factors(prob, 3))
         assert fac.W.min() >= 0
         assert all(h.min() >= 0 for h in fac.H)
+
+
+# ---------------------------------------------------------------------------
+# extrapolation of the outer iterate
+
+def d1_unweighted():
+    truth = generate(SyntheticSpec(dataset_id="D1", seed=0))
+    return new_problem(truth.to_dataset(), ConstraintSet.empty(),
+                       Hyperparameters(rank=truth.rank))
+
+
+@pytest.mark.parametrize("algorithm", ["PG", "PANLS"])
+def test_a_rising_extrapolated_step_is_redone(monkeypatch, algorithm):
+    # a first weight of 50 overshoots, so some extrapolated steps end
+    # above F_prev; at zero weights the rescale leaves F alone, so each
+    # of them is redone from the plain iterate
+    monkeypatch.setattr(jmf.solvers, "_EXTRAP_BETA", 50.0)
+    prob = d1_unweighted()
+    cfg = SolverConfig(algorithm=algorithm, max_outer_iters=30, **CFG)
+    fac, report = solve(prob, cfg, init_factors(prob, 0))
+    assert report.redone_steps > 0
+    assert report.extrapolated_steps == report.iterations - 1
+    objs = [p.objective for p in report.trace]
+    assert all(curr <= prev for prev, curr in zip(objs, objs[1:]))
+    assert report.final_objective == objective_value(prob, fac)
+
+
+def test_mur_is_not_extrapolated():
+    prob = make_problem(seed=2, lambda1=0.001, lambda2=0.001, gamma1=0.01,
+                        gamma2=0.01)
+    cfg = SolverConfig(algorithm="MUR", max_outer_iters=20, **CFG)
+    _, report = solve(prob, cfg, init_factors(prob, 0))
+    assert report.iterations > 1
+    assert report.extrapolated_steps == report.redone_steps == 0
+
+
+@st.composite
+def sparse_problems(draw):
+    """A small problem with no networks and random gamma1, gamma2."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    m = draw(st.integers(1, 8))
+    n = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    r = draw(st.integers(1, min(3, m, min(n))))
+    gammas = {k: draw(st.sampled_from([0.0, 1e-3, 0.1]))
+              for k in ("gamma1", "gamma2")}
+    rng = np.random.default_rng(seed)
+    prob = new_problem(MultiViewDataset([rng.random((m, ni)) for ni in n]),
+                       ConstraintSet.empty(),
+                       Hyperparameters(rank=r, **gammas))
+    return prob, draw(st.integers(0, 2**16))
+
+
+@given(sparse_problems(), st.sampled_from(["PG", "Ne", "PANLS"]))
+def test_extrapolated_solves_return_sound_factors(case, algorithm):
+    prob, init_seed = case
+    cfg = SolverConfig(algorithm=algorithm, max_outer_iters=40, **CFG)
+    init = init_factors(prob, init_seed)
+    try:
+        fac, report = solve(prob, cfg, init)
+    except DivergenceError as exc:
+        # on tiny data the unit-column rescale can lift F above its start
+        # when gamma > 0 (a 1 x 1 view at gamma1 = gamma2 = 0.1 does);
+        # plain steps, which a zero weight gives, stop with the same verdict
+        assert "above its start" in str(exc)
+        with mock.patch.object(jmf.solvers, "_EXTRAP_BETA", 0.0):
+            with pytest.raises(DivergenceError, match="above its start"):
+                solve(prob, cfg, init)
+        return
+    for a in (fac.W, *fac.H):
+        assert np.isfinite(a).all() and (a >= 0).all()
+    assert np.isfinite(report.final_objective)
 
 
 def test_rescale_preserves_products_and_unit_columns():
