@@ -23,9 +23,11 @@ quadratic's linear term) and wtx[I] = W^T X_I (the H_I quadratic's).  A
 solve fills it once per outer iteration and reads F, the projected
 gradient and the next W build from it, so it forms 2 N products with the
 views per iteration instead of recomputing them for each reader.  A step
-started from an extrapolated iterate forms N more, for the W build from
-it, and a step redone from the plain iterate 2 N more.  F's fit term
-comes from the trace identity
+redone from the plain iterate forms 2 N more.  A step started from an
+extrapolated iterate forms no full product more: its W build reads
+sum_I X_I H_I^T from the record of the two plain iterates before it and
+a product with the few columns of each X_I where the projection clipped
+an entry.  F's fit term comes from the trace identity
 
     sum_I ||X_I - W H_I||^2 = ||X||^2 - 2 <W, xht> + <W^T W, sum_I H_I H_I^T>
 
@@ -79,7 +81,10 @@ class Grams:
     """Products with the views shared within one outer iteration.
 
     ``xht`` is sum_I X_I H_I^T for the current H and ``wtx[I]`` is W^T X_I
-    for the current W; each must be renewed when its factor changes.
+    for the current W; each must be renewed when its factor changes.  A
+    solve renews ``xht`` with N products for a plain H, and for an
+    extrapolated one from the ``xht`` of the two plain H before it plus
+    the views' clipped columns (``solvers._extrapolated``).
     """
 
     xht: np.ndarray
@@ -191,26 +196,33 @@ def projected_gradient_norm(problem: Problem, factors: Factorization,
     return float(np.linalg.norm(norms))
 
 
-def spectral_norm(mat: np.ndarray, tol: float = 1e-8,
-                  max_iter: int = 1000) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix by power iteration."""
+def _power_iteration(mat: np.ndarray, tol: float = 1e-8,
+                     max_iter: int = 1000) -> tuple[float, np.ndarray]:
+    """Largest absolute eigenvalue of a symmetric matrix and a unit vector
+    that the power iteration reached for it."""
     n = mat.shape[0]
-    if n == 0:
-        return 0.0
     v = np.ones(n) + 1e-3 * np.arange(n)  # deterministic, not an eigvector
+    if n == 0:
+        return 0.0, v
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(max_iter):
         w = mat @ v
         norm = np.linalg.norm(w)
         if norm == 0:
-            return 0.0
+            return 0.0, v
         v_new = w / norm
         lam_new = float(abs(v_new @ (mat @ v_new)))
         if abs(lam_new - lam) <= tol * max(1.0, lam_new):
-            return lam_new
+            return lam_new, v_new
         v, lam = v_new, lam_new
-    return lam
+    return lam, v
+
+
+def spectral_norm(mat: np.ndarray, tol: float = 1e-8,
+                  max_iter: int = 1000) -> float:
+    """Largest absolute eigenvalue of a symmetric matrix by power iteration."""
+    return _power_iteration(mat, tol, max_iter)[0]
 
 
 def lipschitz_W(problem: Problem, factors: Factorization) -> float:
@@ -263,6 +275,22 @@ def _within_norm(problem: Problem, view: int) -> float:
     if view not in problem._within_norm:
         problem._within_norm[view] = spectral_norm(problem.within_sym(view))
     return problem._within_norm[view]
+
+
+def within_top(problem: Problem, view: int) -> tuple[np.ndarray, float]:
+    """v, the absolute value of S_I's unit top eigenvector, and v^T S_I v,
+    computed once per problem and view.
+
+    Any v >= 0 gives the H_I block the curvature
+    2 (M_kk + tau) ||v||^2 - lambda1 v^T S_I v along e_k v^T, a direction
+    that keeps H_I nonnegative; this v makes the second term about as
+    large as it can be, lambda1 ||S_I||_2 for S_I >= 0.
+    """
+    if view not in problem._within_top:
+        s = problem.within_sym(view)
+        v = np.abs(_power_iteration(s)[1])
+        problem._within_top[view] = (v, float(v @ (s @ v)))
+    return problem._within_top[view]
 
 
 @dataclass

@@ -14,7 +14,7 @@ from .model import (Algorithm, DivergenceError, Factorization, Problem,
 from .objective import (Grams, QuadSubproblem, h_subproblem, objective_value,
                         penalty_value, projected_gradient_norm,
                         projected_norm, reconstruction_error, view_products,
-                        w_subproblem)
+                        w_subproblem, within_top)
 
 _EPS = 1e-12  # multiplicative-update denominator guard
 _RISE_TOL = 1e-12  # a relative rise of F over its start beyond rounding
@@ -191,8 +191,10 @@ def mur_step_H(problem: Problem, factors: Factorization, view: int,
     """The paper's single multiplicative update of H_I: one ratio step on
     the H_I quadratic (see ``_mur_ratio``).  ``xprod`` is W^T X_I when the
     caller holds it.  ``solve`` repeats the step through
-    ``mur_subproblem`` instead."""
-    q, h = _build_quad(problem, factors, view, xprod=xprod)
+    ``mur_subproblem`` instead, which also checks that the quadratic is
+    bounded below."""
+    q = h_subproblem(problem, factors.W, factors.H, view, wtx=xprod)
+    h = factors.H[view]
     return _mur_ratio(q, h, -0.5 * q.g0, np.empty_like(h), np.empty_like(h))
 
 
@@ -407,13 +409,46 @@ def _panls_minimize(q: QuadSubproblem, x0: np.ndarray,
     return x, False
 
 
+def _check_bounded(problem: Problem, q: QuadSubproblem, view: int,
+                   h: np.ndarray) -> None:
+    """Raise ``DivergenceError`` when the H_I quadratic ``q`` falls without
+    bound along a ray h + t e_k v^T, t >= 0, which stays nonnegative.
+
+    v >= 0 is the absolute top eigenvector of S_I (``within_top``),
+    with ||v|| = 1.  Along the ray q has the curvature
+    2 (M_kk + tau) - lambda1 v^T S_I v and, at t = 0, the slope
+    <grad q(h), e_k v^T>; when both are negative q falls for every t.  A
+    negative curvature alone leaves q unbounded below, but h can still
+    sit beside a local minimum of the block, which the engines find.
+    """
+    m, s, lam1, tau = q.hess_mats
+    if s is None or not lam1:
+        return
+    v, vsv = within_top(problem, view)
+    own = 2.0 * (np.diag(m) + tau)
+    network = lam1 * vsv
+    k = int(np.argmin(own))
+    if own[k] >= network:
+        return
+    slope = float(q.grad(h)[k] @ v)
+    if slope < 0:
+        raise DivergenceError(
+            f"view {view}'s H block is unbounded below along e_{k} v^T, v "
+            f"the absolute top eigenvector of S_{view}: its curvature "
+            f"2 (M_kk + tau) ||v||^2 - lambda1 v^T S v = {own[k]:.6g} - "
+            f"{network:.6g} is negative at k = {k}, and so is its slope "
+            f"{slope:.6g}")
+
+
 def _build_quad(problem: Problem, factors: Factorization, target,
                 anchor: np.ndarray | None = None,
                 xprod: np.ndarray | None = None
                 ) -> tuple[QuadSubproblem, np.ndarray]:
     """The block's quadratic, proximal with weight ``_TAU`` about a given
     ``anchor``, and its current factor.  ``xprod`` is the block's product
-    with the views if the caller holds it: sum X_I H_I^T (W), W^T X_I (H_I)."""
+    with the views if the caller holds it: sum X_I H_I^T (W), W^T X_I (H_I).
+    An H_I quadratic that is unbounded below raises ``DivergenceError``
+    (``_check_bounded``)."""
     tau = 0.0 if anchor is None else _TAU
     if isinstance(target, str):
         if target.lower() != "w":
@@ -424,6 +459,7 @@ def _build_quad(problem: Problem, factors: Factorization, target,
     view = int(target)
     q = h_subproblem(problem, factors.W, factors.H, view, tau2=tau,
                      anchor=anchor, wtx=xprod)
+    _check_bounded(problem, q, view, factors.H[view])
     return q, factors.H[view]
 
 
@@ -527,13 +563,29 @@ def _outer_update(problem: Problem, config: SolverConfig,
     return exhausted
 
 
-def _extrapolated(factors: Factorization, prev: Factorization,
-                  beta: float) -> Factorization:
-    """max(0, X + beta (X - X_prev)) for W and each H_I: the point from
-    which an extrapolated outer step starts."""
-    w, *hs = [np.maximum(x + beta * (x - x_prev), 0.0) for x, x_prev in
-              zip((factors.W, *factors.H), (prev.W, *prev.H))]
-    return Factorization(w, hs)
+def _extrapolated(views, factors: Factorization, xht: np.ndarray,
+                  prev: Factorization, prev_xht: np.ndarray,
+                  beta: float) -> tuple[Factorization, np.ndarray]:
+    """max(0, X + beta (X - X_prev)) for W and each H_I, the point from
+    which an extrapolated outer step starts, and its sum_I X_I H_I^T.
+
+    ``xht`` and ``prev_xht`` are that sum for ``factors`` and ``prev``.
+    Before the projection, Y_I = H_I + beta (H_I - H_prev,I) has the sum
+    (1 + beta) xht - beta prev_xht.  The projection adds C_I >= 0 to Y_I,
+    and X_I C_I^T reads only the columns of X_I where C_I has an entry:
+    usually none, so the sum costs no pass over the views.
+    """
+    w = np.maximum(factors.W + beta * (factors.W - prev.W), 0.0)
+    gram = (1.0 + beta) * xht - beta * prev_xht
+    hs = []
+    for x, h, h_prev in zip(views, factors.H, prev.H):
+        y = h + beta * (h - h_prev)
+        hs.append(np.maximum(y, 0.0))
+        clipped = np.flatnonzero((y < 0.0).any(axis=0))
+        if clipped.size:
+            gram += x[:, clipped] @ (hs[-1][:, clipped]
+                                     - y[:, clipped]).T
+    return Factorization(w, hs), gram
 
 
 def solve(problem: Problem, config: SolverConfig,
@@ -546,14 +598,20 @@ def solve(problem: Problem, config: SolverConfig,
 
     PG, Ne and PANLS start each outer iteration after the first from the
     extrapolated iterate max(0, X_k + beta (X_k - X_k-1)) of every factor
-    (A. Ang and N. Gillis, Neural Computation 31(2), 2019), whose W build
-    needs N more products.  beta grows after a step that lowers F and
-    shrinks after one that raises it.  A step that raises F is redone
-    from the plain iterate, 2 N products more, unless F before the
-    rescale did not rise; then the step stays and the next one starts
-    plain.  F, the projected gradient, the stop rules, the trace and the
-    returned factors read only the plain iterates.  MUR keeps the plain
-    loop: a ratio step cannot revive an entry the projection set to 0.
+    (A. Ang and N. Gillis, Neural Computation 31(2), 2019).  Its W build
+    reads the sum X_I H_I^T from those of the two plain iterates, plus a
+    product with the views' columns where the projection clipped an
+    entry (``_extrapolated``), so it forms no full product with a view.
+    beta grows after a step that lowers F and shrinks after one that
+    raises it.  A step that raises F is redone from the plain iterate,
+    2 N products more, unless F before the rescale did not rise; then the
+    step stays and the next one starts plain.  F, the projected gradient,
+    the stop rules, the trace and the returned factors read only the
+    plain iterates.  MUR keeps the plain loop: a ratio step cannot revive
+    an entry the projection set to 0.
+
+    An H_I block whose quadratic falls without bound from the current
+    H_I raises ``DivergenceError`` when it is built (``_check_bounded``).
     """
     if init.W.shape != (problem.m, problem.rank):
         raise ValueError("initial W does not match the problem shapes")
@@ -572,8 +630,9 @@ def solve(problem: Problem, config: SolverConfig,
     f_prev = f_init
     exhausted = extrapolated = redone = 0
     accelerated = config.algorithm is not Algorithm.MUR
-    # the plain iterate before ``factors`` when the next step extrapolates
-    prev = None
+    # the plain iterate before ``factors`` and its sum X_I H_I^T, when the
+    # next step extrapolates
+    prev = prev_xht = None
     beta, beta_bar = _EXTRAP_BETA, _EXTRAP_BETA_BAR
     start = time.perf_counter()
     for it in range(1, config.max_outer_iters + 1):
@@ -583,15 +642,19 @@ def solve(problem: Problem, config: SolverConfig,
             extrapolate, kept_rise = prev is not None, False
             while True:
                 if extrapolate:
-                    step = _extrapolated(factors, prev, beta)
-                    step_grams = Grams(view_products(views, step.H),
-                                       [None] * len(views))
+                    step, xht = _extrapolated(views, factors, grams.xht,
+                                              prev, prev_xht, beta)
+                    step_grams = Grams(xht, [None] * len(views))
                     extrapolated += 1
                 else:
                     step = Factorization(factors.W, factors.H)
                     step_grams = Grams(grams.xht, [None] * len(views))
-                exhausted += _outer_update(problem, config, step,
-                                           step_grams)
+                try:
+                    exhausted += _outer_update(problem, config, step,
+                                               step_grams)
+                except DivergenceError as err:  # an unbounded H_I block
+                    raise DivergenceError(
+                        f"{err} at outer iteration {it}", trace) from None
                 # an extrapolated step that overflows is redone below
                 if not extrapolate and not (
                         np.isfinite(step.W).all()
@@ -629,7 +692,8 @@ def solve(problem: Problem, config: SolverConfig,
                 f"non-finite projected-gradient norm at outer iteration {it}",
                 trace)
         # after a kept rise the next step starts plain
-        prev = factors if accelerated and not kept_rise else None
+        prev, prev_xht = ((factors, grams.xht) if accelerated
+                          and not kept_rise else (None, None))
         factors, grams = step, step_grams
         if config.stop_rule is StopRule.OBJECTIVE_RATIO:
             reason = (Termination.TOLERANCE_MET if check_stop_objective(

@@ -2,10 +2,12 @@
 
 A solve forms the products with the views once per outer iteration and
 reads F, the projected gradient and the next W build from them: 2 N per
-iteration, plus N for each step started from the extrapolated iterate
-and 2 N for each step redone from the plain one (PG, Ne and PANLS).
-These tests pin that count and check that the record describes the
-factors the solve returns.
+iteration, plus 2 N for each step redone from the plain iterate (PG, Ne
+and PANLS).  A step started from the extrapolated iterate reads its W
+build's sum X_I H_I^T from those of the two plain iterates and forms a
+product only with the columns of X_I where the projection clipped an
+entry of H_I.  These tests pin those counts and check that the record
+describes the factors the solve returns.
 """
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ from jmf import (ConstraintSet, Factorization, Hyperparameters,
                  MultiViewDataset, SolverConfig, init_factors, new_problem,
                  objective_value, projected_gradient_norm,
                  reconstruction_error, solve)
+import jmf.solvers
 from jmf.objective import FIT_FLOOR, Grams, view_products
-from jmf.solvers import _rescale
+from jmf.solvers import _extrapolated, _rescale
 from oracles import make_problem, naive_objective
 
 ALGORITHMS = ["MUR", "PG", "Ne", "PANLS"]
@@ -28,50 +31,96 @@ def weighted_problem():
                         lambda2=1e-3, gamma1=1e-2, gamma2=1e-2)
 
 
-def count_view_products(problem) -> list:
-    """Make every matrix product with a view add one to the returned
-    counter.  ``MultiViewDataset`` copies its inputs into plain arrays, so
-    the counting views replace them on the built problem."""
-    count = [0]
+def count_view_products(problem) -> dict:
+    """Record every matrix product with a view in the returned dict:
+    ``full`` counts those with a whole view, and ``columns`` lists
+    (view, column indices) for each product with columns taken from a
+    view by ``x[:, cols]``.  ``MultiViewDataset`` copies its inputs into
+    plain arrays, so the counting views replace them on the built
+    problem."""
+    count = {"full": 0, "columns": []}
+
+    def plain(inputs):
+        return [a.view(np.ndarray) if isinstance(a, np.ndarray) else a
+                for a in inputs]
+
+    class Columns(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                count["columns"].append(self.taken)
+            return getattr(ufunc, method)(*plain(inputs), **kwargs)
 
     class CountedView(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
             if ufunc is np.matmul:
-                count[0] += 1
-            plain = [a.view(np.ndarray) if isinstance(a, CountedView) else a
-                     for a in inputs]
-            return getattr(ufunc, method)(*plain, **kwargs)
+                count["full"] += 1
+            return getattr(ufunc, method)(*plain(inputs), **kwargs)
 
-    problem.dataset.views = tuple(x.view(CountedView)
-                                  for x in problem.dataset.views)
+        def __getitem__(self, key):
+            part = self.view(np.ndarray)[key]
+            if not (isinstance(key, tuple) and key[0] == slice(None)):
+                return part
+            part = part.view(Columns)
+            part.taken = (self.index, tuple(np.asarray(key[1]).tolist()))
+            return part
+
+    views = []
+    for i, x in enumerate(problem.dataset.views):
+        views.append(x.view(CountedView))
+        views[-1].index = i
+    problem.dataset.views = tuple(views)
     return count
+
+
+def record_clipped_columns(monkeypatch) -> list:
+    """Record, for each extrapolated start, (view, columns of H_I + beta
+    (H_I - H_prev,I) with a negative entry) for every view that has one:
+    the columns the projection clips."""
+    clipped = []
+    real = jmf.solvers._extrapolated
+
+    def recording(views, factors, xht, prev, prev_xht, beta):
+        for i, (h, h_prev) in enumerate(zip(factors.H, prev.H)):
+            cols = np.flatnonzero((h + beta * (h - h_prev) < 0).any(axis=0))
+            if cols.size:
+                clipped.append((i, tuple(cols.tolist())))
+        return real(views, factors, xht, prev, prev_xht, beta)
+
+    monkeypatch.setattr(jmf.solvers, "_extrapolated", recording)
+    return clipped
 
 
 @pytest.mark.parametrize("normalize", [True, False])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_two_products_with_each_view_per_outer_iteration(algorithm,
-                                                         normalize):
-    counts, reports = {}, {}
+def test_two_products_with_each_view_per_outer_iteration(
+        monkeypatch, algorithm, normalize):
+    clipped = record_clipped_columns(monkeypatch)
+    counts, reports, columns = {}, {}, {}
     for iters in (3, 6):
         prob = weighted_problem()
         count = count_view_products(prob)
+        clipped.clear()
         cfg = SolverConfig(algorithm=algorithm, normalize_rows=normalize,
                            tolerance=1e-300, max_outer_iters=iters)
         _, reports[iters] = solve(prob, cfg, init_factors(prob, 0))
         assert reports[iters].iterations == iters
-        counts[iters] = count[0]
+        counts[iters] = count["full"]
+        # the only partial products read exactly the clipped columns
+        assert count["columns"] == clipped
+        columns[iters] = len(clipped)
     n = prob.n_views
     extrapolated = (reports[6].extrapolated_steps
                     - reports[3].extrapolated_steps)
     redone = reports[6].redone_steps - reports[3].redone_steps
     if algorithm == "MUR":
         assert extrapolated == redone == 0
+        assert columns[6] == 0
     else:
         assert extrapolated > 0
-    # an extrapolated start's W build needs N more products, and a step
-    # redone from the plain iterate repeats the 2 N of a plain one
-    assert counts[6] - counts[3] == (3 * 2 * n + extrapolated * n
-                                     + redone * 2 * n)
+        assert columns[6] > columns[3]
+    # an extrapolated start forms no product with a whole view, and a
+    # step redone from the plain iterate repeats the 2 N of a plain one
+    assert counts[6] - counts[3] == 3 * 2 * n + redone * 2 * n
 
 
 @pytest.mark.parametrize("normalize", [True, False])
@@ -197,3 +246,52 @@ def test_objective_matches_the_naive_loops(case):
     assert objective_value(prob, fac) == pytest.approx(
         naive_objective(prob, fac), rel=1e-10,
         abs=1e-12 * magnitude(prob, fac))
+
+
+@st.composite
+def extrapolations(draw):
+    """Views, two plain iterates and beta, with the previous iterate drawn
+    so that the projection clips no entry, every entry or some."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    m = draw(st.integers(1, 8))
+    n = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    r = draw(st.integers(1, 3))
+    clip = draw(st.sampled_from(["none", "all", "some"]))
+    # beta = 0 keeps every entry: none can be clipped
+    beta = draw(st.sampled_from([0.5, 1.0] if clip == "all"
+                                else [0.0, 0.5, 1.0]))
+    rng = np.random.default_rng(seed)
+    views = [rng.random((m, ni)) for ni in n]
+    hs = [rng.random((r, ni)) for ni in n]
+    if clip == "none":  # H_prev <= H, so H + beta (H - H_prev) >= H
+        prevs = [h * rng.random(h.shape) for h in hs]
+    elif clip == "all":  # H_prev > (1 + beta) H / beta
+        prevs = [(1.0 + beta) / beta * h + 0.1 + rng.random(h.shape)
+                 for h in hs]
+    else:
+        prevs = [2.0 * rng.random(h.shape) for h in hs]
+    w = rng.random((m, r))
+    return (views, Factorization(w, hs),
+            Factorization(rng.random((m, r)), prevs), beta, clip)
+
+
+@given(extrapolations())
+def test_extrapolated_gram_matches_a_full_product(case):
+    views, fac, prev, beta, clip = case
+    step, gram = _extrapolated(views, fac, view_products(views, fac.H),
+                               prev, view_products(views, prev.H), beta)
+    for x, x_prev, got in zip((fac.W, *fac.H), (prev.W, *prev.H),
+                              (step.W, *step.H)):
+        np.testing.assert_array_equal(
+            got, np.maximum(x + beta * (x - x_prev), 0.0))
+    if clip == "none":
+        assert all(np.all(h > 0) for h in step.H)
+    elif clip == "all":
+        assert all(not np.any(h) for h in step.H)
+    # the sum is formed from the plain iterates' sums, whose terms are of
+    # the size ||X|| (||H|| + ||H_prev||) even when every entry is clipped
+    scale = sum(np.linalg.norm(x) * (np.linalg.norm(h) + np.linalg.norm(hp)
+                                     + np.linalg.norm(hh))
+                for x, h, hp, hh in zip(views, fac.H, prev.H, step.H))
+    np.testing.assert_allclose(gram, view_products(views, step.H), rtol=0,
+                               atol=1e-12 * scale)

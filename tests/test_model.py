@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from jmf import (ConstraintSet, Factorization, Hyperparameters,
-                 MultiViewDataset, init_factors, new_problem)
+                 MultiViewDataset, SolverConfig, init_factors, new_problem,
+                 solve)
 from oracles import make_problem
 
 
@@ -20,6 +21,55 @@ def test_dataset_is_immutable():
     d = MultiViewDataset([np.ones((2, 2))])
     with pytest.raises(ValueError):
         d.views[0][0, 0] = 5.0
+
+
+# the layouts a caller's matrix arrives in: relabelled columns and pandas
+# frames give column-major arrays
+LAYOUTS = {
+    "column-major": lambda a: np.asfortranarray(a),
+    "transposed": lambda a: np.ascontiguousarray(a.T).T,
+    "fancy-indexed": lambda a: a[:, ::-1][:, np.arange(a.shape[1])[::-1]],
+}
+
+
+def stored_as_given(stored, given) -> None:
+    assert stored.flags.c_contiguous and not stored.flags.writeable
+    assert not np.shares_memory(stored, given)
+    np.testing.assert_array_equal(stored, given)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_inputs_are_stored_row_major_and_read_only(layout):
+    rng = np.random.default_rng(5)
+    view = LAYOUTS[layout](rng.random((7, 4)))
+    within = LAYOUTS[layout](rng.random((4, 4)))
+    between = LAYOUTS[layout](rng.random((4, 3)))
+    assert not view.flags.c_contiguous
+    stored_as_given(MultiViewDataset([view]).views[0], view)
+    cons = ConstraintSet(within={0: [within]}, between={(0, 1): between})
+    stored_as_given(cons.within[0][0], within)
+    stored_as_given(cons.between[(0, 1)], between)
+
+
+@pytest.mark.parametrize("algorithm", ["PG", "PANLS"])
+def test_column_major_data_solve_like_row_major_data(algorithm):
+    prob = make_problem(seed=6, m=20, n=(9, 12), r=3, lambda1=1e-3,
+                        lambda2=1e-3, gamma1=1e-2, gamma2=1e-2)
+    reports = []
+    for order in ("C", "F"):
+        cons = prob.constraints
+        data = MultiViewDataset([np.asarray(x, order=order)
+                                 for x in prob.dataset.views])
+        other = new_problem(data, ConstraintSet(
+            within={i: [np.asarray(t, order=order) for t in ts]
+                    for i, ts in cons.within.items()},
+            between={k: np.asarray(r, order=order)
+                     for k, r in cons.between.items()}), prob.params)
+        cfg = SolverConfig(algorithm=algorithm, max_outer_iters=200)
+        reports.append(solve(other, cfg, init_factors(other, 0))[1])
+    assert reports[0].iterations == reports[1].iterations
+    assert reports[1].final_objective == pytest.approx(
+        reports[0].final_objective, rel=1e-9, abs=0)
 
 
 def test_new_problem_identity_case():

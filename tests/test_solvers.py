@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,8 @@ from jmf import (Algorithm, ConstraintSet, DivergenceError, Factorization,
                  Hyperparameters, MultiViewDataset, SolverConfig, StopRule,
                  SyntheticSpec, Termination, generate, init_factors,
                  new_problem, objective_value, reconstruction_error, solve)
-from jmf.objective import h_subproblem, w_subproblem
+from jmf.objective import (h_subproblem, spectral_norm, w_subproblem,
+                           within_top)
 from jmf.solvers import (StopState, _rescale, check_stop_gradient,
                          check_stop_objective, mur_step_H, mur_step_W,
                          ne_subproblem, panls_subproblem, pg_subproblem)
@@ -347,6 +349,85 @@ def test_a_rising_extrapolated_step_is_redone(monkeypatch, algorithm):
     objs = [p.objective for p in report.trace]
     assert all(curr <= prev for prev, curr in zip(objs, objs[1:]))
     assert report.final_objective == objective_value(prob, fac)
+
+
+def two_node_problem(lambda1: float, x: list, w: list,
+                     h: list) -> tuple:
+    """One view whose network joins its two columns: S = [[0, 1], [1, 0]],
+    top eigenvector v = (1, 1) / sqrt 2 with v^T S v = 1."""
+    prob = new_problem(MultiViewDataset([np.array(x)]),
+                       ConstraintSet(within={0: [np.array([[0.0, 1.0],
+                                                           [0.0, 0.0]])]}),
+                       Hyperparameters(rank=len(h), lambda1=lambda1))
+    return prob, Factorization(np.array(w), [np.array(h)])
+
+
+def update_h0(algorithm: str, prob, fac) -> np.ndarray:
+    """The configured algorithm's update of H_0, as ``solve`` makes it."""
+    cfg = SolverConfig(algorithm=algorithm)
+    return jmf.solvers._block_step(prob, cfg, fac, 0, None)[0]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_an_unbounded_h_block_raises_at_its_build(algorithm):
+    # at W = 0.5 the curvature along e_0 v^T is 2 * (0.25 + tau) - lambda1
+    # (tau = 1e-3 for PANLS), and the slope at H = (1, 1) is negative
+    tau = jmf.solvers._TAU if algorithm == "PANLS" else 0.0
+    lam1 = 0.49 + 2 * tau
+    prob, fac = two_node_problem(lam1, [[1.0, 2.0]], [[0.5]], [[1.0, 1.0]])
+    assert np.all(update_h0(algorithm, prob, fac) >= 0)
+    lam1 = 0.51 + 2 * tau
+    prob, fac = two_node_problem(lam1, [[1.0, 2.0]], [[0.5]], [[1.0, 1.0]])
+    with pytest.raises(DivergenceError,
+                       match=rf"view 0's H block is unbounded below along "
+                             rf"e_0 v\^T.* = {0.5 + 2 * tau:g} - {lam1:g} "
+                             rf"is negative at k = 0, and so is its slope -"):
+        update_h0(algorithm, prob, fac)
+    # the paper's single multiplicative step does not check
+    assert np.all(mur_step_H(prob, fac, 0) >= 0)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_rising_ray_with_negative_curvature_does_not_raise(algorithm):
+    # the same curvature along e_0 v^T, but W's second column couples
+    # H's rows and makes the slope there positive: the block can have a
+    # local minimum beside H, and the engines look for it
+    prob, fac = two_node_problem(0.52, [[0.1, 0.1], [0.1, 0.1]],
+                                 [[0.5, 3.0], [0.0, 0.0]],
+                                 [[0.0, 0.0], [1.0, 1.0]])
+    q = h_subproblem(prob, fac.W, fac.H, 0)
+    v = np.full(2, np.sqrt(0.5))
+    assert float(q.grad(fac.H[0])[0] @ v) > 0
+    assert np.all(update_h0(algorithm, prob, fac) >= 0)
+
+
+@pytest.mark.parametrize("algorithm", ["MUR", "PANLS"])
+def test_d1_at_lambda1_0_1_names_its_unbounded_block(algorithm):
+    # the benchmark's lambda1 = 0.1 cells: MUR used to end ToleranceMet
+    # with F near -9e60 to -8e116
+    truth = generate(SyntheticSpec("D1", seed=0))
+    prob = new_problem(truth.to_dataset(), truth.constraints,
+                       Hyperparameters(rank=truth.rank, lambda1=0.1,
+                                       lambda2=1e-3, gamma1=1e-4,
+                                       gamma2=0.01))
+    with pytest.raises(DivergenceError,
+                       match=r"view \d's H block is unbounded below") as err:
+        solve(prob, SolverConfig(algorithm=algorithm),
+              init_factors(prob, 0))
+    own, network, slope = (float(a) for a in re.search(
+        r"= (\S+) - (\S+) is negative.* slope (\S+) at outer "
+        r"iteration 2$",
+        str(err.value)).groups())
+    assert own < network and slope < 0
+    view = int(re.match(r"view (\d)", str(err.value)).group(1))
+    v, vsv = within_top(prob, view)
+    assert network == pytest.approx(0.1 * vsv, rel=1e-5)
+    # v is a unit vector, and v^T S v comes within the power iteration's
+    # tolerance of its bound ||S_I||_2
+    assert np.all(v >= 0) and np.linalg.norm(v) == pytest.approx(1.0)
+    assert vsv == pytest.approx(spectral_norm(prob.within_sym(view)),
+                                rel=1e-6)
+    assert len(err.value.trace) == 1
 
 
 def test_mur_is_not_extrapolated():
