@@ -213,19 +213,17 @@ class Problem:
         self.constraints = constraints
         self.params = params
         self._within_sym: dict[int, np.ndarray | None] = {}
-        # ||within_sym(view)||_2, filled on first use by the objective layer
-        self._within_norm: dict[int, float] = {}
-        # S_I's absolute unit top eigenvector v and v^T S_I v, likewise
+        # S_I's absolute unit top eigenvector v and v^T S_I v = ||S_I||_2,
+        # filled on first use by the objective layer
         self._within_top: dict[int, tuple[np.ndarray, float]] = {}
         self._x_sqnorm = tuple(float(np.sum(v * v)) for v in dataset.views)
 
     def with_params(self, params: Hyperparameters) -> Problem:
         """The same data and constraints under ``params``, sharing the
-        caches that do not depend on the weights: S_I, ||S_I||_2, S_I's
-        top eigenvector and ||X_I||^2."""
+        caches that do not depend on the weights: S_I, S_I's top
+        eigenvector and ||S_I||_2, and ||X_I||^2."""
         other = Problem(self.dataset, self.constraints, params)
         other._within_sym = self._within_sym
-        other._within_norm = self._within_norm
         other._within_top = self._within_top
         other._x_sqnorm = self._x_sqnorm
         return other

@@ -41,7 +41,6 @@ accurate and an exact factorization at 0.0.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -270,21 +269,17 @@ def _lambda_max(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(mat)[-1])
 
 
-def _within_norm(problem: Problem, view: int) -> float:
-    """||S_I||_2 of the view's summed within-constraints, computed once."""
-    if view not in problem._within_norm:
-        problem._within_norm[view] = spectral_norm(problem.within_sym(view))
-    return problem._within_norm[view]
-
-
 def within_top(problem: Problem, view: int) -> tuple[np.ndarray, float]:
     """v, the absolute value of S_I's unit top eigenvector, and v^T S_I v,
     computed once per problem and view.
 
-    Any v >= 0 gives the H_I block the curvature
+    Constraint matrices are nonnegative, so the power iteration's iterates
+    stay nonnegative: v is its last iterate, and v^T S_I v is bit for bit
+    ``spectral_norm(S_I)``, the ||S_I||_2 of Ne's step size.  Any v >= 0
+    gives the H_I block the curvature
     2 (M_kk + tau) ||v||^2 - lambda1 v^T S_I v along e_k v^T, a direction
     that keeps H_I nonnegative; this v makes the second term about as
-    large as it can be, lambda1 ||S_I||_2 for S_I >= 0.
+    large as it can be, lambda1 ||S_I||_2.
     """
     if view not in problem._within_top:
         s = problem.within_sym(view)
@@ -315,7 +310,7 @@ class QuadSubproblem:
 
     ``lipschitz()`` is computed on request: 2 lambda_max of the r x r
     matrix (plus 2 tau2 and lambda1 ||S||_2 for kind "h").  ``s_norm``
-    supplies ||S||_2, which the builder caches per problem and view.
+    supplies ||S||_2, cached per problem and view by ``within_top``.
     """
 
     hess_mats: tuple
@@ -402,4 +397,4 @@ def h_subproblem(problem: Problem, W: np.ndarray, H: list[np.ndarray],
     if tau2 and anchor is not None:
         g0 -= 2.0 * tau2 * anchor
     return QuadSubproblem((m, problem.within_sym(view), p.lambda1, tau2), g0,
-                          "h", functools.partial(_within_norm, problem, view))
+                          "h", lambda: within_top(problem, view)[1])

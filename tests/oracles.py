@@ -377,3 +377,36 @@ def ref_panls_minimize(q: QuadSubproblem, x0: np.ndarray,
             direction = resid_new + (rr_new / rr) * direction
             resid, rr = resid_new, rr_new
     return x
+
+
+# ---------------------------------------------------------------------------
+# nonnegative least squares by enumeration of the passive sets
+
+def ref_nnls(c: np.ndarray, b: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+    """The minimizer of 1/2 x^T C x - b^T x over x >= 0, C positive
+    definite, for one vector b: the one KKT point among all 2^r passive
+    sets.
+
+    A passive set P gives x_P = C_PP^-1 b_P and x = 0 off P.  It is the
+    KKT point when x_P >= 0 and the gradient y = C x - b is >= 0 off P,
+    both up to ``rtol`` times the size of the terms that form them.
+    Every passive set that passes must give the same point.
+    """
+    r = len(b)
+    points = []
+    for bits in itertools.product((False, True), repeat=r):
+        p = [i for i in range(r) if bits[i]]
+        x = np.zeros(r)
+        if p:
+            x[p] = np.linalg.solve(c[np.ix_(p, p)], b[p])
+        y = c @ x - b
+        size = np.abs(c) @ np.abs(x) + np.abs(b)
+        if (all(x[i] >= -rtol * np.abs(x).max() for i in p)
+                and all(y[i] >= -rtol * size[i]
+                        for i in range(r) if i not in p)):
+            points.append(x)
+    assert points, "no passive set meets the KKT conditions"
+    for x in points[1:]:
+        np.testing.assert_allclose(x, points[0], rtol=1e-6,
+                                   atol=1e-9 * np.abs(points[0]).max())
+    return points[0]

@@ -150,15 +150,15 @@ def test_solve_parallel_matches_serial(tmp_path, monkeypatch):
 
 def test_run_all_keeps_the_weight_free_caches(monkeypatch):
     # S_I and ||S_I||_2 do not depend on the weights, so the serial runs
-    # of two cells x two seeds compute each view's norm once
+    # of two cells x two seeds run each view's power iteration once
     calls = []
-    norm = jmf.objective.spectral_norm
+    power = jmf.objective._power_iteration
 
-    def counted(mat):
+    def counted(mat, *args):
         calls.append(mat.shape)
-        return norm(mat)
+        return power(mat, *args)
 
-    monkeypatch.setattr(jmf.objective, "spectral_norm", counted)
+    monkeypatch.setattr(jmf.objective, "_power_iteration", counted)
     problem = make_problem(seed=3, m=8, n=(5, 6), r=2)
     tasks = [(Hyperparameters(rank=2, lambda1=l1, lambda2=1e-3),
               SolverConfig(algorithm="Ne", max_outer_iters=3, seed=s))

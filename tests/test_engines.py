@@ -4,9 +4,11 @@ The projected engines (PG, Ne, PANLS) must follow the reference copies in
 ``oracles.py`` (equal in exact arithmetic), the branch-free projection and
 the doubled Hessian operator must agree with the forms they replaced, the
 product counts per step are pinned, and an exhausted step-size search is
-reported.  The MUR engine's first step is the paper's single update, its
-repeated steps never raise the block quadratic, and its inner stop keeps
-to Gillis and Glineur's rule.
+reported.  PANLS's exact solve of a block that splits into small NNLS
+problems must reach the one KKT point that enumerating the passive sets
+finds (``ref_nnls``).  The MUR engine's first step is the paper's single
+update, its repeated steps never raise the block quadratic, and its inner
+stop keeps to Gillis and Glineur's rule.
 """
 import math
 
@@ -16,15 +18,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import jmf.solvers
-from jmf import SolverConfig, init_factors, solve
+from jmf import (Hyperparameters, SolverConfig, SyntheticSpec, generate,
+                 init_factors, new_problem, solve)
 from jmf.objective import (QuadSubproblem, _projected, h_subproblem,
                            projected_norm, w_subproblem)
-from jmf.solvers import (_MUR_ALPHA, _MUR_DELTA, _mur_minimize, _mur_rho,
-                         _ne_minimize, _panls_minimize, _pg_minimize,
-                         mur_step_H, mur_step_W, mur_subproblem,
-                         panls_subproblem, pg_subproblem)
+from jmf.solvers import (_MUR_ALPHA, _MUR_DELTA, _build_quad,
+                         _mur_minimize, _mur_rho, _ne_minimize, _nnls_bpp,
+                         _panls_minimize, _pg_minimize, mur_step_H,
+                         mur_step_W, mur_subproblem, panls_subproblem,
+                         pg_subproblem)
 from oracles import (make_problem, random_factors, ref_ne_minimize,
-                     ref_panls_minimize, ref_pg_minimize, ref_pgn,
+                     ref_nnls, ref_panls_minimize, ref_pg_minimize, ref_pgn,
                      ref_settings)
 
 TAU = 1e-2
@@ -222,28 +226,43 @@ def overshooting(monkeypatch, algorithm):
                         tolerance=1e-300, normalize_rows=False)
 
 
+def searched_problem(lambda1=1e-3):
+    # lambda1 S_I couples each H_I block's columns, so PANLS searches for
+    # a step there; its W blocks split by rows and solve exactly
+    return make_problem(seed=3, m=10, n=(6, 8), r=2, lambda1=lambda1,
+                        gamma1=0.1)
+
+
 @pytest.mark.parametrize("algorithm", ["PG", "PANLS"])
 def test_exhausted_searches_are_counted(monkeypatch, algorithm):
-    prob = make_problem(seed=3, m=10, n=(6, 8), r=2, gamma1=0.1)
+    prob = searched_problem()
     init = init_factors(prob, 0)
     final, report = solve(prob, overshooting(monkeypatch, algorithm), init)
-    blocks = 1 + prob.n_views
-    assert report.exhausted_searches == blocks * report.iterations
-    # an exhausted first search leaves every block where it was
-    assert np.array_equal(final.W, init.W)
+    searched = prob.n_views + (algorithm == "PG")
+    assert report.exhausted_searches == searched * report.iterations
+    # an exhausted first search leaves every searched block where it was
     assert all(np.array_equal(a, b) for a, b in zip(final.H, init.H))
+    assert np.array_equal(final.W, init.W) == (algorithm == "PG")
 
 
 @pytest.mark.parametrize("algorithm", ["PG", "PANLS"])
 def test_subproblem_returns_the_exhaustion_flag(monkeypatch, algorithm):
-    prob = make_problem(seed=3, m=10, n=(6, 8), r=2, gamma1=0.1)
+    prob = searched_problem()
     fac = random_factors(prob, seed=1)
     cfg = overshooting(monkeypatch, algorithm)
     if algorithm == "PG":
-        w, flag = pg_subproblem(prob, fac, "w", cfg)
+        x, flag = pg_subproblem(prob, fac, "w", cfg)
+        start = fac.W
     else:
-        w, flag = panls_subproblem(prob, fac, "w", cfg, fac.W)
-    assert flag and np.array_equal(w, fac.W)
+        x, flag = panls_subproblem(prob, fac, 1, cfg, fac.H[1])
+        start = fac.H[1]
+        # a block that splits has no search to exhaust
+        separable = searched_problem(lambda1=0.0)
+        for target, anchor in [("w", fac.W), (1, fac.H[1])]:
+            moved, no_flag = panls_subproblem(separable, fac, target, cfg,
+                                              anchor)
+            assert not no_flag and not np.array_equal(moved, anchor)
+    assert flag and np.array_equal(x, start)
     monkeypatch.undo()  # back to the default search
     _, flag = pg_subproblem(prob, fac, "w", SolverConfig(algorithm="PG"))
     assert not flag
@@ -256,6 +275,142 @@ def test_default_solves_report_no_exhaustion(algorithm):
                                          max_outer_iters=20),
                       init_factors(prob, 0))
     assert report.exhausted_searches == 0
+
+
+# ---------------------------------------------------------------------------
+# exact solves of the blocks that split into small NNLS problems
+
+
+def nnls_case(r, seed=0):
+    """A random positive definite C and right-hand sides whose minimizers
+    are mixed (columns 0-11), 0 (b = 0, then b <= 0), interior (b = C x,
+    x > 0, columns 14-33: twenty columns that share one passive set) and
+    degenerate (b = C x, x >= 0 with zeros, where the gradient is 0 as
+    well)."""
+    rng = np.random.default_rng([r, seed])
+    basis, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    c = basis @ np.diag(np.geomspace(0.5, 50.0, r)) @ basis.T
+    b = np.column_stack([rng.standard_normal((r, 12)),
+                         np.zeros(r), -rng.random(r),
+                         c @ (1.0 + rng.random((r, 20))),
+                         c @ np.maximum(rng.standard_normal((r, 12)), 0.0)])
+    return c, b
+
+
+def warm_start(kind, c, b, rng):
+    if kind == "zero":
+        return np.zeros_like(b)
+    if kind == "wrong":
+        # positive exactly where each minimizer is 0, and the reverse
+        exact = np.column_stack([ref_nnls(c, col) for col in b.T])
+        return np.where(exact > 0, 0.0, 1.0)
+    return rng.standard_normal(b.shape)
+
+
+def assert_matches_enumeration(c, b, x):
+    assert x.min() >= 0
+    for col, got in zip(b.T, x.T):
+        want = ref_nnls(c, col)
+        np.testing.assert_allclose(got, want, rtol=1e-9,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("start", ["zero", "wrong", "random"])
+@pytest.mark.parametrize("r", range(1, 7))
+def test_bpp_matches_the_enumerated_kkt_point(r, start):
+    for seed in range(3):
+        c, b = nnls_case(r, seed)
+        rng = np.random.default_rng(seed)
+        x0 = warm_start(start, c, b, rng)
+        x, solved = _nnls_bpp(c, b, x0)
+        assert solved
+        assert_matches_enumeration(c, b, x)
+        assert np.all(x[:, 12:14] == 0.0)  # b = 0 and b <= 0
+        assert np.all(x[:, 14:34] > 0)  # interior
+        # one column alone reaches the same point
+        for j in (0, 14):
+            one, solved = _nnls_bpp(c, b[:, j:j + 1], x0[:, j:j + 1])
+            assert solved
+            assert_matches_enumeration(c, b[:, j:j + 1], one)
+
+
+def test_bpp_accepts_a_block_without_columns():
+    c, _ = nnls_case(3)
+    x, solved = _nnls_bpp(c, np.zeros((3, 0)), np.zeros((3, 0)))
+    assert solved and x.shape == (3, 0)
+
+
+@pytest.mark.parametrize("seed", [14726, 19199, 19708])
+def test_bpp_backup_rule_ends_a_full_exchange_cycle(monkeypatch, seed):
+    # blocks found by search on which full exchanges alone cycle, also
+    # with b moved by 1e-6: the cycle is not a rounding artefact
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(2, 8))
+    a = rng.standard_normal((r, r))
+    c, b = a.T @ a + 1e-3 * np.eye(r), rng.standard_normal((r, 1))
+    x, solved = _nnls_bpp(c, b, np.zeros_like(b))
+    assert solved
+    assert_matches_enumeration(c, b, x)
+    monkeypatch.setattr(jmf.solvers, "_BPP_P_BAR", 10**9)
+    assert not _nnls_bpp(c, b, np.zeros_like(b))[1]
+
+
+def test_bpp_round_cap_hands_the_block_to_panls(monkeypatch):
+    prob = make_problem(seed=4, m=12, n=(7, 9), r=3, lambda2=1e-3,
+                        gamma1=1e-2, gamma2=1e-2)
+    fac = random_factors(prob, seed=5)
+    cfg = SolverConfig(algorithm="PANLS", inner_iters=5000, inner_tol=0.0,
+                       inner_tol_rel=1e-12)
+    blocks = [("w", fac.W), (0, fac.H[0]), (1, fac.H[1])]
+    exact = [panls_subproblem(prob, fac, t, cfg, a)[0] for t, a in blocks]
+
+    monkeypatch.setattr(jmf.solvers, "_BPP_MAX_ROUNDS", 0)
+    c, b = nnls_case(5)
+    x, solved = _nnls_bpp(c, b, np.ones_like(b))
+    # the unconstrained solve from the all-passive warm start, clipped
+    assert not solved
+    np.testing.assert_allclose(x, np.maximum(np.linalg.solve(c, b), 0.0),
+                               rtol=1e-12, atol=0)
+    starts = []
+    original = jmf.solvers._panls_minimize
+
+    def recorded(q, x0, config):
+        starts.append(x0)
+        return original(q, x0, config)
+
+    monkeypatch.setattr(jmf.solvers, "_panls_minimize", recorded)
+    for (target, anchor), want in zip(blocks, exact):
+        x, flag = panls_subproblem(prob, fac, target, cfg, anchor)
+        assert not flag and x.shape == anchor.shape
+        assert starts[-1].min() >= 0
+        np.testing.assert_allclose(x, want, rtol=0, atol=1e-8)
+    assert len(starts) == len(blocks)
+
+
+def assert_kkt(q, x):
+    """x >= 0, grad >= -eps and x^T grad = 0 up to eps, with eps a
+    rounding error on the scale of the linear term."""
+    g = q.grad(x)
+    eps = 1e-12 * np.abs(q.g0).max()
+    assert x.min() >= 0
+    assert g.min() >= -eps
+    assert abs(np.vdot(x, g)) <= eps * np.abs(x).sum()
+
+
+def test_panls_solves_d4_shaped_blocks_to_kkt():
+    truth = generate(SyntheticSpec("D4", seed=0))
+    prob = new_problem(truth.to_dataset(), None,
+                       Hyperparameters(rank=truth.rank))
+    fac = init_factors(prob, 0)
+    cfg = SolverConfig(algorithm="PANLS")
+    for target, anchor in [("w", fac.W), (2, fac.H[2])]:
+        x, flag = panls_subproblem(prob, fac, target, cfg, anchor)
+        q, _ = _build_quad(prob, fac, target, anchor=anchor)
+        assert not flag and x.flags.c_contiguous
+        assert_kkt(q, x)
+        # the paper's engine stops at its inner tolerance, above the minimum
+        inexact, _ = _panls_minimize(q, anchor, cfg)
+        assert q.value(x) < q.value(inexact)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@ import pytest
 
 import jmf.objective
 from jmf import (ConstraintSet, Factorization, Hyperparameters,
-                 MultiViewDataset, SolverConfig, grad_H, grad_W, lipschitz_H,
-                 lipschitz_W, new_problem, objective_value,
-                 projected_gradient_norm, reconstruction_error, solve,
-                 spectral_norm)
+                 MultiViewDataset, SolverConfig, SyntheticSpec, generate,
+                 grad_H, grad_W, lipschitz_H, lipschitz_W, new_problem,
+                 objective_value, projected_gradient_norm,
+                 reconstruction_error, solve, spectral_norm)
 from jmf.objective import (h_subproblem, hessian_quadratic_form_H,
-                           hessian_quadratic_form_W, w_subproblem)
+                           hessian_quadratic_form_W, w_subproblem,
+                           within_top)
 from oracles import (dense_hessian_H, dense_hessian_W, finite_diff_grad,
                      make_problem, naive_objective, quad_form, random_factors)
 
@@ -258,16 +259,17 @@ def test_quad_subproblem_gradients_match_full_gradients():
                            rtol=1e-12)
 
 
-def counted_spectral_norm(monkeypatch):
-    """Route jmf.objective.spectral_norm through a call counter."""
+def counted_calls(monkeypatch, name):
+    """Route the function ``name`` of jmf.objective through a call counter
+    that records each call's positional arguments."""
     calls = []
-    original = jmf.objective.spectral_norm
+    original = getattr(jmf.objective, name)
 
-    def counting(mat, *args, **kwargs):
-        calls.append(mat.shape)
-        return original(mat, *args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(jmf.objective, "spectral_norm", counting)
+    monkeypatch.setattr(jmf.objective, name, counting)
     return calls
 
 
@@ -276,10 +278,13 @@ def networked_problem():
                         gamma2=0.1)
 
 
+# An H block's step size reads ||S_I||_2 through ``q.s_norm()``, which calls
+# jmf.objective.within_top; solvers.py's own ``within_top`` (the boundedness
+# check) is imported by name and so is not counted.
 @pytest.mark.parametrize("algorithm", ["PG", "PANLS", "MUR"])
 def test_solvers_without_step_size_never_compute_spectral_norms(
         monkeypatch, algorithm):
-    calls = counted_spectral_norm(monkeypatch)
+    calls = counted_calls(monkeypatch, "within_top")
     prob = networked_problem()
     cfg = SolverConfig(algorithm=algorithm, max_outer_iters=5)
     solve(prob, cfg, random_factors(prob, seed=4))
@@ -287,17 +292,29 @@ def test_solvers_without_step_size_never_compute_spectral_norms(
 
 
 def test_projected_gradient_norm_never_computes_spectral_norms(monkeypatch):
-    calls = counted_spectral_norm(monkeypatch)
+    calls = counted_calls(monkeypatch, "within_top")
     prob = networked_problem()
     projected_gradient_norm(prob, random_factors(prob, seed=4))
     assert calls == []
 
 
 def test_ne_computes_each_within_norm_once(monkeypatch):
-    calls = counted_spectral_norm(monkeypatch)
+    # Ne's ||S_I||_2 and the boundedness check read one cached power
+    # iteration per view (``within_top``)
+    calls = counted_calls(monkeypatch, "_power_iteration")
     prob = networked_problem()
     cfg = SolverConfig(algorithm="Ne", max_outer_iters=5)
     _, report = solve(prob, cfg, random_factors(prob, seed=4))
     assert report.iterations > 1
     # one power iteration per view's summed within-constraints, then cached
-    assert sorted(calls) == sorted((ni, ni) for ni in prob.n)
+    assert sorted(mat.shape for mat, *_ in calls) == sorted(
+        (ni, ni) for ni in prob.n)
+
+
+def test_within_top_is_bitwise_the_spectral_norm_on_d1():
+    truth = generate(SyntheticSpec("D1", seed=0))
+    prob = new_problem(truth.to_dataset(), truth.constraints,
+                       Hyperparameters(rank=truth.rank, lambda1=1e-3))
+    for view in range(prob.n_views):
+        _, vsv = within_top(prob, view)
+        assert vsv == spectral_norm(prob.within_sym(view))
