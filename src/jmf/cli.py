@@ -6,7 +6,6 @@ import itertools
 import json
 import os
 import sys
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
@@ -84,7 +83,7 @@ def _run_one(problem: Problem, truth, params: Hyperparameters,
              config: SolverConfig) -> RunResult:
     """Solve ``problem``'s data under ``params`` from the config's seed and
     score it against ``truth`` (None when there is no ground truth)."""
-    problem = problem.with_params(params)
+    problem = replace(problem, params=params)
     try:
         factors, report = solve(problem, config,
                                 init_factors(problem, config.seed))
@@ -257,20 +256,17 @@ def load_model(model_dir: Path) -> TrainedModel:
     meta = json.loads((model_dir / "model.json").read_text())
     w = read_matrix(model_dir / meta["W"])
     hs = [read_matrix(model_dir / p) for p in meta["H"]]
-    constraints = _read_constraints(model_dir, meta.get("within"),
-                                    meta.get("between"))
-    # shape-only placeholder dataset; prediction never reads training X
-    dataset = MultiViewDataset([np.zeros((1, n)) for n in meta["n"]])
-    params = _from_json(Hyperparameters, meta["hyperparameters"])
-    with warnings.catch_warnings():
-        # the 1-row placeholder always trips the overcomplete-rank warning
-        warnings.simplefilter("ignore", UserWarning)
-        problem = new_problem(dataset, constraints, params)
+    if meta["n"] != [h.shape[1] for h in hs]:
+        raise ValueError(f"model.json's n {meta['n']} does not match the "
+                         f"H files' columns {[h.shape[1] for h in hs]}")
     config = SolverConfig(algorithm=meta.get("algorithm", "PANLS"),
                           stop_rule=meta.get("stop_rule", "ObjectiveRatio"),
                           seed=int(meta.get("seed", 0)))
-    return TrainedModel(problem=problem,
-                        factors=Factorization(w, hs), config=config)
+    return TrainedModel(Factorization(w, hs),
+                        _from_json(Hyperparameters, meta["hyperparameters"]),
+                        _read_constraints(model_dir, meta.get("within"),
+                                          meta.get("between")),
+                        config)
 
 
 def cmd_solve(args) -> int:
@@ -417,8 +413,8 @@ def cmd_predict(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     view_ids = ([int(v) for v in args.views.split(",")] if args.views
                 else list(range(len(args.test))))
-    if len(view_ids) != len(args.test):
-        raise UsageError("--views must list one index per test file")
+    if len(view_ids) != len(args.test) or len(set(view_ids)) != len(view_ids):
+        raise UsageError("--views must list one distinct index per test file")
     test = {}
     for i, path in zip(view_ids, args.test):
         p = Path(path)

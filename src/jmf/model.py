@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -72,6 +73,11 @@ class MultiViewDataset:
     def __len__(self) -> int:
         return len(self.views)
 
+    @cached_property
+    def squared_norms(self) -> tuple[float, ...]:
+        """||X_I||^2 per view, summed on first use (``new_problem``)."""
+        return tuple(float(np.sum(v * v)) for v in self.views)
+
 
 class ConstraintSet:
     """Within-view adjacency matrices and between-view relationship matrices.
@@ -105,10 +111,61 @@ class ConstraintSet:
             if np.any(arr < 0):
                 raise ValueError(f"between[{i},{j}] has negative entries")
             self.between[(int(i), int(j))] = _frozen(arr)
+        # shared by every problem on this set: S_I, and S_I's absolute unit
+        # top eigenvector v with v^T S_I v (filled by objective.within_top)
+        self._within_sym: dict[int, np.ndarray | None] = {}
+        self._within_top: dict[int, tuple[np.ndarray, float]] = {}
 
     @classmethod
     def empty(cls) -> "ConstraintSet":
         return cls()
+
+    def check(self, n: Sequence[int]) -> None:
+        """Raise ``ValueError`` unless every matrix fits views with the
+        column counts ``n``."""
+        for i, mats in self.within.items():
+            if not (0 <= i < len(n)):
+                raise ValueError(f"within constraint for unknown view {i}")
+            for t, mat in enumerate(mats):
+                if mat.shape != (n[i], n[i]):
+                    raise ValueError(
+                        f"within[{i}][{t}] shape {mat.shape} does not match "
+                        f"view column count {n[i]}")
+        for (i, j), mat in self.between.items():
+            if not (0 <= i < len(n) and 0 <= j < len(n)):
+                raise ValueError(
+                    f"between constraint for unknown pair ({i},{j})")
+            if mat.shape != (n[i], n[j]):
+                raise ValueError(
+                    f"between[{i},{j}] shape {mat.shape} does not match "
+                    f"({n[i]}, {n[j]})")
+
+    def within_sym(self, view: int) -> np.ndarray | None:
+        """Sum over stored within-constraints of Theta + Theta^T, or None."""
+        if view not in self._within_sym:
+            mats = self.within.get(view)
+            if not mats:
+                self._within_sym[view] = None
+            else:
+                s = np.zeros(mats[0].shape)
+                for t in mats:
+                    s += t + t.T
+                s.flags.writeable = False
+                self._within_sym[view] = s
+        return self._within_sym[view]
+
+    def between_partners(self, view: int) -> list[tuple[int, np.ndarray]]:
+        """Pairs (J, M) with M sized n_J x n_I so H_J @ M enters view I's terms.
+
+        Stored R_IJ contributes its transpose; stored R_JI contributes itself.
+        """
+        out = []
+        for (i, j), mat in self.between.items():
+            if i == view:
+                out.append((j, mat.T))
+            elif j == view:
+                out.append((i, mat))
+        return out
 
 
 @dataclass(frozen=True)
@@ -201,32 +258,17 @@ class SolverReport:
     redone_steps: int = 0
 
 
+@dataclass(frozen=True)
 class Problem:
     """Immutable binding of a dataset, constraints and hyperparameters.
 
     Construct through :func:`new_problem`, which validates shapes and signs.
+    The weight-free caches live on the dataset and the constraint set.
     """
 
-    def __init__(self, dataset: MultiViewDataset, constraints: ConstraintSet,
-                 params: Hyperparameters):
-        self.dataset = dataset
-        self.constraints = constraints
-        self.params = params
-        self._within_sym: dict[int, np.ndarray | None] = {}
-        # S_I's absolute unit top eigenvector v and v^T S_I v = ||S_I||_2,
-        # filled on first use by the objective layer
-        self._within_top: dict[int, tuple[np.ndarray, float]] = {}
-        self._x_sqnorm = tuple(float(np.sum(v * v)) for v in dataset.views)
-
-    def with_params(self, params: Hyperparameters) -> Problem:
-        """The same data and constraints under ``params``, sharing the
-        caches that do not depend on the weights: S_I, S_I's top
-        eigenvector and ||S_I||_2, and ||X_I||^2."""
-        other = Problem(self.dataset, self.constraints, params)
-        other._within_sym = self._within_sym
-        other._within_top = self._within_top
-        other._x_sqnorm = self._x_sqnorm
-        return other
+    dataset: MultiViewDataset
+    constraints: ConstraintSet
+    params: Hyperparameters
 
     @property
     def m(self) -> int:
@@ -245,36 +287,8 @@ class Problem:
         return self.params.rank
 
     def x_squared_norm(self, view: int | None = None) -> float:
-        if view is None:
-            return float(sum(self._x_sqnorm))
-        return self._x_sqnorm[view]
-
-    def within_sym(self, view: int) -> np.ndarray | None:
-        """Sum over stored within-constraints of Theta + Theta^T, or None."""
-        if view not in self._within_sym:
-            mats = self.constraints.within.get(view)
-            if not mats:
-                self._within_sym[view] = None
-            else:
-                s = np.zeros((self.n[view], self.n[view]))
-                for t in mats:
-                    s += t + t.T
-                s.flags.writeable = False
-                self._within_sym[view] = s
-        return self._within_sym[view]
-
-    def between_partners(self, view: int) -> list[tuple[int, np.ndarray]]:
-        """Pairs (J, M) with M sized n_J x n_I so H_J @ M enters view I's terms.
-
-        Stored R_IJ contributes its transpose; stored R_JI contributes itself.
-        """
-        out = []
-        for (i, j), mat in self.constraints.between.items():
-            if i == view:
-                out.append((j, mat.T))
-            elif j == view:
-                out.append((i, mat))
-        return out
+        sq = self.dataset.squared_norms
+        return float(sum(sq)) if view is None else sq[view]
 
 
 class DivergenceError(RuntimeError):
@@ -291,27 +305,13 @@ def new_problem(dataset: MultiViewDataset, constraints: ConstraintSet | None,
                 params: Hyperparameters) -> Problem:
     """Validate shapes and build an immutable problem handle."""
     constraints = constraints or ConstraintSet.empty()
-    nv = len(dataset)
-    for i, mats in constraints.within.items():
-        if not (0 <= i < nv):
-            raise ValueError(f"within constraint for unknown view {i}")
-        for t, mat in enumerate(mats):
-            if mat.shape != (dataset.n[i], dataset.n[i]):
-                raise ValueError(
-                    f"within[{i}][{t}] shape {mat.shape} does not match "
-                    f"view column count {dataset.n[i]}")
-    for (i, j), mat in constraints.between.items():
-        if not (0 <= i < nv and 0 <= j < nv):
-            raise ValueError(f"between constraint for unknown pair ({i},{j})")
-        if mat.shape != (dataset.n[i], dataset.n[j]):
-            raise ValueError(
-                f"between[{i},{j}] shape {mat.shape} does not match "
-                f"({dataset.n[i]}, {dataset.n[j]})")
+    constraints.check(dataset.n)
     if params.rank > min(dataset.m, min(dataset.n)):
         warnings.warn(
             f"rank {params.rank} exceeds min(m, min n_I) = "
             f"{min(dataset.m, min(dataset.n))}; the factorization is "
             "overcomplete", stacklevel=2)
+    dataset.squared_norms  # summed here: inside a solve it raises peak memory
     return Problem(dataset, constraints, params)
 
 

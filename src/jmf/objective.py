@@ -271,7 +271,7 @@ def _lambda_max(mat: np.ndarray) -> float:
 
 def within_top(problem: Problem, view: int) -> tuple[np.ndarray, float]:
     """v, the absolute value of S_I's unit top eigenvector, and v^T S_I v,
-    computed once per problem and view.
+    computed once per constraint set and view.
 
     Constraint matrices are nonnegative, so the power iteration's iterates
     stay nonnegative: v is its last iterate, and v^T S_I v is bit for bit
@@ -281,11 +281,12 @@ def within_top(problem: Problem, view: int) -> tuple[np.ndarray, float]:
     that keeps H_I nonnegative; this v makes the second term about as
     large as it can be, lambda1 ||S_I||_2.
     """
-    if view not in problem._within_top:
-        s = problem.within_sym(view)
+    cons = problem.constraints
+    if view not in cons._within_top:
+        s = cons.within_sym(view)
         v = np.abs(_power_iteration(s)[1])
-        problem._within_top[view] = (v, float(v @ (s @ v)))
-    return problem._within_top[view]
+        cons._within_top[view] = (v, float(v @ (s @ v)))
+    return cons._within_top[view]
 
 
 @dataclass
@@ -310,7 +311,7 @@ class QuadSubproblem:
 
     ``lipschitz()`` is computed on request: 2 lambda_max of the r x r
     matrix (plus 2 tau2 and lambda1 ||S||_2 for kind "h").  ``s_norm``
-    supplies ||S||_2, cached per problem and view by ``within_top``.
+    supplies ||S||_2, which ``within_top`` caches per constraint set.
     """
 
     hess_mats: tuple
@@ -358,8 +359,9 @@ def w_subproblem(problem: Problem, H: list[np.ndarray],
                  xht: np.ndarray | None = None) -> QuadSubproblem:
     """Quadratic model of the W update (optionally with a proximal anchor).
 
-    ``xht`` is sum_I X_I H_I^T when the caller already holds it (or holds
-    it for other data with the views' rows, as prediction does).
+    ``xht`` is sum_I X_I H_I^T when the caller already holds it; only
+    without it are ``problem``'s views read, so prediction passes its test
+    rows' product and a ``TrainedModel`` as ``problem``.
     """
     r = H[0].shape[0]
     a = (problem.params.gamma1 + tau1) * np.eye(r)
@@ -379,10 +381,11 @@ def h_subproblem(problem: Problem, W: np.ndarray, H: list[np.ndarray],
                  wtx: np.ndarray | None = None) -> QuadSubproblem:
     """Quadratic model of one view's H update with the other factors fixed.
 
-    ``wtx`` is W^T X_I when the caller already holds it (or holds it for
-    other data with the view's columns, as prediction does).
+    ``wtx`` is W^T X_I when the caller already holds it; only without it
+    are ``problem``'s views read, so prediction passes its test columns'
+    product and a ``TrainedModel`` (weights and constraints) as ``problem``.
     """
-    p = problem.params
+    p, cons = problem.params, problem.constraints
     r = W.shape[1]
     if wtx is None:
         wtx = W.T @ problem.dataset.views[view]
@@ -391,10 +394,10 @@ def h_subproblem(problem: Problem, W: np.ndarray, H: list[np.ndarray],
     if p.lambda2:
         # C = sum over partner views J of H_J @ M_J (r x n_I)
         c = np.zeros((r, wtx.shape[1]))
-        for j, mat in problem.between_partners(view):
+        for j, mat in cons.between_partners(view):
             c += H[j] @ mat
         g0 -= p.lambda2 * c
     if tau2 and anchor is not None:
         g0 -= 2.0 * tau2 * anchor
-    return QuadSubproblem((m, problem.within_sym(view), p.lambda1, tau2), g0,
+    return QuadSubproblem((m, cons.within_sym(view), p.lambda1, tau2), g0,
                           "h", lambda: within_top(problem, view)[1])

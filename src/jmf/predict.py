@@ -6,8 +6,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import (Algorithm, ConstraintSet, Factorization, MultiViewDataset,
-                    Problem, SolverConfig)
+from .model import (Algorithm, ConstraintSet, Factorization, Hyperparameters,
+                    MultiViewDataset, SolverConfig)
 from .objective import (QuadSubproblem, h_subproblem, projected_norm,
                         view_products, w_subproblem)
 from .solvers import _ne_minimize, _panls_minimize, _pg_minimize
@@ -15,11 +15,19 @@ from .solvers import _ne_minimize, _panls_minimize, _pg_minimize
 
 @dataclass
 class TrainedModel:
-    """Factors from a completed solve together with the problem they solved."""
+    """Trained factors with the weights, constraints and solver settings
+    that JMF/L and JMF/R read; the block builders take it for a ``Problem``."""
 
-    problem: Problem
     factors: Factorization
+    params: Hyperparameters
+    constraints: ConstraintSet = field(default_factory=ConstraintSet.empty)
     config: SolverConfig = field(default_factory=SolverConfig)
+
+    def __post_init__(self):
+        if self.params.rank != self.factors.W.shape[1]:
+            raise ValueError(f"rank {self.params.rank} does not match the "
+                             f"{self.factors.W.shape[1]} columns of W")
+        self.constraints.check([h.shape[1] for h in self.factors.H])
 
 
 def _as_view_map(model: TrainedModel, test, axis: int = 1
@@ -36,11 +44,9 @@ def _as_view_map(model: TrainedModel, test, axis: int = 1
     if not views:
         raise ValueError("no test views supplied")
     for i, x in views.items():
-        if not (0 <= i < model.problem.n_views):
+        if not (0 <= i < len(model.factors.H)):
             raise ValueError(f"unknown view index {i}")
-        # the row count is W's: a loaded model's placeholder dataset has
-        # a single row
-        want = model.problem.n[i] if axis else model.factors.W.shape[0]
+        want = (model.factors.H[i] if axis else model.factors.W).shape[axis]
         if x.ndim != 2 or x.shape[axis] != want:
             raise ValueError(
                 f"test view {i} has {x.shape[axis] if x.ndim == 2 else '?'} "
@@ -79,11 +85,10 @@ def predict_left(model: TrainedModel, test, config: SolverConfig | None = None
     views = _as_view_map(model, test)
     idx = sorted(views)
     hs = [model.factors.H[i] for i in idx]
-    q = w_subproblem(model.problem, hs,
-                     xht=view_products([views[i] for i in idx], hs))
+    q = w_subproblem(model, hs, xht=view_products([views[i] for i in idx], hs))
     m_test = views[idx[0]].shape[0]
     rng = np.random.default_rng(config.seed)
-    w0 = rng.random((m_test, model.problem.rank))
+    w0 = rng.random((m_test, model.params.rank))
     return _minimize(q, w0, config)[0]
 
 
@@ -99,7 +104,7 @@ def predict_view(model: TrainedModel, test, target_view: int = 0,
                  config: SolverConfig | None = None) -> np.ndarray:
     """Reconstruct a held-out view from the others: X_hat = W_hat @ H_target."""
     views = _as_view_map(model, test)
-    if not (0 <= target_view < model.problem.n_views):
+    if not (0 <= target_view < len(model.factors.H)):
         raise ValueError(f"unknown view index {target_view}")
     if target_view in views:
         raise ValueError("the target view must not be supplied as input")
@@ -124,14 +129,9 @@ def predict_right(model: TrainedModel, test, config: SolverConfig | None = None
     views = _as_view_map(model, test, axis=0)
     idx = sorted(views)
     rng = np.random.default_rng(config.seed)
-    hs = {i: rng.random((model.problem.rank, views[i].shape[1]))
-          for i in idx}
-    problem = model.problem
-    if any(views[i].shape[1] != problem.n[i] for i in idx):
-        # no constraint to check against the views; new_problem would
-        # also warn again about a loaded model's placeholder dataset
-        problem = Problem(problem.dataset, ConstraintSet.empty(),
-                          problem.params)
+    hs = {i: rng.random((model.params.rank, views[i].shape[1])) for i in idx}
+    if any(views[i].shape[1] != model.factors.H[i].shape[1] for i in idx):
+        model = replace(model, constraints=ConstraintSet.empty())
     w = model.factors.W
     # W is frozen, so each view's product with it is formed once per call
     wtx = {i: w.T @ views[i] for i in idx}
@@ -140,7 +140,7 @@ def predict_right(model: TrainedModel, test, config: SolverConfig | None = None
         full = list(model.factors.H)
         for j in idx:
             full[j] = hs[j]
-        return h_subproblem(problem, w, full, i, wtx=wtx[i])
+        return h_subproblem(model, w, full, i, wtx=wtx[i])
 
     def residual():
         return float(np.linalg.norm(

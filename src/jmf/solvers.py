@@ -146,13 +146,12 @@ def _mur_rho(problem: Problem, view: int | None) -> float:
     m, r = problem.m, problem.rank
     if view is None:
         return 1.0 + sum(problem.n) * (m + r) / (m * (r + 1))
-    p, n = problem.params, problem.n[view]
+    p, n, cons = problem.params, problem.n[view], problem.constraints
     build = m * (n + r)
     if p.lambda2:
-        build += n * sum(problem.n[j]
-                         for j, _ in problem.between_partners(view))
+        build += n * sum(problem.n[j] for j, _ in cons.between_partners(view))
     step = n * (r + 1)
-    if p.lambda1 and problem.within_sym(view) is not None:
+    if p.lambda1 and cons.within_sym(view) is not None:
         step += n * n
     return 1.0 + build / step
 

@@ -242,8 +242,9 @@ def test_criterion_8_oracle_equivalences(capsys):
             hessian_quadratic_form_W(p2, f2, d, 0.11) - want) / abs(want))
         for i in range(p2.n_views):
             dh = rng.standard_normal(f2.H[i].shape)
-            qh = dense_hessian_H(f2.W, p2.within_sym(i), p2.params.lambda1,
-                                 p2.params.gamma2, 0.07, p2.n[i])
+            qh = dense_hessian_H(f2.W, p2.constraints.within_sym(i),
+                                 p2.params.lambda1, p2.params.gamma2, 0.07,
+                                 p2.n[i])
             want = quad_form(qh, dh)
             hess_rel = max(hess_rel, abs(
                 hessian_quadratic_form_H(p2, f2, i, dh, 0.07)

@@ -286,7 +286,37 @@ def test_model_roundtrip(tmp_path):
     model_dir, truth = ground_truth_model_dir(tmp_path)
     model = load_model(model_dir)
     assert np.array_equal(model.factors.W, truth.w0)
-    assert model.problem.rank == truth.rank
+    assert model.params.rank == truth.rank
+
+
+@pytest.mark.parametrize("stale", ["rank", "n"])
+def test_load_model_names_a_stale_model_json(tmp_path, capsys, stale):
+    model_dir, truth = ground_truth_model_dir(tmp_path)
+    meta = json.loads((model_dir / "model.json").read_text())
+    if stale == "rank":
+        meta["hyperparameters"]["rank"] = truth.rank + 1
+        message = f"rank {truth.rank + 1} does not match the {truth.rank} "
+    else:
+        meta["n"][-1] += 1
+        message = f"model.json's n {meta['n']} does not match"
+    (model_dir / "model.json").write_text(json.dumps(meta))
+    write_matrix(tmp_path / "X_1.csv", truth.x0[0])
+    assert run(["predict", "--model", model_dir, "--mode", "l-class",
+                "--test", tmp_path / "X_1.csv", "--views", "0",
+                "--out", tmp_path / "pred"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_predict_rejects_a_repeated_view_exit_2(tmp_path, capsys):
+    model_dir, truth = ground_truth_model_dir(tmp_path)
+    write_matrix(tmp_path / "A.csv", truth.x0[0][:5])
+    write_matrix(tmp_path / "B.csv", truth.x0[0][5:11])
+    out = tmp_path / "pred"
+    assert run(["predict", "--model", model_dir, "--mode", "l-class",
+                "--test", tmp_path / "A.csv", tmp_path / "B.csv",
+                "--views", "0,0", "--out", out]) == 2
+    assert "one distinct index per test file" in capsys.readouterr().err
+    assert not (out / "classes.csv").exists()
 
 
 def test_predict_lview_zero_noise(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -205,8 +207,9 @@ def test_hessian_quadratic_forms_match_dense_kronecker(seed):
     for i in range(prob.n_views):
         d_h = rng.standard_normal(fac.H[i].shape)
         tau2 = 0.21
-        qh = dense_hessian_H(fac.W, prob.within_sym(i), prob.params.lambda1,
-                             prob.params.gamma2, tau2, prob.n[i])
+        qh = dense_hessian_H(fac.W, prob.constraints.within_sym(i),
+                             prob.params.lambda1, prob.params.gamma2, tau2,
+                             prob.n[i])
         got = hessian_quadratic_form_H(prob, fac, i, d_h, tau2)
         assert got == pytest.approx(quad_form(qh, d_h), rel=1e-10)
 
@@ -311,10 +314,25 @@ def test_ne_computes_each_within_norm_once(monkeypatch):
         (ni, ni) for ni in prob.n)
 
 
+def test_problems_on_one_constraint_set_share_its_power_iterations(
+        monkeypatch):
+    # a grid search builds one problem per weight cell on one constraint
+    # set; S_I's power iteration still runs once per view
+    calls = counted_calls(monkeypatch, "_power_iteration")
+    base = networked_problem()
+    for lambda1 in (0.05, 0.01):
+        prob = new_problem(base.dataset, base.constraints,
+                           replace(base.params, lambda1=lambda1))
+        cfg = SolverConfig(algorithm="Ne", max_outer_iters=3)
+        solve(prob, cfg, random_factors(prob, seed=4))
+    assert sorted(mat.shape for mat, *_ in calls) == sorted(
+        (ni, ni) for ni in base.n)
+
+
 def test_within_top_is_bitwise_the_spectral_norm_on_d1():
     truth = generate(SyntheticSpec("D1", seed=0))
     prob = new_problem(truth.to_dataset(), truth.constraints,
                        Hyperparameters(rank=truth.rank, lambda1=1e-3))
     for view in range(prob.n_views):
         _, vsv = within_top(prob, view)
-        assert vsv == spectral_norm(prob.within_sym(view))
+        assert vsv == spectral_norm(prob.constraints.within_sym(view))

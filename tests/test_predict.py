@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ def trained_model(seed=0, **weights):
     prob = new_problem(truth.to_dataset(), ConstraintSet.empty(),
                        Hyperparameters(rank=truth.rank, **weights))
     factors, report = solve(prob, CFG, init_factors(prob, seed))
-    return TrainedModel(problem=prob, factors=factors, config=CFG), truth
+    return TrainedModel(factors, prob.params, config=CFG), truth
 
 
 def ground_truth_model(seed=0):
@@ -28,7 +30,7 @@ def ground_truth_model(seed=0):
     prob = new_problem(truth.to_dataset(), ConstraintSet.empty(),
                        Hyperparameters(rank=truth.rank))
     factors = Factorization(truth.w0, [h.astype(float) for h in truth.h0])
-    return TrainedModel(problem=prob, factors=factors, config=CFG), truth
+    return TrainedModel(factors, prob.params, config=CFG), truth
 
 
 def test_predict_left_resolve_reproduces_training_error():
@@ -76,7 +78,8 @@ def test_predict_left_output_nonnegative():
 @pytest.mark.parametrize("algorithm", ["PG", "PANLS"])
 def test_predict_left_stops_at_an_exhausted_search(monkeypatch, algorithm):
     prob = make_problem(seed=3, m=10, n=(6, 8), r=3)
-    model = TrainedModel(problem=prob, factors=random_factors(prob, seed=1))
+    model = TrainedModel(random_factors(prob, seed=1), prob.params,
+                         prob.constraints)
     # one trial step, far too long: the first search runs out
     monkeypatch.setattr(jmf.solvers, "_MAX_BACKTRACKS", 0)
     monkeypatch.setattr(jmf.solvers, "_ALPHA0", 1e12)
@@ -88,6 +91,27 @@ def test_predict_left_stops_at_an_exhausted_search(monkeypatch, algorithm):
     # the search left the start, rng(config.seed).random, where it was
     start = np.random.default_rng(cfg.seed).random((prob.m, prob.rank))
     assert np.array_equal(w_hat, start)
+
+
+def test_trained_model_rejects_a_rank_that_w_does_not_have():
+    prob = make_problem(seed=3, m=10, n=(6, 8), r=3)
+    fac = random_factors(prob, seed=1)
+    with pytest.raises(ValueError, match="rank 2 does not match the 3 "):
+        TrainedModel(fac, replace(prob.params, rank=2))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"within": {0: [np.ones((8, 8))]}}, r"within\[0\]\[0\] shape \(8, 8\)"),
+    ({"within": {2: [np.ones((6, 6))]}}, "unknown view 2"),
+    ({"between": {(0, 1): np.ones((8, 6))}}, r"between\[0,1\] shape \(8, 6\)"),
+    ({"between": {(0, 2): np.ones((6, 6))}}, r"unknown pair \(0,2\)"),
+], ids=["within-shape", "within-view", "between-shape", "between-pair"])
+def test_trained_model_rejects_constraints_that_do_not_fit_h(bad, message):
+    prob = make_problem(seed=3, m=10, n=(6, 8), r=3)
+    fac = random_factors(prob, seed=1)
+    TrainedModel(fac, prob.params, prob.constraints)
+    with pytest.raises(ValueError, match=message):
+        TrainedModel(fac, prob.params, ConstraintSet(**bad))
 
 
 def test_predict_class_examples():
@@ -128,7 +152,7 @@ def test_predict_view_one_dim_multiplication():
                        Hyperparameters(rank=1))
     factors = Factorization(np.array([[1.0]]),
                             [np.array([[1.0, 1.0]]), np.array([[1.0]])])
-    model = TrainedModel(problem=prob, factors=factors, config=CFG)
+    model = TrainedModel(factors, prob.params, config=CFG)
     x_hat = predict_view(model, {1: np.array([[3.0]])}, target_view=0)
     assert np.allclose(x_hat, [[3.0, 3.0]], atol=1e-6)
 
@@ -190,7 +214,7 @@ def test_predict_right_sweeps_views_in_order():
                         lambda2=0.5, gamma2=0.1)
     fac = random_factors(prob, seed=2)
     cfg = SolverConfig(algorithm="PG", tolerance=1e-10, max_outer_iters=1)
-    model = TrainedModel(problem=prob, factors=fac, config=cfg)
+    model = TrainedModel(fac, prob.params, prob.constraints, cfg)
     hs = predict_right(model, dict(enumerate(prob.dataset.views)))
     last = prob.n_views - 1
     q = h_subproblem(prob, fac.W, hs, last)

@@ -425,8 +425,8 @@ def test_d1_at_lambda1_0_1_names_its_unbounded_block(algorithm):
     # v is a unit vector, and v^T S v comes within the power iteration's
     # tolerance of its bound ||S_I||_2
     assert np.all(v >= 0) and np.linalg.norm(v) == pytest.approx(1.0)
-    assert vsv == pytest.approx(spectral_norm(prob.within_sym(view)),
-                                rel=1e-6)
+    assert vsv == pytest.approx(
+        spectral_norm(prob.constraints.within_sym(view)), rel=1e-6)
     assert len(err.value.trace) == 1
 
 
