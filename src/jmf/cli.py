@@ -47,18 +47,44 @@ def _write_csv(path: Path, cols: list[str], rows: list[dict]) -> None:
             fh.write(",".join(str(row.get(c, "")) for c in cols) + "\n")
 
 
-def _read_constraints(base: Path, within, between) -> ConstraintSet:
-    """Read the files of a ``within`` map (view -> list of files) and a
-    ``between`` map ("i,j" -> file), both relative to ``base``."""
-    return ConstraintSet(
-        within={int(i): [read_matrix(base / p) for p in paths]
-                for i, paths in (within or {}).items()},
-        between={tuple(int(t) for t in key.split(",")): read_matrix(base / p)
-                 for key, p in (between or {}).items()})
-
-
 class UsageError(Exception):
     pass
+
+
+def _write_matrices(out: Path, stem: str, mats, first: int = 1) -> list[str]:
+    """Write ``mats`` to ``out`` as <stem>_<k>.csv, k counting from
+    ``first``, and return the file names."""
+    names = [f"{stem}_{k}.csv" for k in range(first, first + len(mats))]
+    for name, mat in zip(names, mats):
+        write_matrix(out / name, mat)
+    return names
+
+
+def _write_constraints(out: Path, constraints: ConstraintSet) -> dict:
+    """Write each network of ``constraints`` to ``out`` and return the
+    ``within`` map (view -> list of files) and the ``between`` map ("i,j"
+    -> file) under those keys, as ``_read_constraints`` reads them."""
+    within = {str(i): _write_matrices(out, f"model_theta_{i}", mats, 0)
+              for i, mats in constraints.within.items()}
+    between = {}
+    for (i, j), mat in constraints.between.items():
+        between[f"{i},{j}"] = name = f"model_R_{i}_{j}.csv"
+        write_matrix(out / name, mat)
+    return {"within": within, "between": between}
+
+
+def _read_constraints(base: Path, maps: dict) -> ConstraintSet:
+    """Read the files of the ``within`` map (view -> list of files) and the
+    ``between`` map ("i,j" -> file) in ``maps``, relative to ``base``."""
+    within, between = maps.get("within") or {}, maps.get("between") or {}
+    if not (isinstance(within, dict) and isinstance(between, dict)):
+        raise UsageError('networks must be maps: "within" {"view": [file, '
+                         '...]} and "between" {"i,j": file}')
+    return ConstraintSet(
+        within={int(i): [read_matrix(base / p) for p in paths]
+                for i, paths in within.items()},
+        between={tuple(int(t) for t in key.split(",")): read_matrix(base / p)
+                 for key, p in between.items()})
 
 
 def _max_workers(n_tasks: int, serial: bool) -> int:
@@ -125,6 +151,25 @@ def run_all(problem: Problem, truth, tasks: list,
         yield from pool.map(_run_shared, tasks)
 
 
+def _summarize(runs: list[RunResult]) -> dict:
+    """The counts of a group of runs, and the means over its finished
+    runs when there is one (the AUC's when they were scored)."""
+    ok = [r for r in runs if r.report is not None]
+    out = {"runs": len(runs), "diverged": len(runs) - len(ok),
+           "cap_exceeded": sum(r.report.termination is Termination.MAX_ITERS
+                               for r in ok)}
+    for key, values in (
+            ("final_objective", [r.report.final_objective for r in ok]),
+            ("seconds", [r.report.trace[-1].seconds for r in ok]),
+            ("iterations", [r.report.iterations for r in ok]),
+            ("reconstruction_error",
+             [r.report.reconstruction_error for r in ok]),
+            ("auc", [r.auc for r in ok if r.auc is not None])):
+        if values:
+            out[f"mean_{key}"] = float(np.mean(values))
+    return out
+
+
 def _check_keys(what: str, entry: dict, names, required=()) -> None:
     """Raise ``UsageError`` naming each key of ``entry`` outside ``names``
     and each ``required`` key it lacks."""
@@ -158,6 +203,7 @@ def cmd_generate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     spec = SyntheticSpec(dataset_id=args.dataset, mu=args.mu, seed=args.seed)
     truth = generate(spec)
+    write_matrix(out / "W0.csv", truth.w0)
     manifest = {
         "dataset": args.dataset,
         "seed": args.seed,
@@ -165,23 +211,11 @@ def cmd_generate(args) -> int:
         "rank": truth.rank,
         "shapes": {"W0": list(truth.w0.shape),
                    "views": [list(x.shape) for x in truth.x0]},
-        "files": {"W0": "W0.csv", "views": [], "H0": [],
-                  "within": [], "between": {}},
+        "files": {"W0": "W0.csv",
+                  "views": _write_matrices(out, "X", truth.x0),
+                  "H0": _write_matrices(out, "H0", truth.h0),
+                  **_write_constraints(out, truth.constraints)},
     }
-    write_matrix(out / "W0.csv", truth.w0)
-    for i, (x, h) in enumerate(zip(truth.x0, truth.h0), start=1):
-        write_matrix(out / f"X_{i}.csv", x)
-        write_matrix(out / f"H0_{i}.csv", h)
-        manifest["files"]["views"].append(f"X_{i}.csv")
-        manifest["files"]["H0"].append(f"H0_{i}.csv")
-    for i, mats in truth.constraints.within.items():
-        name = f"theta_{i + 1}.csv"
-        write_matrix(out / name, mats[0])
-        manifest["files"]["within"].append({"view": i, "file": name})
-    for (i, j), mat in truth.constraints.between.items():
-        name = f"R_{i + 1}_{j + 1}.csv"
-        write_matrix(out / name, mat)
-        manifest["files"]["between"][f"{i},{j}"] = name
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     print(f"wrote {args.dataset} instance to {out}")
     return 0
@@ -205,8 +239,7 @@ def _load_source(cfg: dict):
         files = source["files"]
         base = Path(files.get("base", "."))
         views = [read_matrix(base / p) for p in files["views"]]
-        constraints = _read_constraints(base, files.get("within"),
-                                        files.get("between"))
+        constraints = _read_constraints(base, files)
         return MultiViewDataset(views), constraints, None
     raise UsageError("config needs a 'source' with 'synthetic' or 'files'")
 
@@ -218,32 +251,13 @@ def _run_tag(cfg: SolverConfig) -> str:
 
 def _save_model(run_dir: Path, problem, factors, config) -> None:
     write_matrix(run_dir / "W.csv", factors.W)
-    h_files = []
-    for i, h in enumerate(factors.H, start=1):
-        name = f"H_{i}.csv"
-        write_matrix(run_dir / name, h)
-        h_files.append(name)
-    within_files = {}
-    for i, mats in problem.constraints.within.items():
-        names = []
-        for t, mat in enumerate(mats):
-            name = f"model_theta_{i}_{t}.csv"
-            write_matrix(run_dir / name, mat)
-            names.append(name)
-        within_files[str(i)] = names
-    between_files = {}
-    for (i, j), mat in problem.constraints.between.items():
-        name = f"model_R_{i}_{j}.csv"
-        write_matrix(run_dir / name, mat)
-        between_files[f"{i},{j}"] = name
     meta = {
         "rank": problem.rank,
         "n": list(problem.n),
         "hyperparameters": asdict(problem.params),
         "W": "W.csv",
-        "H": h_files,
-        "within": within_files,
-        "between": between_files,
+        "H": _write_matrices(run_dir, "H", factors.H),
+        **_write_constraints(run_dir, problem.constraints),
         "algorithm": config.algorithm.value,
         "stop_rule": config.stop_rule.value,
         "seed": config.seed,
@@ -262,11 +276,13 @@ def load_model(model_dir: Path) -> TrainedModel:
     config = SolverConfig(algorithm=meta.get("algorithm", "PANLS"),
                           stop_rule=meta.get("stop_rule", "ObjectiveRatio"),
                           seed=int(meta.get("seed", 0)))
-    return TrainedModel(Factorization(w, hs),
-                        _from_json(Hyperparameters, meta["hyperparameters"]),
-                        _read_constraints(model_dir, meta.get("within"),
-                                          meta.get("between")),
-                        config)
+    model = TrainedModel(Factorization(w, hs),
+                         _from_json(Hyperparameters, meta["hyperparameters"]),
+                         _read_constraints(model_dir, meta), config)
+    if meta["rank"] != model.params.rank:
+        raise ValueError(f"model.json's rank {meta['rank']} does not match "
+                         f"its hyperparameters' rank {model.params.rank}")
+    return model
 
 
 def cmd_solve(args) -> int:
@@ -289,7 +305,6 @@ def cmd_solve(args) -> int:
     summary = []
     for config in configs:
         runs = list(itertools.islice(results, len(seeds)))
-        ok = [r for r in runs if r.report is not None]
         tag = _run_tag(config)
         for r in runs:
             run_dir = out / "runs" / f"{tag}_seed{r.config.seed}"
@@ -303,28 +318,9 @@ def cmd_solve(args) -> int:
                     fh.write(f"{p.iteration},{p.objective:.17g},"
                              f"{p.grad_norm:.17g},{p.seconds:.17g}\n")
             _save_model(run_dir, problem, r.factors, r.config)
-        entry = {
-            "tag": tag,
-            "algorithm": config.algorithm.value,
-            "stop_rule": config.stop_rule.value,
-            "tolerance": config.tolerance,
-            "runs": len(runs),
-            "diverged": len(runs) - len(ok),
-            "cap_exceeded": sum(1 for r in ok if r.report.termination
-                                is Termination.MAX_ITERS),
-        }
-        if ok:
-            entry["mean_final_objective"] = float(
-                np.mean([r.report.final_objective for r in ok]))
-            entry["mean_seconds"] = float(
-                np.mean([r.report.trace[-1].seconds for r in ok]))
-            entry["mean_iterations"] = float(
-                np.mean([r.report.iterations for r in ok]))
-            entry["mean_reconstruction_error"] = float(
-                np.mean([r.report.reconstruction_error for r in ok]))
-            if truth is not None:
-                entry["mean_auc"] = float(np.mean([r.auc for r in ok]))
-        summary.append(entry)
+        summary.append({"tag": tag, "algorithm": config.algorithm.value,
+                        "stop_rule": config.stop_rule.value,
+                        "tolerance": config.tolerance, **_summarize(runs)})
 
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     _write_csv(out / "summary.csv",
@@ -379,16 +375,13 @@ def cmd_gridsearch(args) -> int:
     results = run_all(problem, truth, tasks)
     rows = []
     for l1, l2, g1, g2 in cells:
-        ok = [r for r in itertools.islice(results, len(seeds))
-              if r.report is not None]
-        aucs = [r.auc for r in ok]
-        errs = [r.report.reconstruction_error for r in ok]
+        cell = _summarize(list(itertools.islice(results, len(seeds))))
         rows.append({
             "lambda1": l1, "lambda2": l2, "gamma1": g1, "gamma2": g2,
-            "mean_auc": float(np.mean(aucs)) if aucs else float("nan"),
+            "mean_auc": cell.get("mean_auc", float("nan")),
             "mean_reconstruction_error":
-                float(np.mean(errs)) if errs else float("nan"),
-            "completed": len(ok),
+                cell.get("mean_reconstruction_error", float("nan")),
+            "completed": cell["runs"] - cell["diverged"],
         })
 
     finished = [r for r in rows if r["completed"]]
@@ -510,9 +503,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError, FileNotFoundError, KeyError) as exc:
+    except (UsageError, ValueError, FileNotFoundError, KeyError,
+            DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # a usage error exits 2, an unbounded prediction block 1
+        return 1 if isinstance(exc, DivergenceError) else 2
 
 
 if __name__ == "__main__":

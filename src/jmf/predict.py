@@ -8,9 +8,9 @@ import numpy as np
 
 from .model import (Algorithm, ConstraintSet, Factorization, Hyperparameters,
                     MultiViewDataset, SolverConfig)
-from .objective import (QuadSubproblem, h_subproblem, projected_norm,
-                        view_products, w_subproblem)
-from .solvers import _ne_minimize, _panls_minimize, _pg_minimize
+from .objective import projected_norm, view_products
+from .solvers import (_build_quad, ne_subproblem, panls_subproblem,
+                      pg_subproblem)
 
 
 @dataclass
@@ -56,21 +56,24 @@ def _as_view_map(model: TrainedModel, test, axis: int = 1
     return views
 
 
-def _minimize(q: QuadSubproblem, x0: np.ndarray,
-              config: SolverConfig) -> tuple[np.ndarray, bool]:
-    """Drive one convex subproblem to the configured relative tolerance in
-    one engine call of at most inner_iters * max_outer_iters steps.
-    Returns (iterate, search-exhausted flag) and warns when exhausted."""
-    pn0 = projected_norm(x0, q.grad(x0))
-    inner = replace(config, inner_tol=max(config.tolerance * pn0, 1e-14),
-                    inner_tol_rel=0.0,
+def _solve_block(model: TrainedModel, factors: Factorization, target,
+                 config: SolverConfig, xprod: np.ndarray
+                 ) -> tuple[np.ndarray, bool]:
+    """Solve one block ("w" or a view) through the solver's block solve,
+    with no proximal term, to the configured tolerance relative to its
+    start in at most inner_iters * max_outer_iters steps; Ne stands in for
+    MUR.  ``xprod`` is the block's product with the test views.  Returns
+    (block, search-exhausted flag) and warns when the flag is set."""
+    inner = replace(config, inner_tol=1e-14, inner_tol_rel=config.tolerance,
                     inner_iters=config.inner_iters * config.max_outer_iters)
     if config.algorithm is Algorithm.PG:
-        x, exhausted = _pg_minimize(q, x0, inner)
+        x, exhausted = pg_subproblem(model, factors, target, inner, xprod)
     elif config.algorithm is Algorithm.PANLS:
-        x, exhausted = _panls_minimize(q, x0, inner)
-    else:  # Ne and MUR both fall back to the Nesterov engine here
-        x, exhausted = _ne_minimize(q, x0, inner), False
+        x, exhausted = panls_subproblem(model, factors, target, inner, None,
+                                        xprod)
+    else:
+        x, exhausted = ne_subproblem(model, factors, target, inner,
+                                     xprod), False
     if exhausted:
         warnings.warn("the step-size search ran out before the prediction "
                       "subproblem reached its tolerance", RuntimeWarning,
@@ -85,11 +88,10 @@ def predict_left(model: TrainedModel, test, config: SolverConfig | None = None
     views = _as_view_map(model, test)
     idx = sorted(views)
     hs = [model.factors.H[i] for i in idx]
-    q = w_subproblem(model, hs, xht=view_products([views[i] for i in idx], hs))
-    m_test = views[idx[0]].shape[0]
     rng = np.random.default_rng(config.seed)
-    w0 = rng.random((m_test, model.params.rank))
-    return _minimize(q, w0, config)[0]
+    w0 = rng.random((views[idx[0]].shape[0], model.params.rank))
+    return _solve_block(model, Factorization(w0, hs), "w", config,
+                        view_products([views[i] for i in idx], hs))[0]
 
 
 def predict_class(w_hat: np.ndarray) -> np.ndarray:
@@ -119,7 +121,8 @@ def predict_right(model: TrainedModel, test, config: SolverConfig | None = None
     Views are updated in ascending order, each seeing the freshest others
     (the between-view terms couple them); sweeps repeat until the projected
     gradient has shrunk by the configured tolerance, or stop at once when a
-    view's step-size search runs out.
+    view's step-size search runs out.  A view whose block is unbounded
+    below raises ``DivergenceError``.
 
     Within/between regularizers apply only when every test view's column
     count matches the training one; otherwise the plain least-squares
@@ -129,32 +132,28 @@ def predict_right(model: TrainedModel, test, config: SolverConfig | None = None
     views = _as_view_map(model, test, axis=0)
     idx = sorted(views)
     rng = np.random.default_rng(config.seed)
-    hs = {i: rng.random((model.params.rank, views[i].shape[1])) for i in idx}
     if any(views[i].shape[1] != model.factors.H[i].shape[1] for i in idx):
         model = replace(model, constraints=ConstraintSet.empty())
-    w = model.factors.W
+    # the test views' blocks in place of the trained ones
+    factors = Factorization(model.factors.W, model.factors.H)
+    for i in idx:
+        factors.H[i] = rng.random((model.params.rank, views[i].shape[1]))
     # W is frozen, so each view's product with it is formed once per call
-    wtx = {i: w.T @ views[i] for i in idx}
-
-    def quad(i: int) -> QuadSubproblem:
-        full = list(model.factors.H)
-        for j in idx:
-            full[j] = hs[j]
-        return h_subproblem(model, w, full, i, wtx=wtx[i])
+    wtx = {i: factors.W.T @ views[i] for i in idx}
 
     def residual():
-        return float(np.linalg.norm(
-            [projected_norm(hs[i], quad(i).grad(hs[i])) for i in idx]))
+        return float(np.linalg.norm([
+            projected_norm(h, q.grad(h)) for q, h in
+            (_build_quad(model, factors, i, xprod=wtx[i]) for i in idx)]))
 
-    pn0 = residual()
-    target = max(config.tolerance * pn0, 1e-14)
+    target = max(config.tolerance * residual(), 1e-14)
     for _ in range(config.max_outer_iters):
+        # each view's block sees the views updated earlier in this sweep
         for i in idx:
-            # built just before its solve, so it sees the views updated
-            # earlier in this sweep
-            hs[i], exhausted = _minimize(quad(i), hs[i], config)
+            factors.H[i], exhausted = _solve_block(model, factors, i, config,
+                                                   wtx[i])
             if exhausted:
-                return [hs[i] for i in idx]
+                return [factors.H[i] for i in idx]
         if residual() <= target:
             break
-    return [hs[i] for i in idx]
+    return [factors.H[i] for i in idx]

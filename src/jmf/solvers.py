@@ -594,10 +594,10 @@ def ne_subproblem(problem: Problem, factors: Factorization, target,
 
 
 def panls_subproblem(problem: Problem, factors: Factorization, target,
-                     config: SolverConfig, anchor: np.ndarray,
+                     config: SolverConfig, anchor: np.ndarray | None,
                      xprod: np.ndarray | None = None
                      ) -> tuple[np.ndarray, bool]:
-    """Proximal subproblem solve.
+    """Proximal subproblem solve, or a plain one when ``anchor`` is None.
 
     Returns the updated factor and a flag set when a step-size search was
     exhausted before reaching the inner tolerance.
@@ -606,22 +606,27 @@ def panls_subproblem(problem: Problem, factors: Factorization, target,
     per row (W, with the matrix 2A) or per column (H_I without
     lambda1 S_I, with 2 (M + tau I)) is solved exactly by ``_nnls_bpp``;
     its rare round cap hands the clipped iterate to ``_panls_minimize``.
-    An H_I block with lambda1 S_I couples its columns and runs
-    ``_panls_minimize``, the paper's PG and active-set CG phases, to its
-    inner tolerance.
+    Without the proximal term that matrix can be singular, and the block
+    runs ``_panls_minimize``.  An H_I block with lambda1 S_I couples its
+    columns and runs ``_panls_minimize``, the paper's PG and active-set CG
+    phases, to its inner tolerance.
     """
     q, start = _build_quad(problem, factors, target, anchor=anchor,
                            xprod=xprod)
     if q.kind == "w":
         (a,) = q.hess_mats
-        x, solved = _nnls_bpp(2.0 * a, -q.g0.T, start.T)
-        x = np.ascontiguousarray(x.T)
+        c, b, x0 = 2.0 * a, -q.g0.T, start.T
     else:
         m, s, lam1, tau = q.hess_mats
         if s is not None and lam1:
             return _panls_minimize(q, start, config)
-        x, solved = _nnls_bpp(2.0 * (m + tau * np.eye(len(m))), -q.g0,
-                              start)
+        c, b, x0 = 2.0 * (m + tau * np.eye(len(m))), -q.g0, start
+    try:
+        x, solved = _nnls_bpp(c, b, x0)
+    except np.linalg.LinAlgError:
+        return _panls_minimize(q, start, config)
+    if q.kind == "w":
+        x = np.ascontiguousarray(x.T)
     if solved:
         return x, False
     return _panls_minimize(q, x, config)

@@ -53,8 +53,51 @@ def test_generate_rerun_identical_bytes(tmp_path):
     for out in (a, b):
         assert run(["generate", "--dataset", "D2", "--seed", 3,
                     "--out", out]) == 0
-    for name in ("X_1.csv", "W0.csv", "theta_2.csv", "R_1_3.csv"):
+    for name in ("X_1.csv", "W0.csv", "model_theta_1_0.csv",
+                 "model_R_0_2.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def files_config(tmp_path, files):
+    cfg = {
+        "source": {"files": files},
+        "hyperparameters": {"rank": 4, "lambda1": 1e-3, "lambda2": 1e-3},
+        "solvers": [{"algorithm": "Ne", "max_outer_iters": 5}],
+        "seeds": [0],
+    }
+    path = tmp_path / "files.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_generate_manifest_files_are_a_files_source(tmp_path):
+    data = tmp_path / "d1"
+    assert run(["generate", "--dataset", "D1", "--out", data]) == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    cfg = files_config(tmp_path, {"base": str(data), **manifest["files"]})
+    out = tmp_path / "out"
+    assert run(["solve", "--config", cfg, "--out", out]) == 0
+    # the networks went into the solve and into its saved model
+    (run_dir,) = (out / "runs").iterdir()
+    model = load_model(run_dir)
+    truth = generate(SyntheticSpec(dataset_id="D1", seed=0)).constraints
+    assert model.constraints.within.keys() == truth.within.keys()
+    assert model.constraints.between.keys() == truth.between.keys()
+    for i, mats in truth.within.items():
+        assert np.array_equal(model.constraints.within[i][0], mats[0])
+
+
+def test_solve_rejects_a_list_shaped_network_map_exit_2(tmp_path, capsys):
+    data = tmp_path / "d1"
+    assert run(["generate", "--dataset", "D1", "--out", data]) == 0
+    files = json.loads((data / "manifest.json").read_text())["files"]
+    # the manifest's earlier layout listed each within network as an entry
+    files["within"] = [{"view": int(i), "file": names[0]}
+                       for i, names in files["within"].items()]
+    cfg = files_config(tmp_path, {"base": str(data), **files})
+    assert run(["solve", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert 'error: networks must be maps: "within" {"view": [file' in err
 
 
 def test_generate_invalid_dataset_exit_2(tmp_path, capsys):
@@ -289,13 +332,17 @@ def test_model_roundtrip(tmp_path):
     assert model.params.rank == truth.rank
 
 
-@pytest.mark.parametrize("stale", ["rank", "n"])
+@pytest.mark.parametrize("stale", ["rank", "n", "top-rank"])
 def test_load_model_names_a_stale_model_json(tmp_path, capsys, stale):
     model_dir, truth = ground_truth_model_dir(tmp_path)
     meta = json.loads((model_dir / "model.json").read_text())
     if stale == "rank":
         meta["hyperparameters"]["rank"] = truth.rank + 1
         message = f"rank {truth.rank + 1} does not match the {truth.rank} "
+    elif stale == "top-rank":
+        meta["rank"] = truth.rank + 3
+        message = (f"model.json's rank {truth.rank + 3} does not match its "
+                   f"hyperparameters' rank {truth.rank}")
     else:
         meta["n"][-1] += 1
         message = f"model.json's n {meta['n']} does not match"
@@ -382,6 +429,31 @@ def test_predict_r_mode_reproduces_training_error(tmp_path, capsys):
         h_hat = read_matrix(out / f"H_hat_{i + 1}.csv")
         err += float(np.sum((x - factors.W @ h_hat) ** 2))
     assert err <= report.reconstruction_error * (1 + 1e-6)
+
+
+def test_predict_reports_an_unbounded_block_exit_1(tmp_path, capsys):
+    truth = generate(SyntheticSpec(dataset_id="D1", mu=0.0, seed=0))
+    prob = new_problem(truth.to_dataset(), truth.constraints,
+                       Hyperparameters(rank=truth.rank))
+    factors = Factorization(truth.w0, [h.astype(float) for h in truth.h0])
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    _save_model(model_dir, prob, factors, SolverConfig())
+    meta = json.loads((model_dir / "model.json").read_text())
+    # a within-network weight that outweighs every view's H curvature
+    meta["hyperparameters"]["lambda1"] = 100.0
+    (model_dir / "model.json").write_text(json.dumps(meta))
+    tests = []
+    for i, x in enumerate(truth.x0):
+        tests.append(tmp_path / f"X_{i + 1}.csv")
+        write_matrix(tests[-1], x)
+    out = tmp_path / "pred"
+    assert run(["predict", "--model", model_dir, "--mode", "r",
+                "--test", *tests, "--views", "0,1,2", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: view 0's H block is unbounded below")
+    assert "Traceback" not in err
+    assert not list(out.iterdir())
 
 
 def test_predict_lclass_writes_classes(tmp_path):

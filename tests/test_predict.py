@@ -8,8 +8,9 @@ from jmf import (ConstraintSet, Factorization, Hyperparameters,
                  MultiViewDataset, SolverConfig, SyntheticSpec, TrainedModel,
                  generate, init_factors, new_problem, predict_class,
                  predict_left, predict_right, predict_view, solve)
-from jmf.objective import h_subproblem
-from jmf.objective import projected_norm
+from jmf.model import DivergenceError
+from jmf.objective import (h_subproblem, projected_norm, view_products,
+                           w_subproblem)
 from oracles import make_problem, random_factors
 from test_engines import count_products
 
@@ -75,7 +76,7 @@ def test_predict_left_output_nonnegative():
     assert predict_left(model, test).min() >= 0
 
 
-@pytest.mark.parametrize("algorithm", ["PG", "PANLS"])
+@pytest.mark.parametrize("algorithm", ["PG"])
 def test_predict_left_stops_at_an_exhausted_search(monkeypatch, algorithm):
     prob = make_problem(seed=3, m=10, n=(6, 8), r=3)
     model = TrainedModel(random_factors(prob, seed=1), prob.params,
@@ -91,6 +92,77 @@ def test_predict_left_stops_at_an_exhausted_search(monkeypatch, algorithm):
     # the search left the start, rng(config.seed).random, where it was
     start = np.random.default_rng(cfg.seed).random((prob.m, prob.rank))
     assert np.array_equal(w_hat, start)
+
+
+@pytest.mark.parametrize("algorithm", ["PG", "PANLS"])
+def test_predict_right_stops_at_an_exhausted_search(monkeypatch, algorithm):
+    # an H block with lambda1 S_I runs the step-size searches; PANLS solves
+    # the other blocks exactly
+    prob = make_problem(seed=3, m=10, n=(6, 8), r=3, lambda1=1e-3)
+    model = TrainedModel(random_factors(prob, seed=1), prob.params,
+                         prob.constraints)
+    # one trial step, far too long: the first search runs out
+    monkeypatch.setattr(jmf.solvers, "_MAX_BACKTRACKS", 0)
+    monkeypatch.setattr(jmf.solvers, "_ALPHA0", 1e12)
+    cfg = SolverConfig(algorithm=algorithm)
+    count = count_products(monkeypatch)
+    with pytest.warns(RuntimeWarning):
+        hs = predict_right(model, prob.dataset, cfg)
+    assert count[0] <= 5
+    # the first view's search left its start, rng(config.seed).random,
+    # where it was, and the sweep stopped before the second view
+    rng = np.random.default_rng(cfg.seed)
+    for h, n in zip(hs, prob.n):
+        assert np.array_equal(h, rng.random((prob.rank, n)))
+
+
+def networked_d1_model(algorithm, lambda1):
+    """A D1 model trained without networks, then given its networks at
+    ``lambda1``."""
+    model, truth = trained_model()
+    return TrainedModel(model.factors, replace(model.params, lambda1=lambda1),
+                        truth.constraints,
+                        SolverConfig(algorithm=algorithm)), truth
+
+
+@pytest.mark.parametrize("algorithm", ["PG", "Ne", "PANLS"])
+def test_predict_right_names_an_unbounded_view(algorithm):
+    model, truth = networked_d1_model(algorithm, lambda1=1.0)
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(DivergenceError,
+                           match="view 0's H block is unbounded below"):
+            predict_right(model, dict(enumerate(truth.x0)))
+
+
+def test_predict_left_solves_the_panls_w_block_exactly(monkeypatch):
+    model, truth = networked_d1_model("PANLS", lambda1=1e-3)
+    test = {i: x[:20] for i, x in enumerate(truth.x0)}
+    count = count_products(monkeypatch)
+    w_hat = predict_left(model, test)
+    assert count[0] == 0
+    q = w_subproblem(model, model.factors.H,
+                     xht=view_products(list(test.values()), model.factors.H))
+    start = np.random.default_rng(0).random(w_hat.shape)
+    pn0 = projected_norm(start, q.grad(start))
+    assert w_hat.min() >= 0
+    assert projected_norm(w_hat, q.grad(w_hat)) <= 1e-9 * pn0
+
+
+@pytest.mark.parametrize("algorithm", ["PG", "Ne", "PANLS"])
+def test_predict_solves_blocks_with_a_singular_matrix(algorithm):
+    # a component that no view uses: with gamma1 = gamma2 = 0 and no
+    # proximal term, the W and H blocks' r x r matrices are singular
+    model, truth = ground_truth_model()
+    w = np.hstack([model.factors.W, np.zeros((model.factors.W.shape[0], 1))])
+    hs = [np.vstack([h, np.zeros((1, h.shape[1]))]) for h in model.factors.H]
+    model = TrainedModel(Factorization(w, hs), replace(model.params,
+                                                       rank=w.shape[1]),
+                         config=replace(CFG, algorithm=algorithm))
+    test = dict(enumerate(truth.x0))
+    x_hat = predict_left(model, test) @ model.factors.H[0]
+    assert np.allclose(x_hat, truth.x0[0], atol=1e-6)
+    for h, x in zip(predict_right(model, test), truth.x0):
+        assert np.allclose(w @ h, x, atol=1e-6)
 
 
 def test_trained_model_rejects_a_rank_that_w_does_not_have():
