@@ -26,8 +26,10 @@ views per iteration instead of recomputing them for each reader.  A step
 redone from the plain iterate forms 2 N more.  A step started from an
 extrapolated iterate forms no full product more: its W build reads
 sum_I X_I H_I^T from the record of the two plain iterates before it and
-a product with the few columns of each X_I where the projection clipped
-an entry.  F's fit term comes from the trace identity
+a product with the columns of each X_I where the projection clipped an
+entry.  Those are not few: on D3 a median 18% (mean 26%) of the columns
+are clipped, and that product takes about 0.16 s of a 1.37 s solve.
+F's fit term comes from the trace identity
 
     sum_I ||X_I - W H_I||^2 = ||X||^2 - 2 <W, xht> + <W^T W, sum_I H_I H_I^T>
 
@@ -97,8 +99,11 @@ class Grams:
 
 def view_products(views: Sequence[np.ndarray],
                   H: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_I X_I H_I^T over the given views."""
-    return sum(x @ h.T for x, h in zip(views, H))
+    """sum_I X_I H_I^T over the given views, summed as (sum_I H_I X_I^T)^T
+    and returned row-major: for a row-major X_I, BLAS forms H_I X_I^T
+    8-28% faster than X_I H_I^T, with the same bits in every case tried
+    on OpenBLAS at the benchmark workloads' shapes."""
+    return np.ascontiguousarray(sum(h @ x.T for x, h in zip(views, H)).T)
 
 
 def objective_value(problem: Problem, factors: Factorization,

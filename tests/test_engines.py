@@ -6,9 +6,11 @@ the doubled Hessian operator must agree with the forms they replaced, the
 product counts per step are pinned, and an exhausted step-size search is
 reported.  PANLS's exact solve of a block that splits into small NNLS
 problems must reach the one KKT point that enumerating the passive sets
-finds (``ref_nnls``).  The MUR engine's first step is the paper's single
-update, its repeated steps never raise the block quadratic, and its inner
-stop keeps to Gillis and Glineur's rule.
+finds (``ref_nnls``), also when it solves every H_I block at once; blocks
+that read one another, and the other algorithms, keep the per-view loop.
+The MUR engine's first step is the paper's single update, its repeated
+steps never raise the block quadratic, and its inner stop keeps to
+Gillis and Glineur's rule.
 """
 import math
 
@@ -20,13 +22,13 @@ from hypothesis import strategies as st
 import jmf.solvers
 from jmf import (Hyperparameters, SolverConfig, SyntheticSpec, generate,
                  init_factors, new_problem, solve)
-from jmf.objective import (QuadSubproblem, _projected, h_subproblem,
-                           projected_norm, w_subproblem)
-from jmf.solvers import (_MUR_ALPHA, _MUR_DELTA, _build_quad,
+from jmf.objective import (Grams, QuadSubproblem, _projected, h_subproblem,
+                           projected_norm, view_products, w_subproblem)
+from jmf.solvers import (_MUR_ALPHA, _MUR_DELTA, _block_step, _build_quad,
                          _mur_minimize, _mur_rho, _ne_minimize, _nnls_bpp,
-                         _panls_minimize, _pg_minimize, mur_step_H,
-                         mur_step_W, mur_subproblem, panls_subproblem,
-                         pg_subproblem)
+                         _outer_update, _panls_minimize, _pg_minimize,
+                         mur_step_H, mur_step_W, mur_subproblem,
+                         panls_subproblem, pg_subproblem)
 from oracles import (make_problem, random_factors, ref_ne_minimize,
                      ref_nnls, ref_panls_minimize, ref_pg_minimize, ref_pgn,
                      ref_settings)
@@ -411,6 +413,113 @@ def test_panls_solves_d4_shaped_blocks_to_kkt():
         # the paper's engine stops at its inner tolerance, above the minimum
         inexact, _ = _panls_minimize(q, anchor, cfg)
         assert q.value(x) < q.value(inexact)
+
+
+# ---------------------------------------------------------------------------
+# one outer update: the H blocks solved together or one view at a time
+
+
+def outer_update(prob, fac, algorithm):
+    """``_outer_update`` on a copy of ``fac``: the new factors."""
+    step = fac.copy()
+    grams = Grams(view_products(prob.dataset.views, step.H),
+                  [None] * prob.n_views)
+    _outer_update(prob, SolverConfig(algorithm=algorithm), step, grams)
+    return step
+
+
+def count_calls(monkeypatch, name) -> list:
+    """Record the arguments of every call to ``jmf.solvers.<name>``."""
+    calls = []
+    original = getattr(jmf.solvers, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(jmf.solvers, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("gamma2", [0.0, 0.3])
+@pytest.mark.parametrize("seed", range(3))
+def test_uncoupled_h_blocks_reach_each_views_minimizer(monkeypatch, seed,
+                                                       gamma2):
+    # networks stored but weighted 0, so no H_I block reads another
+    prob = make_problem(seed=seed, m=15, n=(6, 9, 4), r=3, gamma1=1e-2,
+                        gamma2=gamma2)
+    fac = random_factors(prob, seed=seed + 7)
+    calls = count_calls(monkeypatch, "_nnls_bpp")
+    step = outer_update(prob, fac, "PANLS")
+    assert len(calls) == 2  # W, then every H_I in one solve
+    assert calls[1][1].shape[1] == sum(prob.n)
+    tau = jmf.solvers._TAU
+    for i, (x, h) in enumerate(zip(prob.dataset.views, fac.H)):
+        q = h_subproblem(prob, step.W, fac.H, i, tau2=tau, anchor=h,
+                         wtx=step.W.T @ x)
+        c = 2.0 * (q.hess_mats[0] + tau * np.eye(prob.rank))
+        assert step.H[i].shape == h.shape and step.H[i].flags.c_contiguous
+        assert_matches_enumeration(c, -q.g0, step.H[i])
+
+
+def sequential_update(prob, fac, algorithm):
+    """W's update, then each H_I's in view order, each build reading the
+    H_J updated before it: the per-view loop."""
+    cfg = SolverConfig(algorithm=algorithm)
+    seq = fac.copy()
+    seq.W = _block_step(prob, cfg, seq, "w",
+                        view_products(prob.dataset.views, seq.H))[0]
+    for i, x in enumerate(prob.dataset.views):
+        seq.H[i] = _block_step(prob, cfg, seq, i, seq.W.T @ x)[0]
+    return seq
+
+
+@pytest.mark.parametrize("algorithm, weights", [
+    ("PANLS", dict(lambda1=1e-3)),
+    ("PANLS", dict(lambda2=1e-2, gamma2=0.1)),
+    ("MUR", {}), ("PG", {}), ("Ne", dict(gamma2=0.1))])
+def test_coupled_or_inexact_h_blocks_are_solved_view_by_view(
+        algorithm, weights):
+    prob = make_problem(seed=3, m=15, n=(6, 9, 4), r=3, gamma1=1e-2,
+                        **weights)
+    fac = random_factors(prob, seed=11)
+    step = outer_update(prob, fac, algorithm)
+    seq = sequential_update(prob, fac, algorithm)
+    assert np.array_equal(step.W, seq.W)
+    for got, want in zip(step.H, seq.H):
+        assert np.array_equal(got, want)
+
+
+def test_joint_solve_round_cap_hands_each_view_to_panls(monkeypatch):
+    prob = make_problem(seed=5, m=15, n=(6, 9, 4), r=3, gamma1=1e-2,
+                        gamma2=0.1)
+    fac = random_factors(prob, seed=2)
+    monkeypatch.setattr(jmf.solvers, "_BPP_MAX_ROUNDS", 0)
+    fallbacks = count_calls(monkeypatch, "_panls_minimize")
+    step = outer_update(prob, fac, "PANLS")
+    # W's block, then each view's slice of the clipped joint iterate
+    assert [x0.shape for _, x0, _ in fallbacks[1:]] == [
+        h.shape for h in fac.H]
+    for h, want in zip(step.H, fac.H):
+        assert h.shape == want.shape
+        assert np.isfinite(h).all() and h.min() >= 0
+
+
+def test_joint_solve_of_a_singular_matrix_matches_the_per_view_solves():
+    # a zero column of W and gamma2 = 0: without the proximal term the
+    # matrix 2 W^T W is singular, and each view runs PANLS from its start
+    prob = make_problem(seed=6, m=15, n=(6, 9, 4), r=3)
+    fac = random_factors(prob, seed=4)
+    fac.W[:, 1] = 0.0
+    cfg = SolverConfig(algorithm="PANLS")
+    wtx = [fac.W.T @ x for x in prob.dataset.views]
+    views = list(range(prob.n_views))
+    joint, exhausted = panls_subproblem(prob, fac, views, cfg,
+                                        [None] * len(views), wtx)
+    assert exhausted == 0
+    for i, h in enumerate(joint):
+        alone, flag = panls_subproblem(prob, fac, i, cfg, None, wtx[i])
+        assert not flag and np.array_equal(h, alone)
 
 
 # ---------------------------------------------------------------------------

@@ -295,3 +295,14 @@ def test_extrapolated_gram_matches_a_full_product(case):
                 for x, h, hp, hh in zip(views, fac.H, prev.H, step.H))
     np.testing.assert_allclose(gram, view_products(views, step.H), rtol=0,
                                atol=1e-12 * scale)
+
+
+def test_view_products_are_the_row_major_sum_of_x_h_transpose():
+    # formed as (sum_I H_I X_I^T)^T, BLAS's faster orientation
+    prob = weighted_problem()
+    rng = np.random.default_rng(0)
+    hs = [rng.random((prob.rank, n)) for n in prob.n]
+    got = view_products(prob.dataset.views, hs)
+    want = sum(x @ h.T for x, h in zip(prob.dataset.views, hs))
+    assert got.shape == (prob.m, prob.rank) and got.flags.c_contiguous
+    np.testing.assert_allclose(got, want, rtol=1e-14)

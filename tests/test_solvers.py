@@ -428,6 +428,8 @@ def test_d1_at_lambda1_0_1_names_its_unbounded_block(algorithm):
     assert vsv == pytest.approx(
         spectral_norm(prob.constraints.within_sym(view)), rel=1e-6)
     assert len(err.value.trace) == 1
+    # raised with no context, which would keep the block's frames alive
+    assert err.value.__context__ is None and err.value.__cause__ is None
 
 
 def test_mur_is_not_extrapolated():
