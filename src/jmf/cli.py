@@ -244,6 +244,13 @@ def _load_source(cfg: dict):
     raise UsageError("config needs a 'source' with 'synthetic' or 'files'")
 
 
+def _check_rank(truth, rank: int) -> None:
+    """The AUC pairs learned with planted components: ranks must agree."""
+    if truth is not None and truth.rank != rank:
+        raise UsageError(f"rank {rank} does not match the synthetic "
+                         f"source's planted rank {truth.rank}")
+
+
 def _run_tag(cfg: SolverConfig) -> str:
     rule = "stop1" if cfg.stop_rule is StopRule.OBJECTIVE_RATIO else "stop2"
     return f"{cfg.algorithm.value}_{rule}_tol{cfg.tolerance:g}"
@@ -289,6 +296,7 @@ def cmd_solve(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
     dataset, constraints, truth = _load_source(cfg)
     params = _from_json(Hyperparameters, cfg["hyperparameters"])
+    _check_rank(truth, params.rank)
     problem = new_problem(dataset, constraints, params)
     seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
              else [int(s) for s in cfg.get("seeds", [0])])
@@ -352,14 +360,16 @@ def cmd_gridsearch(args) -> int:
     if "synthetic" not in (cfg.get("source") or {}):
         raise UsageError("grid search needs a synthetic source (AUC oracle)")
     _check_keys("grid", cfg.get("grid") or {}, DEFAULT_GRID)
-    base = dict(cfg.get("hyperparameters") or {})
-    _check_keys("Hyperparameters", base,
-                [f.name for f in fields(Hyperparameters)])
+    seeds = [int(s) for s in cfg.get("grid_seeds", [0, 1, 2])]
+    if not seeds:
+        raise UsageError("grid search needs at least one grid seed")
     dataset, constraints, truth = _load_source(cfg)
     grid = {**DEFAULT_GRID, **(cfg.get("grid") or {})}
-    seeds = [int(s) for s in cfg.get("grid_seeds", [0, 1, 2])]
     (config,) = _solver_configs([cfg.get("solver") or {"algorithm": "PANLS"}])
-    rank = int(base.get("rank", truth.rank))
+    # the grid sets the weights; the rank defaults to the planted one
+    base = {"rank": truth.rank, **(cfg.get("hyperparameters") or {})}
+    rank = _from_json(Hyperparameters, base).rank
+    _check_rank(truth, rank)
 
     cells = list(itertools.product(grid["lambda1"], grid["lambda2"],
                                    grid["gamma1"], grid["gamma2"]))

@@ -1,6 +1,8 @@
 """Problem definition and shared containers for joint multi-view NMF."""
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -179,11 +181,16 @@ class Hyperparameters:
     gamma2: float = 0.0
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be a positive integer")
+        if not (isinstance(self.rank, numbers.Integral) and self.rank >= 1):
+            raise ValueError(f"rank must be a positive integer, got "
+                             f"{self.rank!r}")
+        # a NumPy integer becomes an int, which model.json can hold
+        object.__setattr__(self, "rank", int(self.rank))
         for name in ("lambda1", "lambda2", "gamma1", "gamma2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+                raise ValueError(f"{name} must be a nonnegative finite "
+                                 f"number, got {value!r}")
 
 
 class Factorization:

@@ -9,8 +9,7 @@ import numpy as np
 from .model import (Algorithm, ConstraintSet, Factorization, Hyperparameters,
                     MultiViewDataset, SolverConfig)
 from .objective import projected_norm, view_products
-from .solvers import (_build_quad, ne_subproblem, panls_subproblem,
-                      pg_subproblem)
+from .solvers import _build_quad, _engine_step
 
 
 @dataclass
@@ -59,21 +58,17 @@ def _as_view_map(model: TrainedModel, test, axis: int = 1
 def _solve_block(model: TrainedModel, factors: Factorization, target,
                  config: SolverConfig, xprod: np.ndarray
                  ) -> tuple[np.ndarray, bool]:
-    """Solve one block ("w" or a view) through the solver's block solve,
-    with no proximal term, to the configured tolerance relative to its
-    start in at most inner_iters * max_outer_iters steps; Ne stands in for
-    MUR.  ``xprod`` is the block's product with the test views.  Returns
-    (block, search-exhausted flag) and warns when the flag is set."""
+    """Solve one block ("w" or a view) with the solver's engine on its
+    quadratic without the proximal term, to the configured tolerance
+    relative to its start in at most inner_iters * max_outer_iters steps;
+    Ne stands in for MUR.  ``xprod`` is the block's product with the test
+    views.  Returns (block, search-exhausted flag); warns when it is set."""
+    alg = config.algorithm
     inner = replace(config, inner_tol=1e-14, inner_tol_rel=config.tolerance,
-                    inner_iters=config.inner_iters * config.max_outer_iters)
-    if config.algorithm is Algorithm.PG:
-        x, exhausted = pg_subproblem(model, factors, target, inner, xprod)
-    elif config.algorithm is Algorithm.PANLS:
-        x, exhausted = panls_subproblem(model, factors, target, inner, None,
-                                        xprod)
-    else:
-        x, exhausted = ne_subproblem(model, factors, target, inner,
-                                     xprod), False
+                    inner_iters=config.inner_iters * config.max_outer_iters,
+                    algorithm=Algorithm.NE if alg is Algorithm.MUR else alg)
+    x, exhausted = _engine_step(*_build_quad(model, factors, target,
+                                             xprod=xprod), inner)
     if exhausted:
         warnings.warn("the step-size search ran out before the prediction "
                       "subproblem reached its tolerance", RuntimeWarning,

@@ -16,9 +16,9 @@ from jmf import (ConstraintSet, Factorization, Hyperparameters,
                  solve)
 from jmf.objective import (hessian_quadratic_form_H, hessian_quadratic_form_W,
                            w_subproblem)
-from jmf.solvers import (StopState, check_stop_gradient, check_stop_objective,
-                         mur_step_H, mur_step_W, ne_subproblem,
-                         panls_subproblem, pg_subproblem)
+from jmf.solvers import (StopState, _build_quad, check_stop_gradient,
+                         check_stop_objective, mur_step_H, mur_step_W,
+                         ne_subproblem, panls_subproblem, pg_subproblem)
 from oracles import (brute_auc, dense_hessian_H, dense_hessian_W,
                      finite_diff_grad, make_problem, naive_objective,
                      quad_form, random_factors)
@@ -124,12 +124,12 @@ def test_criterion_4_monotone_convergence_shape(capsys):
             factors = Factorization(w, hs)
             q = w_subproblem(prob, hs)
             before = q.value(w)
-            w = ne_subproblem(prob, factors, "w", cfg)
+            w, _ = ne_subproblem(*_build_quad(prob, factors, "w"), cfg)
             if q.value(w) > before + 1e-10:
                 ne_ok = False
             factors = Factorization(w, hs)
             for i in range(prob.n_views):
-                hs[i] = ne_subproblem(prob, factors, i, cfg)
+                hs[i], _ = ne_subproblem(*_build_quad(prob, factors, i), cfg)
     ok = worst <= 1e-8 and ne_ok
     verdict(capsys, 4, "objective traces non-increasing after iteration 2", ok,
             f"worst relative increase {worst:.2e} (allow 1e-8), "
@@ -265,9 +265,10 @@ def test_criterion_9_subproblem_agreement(capsys):
             algorithm=alg, stop_rule="ObjectiveRatio", tolerance=1e-7,
             inner_tol=1e-10, inner_tol_rel=0.0)
         q = w_subproblem(prob, fac.H)
-        w_pg, _ = pg_subproblem(prob, fac, "w", cfg("PG"))
-        w_ne = ne_subproblem(prob, fac, "w", cfg("Ne"))
-        w_pa, _ = panls_subproblem(prob, fac, "w", cfg("PANLS"), fac.W.copy())
+        w_pg, _ = pg_subproblem(*_build_quad(prob, fac, "w"), cfg("PG"))
+        w_ne, _ = ne_subproblem(*_build_quad(prob, fac, "w"), cfg("Ne"))
+        w_pa, _ = panls_subproblem(
+            *_build_quad(prob, fac, "w", fac.W.copy()), cfg("PANLS"))
         vals = [q.value(w) for w in (w_pg, w_ne, w_pa)]
         spread = (max(vals) - min(vals)) / max(1.0, abs(min(vals)))
         worst = max(worst, spread)

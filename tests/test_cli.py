@@ -1,9 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jmf.cli
 import jmf.objective
 from jmf import (ConstraintSet, Factorization, Hyperparameters, SolverConfig,
                  SyntheticSpec, generate, init_factors, new_problem, solve)
@@ -233,6 +235,68 @@ def test_solve_all_diverged_exit_1(tmp_path):
     assert all((out / "runs" / r / "DIVERGED").exists() for r in runs)
 
 
+def test_readme_experiment_config_solves(tmp_path):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    (block,) = re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
+    path = tmp_path / "experiment.json"
+    path.write_text(block)
+    out = tmp_path / "out"
+    assert run(["solve", "--config", path, "--out", out, "--serial"]) == 0
+    (entry,) = json.loads((out / "summary.json").read_text())
+    assert entry["diverged"] == 0 and "mean_auc" in entry
+
+
+def refuse_to_solve(monkeypatch) -> list:
+    """Make ``solve`` in the CLI record its calls and fail."""
+    calls = []
+
+    def refused(*args):
+        calls.append(args)
+        raise AssertionError("solve must not run")
+
+    monkeypatch.setattr(jmf.cli, "solve", refused)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["solve", "gridsearch"])
+def test_a_rank_other_than_the_planted_one_exits_2_before_solving(
+        tmp_path, capsys, monkeypatch, command):
+    calls = refuse_to_solve(monkeypatch)
+    entry = {"algorithm": "PG", "max_outer_iters": 1}
+    path = (solve_config(tmp_path, [entry], seeds=[0]) if command == "solve"
+            else grid_config(tmp_path, entry, seeds=[0]))
+    cfg = json.loads(path.read_text())
+    cfg["hyperparameters"]["rank"] = 10
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run([command, "--config", path, "--out", out, *(
+        ["--serial"] if command == "solve" else [])]) == 2
+    assert ("error: rank 10 does not match the synthetic source's planted "
+            "rank 4") in capsys.readouterr().err
+    assert not calls and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "gridsearch"])
+@pytest.mark.parametrize("key, value, message", [
+    ("rank", 4.5, "rank must be a positive integer, got 4.5"),
+    ("rank", "4", "rank must be a positive integer, got '4'"),
+    ("gamma1", "1e-4", "gamma1 must be a nonnegative finite number, got "
+                       "'1e-4'"),
+], ids=["fractional-rank", "string-rank", "string-weight"])
+def test_a_malformed_hyperparameter_exits_2(tmp_path, capsys, monkeypatch,
+                                            command, key, value, message):
+    calls = refuse_to_solve(monkeypatch)
+    entry = {"algorithm": "PG", "max_outer_iters": 1}
+    path = (solve_config(tmp_path, [entry], seeds=[0]) if command == "solve"
+            else grid_config(tmp_path, entry, seeds=[0]))
+    cfg = json.loads(path.read_text())
+    cfg["hyperparameters"][key] = value
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", path, "--out", tmp_path / "out"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not calls
+
+
 def test_solve_missing_config_exit_2(tmp_path):
     assert run(["solve", "--config", tmp_path / "nope.json",
                 "--out", tmp_path / "o"]) == 2
@@ -300,6 +364,17 @@ def test_gridsearch_bad_config_key_exit_2(tmp_path, capsys, section, key,
     assert run(["gridsearch", "--config", path, "--out", out]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (out / "grid.csv").exists()
+
+
+def test_gridsearch_without_grid_seeds_exit_2(tmp_path, capsys,
+                                             monkeypatch):
+    calls = refuse_to_solve(monkeypatch)
+    path = grid_config(tmp_path, {"algorithm": "PG"}, seeds=[])
+    out = tmp_path / "out"
+    assert run(["gridsearch", "--config", path, "--out", out]) == 2
+    assert ("error: grid search needs at least one grid seed"
+            in capsys.readouterr().err)
+    assert not calls and not out.exists()
 
 
 def test_gridsearch_requires_synthetic_source(tmp_path):

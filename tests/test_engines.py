@@ -1,16 +1,19 @@
 """The inner engines on one built block quadratic.
 
-The projected engines (PG, Ne, PANLS) must follow the reference copies in
-``oracles.py`` (equal in exact arithmetic), the branch-free projection and
-the doubled Hessian operator must agree with the forms they replaced, the
-product counts per step are pinned, and an exhausted step-size search is
-reported.  PANLS's exact solve of a block that splits into small NNLS
-problems must reach the one KKT point that enumerating the passive sets
-finds (``ref_nnls``), also when it solves every H_I block at once; blocks
-that read one another, and the other algorithms, keep the per-view loop.
-The MUR engine's first step is the paper's single update, its repeated
-steps never raise the block quadratic, and its inner stop keeps to
-Gillis and Glineur's rule.
+Each engine (``<alg>_subproblem``) takes a quadratic built by
+``_build_quad``, its start and the config, and returns the block and the
+flag of an exhausted step-size search.  The projected engines (PG, Ne,
+PANLS) must follow the reference copies in ``oracles.py`` (equal in exact
+arithmetic), the branch-free projection and the doubled Hessian operator
+must agree with the forms they replaced, the product counts per step are
+pinned, and an exhausted step-size search is reported.  PANLS's exact
+solve of a block that splits into small NNLS problems must reach the one
+KKT point that enumerating the passive sets finds (``ref_nnls``), also
+when every H_I block is stacked into one quadratic; blocks that read one
+another, and the other algorithms, keep the per-view loop, and ``solve``
+reaches each engine through its module name.  The MUR engine's first
+step is the paper's single update, its repeated steps never raise the
+block quadratic, and its inner stop keeps to Gillis and Glineur's rule.
 """
 import math
 
@@ -25,10 +28,9 @@ from jmf import (Hyperparameters, SolverConfig, SyntheticSpec, generate,
 from jmf.objective import (Grams, QuadSubproblem, _projected, h_subproblem,
                            projected_norm, view_products, w_subproblem)
 from jmf.solvers import (_MUR_ALPHA, _MUR_DELTA, _block_step, _build_quad,
-                         _mur_minimize, _mur_rho, _ne_minimize, _nnls_bpp,
-                         _outer_update, _panls_minimize, _pg_minimize,
+                         _mur_rho, _nnls_bpp, _outer_update, _panls_minimize,
                          mur_step_H, mur_step_W, mur_subproblem,
-                         panls_subproblem, pg_subproblem)
+                         ne_subproblem, panls_subproblem, pg_subproblem)
 from oracles import (make_problem, random_factors, ref_ne_minimize,
                      ref_nnls, ref_panls_minimize, ref_pg_minimize, ref_pgn,
                      ref_settings)
@@ -64,11 +66,11 @@ def test_engines_match_their_reference(engine, seed):
     cfg = engine_config(algorithm=engine)
     for q, x0 in weighted_quads(seed):
         if engine == "PG":
-            new, flag = _pg_minimize(q, x0, cfg)
+            new, flag = pg_subproblem(q, x0, cfg)
             ref, ref_flag = ref_pg_minimize(q, x0, ref_settings(cfg))
             assert flag == ref_flag
         elif engine == "Ne":
-            new = _ne_minimize(q, x0, cfg)
+            new, _ = ne_subproblem(q, x0, cfg)
             ref = ref_ne_minimize(q, x0, ref_settings(cfg))
         else:
             new, _ = _panls_minimize(q, x0, cfg)
@@ -167,17 +169,17 @@ def test_ne_forms_one_product_per_step(monkeypatch, steps):
                        inner_tol_rel=0.0)
     for q, x0 in weighted_quads(0):
         before = count[0]
-        _ne_minimize(q, x0, cfg)
+        ne_subproblem(q, x0, cfg)
         assert count[0] - before == steps + 1
 
 
 def test_ne_momentum_does_not_read_the_armijo_first_step(monkeypatch):
     cfg = engine_config(algorithm="Ne")
     quads = weighted_quads(1)
-    before = [_ne_minimize(q, x0, cfg) for q, x0 in quads]
+    before = [ne_subproblem(q, x0, cfg)[0] for q, x0 in quads]
     monkeypatch.setattr(jmf.solvers, "_ALPHA0", 7.0)
     for (q, x0), x in zip(quads, before):
-        assert np.array_equal(_ne_minimize(q, x0, cfg), x)
+        assert np.array_equal(ne_subproblem(q, x0, cfg)[0], x)
 
 
 def interior_quad(r=6, rows=40):
@@ -253,20 +255,21 @@ def test_subproblem_returns_the_exhaustion_flag(monkeypatch, algorithm):
     fac = random_factors(prob, seed=1)
     cfg = overshooting(monkeypatch, algorithm)
     if algorithm == "PG":
-        x, flag = pg_subproblem(prob, fac, "w", cfg)
+        x, flag = pg_subproblem(*_build_quad(prob, fac, "w"), cfg)
         start = fac.W
     else:
-        x, flag = panls_subproblem(prob, fac, 1, cfg, fac.H[1])
+        x, flag = panls_subproblem(*_build_quad(prob, fac, 1, fac.H[1]), cfg)
         start = fac.H[1]
         # a block that splits has no search to exhaust
         separable = searched_problem(lambda1=0.0)
         for target, anchor in [("w", fac.W), (1, fac.H[1])]:
-            moved, no_flag = panls_subproblem(separable, fac, target, cfg,
-                                              anchor)
+            moved, no_flag = panls_subproblem(
+                *_build_quad(separable, fac, target, anchor), cfg)
             assert not no_flag and not np.array_equal(moved, anchor)
     assert flag and np.array_equal(x, start)
     monkeypatch.undo()  # back to the default search
-    _, flag = pg_subproblem(prob, fac, "w", SolverConfig(algorithm="PG"))
+    _, flag = pg_subproblem(*_build_quad(prob, fac, "w"),
+                            SolverConfig(algorithm="PG"))
     assert not flag
 
 
@@ -364,7 +367,8 @@ def test_bpp_round_cap_hands_the_block_to_panls(monkeypatch):
     cfg = SolverConfig(algorithm="PANLS", inner_iters=5000, inner_tol=0.0,
                        inner_tol_rel=1e-12)
     blocks = [("w", fac.W), (0, fac.H[0]), (1, fac.H[1])]
-    exact = [panls_subproblem(prob, fac, t, cfg, a)[0] for t, a in blocks]
+    exact = [panls_subproblem(*_build_quad(prob, fac, t, a), cfg)[0]
+             for t, a in blocks]
 
     monkeypatch.setattr(jmf.solvers, "_BPP_MAX_ROUNDS", 0)
     c, b = nnls_case(5)
@@ -382,7 +386,8 @@ def test_bpp_round_cap_hands_the_block_to_panls(monkeypatch):
 
     monkeypatch.setattr(jmf.solvers, "_panls_minimize", recorded)
     for (target, anchor), want in zip(blocks, exact):
-        x, flag = panls_subproblem(prob, fac, target, cfg, anchor)
+        x, flag = panls_subproblem(*_build_quad(prob, fac, target, anchor),
+                                   cfg)
         assert not flag and x.shape == anchor.shape
         assert starts[-1].min() >= 0
         np.testing.assert_allclose(x, want, rtol=0, atol=1e-8)
@@ -406,8 +411,8 @@ def test_panls_solves_d4_shaped_blocks_to_kkt():
     fac = init_factors(prob, 0)
     cfg = SolverConfig(algorithm="PANLS")
     for target, anchor in [("w", fac.W), (2, fac.H[2])]:
-        x, flag = panls_subproblem(prob, fac, target, cfg, anchor)
-        q, _ = _build_quad(prob, fac, target, anchor=anchor)
+        q, x0 = _build_quad(prob, fac, target, anchor=anchor)
+        x, flag = panls_subproblem(q, x0, cfg)
         assert not flag and x.flags.c_contiguous
         assert_kkt(q, x)
         # the paper's engine stops at its inner tolerance, above the minimum
@@ -490,36 +495,58 @@ def test_coupled_or_inexact_h_blocks_are_solved_view_by_view(
         assert np.array_equal(got, want)
 
 
-def test_joint_solve_round_cap_hands_each_view_to_panls(monkeypatch):
+@pytest.mark.parametrize("algorithm, weights, per_update", [
+    ("PG", {}, None), ("Ne", {}, None), ("PANLS", dict(lambda1=1e-3), None),
+    ("PANLS", {}, 2)], ids=["PG", "Ne", "PANLS-coupled", "PANLS-uncoupled"])
+def test_solve_reaches_the_engines_through_their_module_names(
+        monkeypatch, algorithm, weights, per_update):
+    # an outer update makes one engine call per block, or two when the
+    # uncoupled H blocks are solved as one; a profiler that replaces the
+    # module's names must see every call
+    prob = make_problem(seed=3, m=15, n=(6, 9, 4), r=3, gamma1=1e-2,
+                        **weights)
+    engine = count_calls(monkeypatch, f"{algorithm.lower()}_subproblem")
+    updates = count_calls(monkeypatch, "_outer_update")
+    solve(prob, SolverConfig(algorithm=algorithm, max_outer_iters=5),
+          init_factors(prob, 0))
+    assert updates
+    assert len(engine) == len(updates) * (per_update or prob.n_views + 1)
+
+
+def test_joint_solve_round_cap_hands_the_stacked_block_to_panls(
+        monkeypatch):
     prob = make_problem(seed=5, m=15, n=(6, 9, 4), r=3, gamma1=1e-2,
                         gamma2=0.1)
     fac = random_factors(prob, seed=2)
     monkeypatch.setattr(jmf.solvers, "_BPP_MAX_ROUNDS", 0)
     fallbacks = count_calls(monkeypatch, "_panls_minimize")
     step = outer_update(prob, fac, "PANLS")
-    # W's block, then each view's slice of the clipped joint iterate
+    # W's block, then the clipped iterate of every view's columns at once
     assert [x0.shape for _, x0, _ in fallbacks[1:]] == [
-        h.shape for h in fac.H]
+        (prob.rank, sum(prob.n))]
     for h, want in zip(step.H, fac.H):
         assert h.shape == want.shape
         assert np.isfinite(h).all() and h.min() >= 0
 
 
-def test_joint_solve_of_a_singular_matrix_matches_the_per_view_solves():
+def test_joint_solve_of_a_singular_matrix_runs_panls_on_the_stacked_block(
+        monkeypatch):
     # a zero column of W and gamma2 = 0: without the proximal term the
-    # matrix 2 W^T W is singular, and each view runs PANLS from its start
+    # matrix 2 W^T W is singular, and the stacked block runs PANLS from
+    # its start
     prob = make_problem(seed=6, m=15, n=(6, 9, 4), r=3)
     fac = random_factors(prob, seed=4)
     fac.W[:, 1] = 0.0
     cfg = SolverConfig(algorithm="PANLS")
-    wtx = [fac.W.T @ x for x in prob.dataset.views]
-    views = list(range(prob.n_views))
-    joint, exhausted = panls_subproblem(prob, fac, views, cfg,
-                                        [None] * len(views), wtx)
-    assert exhausted == 0
-    for i, h in enumerate(joint):
-        alone, flag = panls_subproblem(prob, fac, i, cfg, None, wtx[i])
-        assert not flag and np.array_equal(h, alone)
+    quads = [_build_quad(prob, fac, i)[0] for i in range(prob.n_views)]
+    joint = QuadSubproblem((quads[0].hess_mats[0], None, 0.0, 0.0),
+                           np.hstack([q.g0 for q in quads]), "h")
+    start = np.hstack(fac.H)
+    want, _ = _panls_minimize(joint, start, cfg)
+    fallbacks = count_calls(monkeypatch, "_panls_minimize")
+    x, exhausted = panls_subproblem(joint, start, cfg)
+    assert not exhausted and np.array_equal(x, want)
+    assert len(fallbacks) == 1 and fallbacks[0][1] is start
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +587,9 @@ def test_one_mur_step_is_the_paper_update(seed):
     for (q, x0), step in zip(mur_quads(prob, fac), paper):
         # capped at one step by rho = 0 and by the config
         assert np.array_equal(
-            _mur_minimize(q, x0, SolverConfig(), rho=0.0), step)
+            mur_subproblem(q, x0, SolverConfig(), rho=0.0)[0], step)
         assert np.array_equal(
-            _mur_minimize(q, x0, SolverConfig(inner_iters=1), rho=50.0),
+            mur_subproblem(q, x0, SolverConfig(inner_iters=1), rho=50.0)[0],
             step)
 
 
@@ -587,7 +614,7 @@ def test_repeated_mur_steps_never_raise_the_block_quadratic(case, rho):
         steps = record_mur_steps(mp)
         for q, x0 in mur_quads(prob, fac):
             steps.clear()
-            x = _mur_minimize(q, x0, SolverConfig(), rho)
+            x, _ = mur_subproblem(q, x0, SolverConfig(), rho)
             values = [q.value(x0)] + [q.value(s) for s in steps]
             for prev, curr in zip(values, values[1:]):
                 assert curr <= prev + 1e-10 * max(1.0, abs(prev))
@@ -604,7 +631,7 @@ def test_mur_inner_stop_follows_gillis_glineur(case, rho, inner_iters):
         steps = record_mur_steps(mp)
         for q, x0 in mur_quads(prob, fac):
             steps.clear()
-            _mur_minimize(q, x0, SolverConfig(inner_iters=inner_iters), rho)
+            mur_subproblem(q, x0, SolverConfig(inner_iters=inner_iters), rho)
             assert 1 <= len(steps) <= cap
             # each move in Frobenius norm, summed as the engine sums it
             moves = [math.sqrt(np.vdot(b - a, b - a))
@@ -638,7 +665,7 @@ def test_mur_subproblem_caps_its_steps_by_the_block_shapes(monkeypatch):
     for target, rho in [("w", _mur_rho(prob, None)), (0, _mur_rho(prob, 0)),
                         (1, _mur_rho(prob, 1))]:
         steps.clear()
-        mur_subproblem(prob, fac, target, SolverConfig(algorithm="MUR"))
+        _block_step(prob, SolverConfig(algorithm="MUR"), fac, target, None)
         assert 1 <= len(steps) <= int(1 + _MUR_ALPHA * rho)
 
 
@@ -649,8 +676,8 @@ def test_mur_zero_entries_stay_zero_over_repeated_steps():
     fac.W[[0, 3], [1, 2]] = 0.0
     fac.H[1][:, 4] = 0.0
     cfg = SolverConfig(algorithm="MUR", inner_iters=500)
-    w = mur_subproblem(prob, fac, "w", cfg)
-    h = mur_subproblem(prob, fac, 1, cfg)
+    w, _ = _block_step(prob, cfg, fac, "w", None)
+    h, _ = _block_step(prob, cfg, fac, 1, None)
     assert w[0, 1] == 0.0 and w[3, 2] == 0.0
     assert np.all(h[:, 4] == 0.0)
     assert w.min() >= 0 and h.min() >= 0

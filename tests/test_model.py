@@ -115,6 +115,24 @@ def test_hyperparameters_reject_negative_weights():
         Hyperparameters(rank=0)
 
 
+@pytest.mark.parametrize("fields", [
+    dict(rank=4.5), dict(rank="4"), dict(rank=np.float64(4)),
+    dict(rank=2, gamma2="0.1"), dict(rank=2, lambda2=float("nan")),
+    dict(rank=2, gamma1=float("inf")), dict(rank=2, lambda1=None),
+], ids=["fractional-rank", "string-rank", "float-rank", "string-weight",
+        "nan-weight", "infinite-weight", "none-weight"])
+def test_hyperparameters_reject_a_rank_or_weight_of_the_wrong_kind(fields):
+    with pytest.raises(ValueError, match="must be a"):
+        Hyperparameters(**fields)
+
+
+def test_hyperparameters_take_numpy_numbers():
+    params = Hyperparameters(rank=np.int64(4), lambda1=np.float32(0.5),
+                             gamma2=np.int64(2))
+    assert params.rank == 4 and type(params.rank) is int
+    assert params.lambda1 == 0.5 and params.gamma2 == 2
+
+
 def test_factorization_rejects_negative_entries():
     with pytest.raises(ValueError):
         Factorization(np.array([[1.0, -1.0]]), [np.ones((2, 3))])

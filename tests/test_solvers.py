@@ -13,9 +13,10 @@ from jmf import (Algorithm, ConstraintSet, DivergenceError, Factorization,
                  new_problem, objective_value, reconstruction_error, solve)
 from jmf.objective import (h_subproblem, spectral_norm, w_subproblem,
                            within_top)
-from jmf.solvers import (StopState, _rescale, check_stop_gradient,
-                         check_stop_objective, mur_step_H, mur_step_W,
-                         ne_subproblem, panls_subproblem, pg_subproblem)
+from jmf.solvers import (StopState, _build_quad, _rescale,
+                         check_stop_gradient, check_stop_objective,
+                         mur_step_H, mur_step_W, ne_subproblem,
+                         panls_subproblem, pg_subproblem)
 from oracles import (make_problem, naive_mur_H, naive_mur_W,
                      random_factors)
 
@@ -159,7 +160,7 @@ def test_pg_one_dim_converges_to_closed_form():
     prob, fac = one_dim_problem()
     cfg = SolverConfig(algorithm="PG", inner_tol=1e-10,
                        inner_tol_rel=0.0, **CFG)
-    w, exhausted = pg_subproblem(prob, fac, "w", cfg)
+    w, exhausted = pg_subproblem(*_build_quad(prob, fac, "w"), cfg)
     assert not exhausted
     assert w == pytest.approx(np.array([[2.0]]), abs=1e-8)
 
@@ -168,7 +169,7 @@ def test_ne_one_dim_converges_to_closed_form():
     prob, fac = one_dim_problem()
     cfg = SolverConfig(algorithm="Ne", inner_tol=1e-10,
                        inner_tol_rel=0.0, **CFG)
-    w = ne_subproblem(prob, fac, "w", cfg)
+    w, _ = ne_subproblem(*_build_quad(prob, fac, "w"), cfg)
     assert w == pytest.approx(np.array([[2.0]]), abs=1e-8)
 
 
@@ -178,16 +179,17 @@ def test_panls_one_dim_proximal_minimizer():
     cfg = SolverConfig(algorithm="PANLS", inner_tol=1e-12,
                        inner_tol_rel=0.0, **CFG)
     anchor = np.array([[0.0]])
-    w, _ = panls_subproblem(prob, fac, "w", cfg, anchor)
+    w, _ = panls_subproblem(*_build_quad(prob, fac, "w", anchor), cfg)
     assert w == pytest.approx(np.array([[2.0 / 1.001]]), abs=1e-6)
 
 
 def test_subproblems_return_immediately_at_optimum():
     prob, fac = exact_problem()
     cfg = SolverConfig(algorithm="PG", **CFG)
-    w, exhausted = pg_subproblem(prob, fac, "w", cfg)
+    w, exhausted = pg_subproblem(*_build_quad(prob, fac, "w"), cfg)
     assert not exhausted and w == pytest.approx(fac.W)
-    w = ne_subproblem(prob, fac, "w", SolverConfig(algorithm="Ne", **CFG))
+    w, _ = ne_subproblem(*_build_quad(prob, fac, "w"),
+                         SolverConfig(algorithm="Ne", **CFG))
     assert w == pytest.approx(fac.W)
 
 
@@ -199,8 +201,8 @@ def test_panls_unique_minimizer_from_different_starts():
     fac_b = random_factors(prob, seed=11)
     fac_b.H = [h.copy() for h in fac_a.H]  # same subproblem, other start
     anchor = np.zeros(fac_a.W.shape)
-    wa, _ = panls_subproblem(prob, fac_a, "w", cfg, anchor)
-    wb, _ = panls_subproblem(prob, fac_b, "w", cfg, anchor)
+    wa, _ = panls_subproblem(*_build_quad(prob, fac_a, "w", anchor), cfg)
+    wb, _ = panls_subproblem(*_build_quad(prob, fac_b, "w", anchor), cfg)
     assert wa == pytest.approx(wb, abs=1e-6)
 
 
@@ -213,11 +215,12 @@ def test_subproblem_descent(seed):
     for alg in ("PG", "Ne", "PANLS"):
         cfg = SolverConfig(algorithm=alg, **CFG)
         if alg == "PG":
-            out, _ = pg_subproblem(prob, fac, "w", cfg)
+            out, _ = pg_subproblem(*_build_quad(prob, fac, "w"), cfg)
         elif alg == "Ne":
-            out = ne_subproblem(prob, fac, "w", cfg)
+            out, _ = ne_subproblem(*_build_quad(prob, fac, "w"), cfg)
         else:
-            out, _ = panls_subproblem(prob, fac, "w", cfg, fac.W)
+            out, _ = panls_subproblem(*_build_quad(prob, fac, "w", fac.W),
+                                      cfg)
         assert q.value(out) <= before + 1e-10
         assert out.min() >= 0
 
@@ -229,9 +232,10 @@ def test_strictly_convex_w_subproblem_agreement(seed):
     cfg = lambda alg: SolverConfig(algorithm=alg, inner_tol=1e-10,
                                    inner_tol_rel=0.0, **CFG)
     q = w_subproblem(prob, fac.H)
-    w_pg, _ = pg_subproblem(prob, fac, "w", cfg("PG"))
-    w_ne = ne_subproblem(prob, fac, "w", cfg("Ne"))
-    w_pa, _ = panls_subproblem(prob, fac, "w", cfg("PANLS"), fac.W.copy())
+    w_pg, _ = pg_subproblem(*_build_quad(prob, fac, "w"), cfg("PG"))
+    w_ne, _ = ne_subproblem(*_build_quad(prob, fac, "w"), cfg("Ne"))
+    w_pa, _ = panls_subproblem(*_build_quad(prob, fac, "w", fac.W.copy()),
+                               cfg("PANLS"))
     vals = [q.value(w) for w in (w_pg, w_ne, w_pa)]
     scale = max(1.0, abs(min(vals)))
     assert max(vals) - min(vals) <= 1e-4 * scale
