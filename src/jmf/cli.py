@@ -369,6 +369,12 @@ def cmd_gridsearch(args) -> int:
     # the grid sets the weights; the rank defaults to the planted one
     base = {"rank": truth.rank, **(cfg.get("hyperparameters") or {})}
     rank = _from_json(Hyperparameters, base).rank
+    weights = sorted(set(base) - {"rank"})
+    if weights:
+        raise UsageError(
+            f"hyperparameters: {', '.join(map(repr, weights))} would be "
+            "ignored: the grid sets the weights, so give a fixed weight as "
+            "a one-value 'grid' axis")
     _check_rank(truth, rank)
 
     cells = list(itertools.product(grid["lambda1"], grid["lambda2"],

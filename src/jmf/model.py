@@ -235,10 +235,24 @@ class SolverConfig:
     def __post_init__(self):
         self.algorithm = Algorithm(self.algorithm)
         self.stop_rule = StopRule(self.stop_rule)
-        if self.tolerance <= 0:
+        for name, lowest, what in (("max_outer_iters", 1, "positive"),
+                                   ("inner_iters", 1, "positive"),
+                                   ("seed", 0, "nonnegative")):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= lowest):
+                raise ValueError(f"{name} must be a {what} integer, got "
+                                 f"{value!r}")
+            setattr(self, name, int(value))
+        for name in ("tolerance", "inner_tol", "inner_tol_rel"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+                raise ValueError(f"{name} must be a nonnegative finite "
+                                 f"number, got {value!r}")
+        if self.tolerance == 0:
             raise ValueError("tolerance must be positive")
-        if self.max_outer_iters < 1 or self.inner_iters < 1:
-            raise ValueError("iteration caps must be positive")
+        if not isinstance(self.normalize_rows, bool):
+            raise ValueError(f"normalize_rows must be true or false, got "
+                             f"{self.normalize_rows!r}")
 
 
 @dataclass

@@ -1,7 +1,9 @@
 """Synthetic benchmark generators: block/Bernoulli factors, noise, constraints."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -36,13 +38,27 @@ class SyntheticSpec:
         return 3.0 if self.dataset_id == "D4" else 2.0
 
 
-@dataclass
 class GroundTruth:
-    w0: np.ndarray
-    h0: list
-    x0: list
-    constraints: ConstraintSet
-    metadata: dict = field(default_factory=dict)
+    """Planted factors, the views made from them, and their networks.
+
+    ``constraints`` is a ``ConstraintSet`` or a zero-argument callable that
+    builds one; a callable runs on the first read of ``.constraints``, and
+    later reads return the set it built.
+    """
+
+    def __init__(self, w0: np.ndarray, h0: list, x0: list,
+                 constraints: ConstraintSet | Callable[[], ConstraintSet]
+                 | None = None, metadata: dict | None = None):
+        self.w0, self.h0, self.x0 = w0, h0, x0
+        self._constraints = (ConstraintSet.empty() if constraints is None
+                             else constraints)
+        self.metadata = {} if metadata is None else metadata
+
+    @property
+    def constraints(self) -> ConstraintSet:
+        if callable(self._constraints):
+            self._constraints = self._constraints()
+        return self._constraints
 
     @property
     def rank(self) -> int:
@@ -109,6 +125,8 @@ def generate(spec: SyntheticSpec) -> GroundTruth:
 
     Draw order from the single seeded stream: W0, each H0, each view's data
     noise, each within-constraint noise, each between-constraint noise.
+    The networks are built on the first read of ``constraints``, from the
+    stream as the views left it.
     """
     rng = np.random.default_rng(spec.seed)
     meta = {"dataset": spec.dataset_id, "seed": spec.seed, "mu": spec.noise}
@@ -152,11 +170,19 @@ def generate(spec: SyntheticSpec) -> GroundTruth:
             x = x + mu * rng.standard_normal(x.shape)
         x0.append(np.maximum(x, 0.0))
 
+    # the networks draw last, so building them on first read leaves every
+    # draw where it was; a draw added after the views must leave the
+    # networks a copy.deepcopy(rng) taken before it
+    return GroundTruth(w0=w0, h0=h0, x0=x0,
+                       constraints=partial(_networks, h0, rng), metadata=meta)
+
+
+def _networks(h0: list, rng: np.random.Generator) -> ConstraintSet:
+    """Each view's within network, then each pair's between network, drawn
+    from ``rng`` in that order."""
     within = {i: [build_within(h, rng=rng)] for i, h in enumerate(h0)}
     between = {}
     for i in range(len(h0)):
         for j in range(i + 1, len(h0)):
             between[(i, j)] = build_between(h0[i], h0[j], rng=rng)
-    constraints = ConstraintSet(within=within, between=between)
-    return GroundTruth(w0=w0, h0=h0, x0=x0, constraints=constraints,
-                       metadata=meta)
+    return ConstraintSet(within=within, between=between)

@@ -297,6 +297,22 @@ def test_a_malformed_hyperparameter_exits_2(tmp_path, capsys, monkeypatch,
     assert not calls
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("tolerance", "1e-7", "tolerance must be a nonnegative finite number, "
+                          "got '1e-7'"),
+    ("max_outer_iters", 2.5, "max_outer_iters must be a positive integer, "
+                             "got 2.5"),
+], ids=["string-tolerance", "fractional-iteration-cap"])
+def test_a_malformed_solver_entry_exits_2(tmp_path, capsys, monkeypatch,
+                                          key, value, message):
+    calls = refuse_to_solve(monkeypatch)
+    path = solve_config(tmp_path, [{"algorithm": "PG", key: value}],
+                        seeds=[0])
+    assert run(["solve", "--config", path, "--out", tmp_path / "out"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not calls
+
+
 def test_solve_missing_config_exit_2(tmp_path):
     assert run(["solve", "--config", tmp_path / "nope.json",
                 "--out", tmp_path / "o"]) == 2
@@ -364,6 +380,22 @@ def test_gridsearch_bad_config_key_exit_2(tmp_path, capsys, section, key,
     assert run(["gridsearch", "--config", path, "--out", out]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (out / "grid.csv").exists()
+
+
+def test_gridsearch_refuses_a_weight_it_would_ignore(tmp_path, capsys,
+                                                     monkeypatch):
+    calls = refuse_to_solve(monkeypatch)
+    path = grid_config(tmp_path, {"algorithm": "PG", "max_outer_iters": 1},
+                       seeds=[0])
+    cfg = json.loads(path.read_text())
+    cfg["hyperparameters"]["lambda1"] = 0.5
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run(["gridsearch", "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "error: hyperparameters: 'lambda1' would be ignored" in err
+    assert "one-value 'grid' axis" in err
+    assert not calls and not out.exists()
 
 
 def test_gridsearch_without_grid_seeds_exit_2(tmp_path, capsys,

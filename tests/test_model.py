@@ -133,6 +133,27 @@ def test_hyperparameters_take_numpy_numbers():
     assert params.lambda1 == 0.5 and params.gamma2 == 2
 
 
+@pytest.mark.parametrize("fields", [
+    dict(tolerance="1e-7"), dict(tolerance=0.0), dict(tolerance=float("inf")),
+    dict(inner_tol=float("nan")), dict(inner_tol_rel=-0.1),
+    dict(max_outer_iters=2.5), dict(inner_iters=0), dict(seed=-1),
+    dict(seed="0"), dict(normalize_rows="false"),
+], ids=["string-tolerance", "zero-tolerance", "infinite-tolerance",
+        "nan-inner-tol", "negative-inner-tol-rel", "fractional-cap",
+        "zero-inner-iters", "negative-seed", "string-seed",
+        "string-normalize-rows"])
+def test_solver_config_rejects_a_setting_of_the_wrong_kind(fields):
+    with pytest.raises(ValueError, match="must be"):
+        SolverConfig(**fields)
+
+
+def test_solver_config_takes_numpy_numbers():
+    cfg = SolverConfig(tolerance=np.float32(1e-5), max_outer_iters=np.int64(7),
+                       seed=np.int64(3), inner_tol_rel=0)
+    assert cfg.max_outer_iters == 7 and type(cfg.max_outer_iters) is int
+    assert type(cfg.seed) is int and cfg.tolerance == np.float32(1e-5)
+
+
 def test_factorization_rejects_negative_entries():
     with pytest.raises(ValueError):
         Factorization(np.array([[1.0, -1.0]]), [np.ones((2, 3))])

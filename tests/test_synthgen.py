@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from jmf import SyntheticSpec, generate
+from jmf import ConstraintSet, GroundTruth, SyntheticSpec, generate, synthgen
+from jmf.cli import main
 from jmf.synthgen import build_between, build_within
 
 
@@ -135,3 +139,173 @@ def test_d1_views_missing_components_as_constructed():
     # the second and third views each lack one pattern entirely
     zero_rows = [int(np.sum(h.sum(axis=1) == 0)) for h in truth.h0]
     assert zero_rows == [0, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# networks on first read
+
+def count_network_builds(monkeypatch) -> dict:
+    """Make ``generate``'s network builders count their calls."""
+    calls = {"within": 0, "between": 0}
+    for name, build in (("within", synthgen.build_within),
+                        ("between", synthgen.build_between)):
+        def counted(*args, _name=name, _build=build, **kwargs):
+            calls[_name] += 1
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(synthgen, f"build_{name}", counted)
+    return calls
+
+
+def test_networks_are_built_on_first_read_and_kept(monkeypatch):
+    calls = count_network_builds(monkeypatch)
+    truth = generate(SyntheticSpec(dataset_id="D4", seed=0))
+    assert calls == {"within": 0, "between": 0}
+    first = truth.constraints
+    assert calls == {"within": 3, "between": 3}
+    assert truth.constraints is first
+    assert calls == {"within": 3, "between": 3}
+
+
+def test_a_given_constraint_set_is_returned_as_is():
+    truth = generate(SyntheticSpec(dataset_id="D1", seed=0))
+    given = ConstraintSet(within={0: [np.eye(130)]})
+    made = GroundTruth(w0=truth.w0, h0=truth.h0, x0=truth.x0,
+                       constraints=given, metadata={"k": 1})
+    assert made.constraints is given and made.metadata == {"k": 1}
+    bare = GroundTruth(truth.w0, truth.h0, truth.x0)
+    assert bare.constraints.within == {} and bare.constraints.between == {}
+    assert bare.metadata == {} and bare.rank == 4
+
+
+@pytest.mark.parametrize("use_constraints, builds", [
+    (False, {"within": 0, "between": 0}),
+    (True, {"within": 3, "between": 3}),
+])
+def test_cli_solve_builds_networks_only_when_it_uses_them(
+        tmp_path, monkeypatch, use_constraints, builds):
+    calls = count_network_builds(monkeypatch)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "source": {"synthetic": {"dataset": "D1", "seed": 0}},
+        "use_constraints": use_constraints,
+        "hyperparameters": {"rank": 4},
+        "solvers": [{"algorithm": "PG", "max_outer_iters": 1}],
+        "seeds": [0],
+    }))
+    assert main(["solve", "--config", str(cfg), "--out",
+                 str(tmp_path / "out"), "--serial"]) == 0
+    assert calls == builds
+
+
+# ---------------------------------------------------------------------------
+# the generator's bytes
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+# sha256 prefixes of the little-endian float64 bytes of generate(D, seed=0);
+# a change here means a draw moved or a construction changed
+GENERATED = {
+    "D1": {
+        "W0": "04cbd3f9803669fa",
+        "H0_0": "fa08a0307d35508c",
+        "H0_1": "cc79e6cc0b51ad24",
+        "H0_2": "7add7fc679980ae6",
+        "X_0": "022bde322bd6661c",
+        "X_1": "f395e3aac6852ad2",
+        "X_2": "7082af84f8628778",
+        "theta_0": "3e85a3d674f6cd2a",
+        "theta_1": "885039dd15cadd1b",
+        "theta_2": "6ce4cb0d891f62b8",
+        "R_0_1": "c6c21c156d34ecaa",
+        "R_0_2": "e26c2215b937e4df",
+        "R_1_2": "87376655cf44bf03",
+    },
+    "D2": {
+        "W0": "64dc7236d2c5dfd7",
+        "H0_0": "c11ef9ee80f79a89",
+        "H0_1": "96641f7dac0705e5",
+        "H0_2": "0be2375709c200d4",
+        "X_0": "b228657829bc0f6c",
+        "X_1": "750615e9169845b4",
+        "X_2": "6e435dbb6073aabf",
+        "theta_0": "1799bd04b2c74041",
+        "theta_1": "7dd8dd9566666694",
+        "theta_2": "0eb7063652abb568",
+        "R_0_1": "d6bc33b480b80437",
+        "R_0_2": "c88976102b7ed785",
+        "R_1_2": "91ff7a1bf8265881",
+    },
+    "D3": {
+        "W0": "beb67f1cf817ecf1",
+        "H0_0": "493f665fdeb03bbf",
+        "H0_1": "78102c4e294a3f22",
+        "H0_2": "96496a50891fbc17",
+        "X_0": "cac8a9ffbac275b1",
+        "X_1": "d195a2abce64b2b5",
+        "X_2": "92b3a183b91363e8",
+        "theta_0": "baf54648944550fd",
+        "theta_1": "c9bd33e7e649e2b3",
+        "theta_2": "55922ca38408279e",
+        "R_0_1": "ed8354ed040fd4e3",
+        "R_0_2": "6cc146ab320d813c",
+        "R_1_2": "20c3468eb64fc2c7",
+    },
+    "D4": {
+        "W0": "4423ea5e4be996f9",
+        "H0_0": "0c4e39ba805caa64",
+        "H0_1": "264e2ac6b54d9a2f",
+        "H0_2": "459058149f9edd1f",
+        "X_0": "9ebf4a324423d1d4",
+        "X_1": "1bb5ecb6203da996",
+        "X_2": "089fe9613c51e5f4",
+        "theta_0": "bd3c9be9b4cfe8a9",
+        "theta_1": "a4be16da494c2438",
+        "theta_2": "b02ad47932c36575",
+        "R_0_1": "ac1cd625e6005fba",
+        "R_0_2": "d7d86854d7232206",
+        "R_1_2": "309172bc0fa9df04",
+    },
+}
+
+
+@pytest.mark.parametrize("dataset_id", sorted(GENERATED))
+def test_generated_arrays_keep_their_bytes(dataset_id):
+    truth = generate(SyntheticSpec(dataset_id=dataset_id, seed=0))
+    c = truth.constraints
+    arrays = {"W0": truth.w0,
+              **{f"H0_{k}": h for k, h in enumerate(truth.h0)},
+              **{f"X_{k}": x for k, x in enumerate(truth.x0)},
+              **{f"theta_{i}": mats[0] for i, mats in c.within.items()},
+              **{f"R_{i}_{j}": r for (i, j), r in c.between.items()}}
+    got = {name: _digest(np.ascontiguousarray(a, dtype="<f8").tobytes())
+           for name, a in arrays.items()}
+    assert got == GENERATED[dataset_id]
+
+
+# sha256 prefixes of the files `jmf generate --dataset D1 --seed 0` writes
+GENERATED_D1_FILES = {
+    "H0_1.csv": "c29b84b772cdaac7",
+    "H0_2.csv": "973c25f0a1036b8d",
+    "H0_3.csv": "9633d5e08b27320c",
+    "W0.csv": "24899154e5e3c2ee",
+    "X_1.csv": "36db1b3870c9209d",
+    "X_2.csv": "f09ed4c140a8f2d3",
+    "X_3.csv": "1fdbfd6c184c92aa",
+    "manifest.json": "2ba09a086b99eac6",
+    "model_R_0_1.csv": "65a6befd29316e47",
+    "model_R_0_2.csv": "24ebc34506a9acde",
+    "model_R_1_2.csv": "ddb9a47a64dd05f4",
+    "model_theta_0_0.csv": "afde707db57ba9dc",
+    "model_theta_1_0.csv": "572f647324c05c55",
+    "model_theta_2_0.csv": "09b3f8a09c662754",
+}
+
+
+def test_cli_generate_keeps_its_bytes(tmp_path):
+    out = tmp_path / "d1"
+    assert main(["generate", "--dataset", "D1", "--seed", "0",
+                 "--out", str(out)]) == 0
+    got = {p.name: _digest(p.read_bytes()) for p in out.iterdir()}
+    assert got == GENERATED_D1_FILES
