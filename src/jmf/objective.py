@@ -110,15 +110,21 @@ def objective_value(problem: Problem, factors: Factorization,
                     grams: Grams | None = None) -> float:
     """F at ``factors``; ``grams`` supplies xht, formed here when None."""
     _check_shapes(problem, factors)
-    w = factors.W
     xht = (view_products(problem.dataset.views, factors.H) if grams is None
            else grams.xht)
+    return _fit(problem, factors, xht) + penalty_value(problem, factors)
+
+
+def _fit(problem: Problem, factors: Factorization, xht: np.ndarray) -> float:
+    """sum_I ||X_I - W H_I||_F^2 from the trace identity and xht =
+    sum_I X_I H_I^T, or from the residuals below ``FIT_FLOOR`` ||X||^2."""
+    w = factors.W
     x_sq = problem.x_squared_norm()
     value = x_sq - 2.0 * float(np.vdot(w, xht)) + float(
         np.vdot(w.T @ w, sum(h @ h.T for h in factors.H)))
     if not value >= FIT_FLOOR * x_sq:  # also catches a NaN identity
         value = reconstruction_error(problem, factors)
-    return value + penalty_value(problem, factors)
+    return value
 
 
 def penalty_value(problem: Problem, factors: Factorization) -> float:

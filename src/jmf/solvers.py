@@ -11,10 +11,10 @@ import numpy as np
 from .model import (Algorithm, DivergenceError, Factorization, Problem,
                     SolverConfig, SolverReport, StopRule, Termination,
                     TracePoint)
-from .objective import (Grams, QuadSubproblem, h_subproblem, objective_value,
-                        penalty_value, projected_gradient_norm,
-                        projected_norm, reconstruction_error, view_products,
-                        w_subproblem, within_top)
+from .objective import (Grams, QuadSubproblem, _fit, h_subproblem,
+                        objective_value, penalty_value,
+                        projected_gradient_norm, projected_norm,
+                        view_products, w_subproblem, within_top)
 
 _EPS = 1e-12  # multiplicative-update denominator guard
 _RISE_TOL = 1e-12  # a relative rise of F over its start beyond rounding
@@ -43,6 +43,9 @@ _BPP_MAX_ROUNDS = 100  # a guard against rounding cycles, not a tolerance
 # entries of the minimizer, 500 reached the round cap at 0, 8 at 1, none
 # at 16
 _BPP_SLACK = 16.0
+# ``_passive_solve`` forms r x r inverses when their count times r^2 is at
+# most this many times the stacked np.linalg.solve calls they replace
+_CALL_INVERSES = 1000
 _NE_T0 = 1.0  # Ne's t0 in t' = (1 + sqrt(4 t^2 + 1)) / 2 (Nesterov, 1983)
 # extrapolation of the outer iterate, PG, Ne and PANLS (``solve``; A. Ang
 # and N. Gillis, Neural Computation 31(2), 2019)
@@ -429,32 +432,72 @@ def _passive_solve(c: np.ndarray, b: np.ndarray,
     """x with C_PP x_P = b_P and x = 0 off P, for each column of ``b`` and
     its passive set P (that column of ``passive``).
 
-    Each distinct passive set is factored once for all the columns that
-    share it, and the sets with the same size |P| and the same number of
-    such columns go to ``np.linalg.solve`` in one stacked call.  At
-    rank 20 most sets have one column, so the calls are about one per
-    size.  At rank 5 most columns share a few sets with different column
-    counts, so the calls are about one per set: on D4 a block's solve
-    has a median of 6-7 sets and makes 5-7 calls, and a 4,128-column one
-    with 26 sets made 23.  Hence ``_outer_update`` stacks the H blocks
-    that share one matrix into one quadratic, which pays those calls once.
+    The columns are grouped by passive set.  The full set, which most
+    columns of a converging block hold (86% of them on D4), is one
+    ``np.linalg.solve`` with C, and the empty set gives 0.  The other
+    sets take one of two routes, chosen by comparing the LAPACK calls
+    that stacking would make with the inverses that batching would form:
+
+    - Stacked LU: each set is factored once for all its columns, and the
+      sets that share their size |P| and their column count go to
+      ``np.linalg.solve`` in one stacked call.  One call per set when a
+      few sets hold different numbers of columns, as at ranks 4-10.
+    - Batched inverse: one ``np.linalg.inv`` of every set's
+      P C P + (I - P), with its diagonal then cleared off P, and one
+      batched product with the columns' right-hand sides.  It forms one
+      r x r inverse per set, whatever the column counts.
+
+    With one BLAS thread a stacked call with its gathers costs 15-20 us
+    and an inverse about r^2 / 30 us (0.7 us at rank 4, 13 us at rank 20),
+    so the two break even near sets * r^2 = 500 calls.  The inverses run
+    when sets * r^2 <= ``_CALL_INVERSES`` * calls: on the passive solves
+    of PANLS solves of D1-D4, a bound of 800-1,600 gave the least time.
+    At rank 5 the sets are shared: the 241 passive solves of a D4 solve
+    make 172 ``np.linalg.inv`` calls and 223 ``np.linalg.solve`` calls,
+    at most one of each per passive solve, where stacking alone would
+    make 1,219.  At rank 20 most sets hold one column, so the stacked
+    calls number about one per size and the sets stay stacked; inverses
+    there would make the passive solves of a D3 solve 3.7 times slower.
     """
+    r, k = b.shape
+    full = passive.all(axis=0)
+    cols = np.flatnonzero(full)
+    if cols.size == k:
+        return np.linalg.solve(c, b)
     x = np.zeros_like(b)
-    if not b.shape[1]:
+    if cols.size:
+        x[:, cols] = np.linalg.solve(c, b[:, cols])
+    # the columns with neither the full nor the empty set, sorted by
+    # their passive sets and cut where the set changes
+    rest = np.flatnonzero(~full & passive.any(axis=0))
+    if not rest.size:
         return x
-    # sort the columns by their passive sets, then cut where the set changes
-    order = np.lexsort(passive)
-    sets = passive[:, order]
+    part = passive[:, rest]
+    packed = np.packbits(part, axis=0)
+    order = np.lexsort(packed)
+    keys = packed[:, order]
     starts = np.flatnonzero(np.concatenate(
-        ([True], np.any(sets[:, 1:] != sets[:, :-1], axis=0))))
-    counts = np.diff(np.append(starts, b.shape[1]))
-    sizes = np.count_nonzero(sets[:, starts], axis=0)
-    for size, count in sorted(set(zip(sizes.tolist(), counts.tolist()))):
-        if not size:
-            continue
-        first = starts[(sizes == size) & (counts == count)]
+        ([True], np.any(keys[:, 1:] != keys[:, :-1], axis=0))))
+    counts = np.diff(np.append(starts, rest.size))
+    sets = part[:, order[starts]]
+    order = rest[order]
+    sizes = np.count_nonzero(sets, axis=0)
+    stacks = set(zip(sizes.tolist(), counts.tolist()))
+    if len(starts) * r * r <= _CALL_INVERSES * len(stacks):
+        p = sets.T
+        diag = np.arange(r)
+        mats = c * (p[:, :, None] & p[:, None, :])
+        mats[:, diag, diag] += ~p
+        inv = np.linalg.inv(mats)
+        inv[:, diag, diag] *= p
+        x[:, order] = np.einsum("kij,jk->ik",
+                                np.repeat(inv, counts, axis=0), b[:, order])
+        return x
+    for size, count in sorted(stacks):
+        pick = (sizes == size) & (counts == count)
+        first = starts[pick]
         # each set's passive rows, in order, and the columns that share it
-        rows = np.nonzero(sets[:, first].T)[1].reshape(len(first), size)
+        rows = np.nonzero(sets[:, pick].T)[1].reshape(len(first), size)
         cols = order[first[:, None] + np.arange(count)]
         rows, cols = rows[:, :, None], cols[:, None, :]
         x[rows, cols] = np.linalg.solve(c[rows, rows.transpose(0, 2, 1)],
@@ -844,7 +887,7 @@ def solve(problem: Problem, config: SolverConfig,
         trace=trace,
         termination=termination,
         final_objective=trace[-1].objective,
-        reconstruction_error=reconstruction_error(problem, factors),
+        reconstruction_error=_fit(problem, factors, grams.xht),
         iterations=trace[-1].iteration,
         exhausted_searches=exhausted,
         extrapolated_steps=extrapolated,

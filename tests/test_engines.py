@@ -9,9 +9,13 @@ must agree with the forms they replaced, the product counts per step are
 pinned, and an exhausted step-size search is reported.  PANLS's exact
 solve of a block that splits into small NNLS problems must reach the one
 KKT point that enumerating the passive sets finds (``ref_nnls``), also
-when every H_I block is stacked into one quadratic; blocks that read one
-another, and the other algorithms, keep the per-view loop, and ``solve``
-reaches each engine through its module name.  The MUR engine's first
+when every H_I block is stacked into one quadratic.  Its passive-set
+solves must match one solve per column, keep the full set on
+``np.linalg.solve``, raise on a singular passive matrix, and batch shared
+sets into one inverse while a rank-20 block keeps its stacked solves.
+Blocks that read one another, and the other algorithms, keep the
+per-view loop, and ``solve`` reaches each engine through its module
+name.  The MUR engine's first
 step is the paper's single update, its repeated steps never raise the
 block quadratic, and its inner stop keeps to Gillis and Glineur's rule.
 """
@@ -29,8 +33,9 @@ from jmf.objective import (Grams, QuadSubproblem, _projected, h_subproblem,
                            projected_norm, view_products, w_subproblem)
 from jmf.solvers import (_MUR_ALPHA, _MUR_DELTA, _block_step, _build_quad,
                          _mur_rho, _nnls_bpp, _outer_update, _panls_minimize,
-                         mur_step_H, mur_step_W, mur_subproblem,
-                         ne_subproblem, panls_subproblem, pg_subproblem)
+                         _passive_solve, mur_step_H, mur_step_W,
+                         mur_subproblem, ne_subproblem, panls_subproblem,
+                         pg_subproblem)
 from oracles import (make_problem, random_factors, ref_ne_minimize,
                      ref_nnls, ref_panls_minimize, ref_pg_minimize, ref_pgn,
                      ref_settings)
@@ -418,6 +423,117 @@ def test_panls_solves_d4_shaped_blocks_to_kkt():
         # the paper's engine stops at its inner tolerance, above the minimum
         inexact, _ = _panls_minimize(q, anchor, cfg)
         assert q.value(x) < q.value(inexact)
+
+
+# ---------------------------------------------------------------------------
+# the passive-set solves inside block principal pivoting
+
+
+def passive_case(r, shared, seed=0):
+    """A well-conditioned C, right-hand sides and passive sets in shuffled
+    column order: with ``shared``, two sets held by 30 and 20 columns and
+    8 single-column sets, otherwise 60 single-column sets; then 5 columns
+    with the empty set and 12 with the full set."""
+    rng = np.random.default_rng([r, seed])
+    basis, _ = np.linalg.qr(rng.standard_normal((r, r)))
+    c = basis @ np.diag(np.geomspace(1.0, 10.0, r)) @ basis.T
+    singles = rng.random((r, 8 if shared else 60)) < 0.5
+    groups = [rng.random((r, 1)) < 0.5 for _ in range(2)] if shared else []
+    passive = np.hstack([np.repeat(g, n, axis=1)
+                         for g, n in zip(groups, (30, 20))]
+                        + [singles, np.zeros((r, 5), bool),
+                           np.ones((r, 12), bool)])
+    order = rng.permutation(passive.shape[1])
+    return c, rng.standard_normal(passive.shape), passive[:, order]
+
+
+def count_linalg(monkeypatch) -> list:
+    """Record each ``_passive_solve`` call's passive sets and the
+    ``np.linalg.inv`` and ``np.linalg.solve`` calls made inside it."""
+    per_call = []
+    original = jmf.solvers._passive_solve
+
+    def recorded(c, b, passive):
+        per_call.append({"passive": passive.copy(), "inv": 0, "solve": 0})
+        return original(c, b, passive)
+
+    for name in ("inv", "solve"):
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name):
+            if per_call:
+                per_call[-1][_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(jmf.solvers, "_passive_solve", recorded)
+    return per_call
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
+@pytest.mark.parametrize("r", range(1, 21))
+def test_passive_solve_matches_per_column_solves(r, shared):
+    c, b, passive = passive_case(r, shared)
+    x = _passive_solve(c, b, passive)
+    for got, col, p in zip(x.T, b.T, passive.T):
+        want = np.zeros(r)
+        if p.any():
+            want[p] = np.linalg.solve(c[p][:, p], col[p])
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+        assert np.all(got[~p] == 0.0)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "distinct"])
+@pytest.mark.parametrize("r", [1, 5, 20])
+def test_passive_solve_full_set_is_the_plain_solve(r, shared):
+    c, b, passive = passive_case(r, shared)
+    full = passive.all(axis=0)
+    x = _passive_solve(c, b, passive)
+    assert np.array_equal(x[:, full], np.linalg.solve(c, b[:, full]))
+
+
+@pytest.mark.parametrize("inverses", [1000, 0], ids=["inverse", "stacked"])
+@pytest.mark.parametrize("singular", ["proper", "full"])
+def test_singular_passive_matrix_raises(monkeypatch, inverses, singular):
+    # C_PP is exactly singular on P = {0, 1}, and so is C itself
+    monkeypatch.setattr(jmf.solvers, "_CALL_INVERSES", inverses)
+    c = np.diag([1.0, 1.0, 2.0, 3.0])
+    c[0, 1] = c[1, 0] = 1.0
+    passive = np.zeros((4, 6), bool)
+    passive[:2, :4] = True  # shared by four columns
+    passive[2, 4] = True
+    passive[:, 5] = singular == "full"
+    with pytest.raises(np.linalg.LinAlgError):
+        _passive_solve(c, np.ones((4, 6)), passive)
+
+
+def test_d4_joint_h_solve_batches_its_passive_sets(monkeypatch):
+    # every H block of the first outer update stacked into one, as
+    # ``_outer_update`` does: at rank 5 the passive sets are shared
+    truth = generate(SyntheticSpec("D4", seed=0))
+    prob = new_problem(truth.to_dataset(), None,
+                       Hyperparameters(rank=truth.rank))
+    fac = init_factors(prob, 0)
+    quads = [_build_quad(prob, fac, i, h)[0] for i, h in enumerate(fac.H)]
+    m, _, _, tau = quads[0].hess_mats
+    joint = QuadSubproblem((m, None, 0.0, tau),
+                           np.hstack([q.g0 for q in quads]), "h")
+    per_call = count_linalg(monkeypatch)
+    _, flag = panls_subproblem(joint, np.hstack(fac.H),
+                               SolverConfig(algorithm="PANLS"))
+    assert prob.rank == 5 and not flag and len(per_call) > 1
+    for call in per_call:
+        sizes = call["passive"].sum(axis=0)
+        assert call["inv"] == ((sizes > 0) & (sizes < prob.rank)).any()
+        assert call["solve"] == (sizes == prob.rank).any()
+    assert any(call["inv"] for call in per_call)
+
+
+def test_rank_20_block_keeps_the_stacked_solves(monkeypatch):
+    c, b, passive = passive_case(20, shared=False)
+    per_call = count_linalg(monkeypatch)
+    _, solved = _nnls_bpp(c, b, np.where(passive, 1.0, 0.0))
+    assert solved
+    first = per_call[0]
+    assert first["inv"] == 0 and first["solve"] > 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jmf import (ConstraintSet, Factorization, Hyperparameters,
-                 MultiViewDataset, SolverConfig, init_factors, new_problem,
-                 objective_value, projected_gradient_norm,
-                 reconstruction_error, solve)
+                 MultiViewDataset, SolverConfig, SyntheticSpec, generate,
+                 init_factors, new_problem, objective_value,
+                 projected_gradient_norm, reconstruction_error, solve)
 import jmf.solvers
 from jmf.objective import FIT_FLOOR, Grams, view_products
 from jmf.solvers import _extrapolated, _rescale
@@ -137,6 +137,18 @@ def test_cached_monitoring_describes_the_returned_factors(algorithm,
         naive_objective(prob, final), rel=1e-10)
     assert report.trace[-1].grad_norm == pytest.approx(
         projected_gradient_norm(prob, final), rel=1e-10)
+
+
+@pytest.mark.parametrize("dataset", ["D1", "D2", "D3", "D4"])
+def test_reported_fit_matches_the_residual_sum(dataset):
+    # the report reads the fit from the final record's trace identity
+    truth = generate(SyntheticSpec(dataset, seed=0))
+    prob = new_problem(truth.to_dataset(), None,
+                       Hyperparameters(rank=truth.rank))
+    final, report = solve(prob, SolverConfig(max_outer_iters=5),
+                          init_factors(prob, 0))
+    assert report.reconstruction_error == pytest.approx(
+        reconstruction_error(prob, final), rel=1e-10)
 
 
 @pytest.mark.parametrize("gamma1", [0.0, 0.3])
