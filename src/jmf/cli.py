@@ -97,12 +97,16 @@ def _max_workers(n_tasks: int, serial: bool) -> int:
 
 @dataclass
 class RunResult:
-    """One solve and its score; ``report is None`` means it diverged."""
+    """One solve and its score; ``report is None`` means it diverged, with
+    the ``DivergenceError``'s message in ``error`` and its proof that F
+    has no minimum, if it came with one, in ``unbounded``."""
 
     config: SolverConfig
     factors: Factorization | None = None
     report: SolverReport | None = None
     auc: float | None = None  # set when the run has a ground truth
+    error: str = ""
+    unbounded: bool = False
 
 
 def _run_one(problem: Problem, truth, params: Hyperparameters,
@@ -113,8 +117,8 @@ def _run_one(problem: Problem, truth, params: Hyperparameters,
     try:
         factors, report = solve(problem, config,
                                 init_factors(problem, config.seed))
-    except DivergenceError:
-        return RunResult(config)
+    except DivergenceError as err:
+        return RunResult(config, error=str(err), unbounded=err.unbounded)
     auc = evaluate_factors(factors, truth).auc if truth is not None else None
     return RunResult(config, factors, report, auc)
 
@@ -156,6 +160,7 @@ def _summarize(runs: list[RunResult]) -> dict:
     runs when there is one (the AUC's when they were scored)."""
     ok = [r for r in runs if r.report is not None]
     out = {"runs": len(runs), "diverged": len(runs) - len(ok),
+           "unbounded": sum(r.unbounded for r in runs),
            "cap_exceeded": sum(r.report.termination is Termination.MAX_ITERS
                                for r in ok)}
     for key, values in (
@@ -318,7 +323,7 @@ def cmd_solve(args) -> int:
             run_dir = out / "runs" / f"{tag}_seed{r.config.seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
             if r.report is None:
-                (run_dir / "DIVERGED").write_text("")
+                (run_dir / "DIVERGED").write_text(r.error + "\n")
                 continue
             with open(run_dir / "trace.csv", "w") as fh:
                 fh.write("iter,objective,grad_norm,seconds\n")
@@ -390,8 +395,11 @@ def cmd_gridsearch(args) -> int:
     # each cell's runs are reduced as they arrive, so no factors pile up
     results = run_all(problem, truth, tasks)
     rows = []
+    counts = dict.fromkeys(("unbounded", "diverged", "cap_exceeded"), 0)
     for l1, l2, g1, g2 in cells:
         cell = _summarize(list(itertools.islice(results, len(seeds))))
+        for key in counts:
+            counts[key] += cell[key]
         rows.append({
             "lambda1": l1, "lambda2": l2, "gamma1": g1, "gamma2": g2,
             "mean_auc": cell.get("mean_auc", float("nan")),
@@ -400,6 +408,11 @@ def cmd_gridsearch(args) -> int:
             "completed": cell["runs"] - cell["diverged"],
         })
 
+    print(f"{len(tasks)} runs ({len(cells)} cells x {len(seeds)} seeds): "
+          f"{counts['unbounded']} refused as unbounded (F has no minimum), "
+          f"{counts['diverged'] - counts['unbounded']} diverged otherwise, "
+          f"{counts['cap_exceeded']} capped at {config.max_outer_iters} "
+          "outer iterations")
     finished = [r for r in rows if r["completed"]]
     if not finished:
         print("every grid cell diverged", file=sys.stderr)

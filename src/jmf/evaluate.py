@@ -27,18 +27,15 @@ class ModuleAssignment:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties assigned the group mean (Mann-Whitney style)."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """Ranks 1..n with ties assigned the group mean (Mann-Whitney style).
+
+    A group of tied values at sorted positions i..j (from 0) gets
+    (i + j) / 2 + 1, with j + 1 the cumulative count up to the group.
+    """
+    _, group, counts = np.unique(values, return_inverse=True,
+                                 return_counts=True)
+    ends = np.cumsum(counts)
+    return (0.5 * (2 * ends - counts - 1) + 1.0)[group]
 
 
 def auc_score(scores, labels) -> float:

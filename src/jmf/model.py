@@ -277,6 +277,11 @@ class SolverReport:
     # and those of them redone from the plain iterate because F rose
     extrapolated_steps: int = 0
     redone_steps: int = 0
+    # lambda, a lower bound on lambda_max(B) of F's network terms
+    # (``objective.network_curvature``), and 2 gamma2: F is bounded below
+    # if and only if lambda_max(B) <= 2 gamma2
+    network_curvature: float = 0.0
+    sparsity_curvature: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -315,11 +320,17 @@ class Problem:
 class DivergenceError(RuntimeError):
     """Raised when a solve blows up: a factor, F or the projected-gradient
     norm stops being finite, or the objective-ratio rule stops with F
-    above its start.  ``trace`` holds the iterations before that one."""
+    above its start.  ``trace`` holds the iterations before that one.
 
-    def __init__(self, message: str, trace=None):
+    ``unbounded`` marks a refusal that comes with a proof that F has no
+    minimum: F below 0, an H block unbounded below along a ray, or an H
+    sweep that is not certified convex while the network curvature
+    exceeds 2 gamma2 (see ``solvers.solve``)."""
+
+    def __init__(self, message: str, trace=None, unbounded: bool = False):
         super().__init__(message)
         self.trace = trace or []
+        self.unbounded = unbounded
 
 
 def new_problem(dataset: MultiViewDataset, constraints: ConstraintSet | None,

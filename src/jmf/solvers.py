@@ -12,7 +12,7 @@ from .model import (Algorithm, DivergenceError, Factorization, Problem,
                     SolverConfig, SolverReport, StopRule, Termination,
                     TracePoint)
 from .objective import (Grams, QuadSubproblem, _fit, h_subproblem,
-                        objective_value, penalty_value,
+                        network_curvature, objective_value, penalty_value,
                         projected_gradient_norm, projected_norm,
                         view_products, w_subproblem, within_top)
 
@@ -586,7 +586,7 @@ def _check_bounded(problem: Problem, q: QuadSubproblem, view: int,
             f"the absolute top eigenvector of S_{view}: its curvature "
             f"2 (M_kk + tau) ||v||^2 - lambda1 v^T S v = {own[k]:.6g} - "
             f"{network:.6g} is negative at k = {k}, and so is its slope "
-            f"{slope:.6g}")
+            f"{slope:.6g}", unbounded=True)
 
 
 def _build_quad(problem: Problem, factors: Factorization, target,
@@ -698,11 +698,39 @@ def _uncoupled(problem: Problem, config: SolverConfig) -> bool:
         for i in range(problem.n_views))
 
 
+def _check_sweep(problem: Problem, config: SolverConfig, w: np.ndarray,
+                 curvature: float) -> None:
+    """Raise ``DivergenceError`` when ``curvature`` (``network_curvature``'s
+    lambda) proves F unbounded below and the H sweep at this W is not
+    certified strongly convex.
+
+    For D >= 0 over all views' columns, the H blocks' Hessian gives
+    <D, Hess D> >= c ||D||^2 with c = 2 (lambda_min(W^T W) + gamma2 + tau)
+    - lambda_max(B), since (1^T d)^2 >= ||d||^2 for d >= 0; tau is
+    PANLS's proximal weight.  lambda is a lower bound on lambda_max(B),
+    so the c it gives is at least the certificate's.
+    """
+    gamma2 = problem.params.gamma2
+    if curvature <= 2.0 * gamma2:
+        return
+    tau = _TAU if config.algorithm is Algorithm.PANLS else 0.0
+    lam_min = float(np.linalg.eigvalsh(w.T @ w)[0])
+    c = 2.0 * (lam_min + gamma2 + tau) - curvature
+    if c <= 0:
+        raise DivergenceError(
+            f"F has no minimum: its network curvature lambda_max(B) >= "
+            f"{curvature:.6g} exceeds 2 gamma2 = {2.0 * gamma2:.6g}, and the "
+            f"H sweep at this W is not certified convex: 2 (lambda_min(W^T W)"
+            f" + gamma2 + tau) - lambda = {c:.6g} <= 0", unbounded=True)
+
+
 def _outer_update(problem: Problem, config: SolverConfig,
-                  factors: Factorization, grams: Grams) -> int:
+                  factors: Factorization, grams: Grams,
+                  curvature: float = 0.0) -> int:
     """Update W from ``grams.xht``, then each H_I, recording W^T X_I for the
     new W in ``grams.wtx``.  Returns how many of the block solves ran out
-    of step-size search.
+    of step-size search.  Before any H_I engine runs, ``_check_sweep``
+    refuses an H sweep that ``curvature`` leaves uncertified.
 
     ``_uncoupled`` H_I blocks share M + tau I, so one ``panls_subproblem``
     call solves their quadratics stacked column-wise: the same update as
@@ -710,6 +738,7 @@ def _outer_update(problem: Problem, config: SolverConfig,
     H_J updated before it."""
     factors.W, exhausted = _block_step(problem, config, factors, "w",
                                        grams.xht)
+    _check_sweep(problem, config, factors.W, curvature)
     grams.wtx = [factors.W.T @ x for x in problem.dataset.views]
     if not _uncoupled(problem, config):
         for i in range(problem.n_views):
@@ -775,8 +804,15 @@ def solve(problem: Problem, config: SolverConfig,
     plain iterates.  MUR keeps the plain loop: a ratio step cannot revive
     an entry the projection set to 0.
 
-    An H_I block whose quadratic falls without bound from the current
-    H_I raises ``DivergenceError`` when it is built (``_check_bounded``).
+    F has no minimum exactly when lambda_max(B) > 2 gamma2, B the matrix
+    of its network terms (``network_curvature``, computed once here).
+    Three refusals come with that proof and raise ``DivergenceError``
+    with ``unbounded`` set: F below 0 at the start or after any outer
+    iteration, which a bounded F never is; an H sweep that
+    ``_check_sweep`` does not certify convex while lambda > 2 gamma2;
+    and an H_I block whose quadratic falls without bound from the
+    current H_I when it is built (``_check_bounded``).  A refusal inside
+    an extrapolated step raises too, with no redo.
     """
     if init.W.shape != (problem.m, problem.rank):
         raise ValueError("initial W does not match the problem shapes")
@@ -784,10 +820,22 @@ def solve(problem: Problem, config: SolverConfig,
     views = problem.dataset.views
     grams = Grams(view_products(views, factors.H), [None] * len(views))
 
+    curvature = network_curvature(problem)[0]
+    gamma2 = problem.params.gamma2
     f_init = objective_value(problem, factors, grams)
     # the size of F's rounding: F itself, or the data's ||X||^2 when F
     # starts near 0, as at an exact factorization
     rise_floor = _RISE_TOL * max(abs(f_init), problem.x_squared_norm())
+
+    def check_sign(f: float, where: str, trace: list) -> None:
+        if f < -rise_floor:
+            raise DivergenceError(
+                f"F has no minimum: the objective {f:.6g} is below 0 "
+                f"{where}, which it never is when F is bounded below "
+                f"(network curvature lambda_max(B) >= {curvature:.6g}, "
+                f"2 gamma2 = {2.0 * gamma2:.6g})", trace, unbounded=True)
+
+    check_sign(f_init, "at the start", [])
     state = StopState(initial_objective=f_init)
 
     trace: list[TracePoint] = []
@@ -816,15 +864,16 @@ def solve(problem: Problem, config: SolverConfig,
                     step_grams = Grams(grams.xht, [None] * len(views))
                 try:
                     exhausted += _outer_update(problem, config, step,
-                                               step_grams)
+                                               step_grams, curvature)
                     unbounded = None
-                except DivergenceError as err:  # an unbounded H_I block
+                except DivergenceError as err:  # an unbounded H sweep
                     unbounded = str(err)
                 # raised outside the handler, so that the error keeps no
                 # context: the block's frames and quadratic are freed
                 if unbounded is not None:
                     raise DivergenceError(
-                        f"{unbounded} at outer iteration {it}", trace)
+                        f"{unbounded} at outer iteration {it}", trace,
+                        unbounded=True)
                 # an extrapolated step that overflows is redone below
                 if not extrapolate and not (
                         np.isfinite(step.W).all()
@@ -861,6 +910,7 @@ def solve(problem: Problem, config: SolverConfig,
             raise DivergenceError(
                 f"non-finite projected-gradient norm at outer iteration {it}",
                 trace)
+        check_sign(f_curr, f"at outer iteration {it}", trace)
         # after a kept rise the next step starts plain
         prev, prev_xht = ((factors, grams.xht) if accelerated
                           and not kept_rise else (None, None))
@@ -892,5 +942,7 @@ def solve(problem: Problem, config: SolverConfig,
         exhausted_searches=exhausted,
         extrapolated_steps=extrapolated,
         redone_steps=redone,
+        network_curvature=curvature,
+        sparsity_curvature=2.0 * gamma2,
     )
     return factors, report

@@ -232,7 +232,13 @@ def test_solve_all_diverged_exit_1(tmp_path):
     out = tmp_path / "out"
     assert run(["solve", "--config", cfg, "--out", out, "--serial"]) == 1
     runs = sorted(p.name for p in (out / "runs").iterdir())
-    assert all((out / "runs" / r / "DIVERGED").exists() for r in runs)
+    # each marker holds its solve's DivergenceError message
+    for r in runs:
+        assert re.match(r"F has no minimum: the objective -\S+ is below 0 "
+                        r"at the start, .*\)\n$",
+                        (out / "runs" / r / "DIVERGED").read_text())
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary[0]["diverged"] == summary[0]["unbounded"] == 2
 
 
 def test_readme_experiment_config_solves(tmp_path):
@@ -363,6 +369,26 @@ def test_gridsearch_end_to_end(tmp_path):
     assert best["lambda1"] == 0.001 and best["completed"] == 1
     grid_lines = (out / "grid.csv").read_text().strip().splitlines()
     assert len(grid_lines) == 2
+
+
+def test_gridsearch_counts_refused_diverged_and_capped_runs(tmp_path,
+                                                            capsys):
+    # (1e-3, 1e-3, gamma2 = 0.01) is capped at 5 outer iterations; at
+    # gamma2 = 1 F is bounded below, and the rescale lifts it above its
+    # start; at lambda1 = 0.1 F has no minimum and the first H sweep is
+    # not certified convex
+    path = grid_config(
+        tmp_path, {"algorithm": "Ne", "tolerance": 1e-4,
+                   "max_outer_iters": 5}, seeds=[0], lambda1=[1e-3, 0.1],
+        gamma2=[0.01, 1])
+    out = tmp_path / "out"
+    assert run(["gridsearch", "--config", path, "--out", out]) == 0
+    assert ("4 runs (4 cells x 1 seeds): 2 refused as unbounded (F has no "
+            "minimum), 1 diverged otherwise, 1 capped at 5 outer "
+            "iterations") in capsys.readouterr().out
+    header = (out / "grid.csv").read_text().splitlines()[0]
+    assert header == ("lambda1,lambda2,gamma1,gamma2,mean_auc,"
+                      "mean_reconstruction_error,completed")
 
 
 @pytest.mark.parametrize("section, key, message", [

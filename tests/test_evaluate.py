@@ -4,7 +4,7 @@ import pytest
 from jmf import (ConstraintSet, Factorization, Hyperparameters,
                  SyntheticSpec, assign_modules, auc_score, evaluate_factors,
                  generate, match_components, new_problem, reconstruction_error)
-from jmf.evaluate import _column_correlations
+from jmf.evaluate import _average_ranks, _column_correlations
 from oracles import best_matching_score, brute_auc
 
 
@@ -41,6 +41,23 @@ def test_auc_matches_brute_force(seed):
         labels[0] = 1 - labels[0]
     assert auc_score(scores, labels) == pytest.approx(
         brute_auc(scores, labels), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_average_ranks_match_a_tie_averaged_reference(seed):
+    # each value's rank is (number below it) + (number equal to it + 1) / 2;
+    # rounding forces ties, -0.0 ties with 0.0, and a run can be all ties
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    values = np.round(rng.standard_normal(n), int(rng.integers(0, 3)))
+    values[rng.random(n) < 0.1] = -0.0
+    if seed == 0:
+        values[:] = 1.5
+    below = (values[None, :] < values[:, None]).sum(axis=1)
+    equal = (values[None, :] == values[:, None]).sum(axis=1)
+    ranks = _average_ranks(values)
+    np.testing.assert_array_equal(ranks, below + 0.5 * (equal + 1))
+    assert ranks.shape == values.shape and ranks.dtype == float
 
 
 @pytest.mark.parametrize("transform", [lambda x: 2 * x + 1, lambda x: x ** 3])

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 import jmf.objective
-from jmf import (ConstraintSet, Factorization, Hyperparameters,
-                 MultiViewDataset, SolverConfig, SyntheticSpec, generate,
-                 grad_H, grad_W, lipschitz_H, lipschitz_W, new_problem,
-                 objective_value, projected_gradient_norm,
-                 reconstruction_error, solve, spectral_norm)
+from jmf import (ConstraintSet, DivergenceError, Factorization,
+                 Hyperparameters, MultiViewDataset, SolverConfig,
+                 SyntheticSpec, generate, grad_H, grad_W, lipschitz_H,
+                 lipschitz_W, new_problem, objective_value,
+                 projected_gradient_norm, reconstruction_error, solve,
+                 spectral_norm)
 from jmf.objective import (h_subproblem, hessian_quadratic_form_H,
-                           hessian_quadratic_form_W, w_subproblem,
-                           within_top)
+                           hessian_quadratic_form_W, network_curvature,
+                           w_subproblem, within_top)
 from oracles import (dense_hessian_H, dense_hessian_W, finite_diff_grad,
                      make_problem, naive_objective, quad_form, random_factors)
 
@@ -277,8 +278,10 @@ def counted_calls(monkeypatch, name):
 
 
 def networked_problem():
+    # lambda_max(B) is about 0.396 here, under 2 gamma2 = 0.5, so F is
+    # bounded below and the solves run their iterations
     return make_problem(seed=3, lambda1=0.05, lambda2=0.05, gamma1=0.1,
-                        gamma2=0.1)
+                        gamma2=0.25)
 
 
 # An H block's step size reads ||S_I||_2 through ``q.s_norm()``, which calls
@@ -336,3 +339,96 @@ def test_within_top_is_bitwise_the_spectral_norm_on_d1():
     for view in range(prob.n_views):
         _, vsv = within_top(prob, view)
         assert vsv == spectral_norm(prob.constraints.within_sym(view))
+
+
+# ---------------------------------------------------------------------------
+# network curvature: F is bounded below iff lambda_max(B) <= 2 gamma2
+
+
+def dense_network_matrix(prob) -> np.ndarray:
+    """B over all views' columns: lambda1 S_I on diagonal block I,
+    lambda2 R_IJ at (I, J) and R_IJ^T at (J, I)."""
+    p, cons = prob.params, prob.constraints
+    cuts = np.cumsum((0,) + prob.n)
+    blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    b = np.zeros((cuts[-1], cuts[-1]))
+    for i, mats in cons.within.items():
+        for theta in mats:
+            b[blocks[i], blocks[i]] += p.lambda1 * (theta + theta.T)
+    for (i, j), r in cons.between.items():
+        b[blocks[i], blocks[j]] += p.lambda2 * r
+        b[blocks[j], blocks[i]] += p.lambda2 * r.T
+    return b
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("lambda1, lambda2", [
+    (0.3, 0.2), (0.0, 0.2), (0.3, 0.0), (1e-3, 50.0)],
+    ids=["both", "bipartite", "within-only", "between-heavy"])
+def test_network_curvature_matches_the_dense_top_eigenvalue(
+        seed, lambda1, lambda2):
+    prob = make_problem(seed=seed, m=5, n=(7, 4, 9), lambda1=lambda1,
+                        lambda2=lambda2)
+    b = dense_network_matrix(prob)
+    top = np.linalg.eigvalsh(b)[-1]
+    lam, v = network_curvature(prob)
+    # the Rayleigh quotient of a unit v >= 0: a lower bound, close to it
+    assert v.shape == (sum(prob.n),) and np.all(v >= 0)
+    assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+    assert lam == pytest.approx(float(v @ b @ v), rel=1e-12)
+    assert lam <= top * (1 + 1e-12)
+    assert lam >= top * (1 - 1e-3)
+
+
+def test_network_curvature_of_no_weighted_network_is_zero(monkeypatch):
+    prob = make_problem(seed=1)  # networks stored, both weights 0
+    monkeypatch.setattr(prob.constraints, "within_sym", None)
+    lam, v = network_curvature(prob)
+    assert lam == 0.0 and np.linalg.norm(v) == pytest.approx(1.0)
+    bare = make_problem(seed=1, lambda1=1.0, lambda2=1.0,
+                        with_constraints=False)
+    assert network_curvature(bare)[0] == 0.0
+
+
+@pytest.mark.parametrize("algorithm", ["MUR", "PANLS"])
+def test_a_near_tie_with_2_gamma2_is_decided_soundly(algorithm):
+    # lambda never exceeds lambda_max(B), so at 2 gamma2 just above
+    # lambda_max(B) it never reports F unbounded, and no solve refuses
+    # the problem with that proof
+    base = make_problem(seed=2, m=5, n=(7, 4, 9), lambda1=0.3, lambda2=0.2,
+                        gamma1=0.1)
+    top = np.linalg.eigvalsh(dense_network_matrix(base))[-1]
+    prob = new_problem(base.dataset, base.constraints,
+                       replace(base.params, gamma2=top / 2 * (1 + 1e-9)))
+    lam, _ = network_curvature(prob)
+    assert not lam > 2 * prob.params.gamma2
+    try:
+        solve(prob, SolverConfig(algorithm=algorithm, max_outer_iters=30),
+              random_factors(prob, seed=1))
+    except DivergenceError as err:
+        assert not err.unbounded, str(err)
+
+
+@pytest.mark.parametrize("lambda1, lambda2", [(0.3, 0.2), (0.0, 0.2)])
+def test_f_along_the_perron_ray_has_the_curvature_of_the_test(
+        lambda1, lambda2):
+    # W's column k at 0 and H's row k at t v: F is quadratic in t with
+    # leading coefficient gamma2 ||v||^2 - v^T B v / 2, so its second
+    # difference F(0) - 2 F(t) + F(2t) is 2 t^2 times that
+    prob = make_problem(seed=4, m=5, n=(7, 4, 9), lambda1=lambda1,
+                        lambda2=lambda2, gamma1=0.1, gamma2=0.05)
+    lam, v = network_curvature(prob)
+    fac = random_factors(prob, seed=6)
+    k, t = 1, 3.0
+    fac.W[:, k] = 0.0
+    parts = np.split(v, np.cumsum(prob.n)[:-1])
+
+    def f_at(scale):
+        for h, part in zip(fac.H, parts):
+            h[k] = scale * part
+        return objective_value(prob, fac)
+
+    second = f_at(0.0) - 2 * f_at(t) + f_at(2 * t)
+    expected = 2 * t * t * (prob.params.gamma2 * float(v @ v) - lam / 2)
+    assert expected < 0  # this ray proves F unbounded
+    assert second == pytest.approx(expected, rel=1e-9)

@@ -11,8 +11,8 @@ from jmf import (Algorithm, ConstraintSet, DivergenceError, Factorization,
                  Hyperparameters, MultiViewDataset, SolverConfig, StopRule,
                  SyntheticSpec, Termination, generate, init_factors,
                  new_problem, objective_value, reconstruction_error, solve)
-from jmf.objective import (h_subproblem, spectral_norm, w_subproblem,
-                           within_top)
+from jmf.objective import (h_subproblem, network_curvature, spectral_norm,
+                           w_subproblem, within_top)
 from jmf.solvers import (StopState, _build_quad, _rescale,
                          check_stop_gradient, check_stop_objective,
                          mur_step_H, mur_step_W, ne_subproblem,
@@ -272,17 +272,23 @@ def test_non_finite_gradient_norm_is_divergence(monkeypatch):
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_objective_ratio_stop_above_the_start_is_divergence(algorithm):
-    # network weights this large make the H blocks nonconvex: F climbs
-    # from about 31 to 190-680 in four outer iterations, still finite,
-    # and the objective-ratio rule stops on the lost net progress
-    prob = make_problem(seed=0, m=12, n=(6, 8), r=2, lambda1=0.05,
-                        lambda2=0.05, gamma2=0.01)
-    init = init_factors(prob, 0)
-    with pytest.raises(DivergenceError, match="above its start") as err:
+    # a bounded problem (no networks) whose start sits near its minimum,
+    # at W = H = 10 with F = 20; the unit-column rescale forces W to 1,
+    # where the best H leaves F near 909, so F ends its first outer
+    # iteration above its start and the objective-ratio rule stops on
+    # the lost net progress
+    prob = new_problem(MultiViewDataset([np.array([[100.0]])]),
+                       ConstraintSet.empty(),
+                       Hyperparameters(rank=1, gamma1=0.1, gamma2=0.1))
+    init = Factorization(np.array([[10.0]]), [np.array([[10.0]])])
+    assert objective_value(prob, init) == pytest.approx(20.0)
+    with pytest.raises(DivergenceError, match="above its start 20 at outer "
+                                              "iteration 1$") as err:
         solve(prob, SolverConfig(algorithm=algorithm, max_outer_iters=200),
               init)
-    trace = err.value.trace
-    assert trace and all(np.isfinite(p.objective) for p in trace)
+    f_curr = float(re.match(r"objective (\S+) above", str(err.value))[1])
+    assert np.isfinite(f_curr) and f_curr > 20.0
+    assert err.value.trace == [] and not err.value.unbounded
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -405,35 +411,163 @@ def test_a_rising_ray_with_negative_curvature_does_not_raise(algorithm):
     assert np.all(update_h0(algorithm, prob, fac) >= 0)
 
 
+def d1_problem(lambda1, lambda2, gamma2):
+    """D1 instance 0 with its networks at gamma1 = 1e-4, as in the CLI's
+    grid and perfbench's d1-net-grid."""
+    truth = generate(SyntheticSpec("D1", seed=0))
+    return new_problem(truth.to_dataset(), truth.constraints,
+                       Hyperparameters(rank=truth.rank, lambda1=lambda1,
+                                       lambda2=lambda2, gamma1=1e-4,
+                                       gamma2=gamma2))
+
+
 @pytest.mark.parametrize("algorithm", ["MUR", "PANLS"])
 def test_d1_at_lambda1_0_1_names_its_unbounded_block(algorithm):
     # the benchmark's lambda1 = 0.1 cells: MUR used to end ToleranceMet
-    # with F near -9e60 to -8e116
-    truth = generate(SyntheticSpec("D1", seed=0))
-    prob = new_problem(truth.to_dataset(), truth.constraints,
-                       Hyperparameters(rank=truth.rank, lambda1=0.1,
-                                       lambda2=1e-3, gamma1=1e-4,
-                                       gamma2=0.01))
+    # with F near -9e60 to -8e116.  F has no minimum there, and the
+    # first H sweep is not certified convex, so the solve stops before
+    # any H engine runs
+    prob = d1_problem(0.1, 1e-3, 0.01)
     with pytest.raises(DivergenceError,
-                       match=r"view \d's H block is unbounded below") as err:
+                       match=r"^F has no minimum: .* is not certified "
+                             r"convex: .* at outer iteration 1$") as err:
         solve(prob, SolverConfig(algorithm=algorithm),
               init_factors(prob, 0))
-    own, network, slope = (float(a) for a in re.search(
-        r"= (\S+) - (\S+) is negative.* slope (\S+) at outer "
-        r"iteration 2$",
+    lam, c = (float(a) for a in re.search(
+        r"lambda_max\(B\) >= (\S+) exceeds .* = (\S+) <= 0",
         str(err.value)).groups())
-    assert own < network and slope < 0
-    view = int(re.match(r"view (\d)", str(err.value)).group(1))
-    v, vsv = within_top(prob, view)
-    assert network == pytest.approx(0.1 * vsv, rel=1e-5)
-    # v is a unit vector, and v^T S v comes within the power iteration's
-    # tolerance of its bound ||S_I||_2
-    assert np.all(v >= 0) and np.linalg.norm(v) == pytest.approx(1.0)
-    assert vsv == pytest.approx(
-        spectral_norm(prob.constraints.within_sym(view)), rel=1e-6)
-    assert len(err.value.trace) == 1
+    assert lam == pytest.approx(network_curvature(prob)[0], rel=1e-5)
+    assert lam > 0.02 and c <= 0
+    assert err.value.unbounded and err.value.trace == []
     # raised with no context, which would keep the block's frames alive
     assert err.value.__context__ is None and err.value.__cause__ is None
+    # with W's first column at 0, each view's H block falls without bound
+    # along e_0 v^T, and its build names the ray
+    fac = init_factors(prob, 0)
+    fac.W[:, 0] = 0.0
+    for view in range(prob.n_views):
+        with pytest.raises(DivergenceError,
+                           match=rf"^view {view}'s H block is unbounded "
+                                 rf"below along e_0 v\^T") as err:
+            jmf.solvers._block_step(prob, SolverConfig(algorithm=algorithm),
+                                    fac, view, None)
+        own, network, slope = (float(a) for a in re.search(
+            r"= (\S+) - (\S+) is negative.* slope (\S+)$",
+            str(err.value)).groups())
+        assert own < network and slope < 0 and err.value.unbounded
+        v, vsv = within_top(prob, view)
+        assert network == pytest.approx(0.1 * vsv, rel=1e-5)
+        # v is a unit vector, and v^T S v comes within the power
+        # iteration's tolerance of its bound ||S_I||_2
+        assert np.all(v >= 0) and np.linalg.norm(v) == pytest.approx(1.0)
+        assert vsv == pytest.approx(
+            spectral_norm(prob.constraints.within_sym(view)), rel=1e-6)
+
+
+def test_d1_runaway_is_refused_before_its_first_iteration():
+    # the CLI grid's cell that used to report ToleranceMet at F = -2.86e24
+    # after 26 outer iterations; its F starts at -1.18e7
+    prob = d1_problem(1e-2, 1e3, 10.0)
+    with pytest.raises(DivergenceError, match=r"^F has no minimum: the "
+                       r"objective -1\.17765e\+07 is below 0 at the start, "
+                       r".*lambda_max\(B\) >= 83\d{3}.*, 2 gamma2 = 20\)$"
+                       ) as err:
+        solve(prob, SolverConfig(), init_factors(prob, 0))
+    assert err.value.unbounded and err.value.trace == []
+
+
+def test_d1_negative_start_is_refused_before_iteration_1():
+    # F starts near -78,790, which F never is when it is bounded below
+    prob = d1_problem(1e-3, 10.0, 1.0)
+    f_init = objective_value(prob, init_factors(prob, 0))
+    assert f_init == pytest.approx(-78790, rel=1e-4)
+    with pytest.raises(DivergenceError, match=r"^F has no minimum: the "
+                       r"objective -78\d{3}\.?\d* is below 0 at the start, "
+                       r".* 2 gamma2 = 2\)$") as err:
+        solve(prob, SolverConfig(), init_factors(prob, 0))
+    assert err.value.unbounded and err.value.trace == []
+
+
+def test_an_uncertified_extrapolated_sweep_raises_with_no_redo(
+        monkeypatch):
+    # PANLS starts outer iteration 2 from the extrapolated iterate; its
+    # sweep is refused there, and not redone from the plain iterate
+    updates = []
+    outer_update = jmf.solvers._outer_update
+
+    def counted(*args):
+        updates.append(args[2])
+        return outer_update(*args)
+
+    monkeypatch.setattr(jmf.solvers, "_outer_update", counted)
+    prob = d1_problem(1e-3, 1e-2, 0.01)
+    with pytest.raises(DivergenceError, match=r"not certified convex: .* "
+                       r"at outer iteration 2$") as err:
+        solve(prob, SolverConfig(), init_factors(prob, 0))
+    assert err.value.unbounded and len(err.value.trace) == 1
+    assert len(updates) == 2
+
+
+def test_f_below_0_after_an_outer_iteration_is_refused(monkeypatch):
+    # with the sweep certificate off, MUR's second outer iteration on this
+    # unbounded cell takes F from 13,178 to about -5.1e5
+    monkeypatch.setattr(jmf.solvers, "network_curvature",
+                        lambda problem: (0.0, None))
+    prob = d1_problem(1e-3, 0.1, 0.01)
+    with pytest.raises(DivergenceError, match=r"^F has no minimum: the "
+                       r"objective -5\d{5}(\.\d*)? is below 0 at outer "
+                       r"iteration 2, ") as err:
+        solve(prob, SolverConfig(algorithm="MUR"), init_factors(prob, 0))
+    assert err.value.unbounded
+    assert [p.objective > 0 for p in err.value.trace] == [True]
+
+
+@pytest.mark.parametrize("gamma2", [0.01, 0.1], ids=["tuned", "bounded"])
+def test_d1_answering_cells_are_not_touched_by_the_refusals(
+        monkeypatch, gamma2):
+    # the tuned cell is unbounded (lambda_max(B) > 2 gamma2) but every
+    # sweep of its solve is certified, and the bounded cell is never
+    # checked: both end as they do with the refusals switched off
+    prob = d1_problem(1e-3, 1e-3, gamma2)
+    cfg = SolverConfig()
+    fac, report = solve(prob, cfg, init_factors(prob, 0))
+    assert report.termination is Termination.TOLERANCE_MET
+    assert (report.network_curvature > report.sparsity_curvature) == (
+        gamma2 == 0.01)
+    assert report.sparsity_curvature == 2 * gamma2
+    monkeypatch.setattr(jmf.solvers, "network_curvature",
+                        lambda problem: (0.0, None))
+    fac_off, report_off = solve(prob, cfg, init_factors(prob, 0))
+    assert report.iterations == report_off.iterations
+    assert repr(report.final_objective) == repr(report_off.final_objective)
+    assert fac.W.tobytes() == fac_off.W.tobytes()
+
+
+def test_d1_diverging_grid_cells_stop_within_8000_hessian_products(
+        monkeypatch):
+    # the 16 cells of perfbench's d1-net-grid slice that have no answer
+    # made 36,822 Hessian products before the refusals, about 5,900 after
+    calls = []
+    hess_apply = jmf.objective.QuadSubproblem.hess_apply
+
+    def counted(self, d):
+        calls.append(1)
+        return hess_apply(self, d)
+
+    monkeypatch.setattr(jmf.objective.QuadSubproblem, "hess_apply", counted)
+    base = d1_problem(0.0, 0.0, 0.0)
+    for lambda1 in (1e-3, 1e-2, 0.1):
+        for lambda2 in (1e-3, 1e-2, 0.1):
+            if lambda1 == lambda2 == 1e-3:
+                continue  # the two cells that answer
+            for gamma2 in (0.01, 0.1):
+                prob = new_problem(base.dataset, base.constraints,
+                                   Hyperparameters(base.rank, lambda1,
+                                                   lambda2, 1e-4, gamma2))
+                with pytest.raises(DivergenceError) as err:
+                    solve(prob, SolverConfig(), init_factors(prob, 0))
+                assert err.value.unbounded, str(err.value)
+    assert len(calls) <= 8000
 
 
 def test_mur_is_not_extrapolated():
