@@ -9,9 +9,10 @@ from types import SimpleNamespace
 import numpy as np
 
 import jmf.solvers
-from jmf import (Algorithm, ConstraintSet, Factorization, Hyperparameters,
-                 MultiViewDataset, SolverConfig, new_problem)
-from jmf.objective import QuadSubproblem
+from jmf import (Algorithm, ConstraintSet, DivergenceError, Factorization,
+                 Hyperparameters, MultiViewDataset, SolverConfig, StopRule,
+                 Termination, TracePoint, new_problem)
+from jmf.objective import Grams, QuadSubproblem
 
 
 def make_problem(seed=0, m=6, n=(4, 5, 3), r=2, lambda1=0.0, lambda2=0.0,
@@ -410,3 +411,168 @@ def ref_nnls(c: np.ndarray, b: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
         np.testing.assert_allclose(x, points[0], rtol=1e-6,
                                    atol=1e-9 * np.abs(points[0]).max())
     return points[0]
+
+
+# ---------------------------------------------------------------------------
+# the alternating outer loop written out in one function: the block sweep,
+# the extrapolated start, the beta rule, redo or keep, the rescale and its
+# bookkeeping, the refusals and the stop rules.  It reaches the library
+# only for the block steps and engines, ``_check_sweep``,
+# ``_extrapolated``, the products with the views, F and the projected
+# gradient, all read from ``jmf.solvers`` at call time with its constants.
+
+def ref_sweep(problem, config, fac, xht, curvature):
+    """W's update from ``xht``, the sweep certificate, then every H_I,
+    in place on ``fac``: one stacked PANLS solve when no H_I block reads
+    another, else view by view.  Returns W^T X_I and the exhausted
+    searches."""
+    s = jmf.solvers
+    fac.W, exhausted = s._block_step(problem, config, fac, "w", xht)
+    s._check_sweep(problem, config, fac.W, curvature)
+    wtx = [fac.W.T @ x for x in problem.dataset.views]
+    p, cons = problem.params, problem.constraints
+    coupled = any((p.lambda1 and cons.within_sym(i) is not None)
+                  or (p.lambda2 and cons.between_partners(i))
+                  for i in range(problem.n_views))
+    if config.algorithm is not Algorithm.PANLS or coupled:
+        for i in range(problem.n_views):
+            fac.H[i], flag = s._block_step(problem, config, fac, i, wtx[i])
+            exhausted += flag
+        return wtx, exhausted
+    quads = [s._build_quad(problem, fac, i, h, x)[0]
+             for i, (h, x) in enumerate(zip(fac.H, wtx))]
+    m, _, _, tau = quads[0].hess_mats
+    joint = QuadSubproblem((m, None, 0.0, tau),
+                           np.hstack([q.g0 for q in quads]), "h")
+    x, flag = s.panls_subproblem(joint, np.hstack(fac.H), config)
+    cuts = np.cumsum([h.shape[1] for h in fac.H])[:-1]
+    fac.H = [np.ascontiguousarray(h) for h in np.split(x, cuts, axis=1)]
+    return wtx, exhausted + flag
+
+
+def ref_solve(problem, config, init):
+    """``solve``'s outer loop; returns the factors and a namespace with the
+    trace's F values, the termination and the step counts.
+
+    PG, Ne and PANLS start each step after the first from the extrapolated
+    iterate.  A step that lowers F is kept and grows beta; one that raises
+    it shrinks beta, and is redone from the plain iterate unless F before
+    the rescale did not rise, in which case it is kept and the next step
+    starts plain.
+    """
+    s = jmf.solvers
+    views = problem.dataset.views
+    fac = init.copy()
+    xht = s.view_products(views, fac.H)
+    curvature = s.network_curvature(problem)[0]
+    gamma2 = problem.params.gamma2
+    f_init = s.objective_value(problem, fac, Grams(xht, [None] * len(views)))
+    floor = s._RISE_TOL * max(abs(f_init), problem.x_squared_norm())
+
+    def refuse_below_0(f, where, trace):
+        if f < -floor:
+            raise DivergenceError(
+                f"F has no minimum: the objective {f:.6g} is below 0 "
+                f"{where}, which it never is when F is bounded below "
+                f"(network curvature lambda_max(B) >= {curvature:.6g}, "
+                f"2 gamma2 = {2.0 * gamma2:.6g})", trace, unbounded=True)
+
+    def attempt(start, start_xht, it, trace):
+        """One sweep, the rescale and F: (factors, xht, wtx, F, F before
+        the rescale, exhausted)."""
+        try:
+            wtx, exhausted = ref_sweep(problem, config, start, start_xht,
+                                       curvature)
+        except DivergenceError as err:
+            message = str(err)
+        else:
+            penalty = s.penalty_value(problem, start)
+            finite = (np.isfinite(start.W).all()
+                      and all(np.isfinite(h).all() for h in start.H))
+            if config.normalize_rows:
+                norms = np.linalg.norm(start.W, axis=0)
+                norms[norms == 0] = 1.0
+                start.W /= norms
+                for h in start.H:
+                    h *= norms[:, None]
+                for w in wtx:
+                    w /= norms[:, None]
+            new_xht = s.view_products(views, start.H)
+            f = s.objective_value(problem, start, Grams(new_xht, wtx))
+            return (start, new_xht, wtx, f,
+                    f - s.penalty_value(problem, start) + penalty,
+                    exhausted, finite)
+        raise DivergenceError(f"{message} at outer iteration {it}", trace,
+                              unbounded=True)
+
+    refuse_below_0(f_init, "at the start", [])
+    trace, objectives = [], []
+    termination = Termination.MAX_ITERS
+    window, g_first = [], None
+    f_prev, prev = f_init, None
+    exhausted = extrapolated = redone = 0
+    beta, beta_bar = s._EXTRAP_BETA, s._EXTRAP_BETA_BAR
+    for it in range(1, config.max_outer_iters + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            step, kept_rise = None, False
+            if prev is not None and config.algorithm is not Algorithm.MUR:
+                extrapolated += 1
+                step = attempt(*s._extrapolated(views, fac, xht, *prev,
+                                                beta), it, trace)
+                exhausted += step[5]
+                if step[3] <= f_prev:
+                    beta = min(beta_bar, s._EXTRAP_GROW * beta)
+                    beta_bar = min(1.0, s._EXTRAP_BAR_GROW * beta_bar)
+                else:
+                    beta_bar, beta = beta, beta / s._EXTRAP_SHRINK
+                    kept_rise = step[4] <= f_prev
+                    if not kept_rise:
+                        redone += 1
+                        step = None
+            if step is None:
+                step = attempt(Factorization(fac.W, fac.H), xht, it, trace)
+                exhausted += step[5]
+                if not step[6]:
+                    raise DivergenceError(
+                        f"non-finite factor at outer iteration {it}", trace)
+            new_fac, new_xht, wtx, f, _, _, _ = step
+            g = s.projected_gradient_norm(problem, new_fac,
+                                          Grams(new_xht, wtx))
+        if not np.isfinite(f):
+            raise DivergenceError(
+                f"non-finite objective at outer iteration {it}", trace)
+        if not np.isfinite(g):
+            raise DivergenceError(
+                f"non-finite projected-gradient norm at outer iteration {it}",
+                trace)
+        refuse_below_0(f, f"at outer iteration {it}", trace)
+        prev = None if kept_rise else (fac, xht)
+        fac, xht = new_fac, new_xht
+        reason = None
+        if config.stop_rule is StopRule.OBJECTIVE_RATIO:
+            denom, progress = f_init - f, f_prev - f
+            if denom <= 0 or (progress >= 0
+                              and progress / denom <= config.tolerance):
+                reason = Termination.TOLERANCE_MET
+                if f > f_init + floor:
+                    raise DivergenceError(
+                        f"objective {f:.6g} above its start {f_init:.6g} "
+                        f"at outer iteration {it}", trace)
+        else:
+            g_first = g if g_first is None else g_first
+            window = (window + [g])[-10:]
+            if g <= config.tolerance * g_first:
+                reason = Termination.TOLERANCE_MET
+            elif len(window) == 10 and abs(window[-1] - window[0]) <= (
+                    1e-3 * config.tolerance * g_first):
+                reason = Termination.SLOW_GRADIENT_CHANGE
+        trace.append(TracePoint(it, f, g, 0.0))
+        objectives.append(f)
+        if reason is not None:
+            termination = reason
+            break
+        f_prev = f
+    return fac, SimpleNamespace(
+        objectives=objectives, termination=termination,
+        iterations=len(trace), exhausted_searches=exhausted,
+        extrapolated_steps=extrapolated, redone_steps=redone)

@@ -18,7 +18,7 @@ from jmf.solvers import (StopState, _build_quad, _rescale,
                          mur_step_H, mur_step_W, ne_subproblem,
                          panls_subproblem, pg_subproblem)
 from oracles import (make_problem, naive_mur_H, naive_mur_W,
-                     random_factors)
+                     random_factors, ref_solve)
 
 CFG = dict(stop_rule="ObjectiveRatio", tolerance=1e-7)
 ALGORITHMS = ["MUR", "PG", "Ne", "PANLS"]
@@ -360,6 +360,72 @@ def test_a_rising_extrapolated_step_is_redone(monkeypatch, algorithm):
     assert all(curr <= prev for prev, curr in zip(objs, objs[1:]))
     assert report.final_objective == objective_value(prob, fac)
 
+
+
+def loop_case(name: str, monkeypatch) -> tuple:
+    """(problem, config) of one ``test_solve_matches_the_written_out_loop``
+    case."""
+    small = dict(seed=0, m=12, n=(8, 9), r=3, gamma1=0.1)
+    if name == "MUR":
+        return make_problem(**small), SolverConfig(algorithm="MUR", **CFG)
+    if name == "PG-redo":
+        monkeypatch.setattr(jmf.solvers, "_EXTRAP_BETA", 50.0)
+        return d1_unweighted(), SolverConfig(algorithm="PG",
+                                             max_outer_iters=30, **CFG)
+    if name in ("PG-kept-rise", "PANLS-kept-rise"):
+        return make_problem(**small), SolverConfig(
+            algorithm=name.split("-")[0], **CFG)
+    if name == "Ne-gradient":
+        return make_problem(seed=4, m=12, n=(8, 9), r=3, gamma2=0.1), \
+            SolverConfig(algorithm="Ne", stop_rule="GradientRatio",
+                         tolerance=1e-3)
+    if name == "PANLS-unscaled":
+        return make_problem(**small), SolverConfig(normalize_rows=False,
+                                                   **CFG)
+    if name == "D1-refused":
+        return d1_problem(1e-3, 1e-2, 0.01), SolverConfig()
+    assert name == "D1-bounded"
+    return d1_problem(1e-3, 1e-3, 0.1), SolverConfig()
+
+
+@pytest.mark.parametrize("name", [
+    "MUR", "PG-redo", "PG-kept-rise", "PANLS-kept-rise", "Ne-gradient",
+    "PANLS-unscaled", "D1-refused", "D1-bounded"])
+def test_solve_matches_the_written_out_loop(monkeypatch, name):
+    # the beta schedule, redo or keep, the rescale bookkeeping, the
+    # refusals and the stop rules, against ``oracles.ref_solve`` bit for bit
+    prob, cfg = loop_case(name, monkeypatch)
+    init = init_factors(prob, 0)
+    try:
+        want = ref_solve(prob, cfg, init)
+    except DivergenceError as err:
+        with pytest.raises(DivergenceError) as got:
+            solve(prob, cfg, init)
+        assert str(got.value) == str(err)
+        assert got.value.unbounded == err.unbounded
+        assert len(got.value.trace) == len(err.trace)
+        assert name == "D1-refused" and "not certified" in str(err)
+        return
+    fac, report = solve(prob, cfg, init)
+    ref_fac, ref = want
+    assert report.iterations == ref.iterations
+    assert report.termination is ref.termination
+    assert [repr(p.objective) for p in report.trace] == [
+        repr(f) for f in ref.objectives]
+    for got, wanted in zip((fac.W, *fac.H), (ref_fac.W, *ref_fac.H)):
+        assert got.tobytes() == wanted.tobytes()
+    assert (report.extrapolated_steps, report.redone_steps,
+            report.exhausted_searches) == (
+        ref.extrapolated_steps, ref.redone_steps, ref.exhausted_searches)
+    # each path the case is there for is taken
+    kept_rises = report.iterations - 1 - report.extrapolated_steps
+    assert {"MUR": report.extrapolated_steps == 0,
+            "PG-redo": report.redone_steps > 0,
+            "PG-kept-rise": kept_rises > 0,
+            "PANLS-kept-rise": kept_rises > 0,
+            "Ne-gradient": report.termination is not Termination.MAX_ITERS,
+            "PANLS-unscaled": report.extrapolated_steps > 0,
+            "D1-bounded": kept_rises > 0}[name]
 
 def two_node_problem(lambda1: float, x: list, w: list,
                      h: list) -> tuple:
