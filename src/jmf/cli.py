@@ -88,9 +88,13 @@ def _read_constraints(base: Path, maps: dict) -> ConstraintSet:
 
 
 def _max_workers(n_tasks: int, serial: bool) -> int:
+    """Worker processes: ``JMF_THREADS`` if set, else the CPU count."""
     if serial:
         return 1
     cap = os.environ.get("JMF_THREADS")
+    if cap and not (cap.isdecimal() and int(cap) > 0):
+        raise UsageError(f"JMF_THREADS must be a positive integer, got "
+                         f"{cap!r}")
     limit = int(cap) if cap else (os.cpu_count() or 1)
     return max(1, min(limit, n_tasks))
 
@@ -308,17 +312,21 @@ def cmd_solve(args) -> int:
     if not cfg.get("solvers") or not seeds:
         raise UsageError("config needs at least one solver and one seed")
     configs = _solver_configs(cfg["solvers"])
+    tags = [_run_tag(config) for config in configs]
+    for what, keys in (("run tag", tags), ("seed", seeds)):
+        twice = next((k for k in keys if keys.count(k) > 1), None)
+        if twice is not None:
+            raise UsageError(f"{what} {twice} occurs twice, and each run "
+                             f"writes into runs/<run tag>_seed<seed>")
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # made with the first run's directory
     results = run_all(problem, truth,
                       [(params, replace(config, seed=s))
                        for config in configs for s in seeds], args.serial)
 
     summary = []
-    for config in configs:
+    for config, tag in zip(configs, tags):
         runs = list(itertools.islice(results, len(seeds)))
-        tag = _run_tag(config)
         for r in runs:
             run_dir = out / "runs" / f"{tag}_seed{r.config.seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
@@ -386,8 +394,6 @@ def cmd_gridsearch(args) -> int:
                                    grid["gamma1"], grid["gamma2"]))
     if not cells:
         raise UsageError("empty parameter grid")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     problem = new_problem(dataset, constraints, Hyperparameters(rank=rank))
     tasks = [(Hyperparameters(rank=rank, lambda1=l1, lambda2=l2, gamma1=g1,
                               gamma2=g2), replace(config, seed=s))
@@ -418,6 +424,8 @@ def cmd_gridsearch(args) -> int:
         print("every grid cell diverged", file=sys.stderr)
         return 1
     best = select_best(finished)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "grid.csv",
                ["lambda1", "lambda2", "gamma1", "gamma2", "mean_auc",
                 "mean_reconstruction_error", "completed"], rows)

@@ -724,37 +724,53 @@ def _check_sweep(problem: Problem, config: SolverConfig, w: np.ndarray,
             f" + gamma2 + tau) - lambda = {c:.6g} <= 0", unbounded=True)
 
 
-def _outer_update(problem: Problem, config: SolverConfig,
-                  factors: Factorization, grams: Grams,
-                  curvature: float = 0.0) -> int:
-    """Update W from ``grams.xht``, then each H_I, recording W^T X_I for the
-    new W in ``grams.wtx``.  Returns how many of the block solves ran out
-    of step-size search.  Before any H_I engine runs, ``_check_sweep``
-    refuses an H sweep that ``curvature`` leaves uncertified.
+@dataclass
+class _Step:
+    """The record of one attempted outer step."""
+
+    factors: Factorization
+    grams: Grams
+    f: float  # F after the rescale
+    f_unscaled: float  # F before it: the rescale changes only the penalty
+    exhausted: int  # block solves whose step-size search ran out
+
+
+def _outer_step(problem: Problem, config: SolverConfig, start: Factorization,
+                xht: np.ndarray, curvature: float) -> _Step:
+    """One outer step from ``start``, whose sum_I X_I H_I^T is ``xht``: W's
+    update, ``_check_sweep``'s refusal of an H sweep that ``curvature``
+    leaves uncertified, each H_I's update, the rescale and F.
 
     ``_uncoupled`` H_I blocks share M + tau I, so one ``panls_subproblem``
     call solves their quadratics stacked column-wise: the same update as
     one solve per view, up to rounding.  Otherwise H_I's build reads the
     H_J updated before it."""
-    factors.W, exhausted = _block_step(problem, config, factors, "w",
-                                       grams.xht)
-    _check_sweep(problem, config, factors.W, curvature)
-    grams.wtx = [factors.W.T @ x for x in problem.dataset.views]
+    start.W, exhausted = _block_step(problem, config, start, "w", xht)
+    _check_sweep(problem, config, start.W, curvature)
+    wtx = [start.W.T @ x for x in problem.dataset.views]
     if not _uncoupled(problem, config):
         for i in range(problem.n_views):
-            factors.H[i], flag = _block_step(problem, config, factors, i,
-                                             grams.wtx[i])
+            start.H[i], flag = _block_step(problem, config, start, i, wtx[i])
             exhausted += flag
-        return exhausted
-    quads = [_build_quad(problem, factors, i, h, wtx)[0]
-             for i, (h, wtx) in enumerate(zip(factors.H, grams.wtx))]
-    m, _, _, tau = quads[0].hess_mats
-    joint = QuadSubproblem((m, None, 0.0, tau),
-                           np.hstack([q.g0 for q in quads]), "h")
-    x, flag = panls_subproblem(joint, np.hstack(factors.H), config)
-    cuts = np.cumsum([h.shape[1] for h in factors.H])[:-1]
-    factors.H = [np.ascontiguousarray(h) for h in np.split(x, cuts, axis=1)]
-    return exhausted + flag
+    else:
+        quads = [_build_quad(problem, start, i, h, x)[0]
+                 for i, (h, x) in enumerate(zip(start.H, wtx))]
+        m, _, _, tau = quads[0].hess_mats
+        joint = QuadSubproblem((m, None, 0.0, tau),
+                               np.hstack([q.g0 for q in quads]), "h")
+        x, flag = panls_subproblem(joint, np.hstack(start.H), config)
+        cuts = np.cumsum([h.shape[1] for h in start.H])[:-1]
+        start.H = [np.ascontiguousarray(h) for h in np.split(x, cuts, axis=1)]
+        exhausted += flag
+    penalty = penalty_value(problem, start)
+    if config.normalize_rows:
+        norms = _rescale(start.W, start.H)
+        for w in wtx:
+            w /= norms[:, None]
+    grams = Grams(view_products(problem.dataset.views, start.H), wtx)
+    f = objective_value(problem, start, grams)
+    return _Step(start, grams, f, f - penalty_value(problem, start) + penalty,
+                 exhausted)
 
 
 def _extrapolated(views, factors: Factorization, xht: np.ndarray,
@@ -786,23 +802,20 @@ def solve(problem: Problem, config: SolverConfig,
           init: Factorization) -> tuple[Factorization, SolverReport]:
     """Alternate W and H updates until a stop rule or the iteration cap.
 
-    Each outer iteration forms 2 N products with the views, kept in one
-    ``Grams`` record that F, the projected gradient and the next W build
-    read.
-
-    PG, Ne and PANLS start each outer iteration after the first from the
-    extrapolated iterate max(0, X_k + beta (X_k - X_k-1)) of every factor
-    (A. Ang and N. Gillis, Neural Computation 31(2), 2019).  Its W build
-    reads the sum X_I H_I^T from those of the two plain iterates, plus a
-    product with the views' columns where the projection clipped an
-    entry (``_extrapolated``), so it forms no full product with a view.
-    beta grows after a step that lowers F and shrinks after one that
-    raises it.  A step that raises F is redone from the plain iterate,
-    2 N products more, unless F before the rescale did not rise; then the
-    step stays and the next one starts plain.  F, the projected gradient,
-    the stop rules, the trace and the returned factors read only the
-    plain iterates.  MUR keeps the plain loop: a ratio step cannot revive
-    an entry the projection set to 0.
+    Each outer iteration keeps the ``_Step`` record of one
+    ``_outer_step``: the swept and rescaled factors, their ``Grams`` (the
+    2 N products with the views that F, the projected gradient and the
+    next W build read), F after and before the rescale, and the exhausted
+    searches.  PG, Ne and PANLS start each step after the first from the
+    extrapolated iterate max(0, X_k + beta (X_k - X_k-1)) of the last two
+    kept records (A. Ang and N. Gillis, Neural Computation 31(2), 2019),
+    whose sum X_I H_I^T ``_extrapolated`` forms from theirs and the views'
+    columns where the projection clipped an entry.  The beta rule here
+    reads the step's record: beta grows after a step that lowers F and
+    shrinks after one that raises it.  A step that raises F is redone
+    from the plain iterate unless F before the rescale did not rise; then
+    it stays and the next step starts plain.  MUR keeps the plain loop: a
+    ratio step cannot revive an entry that the projection zeroed.
 
     F has no minimum exactly when lambda_max(B) > 2 gamma2, B the matrix
     of its network terms (``network_curvature``, computed once here).
@@ -840,109 +853,87 @@ def solve(problem: Problem, config: SolverConfig,
 
     trace: list[TracePoint] = []
     termination = Termination.MAX_ITERS
-    f_prev = f_init
     exhausted = extrapolated = redone = 0
     accelerated = config.algorithm is not Algorithm.MUR
-    # the plain iterate before ``factors`` and its sum X_I H_I^T, when the
-    # next step extrapolates
-    prev = prev_xht = None
+    # the kept record, and the one before it if the next step extrapolates
+    curr, prev = _Step(factors, grams, f_init, f_init, 0), None
     beta, beta_bar = _EXTRAP_BETA, _EXTRAP_BETA_BAR
     start = time.perf_counter()
     for it in range(1, config.max_outer_iters + 1):
         # overflow produces inf/nan, caught below as divergence; the
         # intermediate warnings are expected noise on runaway weights
         with np.errstate(over="ignore", invalid="ignore"):
-            extrapolate, kept_rise = prev is not None, False
-            while True:
-                if extrapolate:
-                    step, xht = _extrapolated(views, factors, grams.xht,
-                                              prev, prev_xht, beta)
-                    step_grams = Grams(xht, [None] * len(views))
+            try:
+                step, kept_rise = None, False
+                if prev is not None:
                     extrapolated += 1
-                else:
-                    step = Factorization(factors.W, factors.H)
-                    step_grams = Grams(grams.xht, [None] * len(views))
-                try:
-                    exhausted += _outer_update(problem, config, step,
-                                               step_grams, curvature)
-                    unbounded = None
-                except DivergenceError as err:  # an unbounded H sweep
-                    unbounded = str(err)
-                # raised outside the handler, so that the error keeps no
-                # context: the block's frames and quadratic are freed
-                if unbounded is not None:
-                    raise DivergenceError(
-                        f"{unbounded} at outer iteration {it}", trace,
-                        unbounded=True)
-                # an extrapolated step that overflows is redone below
-                if not extrapolate and not (
-                        np.isfinite(step.W).all()
-                        and all(np.isfinite(h).all() for h in step.H)):
-                    raise DivergenceError(
-                        f"non-finite factor at outer iteration {it}", trace)
-                if extrapolate:
-                    # the rescale changes only these terms of F
-                    penalty_before = penalty_value(problem, step)
-                if config.normalize_rows:
-                    norms = _rescale(step.W, step.H)
-                    for wtx in step_grams.wtx:
-                        wtx /= norms[:, None]
-                step_grams.xht = view_products(views, step.H)
-                f_curr = objective_value(problem, step, step_grams)
-                if not extrapolate:
-                    break
-                if f_curr <= f_prev:
-                    beta = min(beta_bar, _EXTRAP_GROW * beta)
-                    beta_bar = min(1.0, _EXTRAP_BAR_GROW * beta_bar)
-                    break
-                beta_bar, beta = beta, beta / _EXTRAP_SHRINK
-                kept_rise = (f_curr - penalty_value(problem, step)
-                             + penalty_before <= f_prev)
-                if kept_rise:
-                    break  # only the rescale raised F
-                redone += 1
-                extrapolate = False
-            g_curr = projected_gradient_norm(problem, step, step_grams)
-        if not np.isfinite(f_curr):
+                    step = _outer_step(problem, config, *_extrapolated(
+                        views, curr.factors, curr.grams.xht, prev.factors,
+                        prev.grams.xht, beta), curvature)
+                    exhausted += step.exhausted
+                    if step.f <= curr.f:
+                        beta = min(beta_bar, _EXTRAP_GROW * beta)
+                        beta_bar = min(1.0, _EXTRAP_BAR_GROW * beta_bar)
+                    else:
+                        beta_bar, beta = beta, beta / _EXTRAP_SHRINK
+                        # kept when only the rescale raised F
+                        kept_rise = step.f_unscaled <= curr.f
+                        if not kept_rise:
+                            redone += 1
+                            step = None
+                if step is None:
+                    step = _outer_step(problem, config, Factorization(
+                        curr.factors.W, curr.factors.H), curr.grams.xht,
+                        curvature)
+                    exhausted += step.exhausted
+                refusal = None
+            except DivergenceError as err:  # an unbounded H sweep
+                refusal = str(err)
+            # raised outside the handler, so that the error keeps no
+            # context: the block's frames and quadratic are freed
+            if refusal is not None:
+                raise DivergenceError(f"{refusal} at outer iteration {it}",
+                                      trace, unbounded=True)
+            if not (np.isfinite(step.factors.W).all() and all(
+                    np.isfinite(h).all() for h in step.factors.H)):
+                raise DivergenceError(
+                    f"non-finite factor at outer iteration {it}", trace)
+            g_curr = projected_gradient_norm(problem, step.factors,
+                                             step.grams)
+        if not np.isfinite(step.f):
             raise DivergenceError(
                 f"non-finite objective at outer iteration {it}", trace)
         if not np.isfinite(g_curr):
             raise DivergenceError(
                 f"non-finite projected-gradient norm at outer iteration {it}",
                 trace)
-        check_sign(f_curr, f"at outer iteration {it}", trace)
-        # after a kept rise the next step starts plain
-        prev, prev_xht = ((factors, grams.xht) if accelerated
-                          and not kept_rise else (None, None))
-        factors, grams = step, step_grams
+        check_sign(step.f, f"at outer iteration {it}", trace)
         if config.stop_rule is StopRule.OBJECTIVE_RATIO:
             reason = (Termination.TOLERANCE_MET if check_stop_objective(
-                f_prev, f_curr, f_init, config.tolerance) else None)
+                curr.f, step.f, f_init, config.tolerance) else None)
             # the rule also stops when F is no lower than at the start;
             # above it by more than rounding, the solve has gone astray
-            if reason and f_curr > f_init + rise_floor:
+            if reason and step.f > f_init + rise_floor:
                 raise DivergenceError(
-                    f"objective {f_curr:.6g} above its start {f_init:.6g} "
+                    f"objective {step.f:.6g} above its start {f_init:.6g} "
                     f"at outer iteration {it}", trace)
         else:
             reason = _gradient_stop_reason(state, g_curr, config.tolerance)
-        trace.append(TracePoint(it, f_curr, g_curr,
+        trace.append(TracePoint(it, step.f, g_curr,
                                 time.perf_counter() - start))
+        # the next step extrapolates from these two, reading only their
+        # factors and xht; after a kept rise it starts plain
+        step.grams.wtx = [None] * len(views)
+        prev = curr if accelerated and not kept_rise else None
+        curr = step
         if reason is not None:
             termination = reason
             break
-        f_prev = f_curr
 
-    report = SolverReport(
-        trace=trace,
-        termination=termination,
+    return curr.factors, SolverReport(
+        trace=trace, termination=termination,
         final_objective=trace[-1].objective,
-        reconstruction_error=_fit(problem, factors, grams.xht),
-        iterations=trace[-1].iteration,
-        exhausted_searches=exhausted,
-        extrapolated_steps=extrapolated,
-        redone_steps=redone,
-        network_curvature=curvature,
-        sparsity_curvature=2.0 * gamma2,
-    )
-    return factors, report
+        reconstruction_error=_fit(problem, curr.factors, curr.grams.xht),
+        iterations=trace[-1].iteration, exhausted_searches=exhausted,
+        extrapolated_steps=extrapolated, redone_steps=redone,
+        network_curvature=curvature, sparsity_curvature=2.0 * gamma2)

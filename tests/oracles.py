@@ -478,8 +478,8 @@ def ref_solve(problem, config, init):
                 f"2 gamma2 = {2.0 * gamma2:.6g})", trace, unbounded=True)
 
     def attempt(start, start_xht, it, trace):
-        """One sweep, the rescale and F: (factors, xht, wtx, F, F before
-        the rescale, exhausted)."""
+        """One sweep, the rescale and F, with F before the rescale and
+        whether the swept factors were finite before it."""
         try:
             wtx, exhausted = ref_sweep(problem, config, start, start_xht,
                                        curvature)
@@ -499,9 +499,10 @@ def ref_solve(problem, config, init):
                     w /= norms[:, None]
             new_xht = s.view_products(views, start.H)
             f = s.objective_value(problem, start, Grams(new_xht, wtx))
-            return (start, new_xht, wtx, f,
-                    f - s.penalty_value(problem, start) + penalty,
-                    exhausted, finite)
+            return SimpleNamespace(
+                fac=start, xht=new_xht, wtx=wtx, f=f,
+                f_unscaled=f - s.penalty_value(problem, start) + penalty,
+                exhausted=exhausted, finite=finite)
         raise DivergenceError(f"{message} at outer iteration {it}", trace,
                               unbounded=True)
 
@@ -519,25 +520,25 @@ def ref_solve(problem, config, init):
                 extrapolated += 1
                 step = attempt(*s._extrapolated(views, fac, xht, *prev,
                                                 beta), it, trace)
-                exhausted += step[5]
-                if step[3] <= f_prev:
+                exhausted += step.exhausted
+                if step.f <= f_prev:
                     beta = min(beta_bar, s._EXTRAP_GROW * beta)
                     beta_bar = min(1.0, s._EXTRAP_BAR_GROW * beta_bar)
                 else:
                     beta_bar, beta = beta, beta / s._EXTRAP_SHRINK
-                    kept_rise = step[4] <= f_prev
+                    kept_rise = step.f_unscaled <= f_prev
                     if not kept_rise:
                         redone += 1
                         step = None
             if step is None:
                 step = attempt(Factorization(fac.W, fac.H), xht, it, trace)
-                exhausted += step[5]
-                if not step[6]:
+                exhausted += step.exhausted
+                if not step.finite:
                     raise DivergenceError(
                         f"non-finite factor at outer iteration {it}", trace)
-            new_fac, new_xht, wtx, f, _, _, _ = step
-            g = s.projected_gradient_norm(problem, new_fac,
-                                          Grams(new_xht, wtx))
+            f = step.f
+            g = s.projected_gradient_norm(problem, step.fac,
+                                          Grams(step.xht, step.wtx))
         if not np.isfinite(f):
             raise DivergenceError(
                 f"non-finite objective at outer iteration {it}", trace)
@@ -547,7 +548,7 @@ def ref_solve(problem, config, init):
                 trace)
         refuse_below_0(f, f"at outer iteration {it}", trace)
         prev = None if kept_rise else (fac, xht)
-        fac, xht = new_fac, new_xht
+        fac, xht = step.fac, step.xht
         reason = None
         if config.stop_rule is StopRule.OBJECTIVE_RATIO:
             denom, progress = f_init - f, f_prev - f

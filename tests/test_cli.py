@@ -193,6 +193,40 @@ def test_solve_parallel_matches_serial(tmp_path, monkeypatch):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+
+@pytest.mark.parametrize("command", ["solve", "gridsearch"])
+@pytest.mark.parametrize("value", ["two", "0", "-1", "1.5"])
+def test_a_malformed_jmf_threads_exits_2_before_solving(
+        tmp_path, capsys, monkeypatch, value, command):
+    calls = refuse_to_solve(monkeypatch)
+    monkeypatch.setenv("JMF_THREADS", value)
+    out = tmp_path / "out"
+    entry = {"algorithm": "PG", "max_outer_iters": 1}
+    cfg = (solve_config(tmp_path, [entry], seeds=[0, 1]) if command == "solve"
+           else grid_config(tmp_path, entry, seeds=[0, 1]))
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    assert (f"error: JMF_THREADS must be a positive integer, got "
+            f"{value!r}") in capsys.readouterr().err
+    assert not calls and not out.exists()
+
+
+@pytest.mark.parametrize("solvers, seeds, message", [
+    ([{"algorithm": "PG", "max_outer_iters": 3},
+      {"algorithm": "PG", "max_outer_iters": 50}], [0],
+     "run tag PG_stop1_tol1e-07 occurs twice"),
+    ([{"algorithm": "PG", "max_outer_iters": 3}], [1, 1],
+     "seed 1 occurs twice")], ids=["shared-tag", "repeated-seed"])
+def test_runs_that_would_share_a_directory_exit_2_before_solving(
+        tmp_path, capsys, monkeypatch, solvers, seeds, message):
+    # each run writes runs/<tag>_seed<s>, and the tag reads only the
+    # algorithm, the stop rule and the tolerance
+    calls = refuse_to_solve(monkeypatch)
+    out = tmp_path / "out"
+    cfg = solve_config(tmp_path, solvers, seeds=seeds)
+    assert run(["solve", "--config", cfg, "--out", out, "--serial"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not calls and not out.exists()
+
 def test_run_all_keeps_the_weight_free_caches(monkeypatch):
     # S_I and ||S_I||_2 do not depend on the weights, so the serial runs
     # of two cells x two seeds run each view's power iteration once

@@ -29,10 +29,10 @@ from hypothesis import strategies as st
 import jmf.solvers
 from jmf import (Hyperparameters, SolverConfig, SyntheticSpec, generate,
                  init_factors, new_problem, solve)
-from jmf.objective import (Grams, QuadSubproblem, _projected, h_subproblem,
+from jmf.objective import (QuadSubproblem, _projected, h_subproblem,
                            projected_norm, view_products, w_subproblem)
 from jmf.solvers import (_MUR_ALPHA, _MUR_DELTA, _block_step, _build_quad,
-                         _mur_rho, _nnls_bpp, _outer_update, _panls_minimize,
+                         _mur_rho, _nnls_bpp, _outer_step, _panls_minimize,
                          _passive_solve, mur_step_H, mur_step_W,
                          mur_subproblem, ne_subproblem, panls_subproblem,
                          pg_subproblem)
@@ -506,8 +506,8 @@ def test_singular_passive_matrix_raises(monkeypatch, inverses, singular):
 
 
 def test_d4_joint_h_solve_batches_its_passive_sets(monkeypatch):
-    # every H block of the first outer update stacked into one, as
-    # ``_outer_update`` does: at rank 5 the passive sets are shared
+    # every H block of the first outer step stacked into one, as
+    # ``_outer_step`` does: at rank 5 the passive sets are shared
     truth = generate(SyntheticSpec("D4", seed=0))
     prob = new_problem(truth.to_dataset(), None,
                        Hyperparameters(rank=truth.rank))
@@ -541,12 +541,11 @@ def test_rank_20_block_keeps_the_stacked_solves(monkeypatch):
 
 
 def outer_update(prob, fac, algorithm):
-    """``_outer_update`` on a copy of ``fac``: the new factors."""
-    step = fac.copy()
-    grams = Grams(view_products(prob.dataset.views, step.H),
-                  [None] * prob.n_views)
-    _outer_update(prob, SolverConfig(algorithm=algorithm), step, grams)
-    return step
+    """``_outer_step``'s block sweep on a copy of ``fac``, with the rescale
+    off: the new factors."""
+    cfg = SolverConfig(algorithm=algorithm, normalize_rows=False)
+    return _outer_step(prob, cfg, fac.copy(),
+                       view_products(prob.dataset.views, fac.H), 0.0).factors
 
 
 def count_calls(monkeypatch, name) -> list:
@@ -622,7 +621,7 @@ def test_solve_reaches_the_engines_through_their_module_names(
     prob = make_problem(seed=3, m=15, n=(6, 9, 4), r=3, gamma1=1e-2,
                         **weights)
     engine = count_calls(monkeypatch, f"{algorithm.lower()}_subproblem")
-    updates = count_calls(monkeypatch, "_outer_update")
+    updates = count_calls(monkeypatch, "_outer_step")
     solve(prob, SolverConfig(algorithm=algorithm, max_outer_iters=5),
           init_factors(prob, 0))
     assert updates

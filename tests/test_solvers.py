@@ -559,13 +559,13 @@ def test_an_uncertified_extrapolated_sweep_raises_with_no_redo(
     # PANLS starts outer iteration 2 from the extrapolated iterate; its
     # sweep is refused there, and not redone from the plain iterate
     updates = []
-    outer_update = jmf.solvers._outer_update
+    outer_step = jmf.solvers._outer_step
 
     def counted(*args):
         updates.append(args[2])
-        return outer_update(*args)
+        return outer_step(*args)
 
-    monkeypatch.setattr(jmf.solvers, "_outer_update", counted)
+    monkeypatch.setattr(jmf.solvers, "_outer_step", counted)
     prob = d1_problem(1e-3, 1e-2, 0.01)
     with pytest.raises(DivergenceError, match=r"not certified convex: .* "
                        r"at outer iteration 2$") as err:
