@@ -737,8 +737,8 @@ class _Step:
 
 def _outer_step(problem: Problem, config: SolverConfig, start: Factorization,
                 xht: np.ndarray, curvature: float) -> _Step:
-    """One outer step from ``start``, whose sum_I X_I H_I^T is ``xht``: W's
-    update, ``_check_sweep``'s refusal of an H sweep that ``curvature``
+    """One outer step, in place on ``start`` (sum_I X_I H_I^T = ``xht``):
+    W's update, ``_check_sweep``'s refusal of an H sweep that ``curvature``
     leaves uncertified, each H_I's update, the rescale and F.
 
     ``_uncoupled`` H_I blocks share M + tau I, so one ``panls_subproblem``
