@@ -11,6 +11,7 @@ from jmf import (ConstraintSet, Factorization, Hyperparameters, SolverConfig,
                  SyntheticSpec, generate, init_factors, new_problem, solve)
 from jmf.cli import (_save_model, load_model, main, read_matrix, run_all,
                      select_best, write_matrix)
+from jmf.evaluate import auc_score
 from oracles import make_problem
 
 
@@ -353,6 +354,31 @@ def test_a_malformed_solver_entry_exits_2(tmp_path, capsys, monkeypatch,
     assert not calls
 
 
+@pytest.mark.parametrize("command, edit, message", [
+    ("solve", lambda cfg: cfg.pop("source"),
+     "config needs a 'source' with 'synthetic' or 'files'"),
+    ("solve", lambda cfg: cfg.update(solvers=[]),
+     "config needs at least one solver and one seed"),
+    ("solve", lambda cfg: cfg.update(seeds=[]),
+     "config needs at least one solver and one seed"),
+    ("gridsearch", lambda cfg: cfg["grid"].update(lambda2=[]),
+     "empty parameter grid"),
+], ids=["no-source", "no-solvers", "no-seeds", "empty-grid-axis"])
+def test_a_config_with_nothing_to_run_exits_2(tmp_path, capsys, monkeypatch,
+                                              command, edit, message):
+    calls = refuse_to_solve(monkeypatch)
+    path = (solve_config(tmp_path, [{"algorithm": "PG"}], seeds=[0])
+            if command == "solve"
+            else grid_config(tmp_path, {"algorithm": "PG"}, seeds=[0]))
+    cfg = json.loads(path.read_text())
+    edit(cfg)
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run([command, "--config", path, "--out", out]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not calls and not out.exists()
+
+
 def test_solve_missing_config_exit_2(tmp_path):
     assert run(["solve", "--config", tmp_path / "nope.json",
                 "--out", tmp_path / "o"]) == 2
@@ -423,6 +449,19 @@ def test_gridsearch_counts_refused_diverged_and_capped_runs(tmp_path,
     header = (out / "grid.csv").read_text().splitlines()[0]
     assert header == ("lambda1,lambda2,gamma1,gamma2,mean_auc,"
                       "mean_reconstruction_error,completed")
+
+
+def test_gridsearch_every_cell_diverged_exit_1(tmp_path, capsys):
+    # F is below 0 at the start of every run: each is refused at once
+    path = grid_config(tmp_path, {"algorithm": "Ne", "tolerance": 1e-4},
+                       seeds=[0, 1], lambda1=[100.0], lambda2=[100.0])
+    out = tmp_path / "out"
+    assert run(["gridsearch", "--config", path, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("2 runs (1 cells x 2 seeds): 2 refused "
+                                   "as unbounded")
+    assert "every grid cell diverged" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section, key, message", [
@@ -636,3 +675,41 @@ def test_predict_lclass_writes_classes(tmp_path):
     assert classes.shape == (10,)
     # the first ten objects belong to the first ground-truth block
     assert np.array_equal(np.unique(classes), [np.argmax(truth.w0[0])])
+
+
+def test_predict_lclass_labels_report_the_accuracy(tmp_path, capsys):
+    model_dir, truth = ground_truth_model_dir(tmp_path)
+    rows = slice(0, 10)
+    tests = []
+    for i, x in enumerate(truth.x0):
+        tests.append(tmp_path / f"T_{i}.csv")
+        write_matrix(tests[-1], x[rows, :])
+    # the planted classes, with the last 4 of the 10 made wrong
+    labels = np.argmax(truth.w0[rows], axis=1)
+    labels[6:] = (labels[6:] + 1) % truth.rank
+    write_matrix(tmp_path / "labels.csv", labels.astype(float))
+    out = tmp_path / "pred"
+    assert run(["predict", "--model", model_dir, "--mode", "l-class",
+                "--test", *tests, "--views", "0,1,2",
+                "--labels", tmp_path / "labels.csv", "--out", out]) == 0
+    assert json.loads((out / "report.json").read_text()) == {"accuracy": 0.6}
+    assert "accuracy=0.6000" in capsys.readouterr().out
+
+
+def test_predict_r_labels_report_the_auc(tmp_path, capsys):
+    model_dir, truth = ground_truth_model_dir(tmp_path)
+    tests = []
+    for i, x in enumerate(truth.x0):
+        tests.append(tmp_path / f"X_{i + 1}.csv")
+        write_matrix(tests[-1], x)
+    labels = np.concatenate([h.ravel() for h in truth.h0]).astype(float)
+    write_matrix(tmp_path / "labels.csv", labels)
+    out = tmp_path / "pred"
+    assert run(["predict", "--model", model_dir, "--mode", "r",
+                "--test", *tests, "--views", "0,1,2",
+                "--labels", tmp_path / "labels.csv", "--out", out]) == 0
+    scores = np.concatenate([read_matrix(out / f"H_hat_{i + 1}.csv").ravel()
+                             for i in range(len(truth.x0))])
+    auc = json.loads((out / "report.json").read_text())["auc"]
+    assert auc == auc_score(scores, labels) and auc > 0.99
+    assert f"auc={auc:.4f}" in capsys.readouterr().out

@@ -11,15 +11,17 @@ solve of a block that splits into small NNLS problems must reach the one
 KKT point that enumerating the passive sets finds (``ref_nnls``), also
 when every H_I block is stacked into one quadratic.  Its passive-set
 solves must match one solve per column, keep the full set on
-``np.linalg.solve``, raise on a singular passive matrix, and batch shared
-sets into one inverse while a rank-20 block keeps its stacked solves.
+``np.linalg.solve``, raise on a singular passive matrix, and make one
+batched solve per passive-set size, at rank 5 and at rank 20.
 Blocks that read one another, and the other algorithms, keep the
 per-view loop, and ``solve`` reaches each engine through its module
 name.  The MUR engine's first
 step is the paper's single update, its repeated steps never raise the
 block quadratic, and its inner stop keeps to Gillis and Glineur's rule.
 """
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +85,64 @@ def test_engines_match_their_reference(engine, seed):
         assert q.value(new) == pytest.approx(q.value(ref), rel=1e-10)
         np.testing.assert_allclose(new, ref, rtol=0, atol=1e-8)
         assert not np.shares_memory(new, x0)
+
+
+def random_h_block(seed):
+    """A hand-built H_I quadratic and start: r <= 4, n <= 8, a random M and
+    network S, and lambda1 up to 50, so that some blocks are not convex."""
+    rng = np.random.default_rng(seed)
+    r, n = rng.integers(1, 5, size=2) * (1, 2)
+    a = rng.random((r, r))
+    m = a.T @ a + rng.random()
+    s = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+    s += s.T
+    s_norm = float(np.linalg.norm(s, 2))
+    q = QuadSubproblem((m, s, 50.0 * rng.random() ** 2, 1e-3),
+                       rng.standard_normal((r, n)), "h",
+                       s_norm=lambda: s_norm)
+    return q, rng.random((r, n)) * (rng.random((r, n)) < 0.7)
+
+
+def lines_run(fn, *args):
+    """fn(*args) and the line numbers that ran in fn's own frame."""
+    ran, previous = set(), sys.gettrace()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return local
+
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code is fn.__code__ else None)
+    try:
+        return fn(*args), ran
+    finally:
+        sys.settrace(previous)
+
+
+def first_statement_under(fn, marker: str) -> int:
+    """The line number of the first statement after the line of ``fn``
+    that holds ``marker``."""
+    lines, first = inspect.getsourcelines(fn)
+    i = next(i for i, line in enumerate(lines) if marker in line)
+    return first + next(j for j in range(i + 1, len(lines))
+                        if not lines[j].lstrip().startswith("#"))
+
+
+@pytest.mark.parametrize("seed, branch", [
+    (0, "if curv <= 0:"),
+    (4440, "if rr == 0.0:"),
+    (1274, "if uncertain and 0 < growth <= _N2:"),
+], ids=["cg-breakdown-pg-step", "zero-residual", "clipped-cg-back-to-pg"])
+def test_panls_rare_branches_match_their_reference(seed, branch):
+    # blocks found by a random search over random_h_block's seeds
+    q, x0 = random_h_block(seed)
+    cfg = engine_config(algorithm="PANLS")
+    (new, _), ran = lines_run(_panls_minimize, q, x0, cfg)
+    assert first_statement_under(_panls_minimize, branch) in ran
+    ref = ref_panls_minimize(q, x0, ref_settings(cfg))
+    assert q.value(new) == pytest.approx(q.value(ref), rel=1e-10)
+    np.testing.assert_allclose(new, ref, rtol=0, atol=1e-8)
 
 
 def test_projected_norm_matches_the_reference_norm():
@@ -490,25 +550,28 @@ def test_passive_solve_full_set_is_the_plain_solve(r, shared):
     assert np.array_equal(x[:, full], np.linalg.solve(c, b[:, full]))
 
 
-@pytest.mark.parametrize("inverses", [1000, 0], ids=["inverse", "stacked"])
-@pytest.mark.parametrize("singular", ["proper", "full"])
-def test_singular_passive_matrix_raises(monkeypatch, inverses, singular):
-    # C_PP is exactly singular on P = {0, 1}, and so is C itself
-    monkeypatch.setattr(jmf.solvers, "_CALL_INVERSES", inverses)
+@pytest.mark.parametrize("singular", ["proper", "full", "shared size"])
+def test_singular_passive_matrix_raises(singular):
+    # C_PP is exactly singular on P = {0, 1}, and so is C itself; with
+    # "shared size", P = {2, 3} is regular and solved in the same stack
     c = np.diag([1.0, 1.0, 2.0, 3.0])
     c[0, 1] = c[1, 0] = 1.0
     passive = np.zeros((4, 6), bool)
     passive[:2, :4] = True  # shared by four columns
     passive[2, 4] = True
+    passive[3, 4] = singular == "shared size"
     passive[:, 5] = singular == "full"
     with pytest.raises(np.linalg.LinAlgError):
         _passive_solve(c, np.ones((4, 6)), passive)
 
 
-def test_d4_joint_h_solve_batches_its_passive_sets(monkeypatch):
+@pytest.mark.parametrize("dataset", ["D4", "D3"])
+def test_joint_h_solve_makes_one_solve_per_passive_set_size(monkeypatch,
+                                                           dataset):
     # every H block of the first outer step stacked into one, as
-    # ``_outer_step`` does: at rank 5 the passive sets are shared
-    truth = generate(SyntheticSpec("D4", seed=0))
+    # ``_outer_step`` does: the passive sets are shared at rank 5 (D4) and
+    # nearly all distinct at rank 20 (D3)
+    truth = generate(SyntheticSpec(dataset, seed=0))
     prob = new_problem(truth.to_dataset(), None,
                        Hyperparameters(rank=truth.rank))
     fac = init_factors(prob, 0)
@@ -519,21 +582,16 @@ def test_d4_joint_h_solve_batches_its_passive_sets(monkeypatch):
     per_call = count_linalg(monkeypatch)
     _, flag = panls_subproblem(joint, np.hstack(fac.H),
                                SolverConfig(algorithm="PANLS"))
-    assert prob.rank == 5 and not flag and len(per_call) > 1
+    assert not flag and len(per_call) > 1
+    batched = False
     for call in per_call:
-        sizes = call["passive"].sum(axis=0)
-        assert call["inv"] == ((sizes > 0) & (sizes < prob.rank)).any()
-        assert call["solve"] == (sizes == prob.rank).any()
-    assert any(call["inv"] for call in per_call)
-
-
-def test_rank_20_block_keeps_the_stacked_solves(monkeypatch):
-    c, b, passive = passive_case(20, shared=False)
-    per_call = count_linalg(monkeypatch)
-    _, solved = _nnls_bpp(c, b, np.where(passive, 1.0, 0.0))
-    assert solved
-    first = per_call[0]
-    assert first["inv"] == 0 and first["solve"] > 1
+        p = call["passive"]
+        sizes = p.sum(axis=0)
+        assert call["inv"] == 0
+        assert call["solve"] == len(np.unique(sizes[sizes > 0]))
+        # columns with distinct sets of one size share that size's solve
+        batched |= np.unique(p[:, sizes > 0], axis=1).shape[1] > call["solve"]
+    assert batched
 
 
 # ---------------------------------------------------------------------------

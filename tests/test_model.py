@@ -154,6 +154,26 @@ def test_solver_config_takes_numpy_numbers():
     assert type(cfg.seed) is int and cfg.tolerance == np.float32(1e-5)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: MultiViewDataset([np.ones(3)]), r"^view 0 must be a 2-D matrix"),
+    (lambda: MultiViewDataset([np.array([[1.0, np.nan]])]),
+     "^view 0 contains non-finite entries"),
+    (lambda: MultiViewDataset([]), "at least one view"),
+    (lambda: ConstraintSet(within={0: [np.ones((2, 3))]}),
+     r"^within\[0\]\[0\] is not square"),
+    (lambda: ConstraintSet(between={(1, 1): np.ones((2, 2))}),
+     "two distinct views"),
+    (lambda: Factorization(np.ones((3, 2)), [np.ones((3, 4))]),
+     r"^H\[0\] row count 3 != rank 2"),
+    (lambda: Factorization(np.ones((3, 2)), [-np.ones((2, 4))]),
+     r"^H\[0\] has negative entries"),
+], ids=["vector-view", "nan-view", "no-views", "non-square-within",
+        "between-one-view", "h-rows", "negative-h"])
+def test_model_inputs_reject_malformed_matrices(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_factorization_rejects_negative_entries():
     with pytest.raises(ValueError):
         Factorization(np.array([[1.0, -1.0]]), [np.ones((2, 3))])

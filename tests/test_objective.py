@@ -361,6 +361,24 @@ def dense_network_matrix(prob) -> np.ndarray:
     return b
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda p, f: reconstruction_error(p, Factorization(f.W[1:], f.H)),
+     r"^W shape \(5, 2\) != \(6, 2\)"),
+    (lambda p, f: grad_W(p, Factorization(f.W, f.H[:-1])),
+     "^factor view count does not match"),
+    (lambda p, f: objective_value(p, Factorization(f.W, [h[:, 1:]
+                                                         for h in f.H])),
+     r"^H\[0\] shape \(2, 3\) != \(2, 4\)"),
+    (lambda p, f: grad_H(p, f, 3), "^unknown view index 3"),
+    (lambda p, f: hessian_quadratic_form_W(p, f, f.W[1:]),
+     r"^direction shape \(5, 2\) != \(6, 2\)"),
+], ids=["w-shape", "view-count", "h-shape", "view-index", "direction-shape"])
+def test_objective_rejects_factors_that_do_not_fit(call, message):
+    prob = make_problem(seed=0)
+    with pytest.raises(ValueError, match=message):
+        call(prob, random_factors(prob))
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("lambda1, lambda2", [
     (0.3, 0.2), (0.0, 0.2), (0.3, 0.0), (1e-3, 50.0)],
@@ -388,6 +406,12 @@ def test_network_curvature_of_no_weighted_network_is_zero(monkeypatch):
     bare = make_problem(seed=1, lambda1=1.0, lambda2=1.0,
                         with_constraints=False)
     assert network_curvature(bare)[0] == 0.0
+    # networks stored under positive weights, every one of them 0
+    zeros = new_problem(bare.dataset, ConstraintSet(
+        within={0: [np.zeros((4, 4))]}, between={(1, 2): np.zeros((5, 3))}),
+        bare.params)
+    lam, v = network_curvature(zeros)
+    assert lam == 0.0 and np.array_equal(v, np.full(12, 1 / np.sqrt(12)))
 
 
 @pytest.mark.parametrize("algorithm", ["MUR", "PANLS"])

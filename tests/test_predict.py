@@ -67,6 +67,17 @@ def test_predict_left_rejects_bad_columns():
         predict_left(model, {0: np.ones((2, truth.x0[0].shape[1] + 1))})
     with pytest.raises(ValueError):
         predict_left(model, {})
+    rows = {i: np.ones((2 + i, x.shape[1])) for i, x in enumerate(truth.x0)}
+    with pytest.raises(ValueError, match="disagree on the row count"):
+        predict_left(model, rows)
+
+
+def test_predict_left_takes_a_list_of_views():
+    model, truth = trained_model()
+    rng = np.random.default_rng(0)
+    test = [rng.random((4, x.shape[1])) for x in truth.x0]
+    assert np.array_equal(predict_left(model, test),
+                          predict_left(model, dict(enumerate(test))))
 
 
 def test_predict_left_output_nonnegative():
@@ -190,6 +201,8 @@ def test_predict_class_examples():
     assert predict_class(np.array([[0.1, 0.9, 0.3]])).tolist() == [1]
     assert predict_class(np.array([[0.5, 0.5, 0.5]])).tolist() == [0]
     assert predict_class(np.eye(3)).tolist() == [0, 1, 2]
+    with pytest.raises(ValueError, match="empty basis matrix"):
+        predict_class(np.empty((0, 3)))
 
 
 def test_predict_class_scale_invariant():

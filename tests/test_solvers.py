@@ -11,8 +11,9 @@ from jmf import (Algorithm, ConstraintSet, DivergenceError, Factorization,
                  Hyperparameters, MultiViewDataset, SolverConfig, StopRule,
                  SyntheticSpec, Termination, generate, init_factors,
                  new_problem, objective_value, reconstruction_error, solve)
-from jmf.objective import (h_subproblem, network_curvature, spectral_norm,
-                           w_subproblem, within_top)
+from jmf.objective import (QuadSubproblem, h_subproblem,
+                           network_curvature, spectral_norm, w_subproblem,
+                           within_top)
 from jmf.solvers import (StopState, _build_quad, _rescale,
                          check_stop_gradient, check_stop_objective,
                          mur_step_H, mur_step_W, ne_subproblem,
@@ -268,6 +269,50 @@ def test_non_finite_gradient_norm_is_divergence(monkeypatch):
     with pytest.raises(DivergenceError) as err:
         solve(prob, cfg, init_factors(prob, 0))
     assert len(err.value.trace) == 1
+
+
+def test_an_initial_w_of_the_wrong_shape_is_refused():
+    prob = make_problem(seed=1, with_constraints=False)
+    init = init_factors(prob, 0)
+    with pytest.raises(ValueError, match="^initial W does not match"):
+        solve(prob, SolverConfig(), Factorization(init.W[1:], init.H))
+
+
+@pytest.mark.parametrize("value, what", [
+    (np.nan, "factor"),
+    # finite factors whose product overflows: F is inf
+    (1e160, "objective"),
+])
+def test_a_non_finite_outer_step_is_divergence(monkeypatch, value, what):
+    # from outer iteration 3's W block on, MUR's engine returns blocks of
+    # ``value``; MUR runs one sweep per outer iteration, with no redo
+    real = jmf.solvers.mur_subproblem
+    w_blocks = [0]
+
+    def poisoned(q, x0, *args):
+        w_blocks[0] += q.kind == "w"
+        if w_blocks[0] >= 3:
+            return np.full_like(x0, value), False
+        return real(q, x0, *args)
+
+    monkeypatch.setattr(jmf.solvers, "mur_subproblem", poisoned)
+    prob = make_problem(seed=1, with_constraints=False)
+    cfg = SolverConfig(algorithm="MUR", max_outer_iters=10,
+                       tolerance=1e-300, normalize_rows=False)
+    with pytest.raises(DivergenceError) as err:
+        solve(prob, cfg, init_factors(prob, 0))
+    assert str(err.value) == f"non-finite {what} at outer iteration 3"
+    assert err.value.unbounded is False and len(err.value.trace) == 2
+
+
+def test_ne_keeps_its_start_on_a_flat_block():
+    # a zero Hessian has Lipschitz constant 0: Ne takes no step
+    q = QuadSubproblem((np.zeros((1, 1)), None, 0.0, 0.0), np.ones((1, 3)),
+                       "h")
+    x0 = np.array([[0.0, 2.0, 1.5]])
+    x, flag = ne_subproblem(q, x0, SolverConfig(algorithm="Ne"))
+    assert np.array_equal(x, x0) and not np.shares_memory(x, x0)
+    assert not flag
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
