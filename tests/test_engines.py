@@ -550,14 +550,22 @@ def test_passive_solve_full_set_is_the_plain_solve(r, shared):
     assert np.array_equal(x[:, full], np.linalg.solve(c, b[:, full]))
 
 
+@pytest.mark.parametrize("layout", ["inverse", "stacked"])
 @pytest.mark.parametrize("singular", ["proper", "full", "shared size"])
-def test_singular_passive_matrix_raises(singular):
+def test_singular_passive_matrix_raises(singular, layout):
     # C_PP is exactly singular on P = {0, 1}, and so is C itself; with
-    # "shared size", P = {2, 3} is regular and solved in the same stack
+    # "shared size", P = {2, 3} is regular and solved in the same stack.
+    # The layouts are the two kinds of input the solve must handle:
+    # "inverse", one set shared by many columns; "stacked", distinct sets,
+    # here the singular one beside three regular sets of its size
     c = np.diag([1.0, 1.0, 2.0, 3.0])
     c[0, 1] = c[1, 0] = 1.0
     passive = np.zeros((4, 6), bool)
-    passive[:2, :4] = True  # shared by four columns
+    if layout == "inverse":
+        passive[:2, :4] = True  # shared by four columns
+    else:
+        for j, p in enumerate([(0, 1), (0, 2), (1, 3), (0, 3)]):
+            passive[p, j] = True
     passive[2, 4] = True
     passive[3, 4] = singular == "shared size"
     passive[:, 5] = singular == "full"
