@@ -8,8 +8,7 @@ from .model import (Algorithm, ConstraintSet, DivergenceError, Factorization,
                     Hyperparameters, MultiViewDataset, Problem, SolverConfig,
                     SolverReport, StopRule, Termination, TracePoint,
                     init_factors, new_problem)
-from .objective import (grad_H, grad_W, lipschitz_H, lipschitz_W,
-                        objective_value, projected_gradient_norm,
+from .objective import (objective_value, projected_gradient_norm,
                         reconstruction_error, spectral_norm)
 from .predict import (TrainedModel, predict_class, predict_left,
                       predict_right, predict_view)
@@ -23,10 +22,9 @@ __all__ = [
     "Factorization", "GroundTruth", "Hyperparameters", "ModuleAssignment",
     "MultiViewDataset", "Problem", "SolverConfig", "SolverReport",
     "StopRule", "SyntheticSpec", "Termination", "TracePoint", "TrainedModel",
-    "assign_modules", "auc_score", "evaluate_factors", "generate", "grad_H",
-    "grad_W", "init_factors", "lipschitz_H", "lipschitz_W",
-    "match_components", "new_problem", "objective_value", "predict_class",
-    "predict_left", "predict_right", "predict_view",
+    "assign_modules", "auc_score", "evaluate_factors", "generate",
+    "init_factors", "match_components", "new_problem", "objective_value",
+    "predict_class", "predict_left", "predict_right", "predict_view",
     "projected_gradient_norm", "reconstruction_error", "solve",
     "spectral_norm",
 ]

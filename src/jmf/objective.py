@@ -13,25 +13,26 @@ nonnegativity, sum_j ||h_j||_1^2 = Tr(H^T 1 1^T H).
 
 With all other factors fixed, F is a quadratic in W or in one H_I.
 ``QuadSubproblem``, built by ``w_subproblem`` and ``h_subproblem``, is the
-one place where that block quadratic is written out.  The public gradient,
-Hessian quadratic form and Lipschitz functions here, and the multiplicative
-updates in ``solvers``, are views of it.
+one place where that block quadratic is written out, in one form for
+both: W's quadratic is written in W^T, an r x m block like H_I's r x n_I.
+The gradients, Lipschitz constants and multiplicative updates in
+``solvers`` read it.
 
 The only products with the views X_I that F and the block quadratics need
-are the two kept in a ``Grams`` record: xht = sum_I X_I H_I^T (the W
+are the two kept in a ``Grams`` record: hxt = sum_I H_I X_I^T (the W^T
 quadratic's linear term) and wtx[I] = W^T X_I (the H_I quadratic's).  A
 solve fills it once per outer iteration and reads F, the projected
 gradient and the next W build from it, so it forms 2 N products with the
 views per iteration instead of recomputing them for each reader.  A step
 redone from the plain iterate forms 2 N more.  A step started from an
 extrapolated iterate forms no full product more: its W build reads
-sum_I X_I H_I^T from the record of the two plain iterates before it and
+sum_I H_I X_I^T from the record of the two plain iterates before it and
 a product with the columns of each X_I where the projection clipped an
 entry.  Those are not few: on D3 a median 18% (mean 26%) of the columns
 are clipped, and that product takes about 0.16 s of a 1.37 s solve.
 F's fit term comes from the trace identity
 
-    sum_I ||X_I - W H_I||^2 = ||X||^2 - 2 <W, xht> + <W^T W, sum_I H_I H_I^T>
+    sum_I ||X_I - W H_I||^2 = ||X||^2 - 2 <W^T, hxt> + <W^T W, sum_I H_I H_I^T>
 
 (Kim, He & Park, J. Global Optim. 2014), which needs no m x n_I residual.
 Its terms cancel, leaving a rounding error of a few eps ||X||^2, so the
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -87,14 +88,14 @@ def reconstruction_error(problem: Problem, factors: Factorization) -> float:
 class Grams:
     """Products with the views shared within one outer iteration.
 
-    ``xht`` is sum_I X_I H_I^T for the current H and ``wtx[I]`` is W^T X_I
+    ``hxt`` is sum_I H_I X_I^T for the current H and ``wtx[I]`` is W^T X_I
     for the current W; each must be renewed when its factor changes.  A
-    solve renews ``xht`` with N products for a plain H, and for an
-    extrapolated one from the ``xht`` of the two plain H before it plus
+    solve renews ``hxt`` with N products for a plain H, and for an
+    extrapolated one from the ``hxt`` of the two plain H before it plus
     the views' clipped columns (``solvers._extrapolated``).
     """
 
-    xht: np.ndarray
+    hxt: np.ndarray
     wtx: list[np.ndarray | None]
 
     @classmethod
@@ -105,28 +106,27 @@ class Grams:
 
 def view_products(views: Sequence[np.ndarray],
                   H: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_I X_I H_I^T over the given views, summed as (sum_I H_I X_I^T)^T
-    and returned row-major: for a row-major X_I, BLAS forms H_I X_I^T
-    8-28% faster than X_I H_I^T, with the same bits in every case tried
-    on OpenBLAS at the benchmark workloads' shapes."""
-    return np.ascontiguousarray(sum(h @ x.T for x, h in zip(views, H)).T)
+    """sum_I H_I X_I^T over the given views, r x m, the linear term of the
+    W^T quadratic: for a row-major X_I, BLAS forms H_I X_I^T 8-28% faster
+    than X_I H_I^T (OpenBLAS, at the benchmark workloads' shapes)."""
+    return sum(h @ x.T for x, h in zip(views, H))
 
 
 def objective_value(problem: Problem, factors: Factorization,
                     grams: Grams | None = None) -> float:
-    """F at ``factors``; ``grams`` supplies xht, formed here when None."""
+    """F at ``factors``; ``grams`` supplies hxt, formed here when None."""
     _check_shapes(problem, factors)
-    xht = (view_products(problem.dataset.views, factors.H) if grams is None
-           else grams.xht)
-    return _fit(problem, factors, xht) + penalty_value(problem, factors)
+    hxt = (view_products(problem.dataset.views, factors.H) if grams is None
+           else grams.hxt)
+    return _fit(problem, factors, hxt) + penalty_value(problem, factors)
 
 
-def _fit(problem: Problem, factors: Factorization, xht: np.ndarray) -> float:
-    """sum_I ||X_I - W H_I||_F^2 from the trace identity and xht =
-    sum_I X_I H_I^T, or from the residuals below ``FIT_FLOOR`` ||X||^2."""
+def _fit(problem: Problem, factors: Factorization, hxt: np.ndarray) -> float:
+    """sum_I ||X_I - W H_I||_F^2 from the trace identity and hxt =
+    sum_I H_I X_I^T, or from the residuals below ``FIT_FLOOR`` ||X||^2."""
     w = factors.W
     x_sq = problem.x_squared_norm()
-    value = x_sq - 2.0 * float(np.vdot(w, xht)) + float(
+    value = x_sq - 2.0 * float(np.vdot(w.T, hxt)) + float(
         np.vdot(w.T @ w, sum(h @ h.T for h in factors.H)))
     if not value >= FIT_FLOOR * x_sq:  # also catches a NaN identity
         value = reconstruction_error(problem, factors)
@@ -153,24 +153,6 @@ def penalty_value(problem: Problem, factors: Factorization) -> float:
             col_l1 = h.sum(axis=0)
             value += p.gamma2 * float(np.sum(col_l1 * col_l1))
     return value
-
-
-def grad_W(problem: Problem, factors: Factorization) -> np.ndarray:
-    """2 sum_I (W H_I H_I^T - X_I H_I^T) + 2 gamma1 W."""
-    _check_shapes(problem, factors)
-    return w_subproblem(problem, factors.H).grad(factors.W)
-
-
-def _check_view(problem: Problem, view: int) -> None:
-    if not (0 <= view < problem.n_views):
-        raise ValueError(f"unknown view index {view}")
-
-
-def grad_H(problem: Problem, factors: Factorization, view: int) -> np.ndarray:
-    _check_shapes(problem, factors)
-    _check_view(problem, view)
-    q = h_subproblem(problem, factors.W, factors.H, view)
-    return q.grad(factors.H[view])
 
 
 def _projected(x: np.ndarray, g: np.ndarray,
@@ -203,11 +185,11 @@ def projected_gradient_norm(problem: Problem, factors: Factorization,
     _check_shapes(problem, factors)
     if grams is None:
         grams = Grams.of(problem, factors)
-    w, hs = factors.W, factors.H
-    q = w_subproblem(problem, hs, xht=grams.xht)
-    norms = [projected_norm(w, q.grad(w))]
+    wt, hs = factors.W.T, factors.H
+    q = w_subproblem(problem, hs, hxt=grams.hxt)
+    norms = [projected_norm(wt, q.grad(wt))]
     for i, wtx in enumerate(grams.wtx):
-        q = h_subproblem(problem, w, hs, i, wtx=wtx)
+        q = h_subproblem(problem, factors.W, hs, i, wtx=wtx)
         norms.append(projected_norm(hs[i], q.grad(hs[i])))
     return float(np.linalg.norm(norms))
 
@@ -294,46 +276,6 @@ def spectral_norm(mat: np.ndarray, tol: float = 1e-8,
     return _power_iteration(mat, tol, max_iter)[0]
 
 
-def lipschitz_W(problem: Problem, factors: Factorization) -> float:
-    """2 ||sum_I H_I H_I^T + gamma1 I||_2 on the r x r matrix."""
-    return w_subproblem(problem, factors.H).lipschitz()
-
-
-def lipschitz_H(problem: Problem, factors: Factorization, view: int) -> float:
-    """2 ||W^T W + gamma2 * ones||_2 + lambda1 ||sum_t Theta + Theta^T||_2."""
-    return h_subproblem(problem, factors.W, factors.H, view).lipschitz()
-
-
-def _quadratic_form(q: QuadSubproblem, direction: np.ndarray,
-                    expected: tuple) -> float:
-    d = np.asarray(direction, dtype=float)
-    if d.shape != expected:
-        raise ValueError(f"direction shape {d.shape} != {expected}")
-    return float(np.vdot(d, q.hess_apply(d)))
-
-
-def hessian_quadratic_form_W(problem: Problem, factors: Factorization,
-                             direction: np.ndarray,
-                             extra_prox: float = 0.0) -> float:
-    """vec(D)^T Q_W vec(D) = 2 Tr(D (sum_I H_I H_I^T + (g1+tau1) I) D^T)."""
-    q = w_subproblem(problem, factors.H, tau1=extra_prox)
-    return _quadratic_form(q, direction, factors.W.shape)
-
-
-def hessian_quadratic_form_H(problem: Problem, factors: Factorization,
-                             view: int, direction: np.ndarray,
-                             extra_prox: float = 0.0) -> float:
-    """Quadratic form of the H_I subproblem Hessian along D.
-
-    Follows the gradient's all-ones sparsity operator:
-    2 Tr(D^T (W^T W + gamma2 * ones) D) - lambda1 Tr(D S D^T) + 2 tau ||D||^2
-    with S the summed symmetrized within-constraints.
-    """
-    _check_view(problem, view)
-    q = h_subproblem(problem, factors.W, factors.H, view, tau2=extra_prox)
-    return _quadratic_form(q, direction, (problem.rank, problem.n[view]))
-
-
 def _lambda_max(mat: np.ndarray) -> float:
     """Largest eigenvalue of a small symmetric matrix."""
     return float(np.linalg.eigvalsh(mat)[-1])
@@ -361,41 +303,40 @@ def within_top(problem: Problem, view: int) -> tuple[np.ndarray, float]:
 
 @dataclass
 class QuadSubproblem:
-    """One factor's subproblem as an explicit quadratic.
+    """One block's subproblem as an explicit quadratic in an r x k block.
 
     grad(X) = hess_apply(X) + g0; value(X) omits the additive constant, so it
     is only meaningful for comparisons within one subproblem.
 
-    ``hess_mats`` holds the Hessian operator.  For kind "w" it is ``(A,)``
-    with A = sum_I H_I H_I^T + (gamma1 + tau1) I, applied as D -> 2 D A.
-    For kind "h" it is ``(M, S, lambda1, tau2)`` with
-    M = W^T W + gamma2 * ones and S the view's summed symmetrized
-    within-constraints (or None), applied as
-    D -> 2 M D - lambda1 D S + 2 tau2 D.
+    ``hess_mats`` is ``(M, S, lambda1, tau)``, the Hessian operator
+    D -> 2 M D - lambda1 D S + 2 tau D, with M r x r and S k x k or None.
+    H_I's block is H_I, with M = W^T W + gamma2 * ones, S the view's
+    summed symmetrized within-constraints and tau = tau2.  W's block is
+    W^T, which puts its quadratic in the same form: M = sum_I H_I H_I^T +
+    (gamma1 + tau1) I, S = None, lambda1 = 0 and tau = 0.
 
-    The doubled r x r matrix (2A or 2M) is formed once when the
-    subproblem is built and ``hess_apply`` multiplies by it, which saves
-    a pass and a temporary over each product.  Doubling is exact, so
-    D (2A) equals 2 (D A) bit for bit (2M likewise) unless an entry
-    overflows or falls into the subnormal range.
+    The doubled r x r matrix 2M is formed once when the subproblem is
+    built and ``hess_apply`` multiplies by it, which saves a pass and a
+    temporary over each product.  Doubling is exact, so (2M) D equals
+    2 (M D) bit for bit unless an entry overflows or falls into the
+    subnormal range.
 
-    ``lipschitz()`` is computed on request: 2 lambda_max of the r x r
-    matrix (plus 2 tau2 and lambda1 ||S||_2 for kind "h").  ``s_norm``
-    supplies ||S||_2, which ``within_top`` caches per constraint set.
+    ``lipschitz()`` is computed on request: 2 (lambda_max(M) + tau) plus
+    lambda1 ||S||_2.  ``s_norm`` supplies ||S||_2, which ``within_top``
+    caches per constraint set.
     """
 
     hess_mats: tuple
     g0: np.ndarray
-    kind: str  # "w" or "h"
     s_norm: Callable[[], float] | None = None
+    # the name of the one layout, read only by the benchmark's flop count
+    kind: ClassVar[str] = "h"
     _doubled: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self._doubled = 2.0 * self.hess_mats[0]
 
     def hess_apply(self, d: np.ndarray) -> np.ndarray:
-        if self.kind == "w":
-            return d @ self._doubled
         _, s, lam1, tau = self.hess_mats
         out = self._doubled @ d
         if s is not None and lam1:
@@ -414,9 +355,6 @@ class QuadSubproblem:
             np.vdot(self.g0, x))
 
     def lipschitz(self) -> float:
-        if self.kind == "w":
-            (a,) = self.hess_mats
-            return 2.0 * _lambda_max(a)
         m, s, lam1, tau = self.hess_mats
         lip = 2.0 * (_lambda_max(m) + tau)
         if s is not None and lam1:
@@ -426,10 +364,11 @@ class QuadSubproblem:
 
 def w_subproblem(problem: Problem, H: list[np.ndarray],
                  tau1: float = 0.0, anchor: np.ndarray | None = None,
-                 xht: np.ndarray | None = None) -> QuadSubproblem:
-    """Quadratic model of the W update (optionally with a proximal anchor).
+                 hxt: np.ndarray | None = None) -> QuadSubproblem:
+    """Quadratic model of the W update, in the r x m block W^T (optionally
+    proximal about an ``anchor``, also given as W^T).
 
-    ``xht`` is sum_I X_I H_I^T when the caller already holds it; only
+    ``hxt`` is sum_I H_I X_I^T when the caller already holds it; only
     without it are ``problem``'s views read, so prediction passes its test
     rows' product and a ``TrainedModel`` as ``problem``.
     """
@@ -437,12 +376,12 @@ def w_subproblem(problem: Problem, H: list[np.ndarray],
     a = (problem.params.gamma1 + tau1) * np.eye(r)
     for h in H:
         a += h @ h.T
-    if xht is None:
-        xht = view_products(problem.dataset.views, H)
-    g0 = -2.0 * xht
+    if hxt is None:
+        hxt = view_products(problem.dataset.views, H)
+    g0 = -2.0 * hxt
     if tau1 and anchor is not None:
-        g0 = g0 - 2.0 * tau1 * anchor
-    return QuadSubproblem((a,), g0, "w")
+        g0 -= 2.0 * tau1 * anchor
+    return QuadSubproblem((a, None, 0.0, 0.0), g0)
 
 
 def h_subproblem(problem: Problem, W: np.ndarray, H: list[np.ndarray],
@@ -470,4 +409,4 @@ def h_subproblem(problem: Problem, W: np.ndarray, H: list[np.ndarray],
     if tau2 and anchor is not None:
         g0 -= 2.0 * tau2 * anchor
     return QuadSubproblem((m, cons.within_sym(view), p.lambda1, tau2), g0,
-                          "h", lambda: within_top(problem, view)[1])
+                          lambda: within_top(problem, view)[1])

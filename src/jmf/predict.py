@@ -9,7 +9,7 @@ import numpy as np
 from .model import (Algorithm, ConstraintSet, Factorization, Hyperparameters,
                     MultiViewDataset, SolverConfig)
 from .objective import projected_norm, view_products
-from .solvers import _build_quad, _engine_step
+from .solvers import _as_factor, _build_quad, _engine_step
 
 
 @dataclass
@@ -73,7 +73,7 @@ def _solve_block(model: TrainedModel, factors: Factorization, target,
         warnings.warn("the step-size search ran out before the prediction "
                       "subproblem reached its tolerance", RuntimeWarning,
                       stacklevel=3)
-    return x, exhausted
+    return _as_factor(target, x), exhausted
 
 
 def predict_left(model: TrainedModel, test, config: SolverConfig | None = None

@@ -83,14 +83,10 @@ def check_stop_objective(f_prev: float, f_curr: float, f_initial: float,
     return progress / denom <= tol
 
 
-def check_stop_gradient(state: StopState, grad_norm: float,
-                        tol: float) -> bool:
-    """Gradient-ratio rule plus the slow-change escape on a 10-norm window."""
-    return _gradient_stop_reason(state, grad_norm, tol) is not None
-
-
 def _gradient_stop_reason(state: StopState, grad_norm: float,
                           tol: float) -> Termination | None:
+    """Gradient-ratio rule plus the slow-change escape on a 10-norm window:
+    the reason to stop, or None."""
     if state.initial_gradient_norm is None:
         # reference norm is the first recorded outer iteration's, so the
         # rule can be re-checked from the trace alone
@@ -113,26 +109,20 @@ def _mur_ratio(q: QuadSubproblem, x: np.ndarray, half_neg_g0: np.ndarray,
     """One Lee-Seung ratio step x * num / max(den, eps) on ``q``, written
     to ``out`` (``work`` is a buffer of x's shape).
 
-    -grad/2 = num - den splits the quadratic by sign: for W, num = -g0/2
-    and den = x A; for H_I, num = -g0/2 + (lambda1/2) x S and den = M x.
-    ``half_neg_g0`` is -g0/2, the same on every step of one quadratic.
+    -grad/2 = num - den splits the quadratic by sign: num = -g0/2 +
+    (lambda1/2) x S and den = M x, so num = -g0/2 for W's block W^T,
+    which has no S.  ``half_neg_g0`` is -g0/2, the same on every step of
+    one quadratic.
     """
-    if q.kind == "w":
-        (a,) = q.hess_mats
-        np.matmul(x, a, out=work)
-        np.maximum(work, _EPS, out=work)
-        np.divide(half_neg_g0, work, out=out)
-    else:
-        m, s, lam1, _ = q.hess_mats
-        if lam1 and s is not None:
-            np.matmul(x, s, out=out)
-            out *= 0.5 * lam1
-            out += half_neg_g0
-        else:
-            out[...] = half_neg_g0
-        np.matmul(m, x, out=work)
-        np.maximum(work, _EPS, out=work)
-        out /= work
+    m, s, lam1, _ = q.hess_mats
+    np.matmul(m, x, out=work)
+    np.maximum(work, _EPS, out=work)
+    num = half_neg_g0
+    if lam1 and s is not None:
+        num = np.matmul(x, s, out=out)
+        num *= 0.5 * lam1
+        num += half_neg_g0
+    np.divide(num, work, out=out)
     out *= x
     return out
 
@@ -188,11 +178,12 @@ def mur_subproblem(q: QuadSubproblem, x0: np.ndarray, config: SolverConfig,
 def mur_step_W(problem: Problem, factors: Factorization,
                xprod: np.ndarray | None = None) -> np.ndarray:
     """The paper's single multiplicative update of W: one ratio step on
-    the W quadratic (see ``_mur_ratio``).  ``xprod`` is sum_I X_I H_I^T
+    the W quadratic (see ``_mur_ratio``).  ``xprod`` is sum_I H_I X_I^T
     when the caller holds it.  ``solve`` repeats the step through
     ``mur_subproblem`` instead."""
-    q, w = _build_quad(problem, factors, "w", xprod=xprod)
-    return _mur_ratio(q, w, -0.5 * q.g0, np.empty_like(w), np.empty_like(w))
+    q, wt = _build_quad(problem, factors, "w", xprod=xprod)
+    return _as_factor("w", _mur_ratio(q, wt, -0.5 * q.g0, np.empty_like(wt),
+                                      np.empty_like(wt)))
 
 
 def mur_step_H(problem: Problem, factors: Factorization, view: int,
@@ -548,19 +539,28 @@ def _build_quad(problem: Problem, factors: Factorization, target,
                 xprod: np.ndarray | None = None
                 ) -> tuple[QuadSubproblem, np.ndarray]:
     """The quadratic of one block, "w" or a view index, proximal with
-    weight ``_TAU`` about a given ``anchor``, and its current factor.
-    ``xprod`` is the block's product with the views if the caller holds
-    it: sum X_I H_I^T (W), W^T X_I (H_I).  An H_I quadratic that is
-    unbounded below raises ``DivergenceError`` (``_check_bounded``)."""
+    weight ``_TAU`` about a given ``anchor`` (a factor, so W for "w"), and
+    the block's current value: H_I, or a row-major copy of W^T, the
+    block that W's quadratic is written in (``_as_factor`` turns it
+    back).  ``xprod`` is the block's product with the views if the
+    caller holds it: sum_I H_I X_I^T (W), W^T X_I (H_I).  An H_I
+    quadratic that is unbounded below raises ``DivergenceError``
+    (``_check_bounded``)."""
     tau = 0.0 if anchor is None else _TAU
     if target == "w":
-        q = w_subproblem(problem, factors.H, tau1=tau, anchor=anchor,
-                         xht=xprod)
-        return q, factors.W
+        q = w_subproblem(problem, factors.H, tau1=tau, hxt=xprod,
+                         anchor=None if anchor is None else anchor.T)
+        return q, np.ascontiguousarray(factors.W.T)
     q = h_subproblem(problem, factors.W, factors.H, target, tau2=tau,
                      anchor=anchor, wtx=xprod)
     _check_bounded(problem, q, target, factors.H[target])
     return q, factors.H[target]
+
+
+def _as_factor(target, x: np.ndarray) -> np.ndarray:
+    """The factor of a solved block of ``target``: H_I as it is, W as a
+    row-major copy of the transpose of its block W^T."""
+    return np.ascontiguousarray(x.T) if target == "w" else x
 
 
 def panls_subproblem(q: QuadSubproblem, x0: np.ndarray,
@@ -568,27 +568,23 @@ def panls_subproblem(q: QuadSubproblem, x0: np.ndarray,
     """PANLS on one built quadratic; returns (block, search-exhausted
     flag).
 
-    A block that splits into one r-dim nonnegative least-squares problem
-    per row (W, with the matrix 2A) or per column (H_I without
-    lambda1 S_I, with 2 (M + tau I)) is solved exactly by ``_nnls_bpp``;
-    its rare round cap hands the clipped iterate to ``_panls_minimize``.
-    Without the proximal term that matrix can be singular, and the block
-    runs ``_panls_minimize`` from x0.  An H_I block with lambda1 S_I
-    couples its columns and runs ``_panls_minimize``, the paper's PG and
-    active-set CG phases, to its inner tolerance.
+    A block without lambda1 S, which is W^T's and H_I's without
+    lambda1 S_I, splits into one r-dim nonnegative least-squares problem
+    per column, with the matrix 2 (M + tau I), and is solved exactly by
+    ``_nnls_bpp``; its rare round cap hands the clipped iterate to
+    ``_panls_minimize``.  Without the proximal term that matrix can be
+    singular, and the block runs ``_panls_minimize`` from x0.  An H_I
+    block with lambda1 S_I couples its columns and runs
+    ``_panls_minimize``, the paper's PG and active-set CG phases, to its
+    inner tolerance.
     """
-    if q.kind == "w":  # W's rows are the columns of the transposed block
-        c, b, start = 2.0 * q.hess_mats[0], -q.g0.T, x0.T
-    else:
-        m, s, lam1, tau = q.hess_mats
-        if s is not None and lam1:
-            return _panls_minimize(q, x0, config)
-        c, b, start = 2.0 * (m + tau * np.eye(len(m))), -q.g0, x0
+    m, s, lam1, tau = q.hess_mats
+    if s is not None and lam1:
+        return _panls_minimize(q, x0, config)
     try:
-        x, solved = _nnls_bpp(c, b, start)
+        x, solved = _nnls_bpp(2.0 * (m + tau * np.eye(len(m))), -q.g0, x0)
     except np.linalg.LinAlgError:  # a singular passive matrix
-        x, solved = start, False
-    x = np.ascontiguousarray(x.T) if q.kind == "w" else x
+        x, solved = x0, False
     return (x, False) if solved else _panls_minimize(q, x, config)
 
 
@@ -638,7 +634,8 @@ def _block_step(problem: Problem, config: SolverConfig,
         factors.W if view is None else factors.H[view])
     q, x0 = _build_quad(problem, factors, target, anchor, xprod)
     rho = _mur_rho(problem, view) if alg is Algorithm.MUR else 0.0
-    return _engine_step(q, x0, config, rho)
+    x, exhausted = _engine_step(q, x0, config, rho)
+    return _as_factor(target, x), exhausted
 
 
 def _uncoupled(problem: Problem, config: SolverConfig) -> bool:
@@ -690,8 +687,8 @@ class _Step:
 
 
 def _outer_step(problem: Problem, config: SolverConfig, start: Factorization,
-                xht: np.ndarray, curvature: float) -> _Step:
-    """One outer step, in place on ``start`` (sum_I X_I H_I^T = ``xht``):
+                hxt: np.ndarray, curvature: float) -> _Step:
+    """One outer step, in place on ``start`` (sum_I H_I X_I^T = ``hxt``):
     W's update, ``_check_sweep``'s refusal of an H sweep that ``curvature``
     leaves uncertified, each H_I's update, the rescale and F.
 
@@ -699,7 +696,7 @@ def _outer_step(problem: Problem, config: SolverConfig, start: Factorization,
     call solves their quadratics stacked column-wise: the same update as
     one solve per view, up to rounding.  Otherwise H_I's build reads the
     H_J updated before it."""
-    start.W, exhausted = _block_step(problem, config, start, "w", xht)
+    start.W, exhausted = _block_step(problem, config, start, "w", hxt)
     _check_sweep(problem, config, start.W, curvature)
     wtx = [start.W.T @ x for x in problem.dataset.views]
     if not _uncoupled(problem, config):
@@ -711,7 +708,7 @@ def _outer_step(problem: Problem, config: SolverConfig, start: Factorization,
                  for i, (h, x) in enumerate(zip(start.H, wtx))]
         m, _, _, tau = quads[0].hess_mats
         joint = QuadSubproblem((m, None, 0.0, tau),
-                               np.hstack([q.g0 for q in quads]), "h")
+                               np.hstack([q.g0 for q in quads]))
         x, flag = panls_subproblem(joint, np.hstack(start.H), config)
         cuts = np.cumsum([h.shape[1] for h in start.H])[:-1]
         start.H = [np.ascontiguousarray(h) for h in np.split(x, cuts, axis=1)]
@@ -727,28 +724,27 @@ def _outer_step(problem: Problem, config: SolverConfig, start: Factorization,
                  exhausted)
 
 
-def _extrapolated(views, factors: Factorization, xht: np.ndarray,
-                  prev: Factorization, prev_xht: np.ndarray,
+def _extrapolated(views, factors: Factorization, hxt: np.ndarray,
+                  prev: Factorization, prev_hxt: np.ndarray,
                   beta: float) -> tuple[Factorization, np.ndarray]:
     """max(0, X + beta (X - X_prev)) for W and each H_I, the point from
-    which an extrapolated outer step starts, and its sum_I X_I H_I^T.
+    which an extrapolated outer step starts, and its sum_I H_I X_I^T.
 
-    ``xht`` and ``prev_xht`` are that sum for ``factors`` and ``prev``.
+    ``hxt`` and ``prev_hxt`` are that sum for ``factors`` and ``prev``.
     Before the projection, Y_I = H_I + beta (H_I - H_prev,I) has the sum
-    (1 + beta) xht - beta prev_xht.  The projection adds C_I >= 0 to Y_I,
-    and X_I C_I^T reads only the columns of X_I where C_I has an entry,
+    (1 + beta) hxt - beta prev_hxt.  The projection adds C_I >= 0 to Y_I,
+    and C_I X_I^T reads only the columns of X_I where C_I has an entry,
     which are not few (see ``objective``'s module notes).
     """
     w = np.maximum(factors.W + beta * (factors.W - prev.W), 0.0)
-    gram = (1.0 + beta) * xht - beta * prev_xht
+    gram = (1.0 + beta) * hxt - beta * prev_hxt
     hs = []
     for x, h, h_prev in zip(views, factors.H, prev.H):
         y = h + beta * (h - h_prev)
         hs.append(np.maximum(y, 0.0))
         clipped = np.flatnonzero((y < 0.0).any(axis=0))
         if clipped.size:
-            gram += x[:, clipped] @ (hs[-1][:, clipped]
-                                     - y[:, clipped]).T
+            gram += (hs[-1][:, clipped] - y[:, clipped]) @ x[:, clipped].T
     return Factorization(w, hs), gram
 
 
@@ -763,7 +759,7 @@ def solve(problem: Problem, config: SolverConfig,
     searches.  PG, Ne and PANLS start each step after the first from the
     extrapolated iterate max(0, X_k + beta (X_k - X_k-1)) of the last two
     kept records (A. Ang and N. Gillis, Neural Computation 31(2), 2019),
-    whose sum X_I H_I^T ``_extrapolated`` forms from theirs and the views'
+    whose sum H_I X_I^T ``_extrapolated`` forms from theirs and the views'
     columns where the projection clipped an entry.  The beta rule here
     reads the step's record: beta grows after a step that lowers F and
     shrinks after one that raises it.  A step that raises F is redone
@@ -822,8 +818,8 @@ def solve(problem: Problem, config: SolverConfig,
                 if prev is not None:
                     extrapolated += 1
                     step = _outer_step(problem, config, *_extrapolated(
-                        views, curr.factors, curr.grams.xht, prev.factors,
-                        prev.grams.xht, beta), curvature)
+                        views, curr.factors, curr.grams.hxt, prev.factors,
+                        prev.grams.hxt, beta), curvature)
                     exhausted += step.exhausted
                     if step.f <= curr.f:
                         beta = min(beta_bar, _EXTRAP_GROW * beta)
@@ -837,7 +833,7 @@ def solve(problem: Problem, config: SolverConfig,
                             step = None
                 if step is None:
                     step = _outer_step(problem, config, Factorization(
-                        curr.factors.W, curr.factors.H), curr.grams.xht,
+                        curr.factors.W, curr.factors.H), curr.grams.hxt,
                         curvature)
                     exhausted += step.exhausted
                 refusal = None
@@ -876,7 +872,7 @@ def solve(problem: Problem, config: SolverConfig,
         trace.append(TracePoint(it, step.f, g_curr,
                                 time.perf_counter() - start))
         # the next step extrapolates from these two, reading only their
-        # factors and xht; after a kept rise it starts plain
+        # factors and hxt; after a kept rise it starts plain
         step.grams.wtx = [None] * len(views)
         prev = curr if accelerated and not kept_rise else None
         curr = step
@@ -887,7 +883,7 @@ def solve(problem: Problem, config: SolverConfig,
     return curr.factors, SolverReport(
         trace=trace, termination=termination,
         final_objective=trace[-1].objective,
-        reconstruction_error=_fit(problem, curr.factors, curr.grams.xht),
+        reconstruction_error=_fit(problem, curr.factors, curr.grams.hxt),
         iterations=trace[-1].iteration, exhausted_searches=exhausted,
         extrapolated_steps=extrapolated, redone_steps=redone,
         network_curvature=curvature, sparsity_curvature=2.0 * gamma2)

@@ -3,6 +3,9 @@ from pathlib import Path
 
 from hypothesis import settings
 
+# ``pytester`` runs a pytest session on written test files
+pytest_plugins = ["pytester"]
+
 # the oracles beside the tests, and the package from the source tree
 sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))

@@ -151,7 +151,8 @@ def brute_auc(scores, labels):
 
 
 def dense_hessian_W(hs, gamma1, tau1, m):
-    """Explicit Kronecker Hessian of the W quadratic (column-major vec)."""
+    """Explicit Kronecker Hessian of the W quadratic in the column-major
+    vec of the m x r W, which is the row-major vec of W's block W^T."""
     r = hs[0].shape[0]
     a = sum(h @ h.T for h in hs) + (gamma1 + tau1) * np.eye(r)
     return np.kron(2.0 * a, np.eye(m))
@@ -421,13 +422,13 @@ def ref_nnls(c: np.ndarray, b: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
 # ``_extrapolated``, the products with the views, F and the projected
 # gradient, all read from ``jmf.solvers`` at call time with its constants.
 
-def ref_sweep(problem, config, fac, xht, curvature):
-    """W's update from ``xht``, the sweep certificate, then every H_I,
+def ref_sweep(problem, config, fac, hxt, curvature):
+    """W's update from ``hxt``, the sweep certificate, then every H_I,
     in place on ``fac``: one stacked PANLS solve when no H_I block reads
     another, else view by view.  Returns W^T X_I and the exhausted
     searches."""
     s = jmf.solvers
-    fac.W, exhausted = s._block_step(problem, config, fac, "w", xht)
+    fac.W, exhausted = s._block_step(problem, config, fac, "w", hxt)
     s._check_sweep(problem, config, fac.W, curvature)
     wtx = [fac.W.T @ x for x in problem.dataset.views]
     p, cons = problem.params, problem.constraints
@@ -443,7 +444,7 @@ def ref_sweep(problem, config, fac, xht, curvature):
              for i, (h, x) in enumerate(zip(fac.H, wtx))]
     m, _, _, tau = quads[0].hess_mats
     joint = QuadSubproblem((m, None, 0.0, tau),
-                           np.hstack([q.g0 for q in quads]), "h")
+                           np.hstack([q.g0 for q in quads]))
     x, flag = s.panls_subproblem(joint, np.hstack(fac.H), config)
     cuts = np.cumsum([h.shape[1] for h in fac.H])[:-1]
     fac.H = [np.ascontiguousarray(h) for h in np.split(x, cuts, axis=1)]
@@ -463,10 +464,10 @@ def ref_solve(problem, config, init):
     s = jmf.solvers
     views = problem.dataset.views
     fac = init.copy()
-    xht = s.view_products(views, fac.H)
+    hxt = s.view_products(views, fac.H)
     curvature = s.network_curvature(problem)[0]
     gamma2 = problem.params.gamma2
-    f_init = s.objective_value(problem, fac, Grams(xht, [None] * len(views)))
+    f_init = s.objective_value(problem, fac, Grams(hxt, [None] * len(views)))
     floor = s._RISE_TOL * max(abs(f_init), problem.x_squared_norm())
 
     def refuse_below_0(f, where, trace):
@@ -477,11 +478,11 @@ def ref_solve(problem, config, init):
                 f"(network curvature lambda_max(B) >= {curvature:.6g}, "
                 f"2 gamma2 = {2.0 * gamma2:.6g})", trace, unbounded=True)
 
-    def attempt(start, start_xht, it, trace):
+    def attempt(start, start_hxt, it, trace):
         """One sweep, the rescale and F, with F before the rescale and
         whether the swept factors were finite before it."""
         try:
-            wtx, exhausted = ref_sweep(problem, config, start, start_xht,
+            wtx, exhausted = ref_sweep(problem, config, start, start_hxt,
                                        curvature)
         except DivergenceError as err:
             message = str(err)
@@ -497,10 +498,10 @@ def ref_solve(problem, config, init):
                     h *= norms[:, None]
                 for w in wtx:
                     w /= norms[:, None]
-            new_xht = s.view_products(views, start.H)
-            f = s.objective_value(problem, start, Grams(new_xht, wtx))
+            new_hxt = s.view_products(views, start.H)
+            f = s.objective_value(problem, start, Grams(new_hxt, wtx))
             return SimpleNamespace(
-                fac=start, xht=new_xht, wtx=wtx, f=f,
+                fac=start, hxt=new_hxt, wtx=wtx, f=f,
                 f_unscaled=f - s.penalty_value(problem, start) + penalty,
                 exhausted=exhausted, finite=finite)
         raise DivergenceError(f"{message} at outer iteration {it}", trace,
@@ -518,7 +519,7 @@ def ref_solve(problem, config, init):
             step, kept_rise = None, False
             if prev is not None and config.algorithm is not Algorithm.MUR:
                 extrapolated += 1
-                step = attempt(*s._extrapolated(views, fac, xht, *prev,
+                step = attempt(*s._extrapolated(views, fac, hxt, *prev,
                                                 beta), it, trace)
                 exhausted += step.exhausted
                 if step.f <= f_prev:
@@ -531,14 +532,14 @@ def ref_solve(problem, config, init):
                         redone += 1
                         step = None
             if step is None:
-                step = attempt(Factorization(fac.W, fac.H), xht, it, trace)
+                step = attempt(Factorization(fac.W, fac.H), hxt, it, trace)
                 exhausted += step.exhausted
                 if not step.finite:
                     raise DivergenceError(
                         f"non-finite factor at outer iteration {it}", trace)
             f = step.f
             g = s.projected_gradient_norm(problem, step.fac,
-                                          Grams(step.xht, step.wtx))
+                                          Grams(step.hxt, step.wtx))
         if not np.isfinite(f):
             raise DivergenceError(
                 f"non-finite objective at outer iteration {it}", trace)
@@ -547,8 +548,8 @@ def ref_solve(problem, config, init):
                 f"non-finite projected-gradient norm at outer iteration {it}",
                 trace)
         refuse_below_0(f, f"at outer iteration {it}", trace)
-        prev = None if kept_rise else (fac, xht)
-        fac, xht = step.fac, step.xht
+        prev = None if kept_rise else (fac, hxt)
+        fac, hxt = step.fac, step.hxt
         reason = None
         if config.stop_rule is StopRule.OBJECTIVE_RATIO:
             denom, progress = f_init - f, f_prev - f

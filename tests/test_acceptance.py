@@ -11,12 +11,10 @@ import pytest
 
 from jmf import (ConstraintSet, Factorization, Hyperparameters,
                  MultiViewDataset, SolverConfig, SyntheticSpec, auc_score,
-                 evaluate_factors, generate, grad_H, grad_W, init_factors,
-                 lipschitz_H, lipschitz_W, new_problem, objective_value,
-                 solve)
-from jmf.objective import (hessian_quadratic_form_H, hessian_quadratic_form_W,
-                           w_subproblem)
-from jmf.solvers import (StopState, _build_quad, check_stop_gradient,
+                 evaluate_factors, generate, init_factors, new_problem,
+                 objective_value, solve)
+from jmf.objective import h_subproblem, w_subproblem
+from jmf.solvers import (StopState, _build_quad, _gradient_stop_reason,
                          check_stop_objective, mur_step_H, mur_step_W,
                          ne_subproblem, panls_subproblem, pg_subproblem)
 from oracles import (brute_auc, dense_hessian_H, dense_hessian_W,
@@ -122,11 +120,12 @@ def test_criterion_4_monotone_convergence_shape(capsys):
         w, hs = fac.W.copy(), [h.copy() for h in fac.H]
         for _ in range(5):
             factors = Factorization(w, hs)
-            q = w_subproblem(prob, hs)
-            before = q.value(w)
-            w, _ = ne_subproblem(*_build_quad(prob, factors, "w"), cfg)
-            if q.value(w) > before + 1e-10:
+            q = w_subproblem(prob, hs)  # on W's block W^T
+            before = q.value(w.T)
+            wt, _ = ne_subproblem(*_build_quad(prob, factors, "w"), cfg)
+            if q.value(wt) > before + 1e-10:
                 ne_ok = False
+            w = wt.T
             factors = Factorization(w, hs)
             for i in range(prob.n_views):
                 hs[i], _ = ne_subproblem(*_build_quad(prob, factors, i), cfg)
@@ -163,9 +162,12 @@ def test_criterion_6_gradient_finite_differences(capsys):
         prob = make_problem(seed=seed, m=4, n=(3, 4), r=2, **weights)
         fac = random_factors(prob, seed=seed + 500)
         f = lambda: objective_value(prob, fac)
-        pairs = [(grad_W(prob, fac), finite_diff_grad(f, fac.W))]
+        # the W quadratic is written in W^T
+        grad_w = w_subproblem(prob, fac.H).grad(fac.W.T).T
+        pairs = [(grad_w, finite_diff_grad(f, fac.W))]
         for i in range(prob.n_views):
-            pairs.append((grad_H(prob, fac, i), finite_diff_grad(f, fac.H[i])))
+            grad_h = h_subproblem(prob, fac.W, fac.H, i).grad(fac.H[i])
+            pairs.append((grad_h, finite_diff_grad(f, fac.H[i])))
         for got, want in pairs:
             rel = (np.linalg.norm(got - want)
                    / max(np.linalg.norm(want), 1e-12))
@@ -184,23 +186,23 @@ def test_criterion_7_lipschitz_bounds(capsys):
         prob = make_problem(seed=seed, m=5, n=(4, 6), r=3, lambda1=0.4,
                             lambda2=0.3, gamma1=0.2, gamma2=0.5)
         fac = random_factors(prob, seed=seed)
-        lw = lipschitz_W(prob, fac)
+        qw = w_subproblem(prob, fac.H)  # on W's block W^T
+        lw = qw.lipschitz()
         for _ in range(10):
             a, b = rng.random(fac.W.shape), rng.random(fac.W.shape)
-            diff = np.linalg.norm(
-                grad_W(prob, Factorization(a, fac.H))
-                - grad_W(prob, Factorization(b, fac.H)))
+            diff = np.linalg.norm(qw.grad(a.T) - qw.grad(b.T))
             worst_ratio = max(worst_ratio,
                               diff / (lw * np.linalg.norm(a - b)))
             checked += 1
         for i in range(prob.n_views):
-            lh = lipschitz_H(prob, fac, i)
+            lh = h_subproblem(prob, fac.W, fac.H, i).lipschitz()
             for _ in range(5):
                 fa, fb = fac.copy(), fac.copy()
                 fa.H[i] = rng.random(fac.H[i].shape)
                 fb.H[i] = rng.random(fac.H[i].shape)
-                diff = np.linalg.norm(grad_H(prob, fa, i)
-                                      - grad_H(prob, fb, i))
+                diff = np.linalg.norm(
+                    h_subproblem(prob, fa.W, fa.H, i).grad(fa.H[i])
+                    - h_subproblem(prob, fb.W, fb.H, i).grad(fb.H[i]))
                 denom = lh * np.linalg.norm(fa.H[i] - fb.H[i])
                 worst_ratio = max(worst_ratio, diff / denom)
                 checked += 1
@@ -238,17 +240,18 @@ def test_criterion_8_oracle_equivalences(capsys):
         d = rng.standard_normal(f2.W.shape)
         qw = dense_hessian_W(f2.H, p2.params.gamma1, 0.11, p2.m)
         want = quad_form(qw, d)
-        hess_rel = max(hess_rel, abs(
-            hessian_quadratic_form_W(p2, f2, d, 0.11) - want) / abs(want))
+        # the W quadratic is written in W^T: its direction is d^T
+        got = np.vdot(d.T, w_subproblem(p2, f2.H, tau1=0.11).hess_apply(d.T))
+        hess_rel = max(hess_rel, abs(got - want) / abs(want))
         for i in range(p2.n_views):
             dh = rng.standard_normal(f2.H[i].shape)
             qh = dense_hessian_H(f2.W, p2.constraints.within_sym(i),
                                  p2.params.lambda1, p2.params.gamma2, 0.07,
                                  p2.n[i])
             want = quad_form(qh, dh)
-            hess_rel = max(hess_rel, abs(
-                hessian_quadratic_form_H(p2, f2, i, dh, 0.07)
-                - want) / abs(want))
+            got = np.vdot(dh, h_subproblem(p2, f2.W, f2.H, i, tau2=0.07)
+                          .hess_apply(dh))
+            hess_rel = max(hess_rel, abs(got - want) / abs(want))
     ok = obj_rel <= 1e-10 and auc_ok and hess_rel <= 1e-10
     verdict(capsys, 8, "objective / AUC / Hessian oracle equivalences", ok,
             f"objective rel {obj_rel:.2e} (allow 1e-10), AUC exact "
@@ -307,11 +310,12 @@ def test_criterion_11_stop_rule_truth_table(capsys):
     ]
     s = StopState(initial_objective=1.0)
     checks.append(("gradient first iteration",
-                   not check_stop_gradient(s, 5.0, 0.5)))
+                   _gradient_stop_reason(s, 5.0, 0.5) is None))
     s2 = StopState(initial_objective=1.0, initial_gradient_norm=10.0)
-    checks.append(("gradient exact zero", check_stop_gradient(s2, 0.0, 1e-9)))
+    checks.append(("gradient exact zero",
+                   _gradient_stop_reason(s2, 0.0, 1e-9) is not None))
     s3 = StopState(initial_objective=1.0, initial_gradient_norm=10.0)
-    window_hits = [check_stop_gradient(s3, g, 1e-4)
+    window_hits = [_gradient_stop_reason(s3, g, 1e-4) is not None
                    for g in [5.0] * 9 + [5.0000001]]
     checks.append(("gradient slow-change window",
                    not any(window_hits[:-1]) and window_hits[-1]))

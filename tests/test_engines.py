@@ -51,7 +51,8 @@ def weighted_quads(seed):
     prob = make_problem(seed=seed, m=12, n=(7, 9, 5), r=3, lambda1=1e-3,
                         lambda2=1e-3, gamma1=1e-2, gamma2=1e-2)
     fac = random_factors(prob, seed=seed + 100)
-    quads = [(w_subproblem(prob, fac.H, tau1=TAU, anchor=fac.W), fac.W)]
+    wt = np.ascontiguousarray(fac.W.T)  # W's block
+    quads = [(w_subproblem(prob, fac.H, tau1=TAU, anchor=wt), wt)]
     for i, h in enumerate(fac.H):
         quads.append((h_subproblem(prob, fac.W, fac.H, i, tau2=TAU,
                                    anchor=h), h))
@@ -98,8 +99,7 @@ def random_h_block(seed):
     s += s.T
     s_norm = float(np.linalg.norm(s, 2))
     q = QuadSubproblem((m, s, 50.0 * rng.random() ** 2, 1e-3),
-                       rng.standard_normal((r, n)), "h",
-                       s_norm=lambda: s_norm)
+                       rng.standard_normal((r, n)), s_norm=lambda: s_norm)
     return q, rng.random((r, n)) * (rng.random((r, n)) < 0.7)
 
 
@@ -192,23 +192,25 @@ def operator_cases(draw):
 @given(operator_cases())
 def test_doubled_operator_is_bitwise_the_old_product(case):
     rng, r, rows, cols, scale, lam1, tau, networks = case
+    # W's block W^T, r x m: a symmetric M and no S, lambda1 or tau
     a = scale * rng.random((r, r))
     a = a + a.T
-    d = rng.standard_normal((rows, r))
-    q = QuadSubproblem((a,), np.zeros((rows, r)), "w")
-    assert np.array_equal(q.hess_apply(d), 2.0 * (d @ a))
+    d = rng.standard_normal((r, rows))
+    q = QuadSubproblem((a, None, 0.0, 0.0), np.zeros((r, rows)))
+    assert np.array_equal(q.hess_apply(d), 2.0 * (a @ d))
 
     m = scale * rng.random((r, r))
     s = rng.random((cols, cols)) if networks else None
     d = rng.standard_normal((r, cols))
-    q = QuadSubproblem((m, s, lam1, tau), np.zeros((r, cols)), "h")
+    q = QuadSubproblem((m, s, lam1, tau), np.zeros((r, cols)))
     old = 2.0 * (m @ d)
     if s is not None and lam1:
         old -= lam1 * (d @ s)
     if tau:
         old += 2.0 * tau * d
     assert np.array_equal(q.hess_apply(d), old)
-    assert q.hess_mats[0] is m  # the layout MUR and the flop count read
+    # the one layout that MUR, PANLS and the flop count read
+    assert q.hess_mats[0] is m
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +250,16 @@ def test_ne_momentum_does_not_read_the_armijo_first_step(monkeypatch):
 
 
 def interior_quad(r=6, rows=40):
-    """A W quadratic whose minimizer and start lie far inside the
+    """A W quadratic, on W^T, whose minimizer and start lie far inside the
     nonnegative orthant, with r well-spread Hessian eigenvalues, so no
     CG step reaches the bound before r steps."""
     rng = np.random.default_rng(5)
     basis, _ = np.linalg.qr(rng.standard_normal((r, r)))
     a = basis @ np.diag(np.geomspace(1.0, 30.0, r)) @ basis.T
     target = 10.0 + rng.random((rows, r))
-    q = QuadSubproblem((a,), -2.0 * target @ a, "w")
-    return q, target + 0.5 * rng.standard_normal((rows, r))
+    q = QuadSubproblem((a, None, 0.0, 0.0), -2.0 * a @ target.T)
+    start = target + 0.5 * rng.standard_normal((rows, r))
+    return q, np.ascontiguousarray(start.T)
 
 
 def test_unclipped_cg_step_forms_one_product(monkeypatch):
@@ -321,16 +324,16 @@ def test_subproblem_returns_the_exhaustion_flag(monkeypatch, algorithm):
     cfg = overshooting(monkeypatch, algorithm)
     if algorithm == "PG":
         x, flag = pg_subproblem(*_build_quad(prob, fac, "w"), cfg)
-        start = fac.W
+        start = fac.W.T  # W's block
     else:
         x, flag = panls_subproblem(*_build_quad(prob, fac, 1, fac.H[1]), cfg)
         start = fac.H[1]
         # a block that splits has no search to exhaust
         separable = searched_problem(lambda1=0.0)
         for target, anchor in [("w", fac.W), (1, fac.H[1])]:
-            moved, no_flag = panls_subproblem(
-                *_build_quad(separable, fac, target, anchor), cfg)
-            assert not no_flag and not np.array_equal(moved, anchor)
+            q, x0 = _build_quad(separable, fac, target, anchor)
+            moved, no_flag = panls_subproblem(q, x0, cfg)
+            assert not no_flag and not np.array_equal(moved, x0)
     assert flag and np.array_equal(x, start)
     monkeypatch.undo()  # back to the default search
     _, flag = pg_subproblem(*_build_quad(prob, fac, "w"),
@@ -451,9 +454,9 @@ def test_bpp_round_cap_hands_the_block_to_panls(monkeypatch):
 
     monkeypatch.setattr(jmf.solvers, "_panls_minimize", recorded)
     for (target, anchor), want in zip(blocks, exact):
-        x, flag = panls_subproblem(*_build_quad(prob, fac, target, anchor),
-                                   cfg)
-        assert not flag and x.shape == anchor.shape
+        q, x0 = _build_quad(prob, fac, target, anchor)
+        x, flag = panls_subproblem(q, x0, cfg)
+        assert not flag and x.shape == x0.shape
         assert starts[-1].min() >= 0
         np.testing.assert_allclose(x, want, rtol=0, atol=1e-8)
     assert len(starts) == len(blocks)
@@ -481,7 +484,7 @@ def test_panls_solves_d4_shaped_blocks_to_kkt():
         assert not flag and x.flags.c_contiguous
         assert_kkt(q, x)
         # the paper's engine stops at its inner tolerance, above the minimum
-        inexact, _ = _panls_minimize(q, anchor, cfg)
+        inexact, _ = _panls_minimize(q, x0, cfg)
         assert q.value(x) < q.value(inexact)
 
 
@@ -586,7 +589,7 @@ def test_joint_h_solve_makes_one_solve_per_passive_set_size(monkeypatch,
     quads = [_build_quad(prob, fac, i, h)[0] for i, h in enumerate(fac.H)]
     m, _, _, tau = quads[0].hess_mats
     joint = QuadSubproblem((m, None, 0.0, tau),
-                           np.hstack([q.g0 for q in quads]), "h")
+                           np.hstack([q.g0 for q in quads]))
     per_call = count_linalg(monkeypatch)
     _, flag = panls_subproblem(joint, np.hstack(fac.H),
                                SolverConfig(algorithm="PANLS"))
@@ -721,7 +724,7 @@ def test_joint_solve_of_a_singular_matrix_runs_panls_on_the_stacked_block(
     cfg = SolverConfig(algorithm="PANLS")
     quads = [_build_quad(prob, fac, i)[0] for i in range(prob.n_views)]
     joint = QuadSubproblem((quads[0].hess_mats[0], None, 0.0, 0.0),
-                           np.hstack([q.g0 for q in quads]), "h")
+                           np.hstack([q.g0 for q in quads]))
     start = np.hstack(fac.H)
     want, _ = _panls_minimize(joint, start, cfg)
     fallbacks = count_calls(monkeypatch, "_panls_minimize")
@@ -736,8 +739,8 @@ def test_joint_solve_of_a_singular_matrix_runs_panls_on_the_stacked_block(
 
 def mur_quads(prob, fac):
     """The W and every H_I quadratic MUR builds (no proximal term), each
-    with its start."""
-    quads = [(w_subproblem(prob, fac.H), fac.W)]
+    with its start; W's block is W^T."""
+    quads = [(w_subproblem(prob, fac.H), np.ascontiguousarray(fac.W.T))]
     for i, h in enumerate(fac.H):
         quads.append((h_subproblem(prob, fac.W, fac.H, i), h))
     return quads
@@ -763,8 +766,8 @@ def test_one_mur_step_is_the_paper_update(seed):
     prob = make_problem(seed=seed, m=12, n=(7, 9, 5), r=3, lambda1=1e-3,
                         lambda2=1e-3, gamma1=1e-2, gamma2=1e-2)
     fac = random_factors(prob, seed=seed + 100)
-    paper = [mur_step_W(prob, fac)] + [mur_step_H(prob, fac, i)
-                                       for i in range(prob.n_views)]
+    paper = [mur_step_W(prob, fac).T] + [mur_step_H(prob, fac, i)
+                                         for i in range(prob.n_views)]
     for (q, x0), step in zip(mur_quads(prob, fac), paper):
         # capped at one step by rho = 0 and by the config
         assert np.array_equal(

@@ -45,6 +45,9 @@ def count_view_products(problem) -> dict:
                 for a in inputs]
 
     class Columns(np.ndarray):
+        def __array_finalize__(self, obj):  # a transpose keeps the record
+            self.taken = getattr(obj, "taken", None)
+
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
             if ufunc is np.matmul:
                 count["columns"].append(self.taken)
@@ -79,12 +82,12 @@ def record_clipped_columns(monkeypatch) -> list:
     clipped = []
     real = jmf.solvers._extrapolated
 
-    def recording(views, factors, xht, prev, prev_xht, beta):
+    def recording(views, factors, hxt, prev, prev_hxt, beta):
         for i, (h, h_prev) in enumerate(zip(factors.H, prev.H)):
             cols = np.flatnonzero((h + beta * (h - h_prev) < 0).any(axis=0))
             if cols.size:
                 clipped.append((i, tuple(cols.tolist())))
-        return real(views, factors, xht, prev, prev_xht, beta)
+        return real(views, factors, hxt, prev, prev_hxt, beta)
 
     monkeypatch.setattr(jmf.solvers, "_extrapolated", recording)
     return clipped
@@ -241,7 +244,7 @@ def test_rescaled_record_matches_an_uncached_call(case):
     norms = _rescale(fac.W, fac.H)
     for wtx in grams.wtx:
         wtx /= norms[:, None]
-    grams.xht = view_products(prob.dataset.views, fac.H)
+    grams.hxt = view_products(prob.dataset.views, fac.H)
     tol = 1e-12 * magnitude(prob, fac)
     assert objective_value(prob, fac, grams) == pytest.approx(
         objective_value(prob, fac), rel=1e-12, abs=tol)
@@ -309,12 +312,12 @@ def test_extrapolated_gram_matches_a_full_product(case):
                                atol=1e-12 * scale)
 
 
-def test_view_products_are_the_row_major_sum_of_x_h_transpose():
-    # formed as (sum_I H_I X_I^T)^T, BLAS's faster orientation
+def test_view_products_are_the_row_major_sum_of_h_x_transpose():
+    # sum_I H_I X_I^T, r x m, BLAS's faster orientation and W^T's layout
     prob = weighted_problem()
     rng = np.random.default_rng(0)
     hs = [rng.random((prob.rank, n)) for n in prob.n]
     got = view_products(prob.dataset.views, hs)
-    want = sum(x @ h.T for x, h in zip(prob.dataset.views, hs))
-    assert got.shape == (prob.m, prob.rank) and got.flags.c_contiguous
+    want = sum(x @ h.T for x, h in zip(prob.dataset.views, hs)).T
+    assert got.shape == (prob.rank, prob.m) and got.flags.c_contiguous
     np.testing.assert_allclose(got, want, rtol=1e-14)

@@ -6,13 +6,11 @@ import pytest
 import jmf.objective
 from jmf import (ConstraintSet, DivergenceError, Factorization,
                  Hyperparameters, MultiViewDataset, SolverConfig,
-                 SyntheticSpec, generate, grad_H, grad_W, lipschitz_H,
-                 lipschitz_W, new_problem, objective_value,
+                 SyntheticSpec, generate, new_problem, objective_value,
                  projected_gradient_norm, reconstruction_error, solve,
                  spectral_norm)
-from jmf.objective import (h_subproblem, hessian_quadratic_form_H,
-                           hessian_quadratic_form_W, network_curvature,
-                           w_subproblem, within_top)
+from jmf.objective import (h_subproblem, network_curvature, w_subproblem,
+                           within_top)
 from oracles import (dense_hessian_H, dense_hessian_W, finite_diff_grad,
                      make_problem, naive_objective, quad_form, random_factors)
 
@@ -21,6 +19,38 @@ def tiny_problem(**kw):
     return new_problem(MultiViewDataset([np.array([[2.0]])]),
                        ConstraintSet.empty(),
                        Hyperparameters(rank=1, **kw))
+
+
+# The W quadratic is written in the r x m block W^T, so its gradient and
+# Hessian products are transposed back to W's m x r here.
+
+def grad_w(prob, fac):
+    """dF/dW from the W quadratic."""
+    return w_subproblem(prob, fac.H).grad(fac.W.T).T
+
+
+def grad_h(prob, fac, view):
+    """dF/dH_view from the H_view quadratic."""
+    return h_subproblem(prob, fac.W, fac.H, view).grad(fac.H[view])
+
+
+def lipschitz_w(prob, fac):
+    return w_subproblem(prob, fac.H).lipschitz()
+
+
+def lipschitz_h(prob, fac, view):
+    return h_subproblem(prob, fac.W, fac.H, view).lipschitz()
+
+
+def hessian_form_w(prob, fac, d, tau1=0.0):
+    """vec(D)^T Q_W vec(D) for an m x r direction D."""
+    q = w_subproblem(prob, fac.H, tau1=tau1)
+    return float(np.vdot(d.T, q.hess_apply(d.T)))
+
+
+def hessian_form_h(prob, fac, view, d, tau2=0.0):
+    q = h_subproblem(prob, fac.W, fac.H, view, tau2=tau2)
+    return float(np.vdot(d, q.hess_apply(d)))
 
 
 def test_objective_zero_factors_is_data_norm():
@@ -66,19 +96,19 @@ def test_objective_with_zero_weights_equals_reconstruction():
 def test_grad_w_zero_at_exact_factorization():
     prob = tiny_problem()
     fac = Factorization(np.array([[2.0]]), [np.array([[1.0]])])
-    assert np.allclose(grad_W(prob, fac), 0.0)
+    assert np.allclose(grad_w(prob, fac), 0.0)
 
 
 def test_grad_w_hand_value():
     prob = tiny_problem()
     fac = Factorization(np.array([[1.0]]), [np.array([[1.0]])])
-    assert grad_W(prob, fac) == pytest.approx(np.array([[-2.0]]))
+    assert grad_w(prob, fac) == pytest.approx(np.array([[-2.0]]))
 
 
 def test_grad_h_zero_at_exact_factorization():
     prob = tiny_problem()
     fac = Factorization(np.array([[2.0]]), [np.array([[1.0]])])
-    assert np.allclose(grad_H(prob, fac, 0), 0.0)
+    assert np.allclose(grad_h(prob, fac, 0), 0.0)
 
 
 def test_grad_h_within_term_hand_value():
@@ -88,7 +118,7 @@ def test_grad_h_within_term_hand_value():
         ConstraintSet(within={0: [np.eye(2)]}),
         Hyperparameters(rank=1, lambda1=lam))
     fac = Factorization(np.zeros((1, 1)), [np.array([[1.0, 1.0]])])
-    assert grad_H(prob, fac, 0) == pytest.approx(
+    assert grad_h(prob, fac, 0) == pytest.approx(
         np.array([[-2 * lam, -2 * lam]]))
 
 
@@ -99,19 +129,19 @@ def test_gradients_match_finite_differences(seed):
     fac = random_factors(prob, seed=seed + 50)
     f = lambda: objective_value(prob, fac)
     gw = finite_diff_grad(f, fac.W)
-    assert np.allclose(grad_W(prob, fac), gw, rtol=1e-5, atol=1e-6)
+    assert np.allclose(grad_w(prob, fac), gw, rtol=1e-5, atol=1e-6)
     for i in range(prob.n_views):
         gh = finite_diff_grad(f, fac.H[i])
-        assert np.allclose(grad_H(prob, fac, i), gh, rtol=1e-5, atol=1e-6)
+        assert np.allclose(grad_h(prob, fac, i), gh, rtol=1e-5, atol=1e-6)
 
 
 def test_projected_gradient_interior_equals_plain_norm():
     prob = make_problem(seed=8, lambda1=0.2, lambda2=0.1, gamma1=0.3,
                         gamma2=0.2)
     fac = random_factors(prob, seed=3)  # strictly positive entries
-    plain = np.sum(grad_W(prob, fac) ** 2)
+    plain = np.sum(grad_w(prob, fac) ** 2)
     for i in range(prob.n_views):
-        plain += np.sum(grad_H(prob, fac, i) ** 2)
+        plain += np.sum(grad_h(prob, fac, i) ** 2)
     assert projected_gradient_norm(prob, fac) == pytest.approx(
         np.sqrt(plain), rel=1e-12)
 
@@ -148,41 +178,41 @@ def test_lipschitz_w_examples():
     prob = new_problem(MultiViewDataset([np.ones((2, 2))]),
                        ConstraintSet.empty(), Hyperparameters(rank=2))
     fac = Factorization(np.ones((2, 2)), [np.eye(2)])
-    assert lipschitz_W(prob, fac) == pytest.approx(2.0)
+    assert lipschitz_w(prob, fac) == pytest.approx(2.0)
 
     fac2 = Factorization(np.ones((2, 2)), [np.diag([2.0, 1.0])])
-    assert lipschitz_W(prob, fac2) == pytest.approx(8.0)
+    assert lipschitz_w(prob, fac2) == pytest.approx(8.0)
 
     prob3 = new_problem(MultiViewDataset([np.ones((2, 2))]),
                         ConstraintSet.empty(),
                         Hyperparameters(rank=2, gamma1=5.0))
     fac3 = Factorization(np.ones((2, 2)), [np.zeros((2, 2))])
-    assert lipschitz_W(prob3, fac3) == pytest.approx(10.0)
+    assert lipschitz_w(prob3, fac3) == pytest.approx(10.0)
 
 
 def test_lipschitz_h_examples():
     prob = tiny_problem()
     fac = Factorization(np.array([[1.0]]), [np.array([[1.0]])])
-    assert lipschitz_H(prob, fac, 0) == pytest.approx(2.0)
+    assert lipschitz_h(prob, fac, 0) == pytest.approx(2.0)
 
     prob2 = new_problem(MultiViewDataset([np.ones((2, 2))]),
                         ConstraintSet.empty(),
                         Hyperparameters(rank=2, gamma2=1.0))
     fac2 = Factorization(np.eye(2), [np.ones((2, 2))])
-    assert lipschitz_H(prob2, fac2, 0) == pytest.approx(6.0)
+    assert lipschitz_h(prob2, fac2, 0) == pytest.approx(6.0)
 
     prob3 = new_problem(MultiViewDataset([np.ones((2, 3))]),
                         ConstraintSet(within={0: [np.eye(3)]}),
                         Hyperparameters(rank=2, lambda1=1.0))
     fac3 = Factorization(np.zeros((2, 2)), [np.ones((2, 3))])
-    assert lipschitz_H(prob3, fac3, 0) == pytest.approx(2.0)
+    assert lipschitz_h(prob3, fac3, 0) == pytest.approx(2.0)
 
 
 def test_hessian_quadratic_form_w_examples():
     prob = tiny_problem()
     fac = Factorization(np.array([[1.0]]), [np.array([[1.0]])])
-    assert hessian_quadratic_form_W(prob, fac, np.zeros((1, 1))) == 0.0
-    assert hessian_quadratic_form_W(
+    assert hessian_form_w(prob, fac, np.zeros((1, 1))) == 0.0
+    assert hessian_form_w(
         prob, fac, np.array([[1.0]])) == pytest.approx(2.0)
 
 
@@ -190,7 +220,7 @@ def test_hessian_quadratic_form_h_example():
     prob = new_problem(MultiViewDataset([np.ones((2, 2))]),
                        ConstraintSet.empty(), Hyperparameters(rank=2))
     fac = Factorization(np.eye(2), [np.ones((2, 2))])
-    assert hessian_quadratic_form_H(
+    assert hessian_form_h(
         prob, fac, 0, np.eye(2)) == pytest.approx(4.0)
 
 
@@ -203,7 +233,7 @@ def test_hessian_quadratic_forms_match_dense_kronecker(seed):
     d_w = rng.standard_normal(fac.W.shape)
     tau1 = 0.13
     qw = dense_hessian_W(fac.H, prob.params.gamma1, tau1, prob.m)
-    assert hessian_quadratic_form_W(prob, fac, d_w, tau1) == pytest.approx(
+    assert hessian_form_w(prob, fac, d_w, tau1) == pytest.approx(
         quad_form(qw, d_w), rel=1e-10)
     for i in range(prob.n_views):
         d_h = rng.standard_normal(fac.H[i].shape)
@@ -211,7 +241,7 @@ def test_hessian_quadratic_forms_match_dense_kronecker(seed):
         qh = dense_hessian_H(fac.W, prob.constraints.within_sym(i),
                              prob.params.lambda1, prob.params.gamma2, tau2,
                              prob.n[i])
-        got = hessian_quadratic_form_H(prob, fac, i, d_h, tau2)
+        got = hessian_form_h(prob, fac, i, d_h, tau2)
         assert got == pytest.approx(quad_form(qh, d_h), rel=1e-10)
 
 
@@ -221,7 +251,7 @@ def test_hessian_quadratic_form_w_strictly_positive():
     rng = np.random.default_rng(12)
     for _ in range(20):
         d = rng.standard_normal(fac.W.shape)
-        assert hessian_quadratic_form_W(prob, fac, d, 0.0) > 0.0
+        assert hessian_form_w(prob, fac, d, 0.0) > 0.0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -233,9 +263,9 @@ def test_lipschitz_bounds_gradient_differences(seed):
     for _ in range(20):
         a = rng.random(fac.W.shape)
         b = rng.random(fac.W.shape)
-        ga = grad_W(prob, Factorization(a, fac.H))
-        gb = grad_W(prob, Factorization(b, fac.H))
-        bound = lipschitz_W(prob, fac) * np.linalg.norm(a - b)
+        ga = grad_w(prob, Factorization(a, fac.H))
+        gb = grad_w(prob, Factorization(b, fac.H))
+        bound = lipschitz_w(prob, fac) * np.linalg.norm(a - b)
         assert np.linalg.norm(ga - gb) <= bound * (1 + 1e-12)
     for i in range(prob.n_views):
         for _ in range(20):
@@ -244,23 +274,70 @@ def test_lipschitz_bounds_gradient_differences(seed):
             fa, fb = fac.copy(), fac.copy()
             fa.H[i] = ha
             fb.H[i] = hb
-            ga = grad_H(prob, fa, i)
-            gb = grad_H(prob, fb, i)
-            bound = lipschitz_H(prob, fac, i) * np.linalg.norm(ha - hb)
+            ga = grad_h(prob, fa, i)
+            gb = grad_h(prob, fb, i)
+            bound = lipschitz_h(prob, fac, i) * np.linalg.norm(ha - hb)
             assert np.linalg.norm(ga - gb) <= bound * (1 + 1e-12)
 
 
 def test_quad_subproblem_gradients_match_full_gradients():
-    # the quadratic models must reproduce grad_W / grad_H at any point
+    # the quadratic models must reproduce F's gradients, written out
     prob = make_problem(seed=7, lambda1=0.3, lambda2=0.2, gamma1=0.1,
                         gamma2=0.6)
+    p, cons = prob.params, prob.constraints
     fac = random_factors(prob, seed=8)
+    w, hs, views = fac.W, fac.H, prob.dataset.views
+    want_w = sum(2.0 * (w @ h - x) @ h.T for x, h in zip(views, hs))
     qw = w_subproblem(prob, fac.H)
-    assert np.allclose(qw.grad(fac.W), grad_W(prob, fac), rtol=1e-12)
-    for i in range(prob.n_views):
+    assert np.allclose(qw.grad(w.T).T, want_w + 2.0 * p.gamma1 * w,
+                       rtol=1e-12)
+    for i, (x, h) in enumerate(zip(views, hs)):
+        want = 2.0 * w.T @ (w @ h - x) + 2.0 * p.gamma2 * np.ones(
+            (prob.rank, prob.rank)) @ h
+        for theta in cons.within.get(i, ()):
+            want -= p.lambda1 * h @ (theta + theta.T)
+        for (a, b), r_ab in cons.between.items():
+            if a == i:
+                want -= p.lambda2 * hs[b] @ r_ab.T
+            if b == i:
+                want -= p.lambda2 * hs[a] @ r_ab
         qh = h_subproblem(prob, fac.W, fac.H, i)
-        assert np.allclose(qh.grad(fac.H[i]), grad_H(prob, fac, i),
-                           rtol=1e-12)
+        assert np.allclose(qh.grad(h), want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_w_subproblem_is_the_w_quadratic_in_w_transpose(seed):
+    # gamma1 > 0 and a proximal term about an anchor: the block W^T's
+    # gradient, Hessian product, value and Lipschitz constant against the
+    # m x r quadratic written out and its dense Kronecker Hessian
+    prob = make_problem(seed=seed, m=5, n=(4, 3), r=3, gamma1=0.3)
+    fac = random_factors(prob, seed=seed + 60)
+    rng = np.random.default_rng(seed + 80)
+    w, hs, views = fac.W, fac.H, prob.dataset.views
+    anchor, d = rng.random(w.shape), rng.standard_normal(w.shape)
+    gamma1, tau1 = prob.params.gamma1, 0.17
+    q = w_subproblem(prob, hs, tau1=tau1, anchor=anchor.T)
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+    a = sum(h @ h.T for h in hs) + (gamma1 + tau1) * np.eye(prob.rank)
+    grad = 2.0 * w @ a - 2.0 * sum(x @ h.T for x, h in zip(views, hs)) \
+        - 2.0 * tau1 * anchor
+    close(q.grad(w.T), grad.T)
+    dense = dense_hessian_W(hs, gamma1, tau1, prob.m)
+    close(q.hess_apply(d.T),
+          (dense @ d.ravel(order="F")).reshape(w.shape, order="F").T)
+    # value omits the constant sum_I ||X_I||^2 + tau1 ||anchor||^2
+    block = (sum(float(np.sum((x - w @ h) ** 2)) for x, h in zip(views, hs))
+             + gamma1 * float(np.sum(w * w))
+             + tau1 * float(np.sum((w - anchor) ** 2)))
+    constant = sum(float(np.sum(x * x)) for x in views) \
+        + tau1 * float(np.sum(anchor * anchor))
+    assert q.value(w.T) + constant == pytest.approx(block, rel=1e-12)
+    assert q.lipschitz() == pytest.approx(np.linalg.eigvalsh(dense)[-1],
+                                          rel=1e-12)
 
 
 def counted_calls(monkeypatch, name):
@@ -364,15 +441,12 @@ def dense_network_matrix(prob) -> np.ndarray:
 @pytest.mark.parametrize("call, message", [
     (lambda p, f: reconstruction_error(p, Factorization(f.W[1:], f.H)),
      r"^W shape \(5, 2\) != \(6, 2\)"),
-    (lambda p, f: grad_W(p, Factorization(f.W, f.H[:-1])),
+    (lambda p, f: projected_gradient_norm(p, Factorization(f.W, f.H[:-1])),
      "^factor view count does not match"),
     (lambda p, f: objective_value(p, Factorization(f.W, [h[:, 1:]
                                                          for h in f.H])),
      r"^H\[0\] shape \(2, 3\) != \(2, 4\)"),
-    (lambda p, f: grad_H(p, f, 3), "^unknown view index 3"),
-    (lambda p, f: hessian_quadratic_form_W(p, f, f.W[1:]),
-     r"^direction shape \(5, 2\) != \(6, 2\)"),
-], ids=["w-shape", "view-count", "h-shape", "view-index", "direction-shape"])
+], ids=["w-shape", "view-count", "h-shape"])
 def test_objective_rejects_factors_that_do_not_fit(call, message):
     prob = make_problem(seed=0)
     with pytest.raises(ValueError, match=message):

@@ -151,12 +151,13 @@ def test_predict_left_solves_the_panls_w_block_exactly(monkeypatch):
     count = count_products(monkeypatch)
     w_hat = predict_left(model, test)
     assert count[0] == 0
+    # the W quadratic is written in the block W^T
     q = w_subproblem(model, model.factors.H,
-                     xht=view_products(list(test.values()), model.factors.H))
-    start = np.random.default_rng(0).random(w_hat.shape)
+                     hxt=view_products(list(test.values()), model.factors.H))
+    start = np.random.default_rng(0).random(w_hat.shape).T
     pn0 = projected_norm(start, q.grad(start))
     assert w_hat.min() >= 0
-    assert projected_norm(w_hat, q.grad(w_hat)) <= 1e-9 * pn0
+    assert projected_norm(w_hat.T, q.grad(w_hat.T)) <= 1e-9 * pn0
 
 
 @pytest.mark.parametrize("algorithm", ["PG", "Ne", "PANLS"])

@@ -14,8 +14,8 @@ from jmf import (Algorithm, ConstraintSet, DivergenceError, Factorization,
 from jmf.objective import (QuadSubproblem, h_subproblem,
                            network_curvature, spectral_norm, w_subproblem,
                            within_top)
-from jmf.solvers import (StopState, _build_quad, _rescale,
-                         check_stop_gradient, check_stop_objective,
+from jmf.solvers import (StopState, _build_quad, _gradient_stop_reason,
+                         _rescale, check_stop_objective,
                          mur_step_H, mur_step_W, ne_subproblem,
                          panls_subproblem, pg_subproblem)
 from oracles import (make_problem, naive_mur_H, naive_mur_W,
@@ -58,31 +58,34 @@ def test_stop_objective_increase_with_net_progress_continues():
 
 def test_stop_gradient_first_iteration_is_false():
     state = StopState(initial_objective=100.0)
-    assert not check_stop_gradient(state, 5.0, 0.5)
+    assert _gradient_stop_reason(state, 5.0, 0.5) is None
 
 
 def test_stop_gradient_zero_norm_is_true():
     state = StopState(initial_objective=100.0, initial_gradient_norm=10.0)
-    assert check_stop_gradient(state, 0.0, 1e-9)
+    assert _gradient_stop_reason(
+        state, 0.0, 1e-9) is Termination.TOLERANCE_MET
 
 
 def test_stop_gradient_ratio_fires():
     state = StopState(initial_objective=100.0, initial_gradient_norm=10.0)
-    assert check_stop_gradient(state, 1e-4, 1e-4)
+    assert _gradient_stop_reason(
+        state, 1e-4, 1e-4) is Termination.TOLERANCE_MET
 
 
 def test_stop_gradient_slow_change_window_fires():
     state = StopState(initial_objective=100.0, initial_gradient_norm=10.0)
     norms = [5.0] * 9 + [5.0000001]
-    results = [check_stop_gradient(state, g, 1e-4) for g in norms]
-    assert results[:-1] == [False] * 9
-    assert results[-1]  # |5.0000001 - 5| = 1e-7 <= 1e-3 * 1e-4 * 10 = 1e-6
+    results = [_gradient_stop_reason(state, g, 1e-4) for g in norms]
+    assert results[:-1] == [None] * 9
+    # |5.0000001 - 5| = 1e-7 <= 1e-3 * 1e-4 * 10 = 1e-6
+    assert results[-1] is Termination.SLOW_GRADIENT_CHANGE
 
 
 def test_stop_gradient_window_does_not_fire_on_fast_change():
     state = StopState(initial_objective=100.0, initial_gradient_norm=10.0)
     norms = [5.0, 4.9, 4.8, 4.7, 4.6, 4.5, 4.4, 4.3, 4.2, 4.1]
-    assert not any(check_stop_gradient(state, g, 1e-4) for g in norms)
+    assert all(_gradient_stop_reason(state, g, 1e-4) is None for g in norms)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +214,8 @@ def test_panls_unique_minimizer_from_different_starts():
 def test_subproblem_descent(seed):
     prob = make_problem(seed=seed, lambda1=0.01, gamma1=0.1, gamma2=0.1)
     fac = random_factors(prob, seed=seed + 30)
-    q = w_subproblem(prob, fac.H)
-    before = q.value(fac.W)
+    q = w_subproblem(prob, fac.H)  # on the block W^T
+    before = q.value(fac.W.T)
     for alg in ("PG", "Ne", "PANLS"):
         cfg = SolverConfig(algorithm=alg, **CFG)
         if alg == "PG":
@@ -287,16 +290,17 @@ def test_a_non_finite_outer_step_is_divergence(monkeypatch, value, what):
     # from outer iteration 3's W block on, MUR's engine returns blocks of
     # ``value``; MUR runs one sweep per outer iteration, with no redo
     real = jmf.solvers.mur_subproblem
+    prob = make_problem(seed=1, with_constraints=False)
     w_blocks = [0]
 
     def poisoned(q, x0, *args):
-        w_blocks[0] += q.kind == "w"
+        # W's block is W^T, r x m; no H_I block has m = 6 columns here
+        w_blocks[0] += x0.shape == (prob.rank, prob.m)
         if w_blocks[0] >= 3:
             return np.full_like(x0, value), False
         return real(q, x0, *args)
 
     monkeypatch.setattr(jmf.solvers, "mur_subproblem", poisoned)
-    prob = make_problem(seed=1, with_constraints=False)
     cfg = SolverConfig(algorithm="MUR", max_outer_iters=10,
                        tolerance=1e-300, normalize_rows=False)
     with pytest.raises(DivergenceError) as err:
