@@ -87,10 +87,8 @@ def _read_constraints(base: Path, maps: dict) -> ConstraintSet:
                  for key, p in between.items()})
 
 
-def _max_workers(n_tasks: int, serial: bool) -> int:
+def _max_workers(n_tasks: int) -> int:
     """Worker processes: ``JMF_THREADS`` if set, else the CPU count."""
-    if serial:
-        return 1
     cap = os.environ.get("JMF_THREADS")
     if cap and not (cap.isdecimal() and int(cap) > 0):
         raise UsageError(f"JMF_THREADS must be a positive integer, got "
@@ -141,16 +139,15 @@ def _run_shared(task: tuple[Hyperparameters, SolverConfig]) -> RunResult:
     return _run_one(*_shared, *task)
 
 
-def run_all(problem: Problem, truth, tasks: list,
-            serial: bool = False) -> Iterator[RunResult]:
+def run_all(problem: Problem, truth, tasks: list) -> Iterator[RunResult]:
     """Run the (hyperparameters, config) tasks on the shared problem's
     data and ground truth, in the process pool (capped by
-    ``JMF_THREADS``) or in this process when ``serial``, yielding results
-    in task order.  Each task is solved on the shared problem's data and
+    ``JMF_THREADS``; in this process at 1), yielding results in task
+    order.  Each task is solved on the shared problem's data and
     constraints (already checked by ``new_problem``) under its own
     weights, and the tasks of one process share the caches that do not
     depend on the weights."""
-    workers = _max_workers(len(tasks), serial)
+    workers = _max_workers(len(tasks))
     if workers == 1:
         yield from (_run_one(problem, truth, *task) for task in tasks)
         return
@@ -308,7 +305,7 @@ def cmd_solve(args) -> int:
     _check_rank(truth, params.rank)
     problem = new_problem(dataset, constraints, params)
     seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
-             else [int(s) for s in cfg.get("seeds", [0])])
+             else [SolverConfig(seed=s).seed for s in cfg.get("seeds", [0])])
     if not cfg.get("solvers") or not seeds:
         raise UsageError("config needs at least one solver and one seed")
     configs = _solver_configs(cfg["solvers"])
@@ -322,7 +319,7 @@ def cmd_solve(args) -> int:
     out = Path(args.out)  # made with the first run's directory
     results = run_all(problem, truth,
                       [(params, replace(config, seed=s))
-                       for config in configs for s in seeds], args.serial)
+                       for config in configs for s in seeds])
 
     summary = []
     for config, tag in zip(configs, tags):
@@ -373,7 +370,8 @@ def cmd_gridsearch(args) -> int:
     if "synthetic" not in (cfg.get("source") or {}):
         raise UsageError("grid search needs a synthetic source (AUC oracle)")
     _check_keys("grid", cfg.get("grid") or {}, DEFAULT_GRID)
-    seeds = [int(s) for s in cfg.get("grid_seeds", [0, 1, 2])]
+    seeds = [SolverConfig(seed=s).seed
+             for s in cfg.get("grid_seeds", [0, 1, 2])]
     if not seeds:
         raise UsageError("grid search needs at least one grid seed")
     dataset, constraints, truth = _load_source(cfg)
@@ -511,8 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.add_argument("--seeds", default=None,
                    help="comma list overriding the config seeds")
-    s.add_argument("--serial", action="store_true",
-                   help="disable parallel runs (clean wall-clock timing)")
     s.set_defaults(func=cmd_solve)
 
     gs = sub.add_parser("gridsearch", help="grid-search regularization weights")

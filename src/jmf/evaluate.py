@@ -14,7 +14,6 @@ class EvalResult:
     auc: float
     auc_w: float
     per_view_auc: list
-    reconstruction_error: float
     matching: np.ndarray
 
 
@@ -120,12 +119,8 @@ def evaluate_factors(factors: Factorization, truth: GroundTruth) -> EvalResult:
         all_labels.append(h0.ravel())
     combined = auc_score(np.concatenate(all_scores),
                          np.concatenate(all_labels))
-    recon = 0.0
-    for x, h in zip(truth.x0, factors.H):
-        resid = x - factors.W @ h
-        recon += float(np.sum(resid * resid))
     return EvalResult(auc=combined, auc_w=auc_w, per_view_auc=per_view,
-                      reconstruction_error=recon, matching=perm)
+                      matching=perm)
 
 
 def assign_modules(factors: Factorization, threshold: float = 1.5

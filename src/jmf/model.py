@@ -31,12 +31,20 @@ class Termination(str, Enum):
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
+    """``a`` as a float matrix, checked 2-D, finite and nonnegative."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
+    if np.any(arr < 0):
+        raise ValueError(f"{name} has negative entries")
     return arr
+
+
+def _is_a(value, kind) -> bool:
+    """``isinstance(value, kind)``, but false for a bool, a number ABC."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -58,12 +66,8 @@ class MultiViewDataset:
     def __init__(self, views: Sequence[np.ndarray]):
         if len(views) == 0:
             raise ValueError("a dataset needs at least one view")
-        mats = []
-        for i, v in enumerate(views):
-            arr = _as_matrix(v, f"view {i}")
-            if np.any(arr < 0):
-                raise ValueError(f"view {i} has negative entries")
-            mats.append(_frozen(arr))
+        mats = [_frozen(_as_matrix(v, f"view {i}"))
+                for i, v in enumerate(views)]
         m = mats[0].shape[0]
         bad = [i for i, v in enumerate(mats) if v.shape[0] != m]
         if bad:
@@ -100,8 +104,6 @@ class ConstraintSet:
                 arr = _as_matrix(mat, f"within[{i}][{t}]")
                 if arr.shape[0] != arr.shape[1]:
                     raise ValueError(f"within[{i}][{t}] is not square")
-                if np.any(arr < 0):
-                    raise ValueError(f"within[{i}][{t}] has negative entries")
                 checked.append(_frozen(arr))
             if checked:
                 self.within[int(i)] = tuple(checked)
@@ -109,12 +111,10 @@ class ConstraintSet:
         for (i, j), mat in (between or {}).items():
             if i == j:
                 raise ValueError("between constraints need two distinct views")
-            arr = _as_matrix(mat, f"between[{i},{j}]")
-            if np.any(arr < 0):
-                raise ValueError(f"between[{i},{j}] has negative entries")
-            self.between[(int(i), int(j))] = _frozen(arr)
-        # shared by every problem on this set: S_I, and S_I's absolute unit
-        # top eigenvector v with v^T S_I v (filled by objective.within_top)
+            self.between[(int(i), int(j))] = _frozen(
+                _as_matrix(mat, f"between[{i},{j}]"))
+        # shared by every problem on this set: S_I, and S_I's unit top
+        # eigenvector v >= 0 with v^T S_I v (filled by objective.within_top)
         self._within_sym: dict[int, np.ndarray | None] = {}
         self._within_top: dict[int, tuple[np.ndarray, float]] = {}
 
@@ -181,14 +181,14 @@ class Hyperparameters:
     gamma2: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.rank, numbers.Integral) and self.rank >= 1):
+        if not (_is_a(self.rank, numbers.Integral) and self.rank >= 1):
             raise ValueError(f"rank must be a positive integer, got "
                              f"{self.rank!r}")
         # a NumPy integer becomes an int, which model.json can hold
         object.__setattr__(self, "rank", int(self.rank))
         for name in ("lambda1", "lambda2", "gamma1", "gamma2"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+            if not (_is_a(value, numbers.Real) and 0 <= value < math.inf):
                 raise ValueError(f"{name} must be a nonnegative finite "
                                  f"number, got {value!r}")
 
@@ -198,16 +198,12 @@ class Factorization:
 
     def __init__(self, W: np.ndarray, H: Sequence[np.ndarray]):
         W = _as_matrix(W, "W")
-        if np.any(W < 0):
-            raise ValueError("W has negative entries")
         r = W.shape[1]
         mats = []
         for i, h in enumerate(H):
             arr = _as_matrix(h, f"H[{i}]")
             if arr.shape[0] != r:
                 raise ValueError(f"H[{i}] row count {arr.shape[0]} != rank {r}")
-            if np.any(arr < 0):
-                raise ValueError(f"H[{i}] has negative entries")
             mats.append(arr)
         self.W = W
         self.H = list(mats)
@@ -239,13 +235,13 @@ class SolverConfig:
                                    ("inner_iters", 1, "positive"),
                                    ("seed", 0, "nonnegative")):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= lowest):
+            if not (_is_a(value, numbers.Integral) and value >= lowest):
                 raise ValueError(f"{name} must be a {what} integer, got "
                                  f"{value!r}")
             setattr(self, name, int(value))
         for name in ("tolerance", "inner_tol", "inner_tol_rel"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+            if not (_is_a(value, numbers.Real) and 0 <= value < math.inf):
                 raise ValueError(f"{name} must be a nonnegative finite "
                                  f"number, got {value!r}")
         if self.tolerance == 0:

@@ -59,7 +59,8 @@ FIT_FLOOR = 1e-4
 # takes 11-24 iterations and 1-5 ms, and its quotient comes within 4e-4
 # relative of lambda_max(B) (dense eigvalsh: about 25 ms)
 _CURVATURE_TOL = 1e-4
-_CURVATURE_MAX_ITER = 1000
+_NORM_TOL = 1e-8  # ``spectral_norm``'s and ``within_top``'s stop
+_POWER_MAX_ITER = 1000
 
 
 def _check_shapes(problem: Problem, factors: Factorization) -> None:
@@ -113,12 +114,16 @@ def view_products(views: Sequence[np.ndarray],
 
 
 def objective_value(problem: Problem, factors: Factorization,
-                    grams: Grams | None = None) -> float:
-    """F at ``factors``; ``grams`` supplies hxt, formed here when None."""
+                    grams: Grams | None = None,
+                    penalty: float | None = None) -> float:
+    """F at ``factors``; ``grams`` supplies hxt and ``penalty`` F's
+    ``penalty_value``, each formed here when None."""
     _check_shapes(problem, factors)
     hxt = (view_products(problem.dataset.views, factors.H) if grams is None
            else grams.hxt)
-    return _fit(problem, factors, hxt) + penalty_value(problem, factors)
+    if penalty is None:
+        penalty = penalty_value(problem, factors)
+    return _fit(problem, factors, hxt) + penalty
 
 
 def _fit(problem: Problem, factors: Factorization, hxt: np.ndarray) -> float:
@@ -194,26 +199,35 @@ def projected_gradient_norm(problem: Problem, factors: Factorization,
     return float(np.linalg.norm(norms))
 
 
-def _power_iteration(mat: np.ndarray, tol: float = 1e-8,
-                     max_iter: int = 1000) -> tuple[float, np.ndarray]:
-    """Largest absolute eigenvalue of a symmetric matrix and a unit vector
-    that the power iteration reached for it."""
-    n = mat.shape[0]
-    v = np.ones(n) + 1e-3 * np.arange(n)  # deterministic, not an eigvector
-    if n == 0:
+def _top_eigenpair(times: Callable[[np.ndarray], np.ndarray], n: int,
+                   tol: float) -> tuple[float, np.ndarray]:
+    """lambda, a lower bound on lambda_max of the nonnegative symmetric
+    n x n operator ``times`` (x -> A x), and the unit vector v >= 0 whose
+    Rayleigh quotient it is.
+
+    The power iteration runs on A + sigma I, with sigma the quotient at
+    the uniform start, so that a bipartite A (a chain, tree or star
+    without self-loops, whose -lambda_max pairs with lambda_max)
+    converges too.  Each iteration takes one product with A and keeps
+    v >= 0; it stops once the quotient moves by at most ``tol``
+    relative.  A zero operator gives (0, the uniform vector) and n = 0
+    gives (0, an empty vector).
+    """
+    if not n:
+        return 0.0, np.zeros(0)
+    v = np.full(n, 1.0 / math.sqrt(n))
+    av = times(v)
+    lam = sigma = float(v @ av)
+    if lam <= 0:  # A >= 0 and v > 0, so A is 0
         return 0.0, v
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = mat @ v
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 0.0, v
-        v_new = w / norm
-        lam_new = float(abs(v_new @ (mat @ v_new)))
-        if abs(lam_new - lam) <= tol * max(1.0, lam_new):
-            return lam_new, v_new
-        v, lam = v_new, lam_new
+    for _ in range(_POWER_MAX_ITER):
+        av += sigma * v
+        v = av / np.linalg.norm(av)
+        av = times(v)
+        lam_new = float(v @ av)
+        if abs(lam_new - lam) <= tol * lam_new:
+            return lam_new, v
+        lam = lam_new
     return lam, v
 
 
@@ -229,20 +243,15 @@ def network_curvature(problem: Problem) -> tuple[float, np.ndarray]:
     t v, F changes by t^2 (gamma2 - v^T B v / 2) plus a term linear in t,
     so lambda > 2 gamma2 proves F unbounded below, whatever the tolerance.
 
-    The power iteration runs on B + sigma I by blocks, with sigma the
-    quotient at the uniform start, so that a bipartite B (lambda1 = 0)
-    converges too; it stops once the quotient moves by at most
-    ``_CURVATURE_TOL`` relative.  Without networks under a positive
-    weight it returns (0, the uniform vector) at once.
+    ``_top_eigenpair`` runs on B by blocks to the relative tolerance
+    ``_CURVATURE_TOL``.  Without networks under a positive weight B is
+    0, and it returns (0, the uniform vector).
     """
     p, cons = problem.params, problem.constraints
     within = {i: s for i in range(problem.n_views)
               if p.lambda1 and (s := cons.within_sym(i)) is not None}
     between = cons.between if p.lambda2 else {}
     cuts = np.cumsum((0,) + problem.n)
-    v = np.full(cuts[-1], 1.0 / math.sqrt(cuts[-1]))
-    if not (within or between):
-        return 0.0, v
 
     def times_b(x: np.ndarray) -> np.ndarray:
         parts = [x[a:b] for a, b in zip(cuts, cuts[1:])]
@@ -255,40 +264,21 @@ def network_curvature(problem: Problem) -> tuple[float, np.ndarray]:
             outs[j] += p.lambda2 * (parts[i] @ r)
         return out
 
-    bv = times_b(v)
-    lam = sigma = float(v @ bv)
-    if lam <= 0:  # every network under a positive weight is 0
-        return 0.0, v
-    for _ in range(_CURVATURE_MAX_ITER):
-        bv += sigma * v
-        v = bv / np.linalg.norm(bv)
-        bv = times_b(v)
-        lam_new = float(v @ bv)
-        if abs(lam_new - lam) <= _CURVATURE_TOL * lam_new:
-            return lam_new, v
-        lam = lam_new
-    return lam, v
+    return _top_eigenpair(times_b, int(cuts[-1]), _CURVATURE_TOL)
 
 
-def spectral_norm(mat: np.ndarray, tol: float = 1e-8,
-                  max_iter: int = 1000) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix by power iteration."""
-    return _power_iteration(mat, tol, max_iter)[0]
-
-
-def _lambda_max(mat: np.ndarray) -> float:
-    """Largest eigenvalue of a small symmetric matrix."""
-    return float(np.linalg.eigvalsh(mat)[-1])
+def spectral_norm(mat: np.ndarray, tol: float = _NORM_TOL) -> float:
+    """||A||_2 of a nonnegative symmetric matrix, which is its largest
+    eigenvalue, by ``_top_eigenpair`` to the relative tolerance ``tol``."""
+    return _top_eigenpair(lambda x: mat @ x, mat.shape[0], tol)[0]
 
 
 def within_top(problem: Problem, view: int) -> tuple[np.ndarray, float]:
-    """v, the absolute value of S_I's unit top eigenvector, and v^T S_I v,
-    computed once per constraint set and view.
+    """S_I's unit top eigenvector v >= 0 and v^T S_I v, computed once per
+    constraint set and view by ``_top_eigenpair``.
 
-    Constraint matrices are nonnegative, so the power iteration's iterates
-    stay nonnegative: v is its last iterate, and v^T S_I v is bit for bit
-    ``spectral_norm(S_I)``, the ||S_I||_2 of Ne's step size.  Any v >= 0
-    gives the H_I block the curvature
+    v^T S_I v is bit for bit ``spectral_norm(S_I)``, the ||S_I||_2 of
+    Ne's step size.  Any v >= 0 gives the H_I block the curvature
     2 (M_kk + tau) ||v||^2 - lambda1 v^T S_I v along e_k v^T, a direction
     that keeps H_I nonnegative; this v makes the second term about as
     large as it can be, lambda1 ||S_I||_2.
@@ -296,8 +286,8 @@ def within_top(problem: Problem, view: int) -> tuple[np.ndarray, float]:
     cons = problem.constraints
     if view not in cons._within_top:
         s = cons.within_sym(view)
-        v = np.abs(_power_iteration(s)[1])
-        cons._within_top[view] = (v, float(v @ (s @ v)))
+        lam, v = _top_eigenpair(lambda x: s @ x, s.shape[0], _NORM_TOL)
+        cons._within_top[view] = (v, lam)
     return cons._within_top[view]
 
 
@@ -356,7 +346,7 @@ class QuadSubproblem:
 
     def lipschitz(self) -> float:
         m, s, lam1, tau = self.hess_mats
-        lip = 2.0 * (_lambda_max(m) + tau)
+        lip = 2.0 * (float(np.linalg.eigvalsh(m)[-1]) + tau)
         if s is not None and lam1:
             lip += lam1 * self.s_norm()
         return lip

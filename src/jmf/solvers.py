@@ -60,7 +60,6 @@ _EXTRAP_SHRINK = 1.5  # a rise: ceiling <- beta, beta <- beta / 1.5
 class StopState:
     """Per-solve bookkeeping for the two stopping rules."""
 
-    initial_objective: float
     initial_gradient_norm: float | None = None
     window: deque = field(default_factory=lambda: deque(maxlen=10))
 
@@ -508,7 +507,7 @@ def _check_bounded(problem: Problem, q: QuadSubproblem, view: int,
     """Raise ``DivergenceError`` when the H_I quadratic ``q`` falls without
     bound along a ray h + t e_k v^T, t >= 0, which stays nonnegative.
 
-    v >= 0 is the absolute top eigenvector of S_I (``within_top``),
+    v >= 0 is the unit top eigenvector of S_I (``within_top``),
     with ||v|| = 1.  Along the ray q has the curvature
     2 (M_kk + tau) - lambda1 v^T S_I v and, at t = 0, the slope
     <grad q(h), e_k v^T>; when both are negative q falls for every t.  A
@@ -528,7 +527,7 @@ def _check_bounded(problem: Problem, q: QuadSubproblem, view: int,
     if slope < 0:
         raise DivergenceError(
             f"view {view}'s H block is unbounded below along e_{k} v^T, v "
-            f"the absolute top eigenvector of S_{view}: its curvature "
+            f"the top eigenvector of S_{view}: its curvature "
             f"2 (M_kk + tau) ||v||^2 - lambda1 v^T S v = {own[k]:.6g} - "
             f"{network:.6g} is negative at k = {k}, and so is its slope "
             f"{slope:.6g}", unbounded=True)
@@ -713,15 +712,15 @@ def _outer_step(problem: Problem, config: SolverConfig, start: Factorization,
         cuts = np.cumsum([h.shape[1] for h in start.H])[:-1]
         start.H = [np.ascontiguousarray(h) for h in np.split(x, cuts, axis=1)]
         exhausted += flag
-    penalty = penalty_value(problem, start)
+    penalty = scaled = penalty_value(problem, start)
     if config.normalize_rows:
         norms = _rescale(start.W, start.H)
         for w in wtx:
             w /= norms[:, None]
+        scaled = penalty_value(problem, start)
     grams = Grams(view_products(problem.dataset.views, start.H), wtx)
-    f = objective_value(problem, start, grams)
-    return _Step(start, grams, f, f - penalty_value(problem, start) + penalty,
-                 exhausted)
+    f = objective_value(problem, start, grams, scaled)
+    return _Step(start, grams, f, f - scaled + penalty, exhausted)
 
 
 def _extrapolated(views, factors: Factorization, hxt: np.ndarray,
@@ -799,7 +798,7 @@ def solve(problem: Problem, config: SolverConfig,
                 f"2 gamma2 = {2.0 * gamma2:.6g})", trace, unbounded=True)
 
     check_sign(f_init, "at the start", [])
-    state = StopState(initial_objective=f_init)
+    state = StopState()
 
     trace: list[TracePoint] = []
     termination = Termination.MAX_ITERS

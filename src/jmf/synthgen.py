@@ -14,16 +14,11 @@ _BERNOULLI_RETRIES = 100
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Which benchmark to build, its noise level and seed.
-
-    ``coph`` overrides replace a dataset's default block overlaps; the list
-    order is (W0, H01, H02, H03) with None keeping the default.
-    """
+    """Which benchmark to build, its noise level and seed."""
 
     dataset_id: str
     mu: float | None = None
     seed: int = 0
-    coph: tuple | None = None
 
     def __post_init__(self):
         if self.dataset_id not in ("D1", "D2", "D3", "D4"):
@@ -130,25 +125,20 @@ def generate(spec: SyntheticSpec) -> GroundTruth:
     """
     rng = np.random.default_rng(spec.seed)
     meta = {"dataset": spec.dataset_id, "seed": spec.seed, "mu": spec.noise}
-    coph = spec.coph or (None, None, None, None)
-
-    def pick(default: int, slot: int) -> int:
-        return default if coph[slot] is None else int(coph[slot])
-
     did = spec.dataset_id
     if did == "D1":
-        w0 = _block_rows(4, 45, 10, pick(0, 0)).T
-        h0 = [_block_rows(4, 130, 30, pick(0, 1)),
-              _block_rows(4, 170, 40, pick(0, 2), skip={4}),
-              _block_rows(4, 215, 50, pick(0, 3), skip={3})]
+        w0 = _block_rows(4, 45, 10, 0).T
+        h0 = [_block_rows(4, 130, 30, 0),
+              _block_rows(4, 170, 40, 0, skip={4}),
+              _block_rows(4, 215, 50, 0, skip={3})]
     elif did == "D2":
         w0, stuck = _bernoulli(rng, (1000, 10), 1.0 / 10.0)
         meta["all_zero_rows"] = stuck
-        h0 = [_block_rows(10, 200, 20, pick(0, 1)),
-              _block_rows(10, 300, 30, pick(5, 2)),
-              _block_rows(10, 500, 50, pick(10, 3))]
+        h0 = [_block_rows(10, 200, 20, 0),
+              _block_rows(10, 300, 30, 5),
+              _block_rows(10, 500, 50, 10)]
     elif did == "D3":
-        w0 = _block_rows(20, 2000, 100, pick(15, 0)).T
+        w0 = _block_rows(20, 2000, 100, 15).T
         h0 = []
         stuck_total = 0
         for n_i in (200, 150, 300):
@@ -157,10 +147,10 @@ def generate(spec: SyntheticSpec) -> GroundTruth:
             stuck_total += stuck
         meta["all_zero_rows"] = stuck_total
     else:  # D4
-        w0 = _block_rows(5, 500, 100, pick(0, 0)).T
-        h0 = [_block_rows(5, 1200, 240, pick(0, 1)),
-              _block_rows(5, 1300, 260, pick(0, 2)),
-              _block_rows(5, 2000, 400, pick(0, 3))]
+        w0 = _block_rows(5, 500, 100, 0).T
+        h0 = [_block_rows(5, 1200, 240, 0),
+              _block_rows(5, 1300, 260, 0),
+              _block_rows(5, 2000, 400, 0)]
 
     mu = spec.noise
     x0 = []

@@ -308,13 +308,13 @@ def test_criterion_11_stop_rule_truth_table(capsys):
         ("objective small step",
          check_stop_objective(49.001, 49.0, 100.0, 1e-3)),
     ]
-    s = StopState(initial_objective=1.0)
+    s = StopState()
     checks.append(("gradient first iteration",
                    _gradient_stop_reason(s, 5.0, 0.5) is None))
-    s2 = StopState(initial_objective=1.0, initial_gradient_norm=10.0)
+    s2 = StopState(initial_gradient_norm=10.0)
     checks.append(("gradient exact zero",
                    _gradient_stop_reason(s2, 0.0, 1e-9) is not None))
-    s3 = StopState(initial_objective=1.0, initial_gradient_norm=10.0)
+    s3 = StopState(initial_gradient_norm=10.0)
     window_hits = [_gradient_stop_reason(s3, g, 1e-4) is not None
                    for g in [5.0] * 9 + [5.0000001]]
     checks.append(("gradient slow-change window",

@@ -139,7 +139,8 @@ def grid_config(tmp_path, solver, seeds, **grid):
     return path
 
 
-def test_solve_summary_and_traces(tmp_path):
+def test_solve_summary_and_traces(tmp_path, monkeypatch):
+    monkeypatch.setenv("JMF_THREADS", "1")
     cfg = solve_config(
         tmp_path,
         [{"algorithm": "Ne", "stop_rule": "ObjectiveRatio",
@@ -148,7 +149,7 @@ def test_solve_summary_and_traces(tmp_path):
           "tolerance": 1e-4, "max_outer_iters": 150}],
         seeds=[0, 1])
     out = tmp_path / "out"
-    assert run(["solve", "--config", cfg, "--out", out, "--serial"]) == 0
+    assert run(["solve", "--config", cfg, "--out", out]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert len(summary) == 2
     assert all(entry["runs"] == 2 for entry in summary)
@@ -173,8 +174,9 @@ def test_solve_parallel_matches_serial(tmp_path, monkeypatch):
           "tolerance": 1e-3, "max_outer_iters": 60}],
         seeds=[0, 1, 2])
     serial_out, par_out = tmp_path / "s", tmp_path / "p"
-    assert run(["solve", "--config", cfg, "--out", serial_out,
-                "--serial"]) == 0
+    monkeypatch.setenv("JMF_THREADS", "1")
+    assert run(["solve", "--config", cfg, "--out", serial_out]) == 0
+    monkeypatch.setenv("JMF_THREADS", "2")
     assert run(["solve", "--config", cfg, "--out", par_out]) == 0
     a = json.loads((serial_out / "summary.json").read_text())[0]
     b = json.loads((par_out / "summary.json").read_text())[0]
@@ -222,30 +224,51 @@ def test_runs_that_would_share_a_directory_exit_2_before_solving(
     # each run writes runs/<tag>_seed<s>, and the tag reads only the
     # algorithm, the stop rule and the tolerance
     calls = refuse_to_solve(monkeypatch)
+    monkeypatch.setenv("JMF_THREADS", "1")
     out = tmp_path / "out"
     cfg = solve_config(tmp_path, solvers, seeds=seeds)
-    assert run(["solve", "--config", cfg, "--out", out, "--serial"]) == 2
+    assert run(["solve", "--config", cfg, "--out", out]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not calls and not out.exists()
 
+@pytest.mark.parametrize("command", ["solve", "gridsearch"])
+@pytest.mark.parametrize("seed", [2.7, True], ids=["fraction", "true"])
+def test_a_json_seed_that_is_not_an_integer_exits_2_before_solving(
+        tmp_path, capsys, monkeypatch, seed, command):
+    # int() made 2.7 seed 2 and true seed 1
+    calls = refuse_to_solve(monkeypatch)
+    monkeypatch.setenv("JMF_THREADS", "1")
+    out = tmp_path / "out"
+    entry = {"algorithm": "PG", "max_outer_iters": 1}
+    cfg = (solve_config(tmp_path, [entry], seeds=[0, seed])
+           if command == "solve"
+           else grid_config(tmp_path, entry, seeds=[0, seed]))
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    assert (f"error: seed must be a nonnegative integer, got {seed!r}"
+            in capsys.readouterr().err)
+    assert not calls and not out.exists()
+
+
 def test_run_all_keeps_the_weight_free_caches(monkeypatch):
     # S_I and ||S_I||_2 do not depend on the weights, so the serial runs
-    # of two cells x two seeds run each view's power iteration once
+    # of two cells x two seeds run each view's power iteration once; the
+    # network curvature, on B over all 11 columns, runs once per solve
     calls = []
-    power = jmf.objective._power_iteration
+    power = jmf.objective._top_eigenpair
 
-    def counted(mat, *args):
-        calls.append(mat.shape)
-        return power(mat, *args)
+    def counted(times, n, tol):
+        calls.append(n)
+        return power(times, n, tol)
 
-    monkeypatch.setattr(jmf.objective, "_power_iteration", counted)
+    monkeypatch.setattr(jmf.objective, "_top_eigenpair", counted)
+    monkeypatch.setenv("JMF_THREADS", "1")
     problem = make_problem(seed=3, m=8, n=(5, 6), r=2)
     tasks = [(Hyperparameters(rank=2, lambda1=l1, lambda2=1e-3),
               SolverConfig(algorithm="Ne", max_outer_iters=3, seed=s))
              for l1 in (1e-3, 1e-2) for s in (0, 1)]
-    results = list(run_all(problem, None, tasks, serial=True))
+    results = list(run_all(problem, None, tasks))
     assert [r.config.seed for r in results] == [0, 1, 0, 1]
-    assert calls == [(5, 5), (6, 6)]
+    assert sorted(calls) == [5, 6, 11, 11, 11, 11]
 
 
 @pytest.mark.parametrize("command", ["solve", "gridsearch"])
@@ -258,14 +281,15 @@ def test_solve_rejects_mur_gradient_rule(tmp_path, capsys, command):
     assert "objective-ratio" in capsys.readouterr().err
 
 
-def test_solve_all_diverged_exit_1(tmp_path):
+def test_solve_all_diverged_exit_1(tmp_path, monkeypatch):
+    monkeypatch.setenv("JMF_THREADS", "1")
     cfg = solve_config(
         tmp_path,
         [{"algorithm": "Ne", "stop_rule": "ObjectiveRatio",
           "tolerance": 1e-4, "max_outer_iters": 300}],
         seeds=[0, 1], constraints=True, lambda1=100.0, lambda2=100.0)
     out = tmp_path / "out"
-    assert run(["solve", "--config", cfg, "--out", out, "--serial"]) == 1
+    assert run(["solve", "--config", cfg, "--out", out]) == 1
     runs = sorted(p.name for p in (out / "runs").iterdir())
     # each marker holds its solve's DivergenceError message
     for r in runs:
@@ -276,13 +300,14 @@ def test_solve_all_diverged_exit_1(tmp_path):
     assert summary[0]["diverged"] == summary[0]["unbounded"] == 2
 
 
-def test_readme_experiment_config_solves(tmp_path):
+def test_readme_experiment_config_solves(tmp_path, monkeypatch):
+    monkeypatch.setenv("JMF_THREADS", "1")
     readme = Path(__file__).resolve().parent.parent / "README.md"
     (block,) = re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
     path = tmp_path / "experiment.json"
     path.write_text(block)
     out = tmp_path / "out"
-    assert run(["solve", "--config", path, "--out", out, "--serial"]) == 0
+    assert run(["solve", "--config", path, "--out", out]) == 0
     (entry,) = json.loads((out / "summary.json").read_text())
     assert entry["diverged"] == 0 and "mean_auc" in entry
 
@@ -303,6 +328,7 @@ def refuse_to_solve(monkeypatch) -> list:
 def test_a_rank_other_than_the_planted_one_exits_2_before_solving(
         tmp_path, capsys, monkeypatch, command):
     calls = refuse_to_solve(monkeypatch)
+    monkeypatch.setenv("JMF_THREADS", "1")
     entry = {"algorithm": "PG", "max_outer_iters": 1}
     path = (solve_config(tmp_path, [entry], seeds=[0]) if command == "solve"
             else grid_config(tmp_path, entry, seeds=[0]))
@@ -310,8 +336,7 @@ def test_a_rank_other_than_the_planted_one_exits_2_before_solving(
     cfg["hyperparameters"]["rank"] = 10
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    assert run([command, "--config", path, "--out", out, *(
-        ["--serial"] if command == "solve" else [])]) == 2
+    assert run([command, "--config", path, "--out", out]) == 2
     assert ("error: rank 10 does not match the synthetic source's planted "
             "rank 4") in capsys.readouterr().err
     assert not calls and not out.exists()

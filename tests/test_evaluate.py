@@ -148,7 +148,9 @@ def test_evaluate_factors_perfect_recovery():
     result = evaluate_factors(fac, truth)
     assert result.auc == 1.0
     assert result.auc_w == 1.0
-    assert result.reconstruction_error == pytest.approx(0.0, abs=1e-12)
+    prob = new_problem(truth.to_dataset(), None,
+                       Hyperparameters(rank=truth.rank))
+    assert reconstruction_error(prob, fac) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_evaluate_factors_recovers_column_permutation():

@@ -119,8 +119,10 @@ def test_hyperparameters_reject_negative_weights():
     dict(rank=4.5), dict(rank="4"), dict(rank=np.float64(4)),
     dict(rank=2, gamma2="0.1"), dict(rank=2, lambda2=float("nan")),
     dict(rank=2, gamma1=float("inf")), dict(rank=2, lambda1=None),
+    dict(rank=True), dict(rank=2, lambda1=True),
 ], ids=["fractional-rank", "string-rank", "float-rank", "string-weight",
-        "nan-weight", "infinite-weight", "none-weight"])
+        "nan-weight", "infinite-weight", "none-weight", "bool-rank",
+        "bool-weight"])
 def test_hyperparameters_reject_a_rank_or_weight_of_the_wrong_kind(fields):
     with pytest.raises(ValueError, match="must be a"):
         Hyperparameters(**fields)
@@ -137,11 +139,12 @@ def test_hyperparameters_take_numpy_numbers():
     dict(tolerance="1e-7"), dict(tolerance=0.0), dict(tolerance=float("inf")),
     dict(inner_tol=float("nan")), dict(inner_tol_rel=-0.1),
     dict(max_outer_iters=2.5), dict(inner_iters=0), dict(seed=-1),
-    dict(seed="0"), dict(normalize_rows="false"),
+    dict(seed="0"), dict(normalize_rows="false"), dict(tolerance=True),
+    dict(max_outer_iters=True), dict(seed=True),
 ], ids=["string-tolerance", "zero-tolerance", "infinite-tolerance",
         "nan-inner-tol", "negative-inner-tol-rel", "fractional-cap",
         "zero-inner-iters", "negative-seed", "string-seed",
-        "string-normalize-rows"])
+        "string-normalize-rows", "bool-tolerance", "bool-cap", "bool-seed"])
 def test_solver_config_rejects_a_setting_of_the_wrong_kind(fields):
     with pytest.raises(ValueError, match="must be"):
         SolverConfig(**fields)

@@ -381,32 +381,83 @@ def test_projected_gradient_norm_never_computes_spectral_norms(monkeypatch):
     assert calls == []
 
 
+# ``_top_eigenpair``'s operator size tells its callers apart: n_I for
+# S_I's (``within_top``), sum_I n_I for B's (``network_curvature``, once
+# per solve).
+
 def test_ne_computes_each_within_norm_once(monkeypatch):
     # Ne's ||S_I||_2 and the boundedness check read one cached power
     # iteration per view (``within_top``)
-    calls = counted_calls(monkeypatch, "_power_iteration")
+    calls = counted_calls(monkeypatch, "_top_eigenpair")
     prob = networked_problem()
     cfg = SolverConfig(algorithm="Ne", max_outer_iters=5)
     _, report = solve(prob, cfg, random_factors(prob, seed=4))
     assert report.iterations > 1
     # one power iteration per view's summed within-constraints, then cached
-    assert sorted(mat.shape for mat, *_ in calls) == sorted(
-        (ni, ni) for ni in prob.n)
+    assert sorted(n for _, n, _ in calls) == sorted(
+        prob.n + (sum(prob.n),))
 
 
 def test_problems_on_one_constraint_set_share_its_power_iterations(
         monkeypatch):
     # a grid search builds one problem per weight cell on one constraint
     # set; S_I's power iteration still runs once per view
-    calls = counted_calls(monkeypatch, "_power_iteration")
+    calls = counted_calls(monkeypatch, "_top_eigenpair")
     base = networked_problem()
     for lambda1 in (0.05, 0.01):
         prob = new_problem(base.dataset, base.constraints,
                            replace(base.params, lambda1=lambda1))
         cfg = SolverConfig(algorithm="Ne", max_outer_iters=3)
         solve(prob, cfg, random_factors(prob, seed=4))
-    assert sorted(mat.shape for mat, *_ in calls) == sorted(
-        (ni, ni) for ni in base.n)
+    assert sorted(n for _, n, _ in calls) == sorted(
+        base.n + (sum(base.n),) * 2)
+
+
+def star_or_path(kind: str, n: int) -> np.ndarray:
+    """One direction of each edge of an n-node star (node 0 at the centre)
+    or path, so that Theta + Theta^T is the network's adjacency matrix."""
+    theta = np.zeros((n, n))
+    for k in range(1, n):
+        theta[0 if kind == "star" else k - 1, k] = 1.0
+    return theta
+
+
+@pytest.mark.parametrize("kind, n", [("path", 3), ("star", 5)])
+def test_bipartite_networks_get_their_top_eigenpair(kind, n):
+    # a path or star has -lambda_max beside lambda_max, so an unshifted
+    # power iteration from a vector with both components never settles:
+    # it read 1.3333 for the 3-node path's sqrt(2), 1.598 for the star's 2
+    prob = new_problem(MultiViewDataset([np.ones((2, n))]),
+                       ConstraintSet(within={0: [star_or_path(kind, n)]}),
+                       Hyperparameters(rank=1, lambda1=1.0))
+    s = prob.constraints.within_sym(0)
+    top = np.linalg.eigvalsh(s)[-1]
+    assert spectral_norm(s) == pytest.approx(top, rel=1e-6)
+    v, vsv = within_top(prob, 0)
+    assert vsv == pytest.approx(top, rel=1e-6)
+    assert np.all(v >= 0) and np.linalg.norm(v) == pytest.approx(1.0)
+
+
+def test_ne_step_size_covers_a_star_network():
+    # 1/L is Ne's step, so L must not fall below the block's curvature:
+    # on a star, 2 lambda_max(M) + lambda1 ||S||_2 is the dense Hessian's
+    # top eigenvalue, which the unshifted iteration put at 59.50 of 59.93
+    rng = np.random.default_rng(0)
+    prob = new_problem(MultiViewDataset([rng.random((30, 40))]),
+                       ConstraintSet(within={0: [star_or_path("star", 40)]}),
+                       Hyperparameters(rank=3, lambda1=0.05, gamma2=1.0))
+    fac = random_factors(prob, seed=1)
+    q = h_subproblem(prob, fac.W, fac.H, 0)
+    hess = dense_hessian_H(fac.W, prob.constraints.within_sym(0), 0.05, 1.0,
+                           0.0, 40)
+    assert q.lipschitz() >= np.linalg.eigvalsh(hess)[-1] * (1 - 1e-6)
+
+
+@pytest.mark.parametrize("mat", [np.zeros((0, 0)), np.zeros((3, 3))],
+                         ids=["empty", "zero"])
+def test_spectral_norm_of_an_empty_or_zero_matrix_is_zero(mat):
+    # with no warning, which the suite's filterwarnings would raise
+    assert spectral_norm(mat) == 0.0
 
 
 def test_within_top_is_bitwise_the_spectral_norm_on_d1():

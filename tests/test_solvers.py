@@ -57,24 +57,24 @@ def test_stop_objective_increase_with_net_progress_continues():
 
 
 def test_stop_gradient_first_iteration_is_false():
-    state = StopState(initial_objective=100.0)
+    state = StopState()
     assert _gradient_stop_reason(state, 5.0, 0.5) is None
 
 
 def test_stop_gradient_zero_norm_is_true():
-    state = StopState(initial_objective=100.0, initial_gradient_norm=10.0)
+    state = StopState(initial_gradient_norm=10.0)
     assert _gradient_stop_reason(
         state, 0.0, 1e-9) is Termination.TOLERANCE_MET
 
 
 def test_stop_gradient_ratio_fires():
-    state = StopState(initial_objective=100.0, initial_gradient_norm=10.0)
+    state = StopState(initial_gradient_norm=10.0)
     assert _gradient_stop_reason(
         state, 1e-4, 1e-4) is Termination.TOLERANCE_MET
 
 
 def test_stop_gradient_slow_change_window_fires():
-    state = StopState(initial_objective=100.0, initial_gradient_norm=10.0)
+    state = StopState(initial_gradient_norm=10.0)
     norms = [5.0] * 9 + [5.0000001]
     results = [_gradient_stop_reason(state, g, 1e-4) for g in norms]
     assert results[:-1] == [None] * 9
@@ -83,7 +83,7 @@ def test_stop_gradient_slow_change_window_fires():
 
 
 def test_stop_gradient_window_does_not_fire_on_fast_change():
-    state = StopState(initial_objective=100.0, initial_gradient_norm=10.0)
+    state = StopState(initial_gradient_norm=10.0)
     norms = [5.0, 4.9, 4.8, 4.7, 4.6, 4.5, 4.4, 4.3, 4.2, 4.1]
     assert all(_gradient_stop_reason(state, g, 1e-4) is None for g in norms)
 

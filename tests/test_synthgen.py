@@ -184,6 +184,7 @@ def test_a_given_constraint_set_is_returned_as_is():
 def test_cli_solve_builds_networks_only_when_it_uses_them(
         tmp_path, monkeypatch, use_constraints, builds):
     calls = count_network_builds(monkeypatch)
+    monkeypatch.setenv("JMF_THREADS", "1")  # counted in this process
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
         "source": {"synthetic": {"dataset": "D1", "seed": 0}},
@@ -193,7 +194,7 @@ def test_cli_solve_builds_networks_only_when_it_uses_them(
         "seeds": [0],
     }))
     assert main(["solve", "--config", str(cfg), "--out",
-                 str(tmp_path / "out"), "--serial"]) == 0
+                 str(tmp_path / "out")]) == 0
     assert calls == builds
 
 
