@@ -5,6 +5,7 @@ import argparse
 import itertools
 import json
 import os
+import reprlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -185,8 +186,22 @@ def _check_keys(what: str, entry: dict, names, required=()) -> None:
         raise UsageError(f"{what}: {', '.join(bad)}")
 
 
+def _checked(value, kind: type, what: str):
+    """``value`` when it is a JSON object (``kind`` dict) or list (list),
+    else a ``UsageError`` naming ``what``."""
+    if not isinstance(value, kind):
+        what += f" must be a JSON {'object' if kind is dict else 'list'}"
+        raise UsageError(f"{what}, got {reprlib.repr(value)}")
+    return value
+
+
+def _read_config(path: str) -> dict:
+    return _checked(json.loads(Path(path).read_text()), dict, "the config")
+
+
 def _from_json(cls, entry: dict):
     """``cls`` from a JSON object whose keys are its field names."""
+    _checked(entry, dict, cls.__name__)
     _check_keys(cls.__name__, entry, [f.name for f in fields(cls)],
                 [f.name for f in fields(cls) if f.default is MISSING])
     return cls(**entry)
@@ -194,7 +209,8 @@ def _from_json(cls, entry: dict):
 
 def _solver_configs(entries: list[dict]) -> list[SolverConfig]:
     """Build and check the solver entries of an experiment config."""
-    configs = [_from_json(SolverConfig, entry) for entry in entries]
+    configs = [_from_json(SolverConfig, entry)
+               for entry in _checked(entries, list, "solvers")]
     if any(c.algorithm is Algorithm.MUR
            and c.stop_rule is StopRule.GRADIENT_RATIO for c in configs):
         raise UsageError("MUR runs only under the objective-ratio stop rule")
@@ -205,9 +221,9 @@ def _solver_configs(entries: list[dict]) -> list[SolverConfig]:
 # generate
 
 def cmd_generate(args) -> int:
+    spec = SyntheticSpec(dataset_id=args.dataset, mu=args.mu, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    spec = SyntheticSpec(dataset_id=args.dataset, mu=args.mu, seed=args.seed)
     truth = generate(spec)
     write_matrix(out / "W0.csv", truth.w0)
     manifest = {
@@ -232,17 +248,17 @@ def cmd_generate(args) -> int:
 
 def _load_source(cfg: dict):
     """Returns (dataset, constraints, ground_truth_or_None)."""
-    source = cfg.get("source") or {}
+    source = _checked(cfg.get("source") or {}, dict, "source")
     if "synthetic" in source:
-        syn = source["synthetic"]
+        syn = _checked(source["synthetic"], dict, "synthetic")
         spec = SyntheticSpec(dataset_id=syn["dataset"],
-                             mu=syn.get("mu"), seed=int(syn.get("seed", 0)))
+                             mu=syn.get("mu"), seed=syn.get("seed", 0))
         truth = generate(spec)
         constraints = (truth.constraints if cfg.get("use_constraints", True)
                        else ConstraintSet.empty())
         return truth.to_dataset(), constraints, truth
     if "files" in source:
-        files = source["files"]
+        files = _checked(source["files"], dict, "files")
         base = Path(files.get("base", "."))
         views = [read_matrix(base / p) for p in files["views"]]
         constraints = _read_constraints(base, files)
@@ -288,7 +304,7 @@ def load_model(model_dir: Path) -> TrainedModel:
                          f"H files' columns {[h.shape[1] for h in hs]}")
     config = SolverConfig(algorithm=meta.get("algorithm", "PANLS"),
                           stop_rule=meta.get("stop_rule", "ObjectiveRatio"),
-                          seed=int(meta.get("seed", 0)))
+                          seed=meta.get("seed", 0))
     model = TrainedModel(Factorization(w, hs),
                          _from_json(Hyperparameters, meta["hyperparameters"]),
                          _read_constraints(model_dir, meta), config)
@@ -299,13 +315,14 @@ def load_model(model_dir: Path) -> TrainedModel:
 
 
 def cmd_solve(args) -> int:
-    cfg = json.loads(Path(args.config).read_text())
+    cfg = _read_config(args.config)
     dataset, constraints, truth = _load_source(cfg)
     params = _from_json(Hyperparameters, cfg["hyperparameters"])
     _check_rank(truth, params.rank)
     problem = new_problem(dataset, constraints, params)
     seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
-             else [SolverConfig(seed=s).seed for s in cfg.get("seeds", [0])])
+             else [SolverConfig(seed=s).seed
+                   for s in _checked(cfg.get("seeds", [0]), list, "seeds")])
     if not cfg.get("solvers") or not seeds:
         raise UsageError("config needs at least one solver and one seed")
     configs = _solver_configs(cfg["solvers"])
@@ -366,16 +383,19 @@ def select_best(rows: list[dict], auc_tie: float = 1e-6) -> dict:
 
 
 def cmd_gridsearch(args) -> int:
-    cfg = json.loads(Path(args.config).read_text())
-    if "synthetic" not in (cfg.get("source") or {}):
+    cfg = _read_config(args.config)
+    if "synthetic" not in _checked(cfg.get("source") or {}, dict, "source"):
         raise UsageError("grid search needs a synthetic source (AUC oracle)")
-    _check_keys("grid", cfg.get("grid") or {}, DEFAULT_GRID)
-    seeds = [SolverConfig(seed=s).seed
-             for s in cfg.get("grid_seeds", [0, 1, 2])]
+    grid = _checked(cfg.get("grid") or {}, dict, "grid")
+    _check_keys("grid", grid, DEFAULT_GRID)
+    for key, axis in grid.items():
+        _checked(axis, list, f"grid axis {key!r}")
+    seeds = [SolverConfig(seed=s).seed for s in _checked(
+        cfg.get("grid_seeds", [0, 1, 2]), list, "grid_seeds")]
     if not seeds:
         raise UsageError("grid search needs at least one grid seed")
     dataset, constraints, truth = _load_source(cfg)
-    grid = {**DEFAULT_GRID, **(cfg.get("grid") or {})}
+    grid = {**DEFAULT_GRID, **grid}
     (config,) = _solver_configs([cfg.get("solver") or {"algorithm": "PANLS"}])
     # the grid sets the weights; the rank defaults to the planted one
     base = {"rank": truth.rank, **(cfg.get("hyperparameters") or {})}

@@ -47,6 +47,17 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _number(name: str, value, lowest: int | None = None):
+    """``value``, checked a finite number >= 0 or, given ``lowest``, an
+    integer >= ``lowest``, returned as an int; a bool is neither."""
+    kind = numbers.Real if lowest is None else numbers.Integral
+    if not (_is_a(value, kind) and (lowest or 0) <= value < math.inf):
+        what = ("nonnegative finite number" if lowest is None
+                else f"{('nonnegative', 'positive')[lowest]} integer")
+        raise ValueError(f"{name} must be a {what}, got {value!r}")
+    return value if lowest is None else int(value)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """A read-only row-major copy.  A transposed, column-permuted or
     pandas-backed input is column-major, and BLAS forms X H^T on a
@@ -181,16 +192,9 @@ class Hyperparameters:
     gamma2: float = 0.0
 
     def __post_init__(self):
-        if not (_is_a(self.rank, numbers.Integral) and self.rank >= 1):
-            raise ValueError(f"rank must be a positive integer, got "
-                             f"{self.rank!r}")
-        # a NumPy integer becomes an int, which model.json can hold
-        object.__setattr__(self, "rank", int(self.rank))
+        object.__setattr__(self, "rank", _number("rank", self.rank, 1))
         for name in ("lambda1", "lambda2", "gamma1", "gamma2"):
-            value = getattr(self, name)
-            if not (_is_a(value, numbers.Real) and 0 <= value < math.inf):
-                raise ValueError(f"{name} must be a nonnegative finite "
-                                 f"number, got {value!r}")
+            _number(name, getattr(self, name))
 
 
 class Factorization:
@@ -231,19 +235,11 @@ class SolverConfig:
     def __post_init__(self):
         self.algorithm = Algorithm(self.algorithm)
         self.stop_rule = StopRule(self.stop_rule)
-        for name, lowest, what in (("max_outer_iters", 1, "positive"),
-                                   ("inner_iters", 1, "positive"),
-                                   ("seed", 0, "nonnegative")):
-            value = getattr(self, name)
-            if not (_is_a(value, numbers.Integral) and value >= lowest):
-                raise ValueError(f"{name} must be a {what} integer, got "
-                                 f"{value!r}")
-            setattr(self, name, int(value))
+        for name, lowest in (("max_outer_iters", 1), ("inner_iters", 1),
+                             ("seed", 0)):
+            setattr(self, name, _number(name, getattr(self, name), lowest))
         for name in ("tolerance", "inner_tol", "inner_tol_rel"):
-            value = getattr(self, name)
-            if not (_is_a(value, numbers.Real) and 0 <= value < math.inf):
-                raise ValueError(f"{name} must be a nonnegative finite "
-                                 f"number, got {value!r}")
+            _number(name, getattr(self, name))
         if self.tolerance == 0:
             raise ValueError("tolerance must be positive")
         if not isinstance(self.normalize_rows, bool):

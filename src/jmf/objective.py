@@ -19,14 +19,15 @@ The gradients, Lipschitz constants and multiplicative updates in
 ``solvers`` read it.
 
 The only products with the views X_I that F and the block quadratics need
-are the two kept in a ``Grams`` record: hxt = sum_I H_I X_I^T (the W^T
-quadratic's linear term) and wtx[I] = W^T X_I (the H_I quadratic's).  A
-solve fills it once per outer iteration and reads F, the projected
-gradient and the next W build from it, so it forms 2 N products with the
-views per iteration instead of recomputing them for each reader.  A step
-redone from the plain iterate forms 2 N more.  A step started from an
-extrapolated iterate forms no full product more: its W build reads
-sum_I H_I X_I^T from the record of the two plain iterates before it and
+are hxt = sum_I H_I X_I^T (the W^T quadratic's linear term) and wtx[I] =
+W^T X_I (the H_I quadratic's), which ``objective_value`` and
+``projected_gradient_norm`` take as arrays (None: form them here).  A
+solve forms them once per outer step and reads F, the projected gradient
+and the next W build from them: 2 N products with the views per
+iteration, and only hxt outlives the step.  A step redone from the plain
+iterate forms 2 N more.  A step started from an extrapolated iterate
+forms no full product more: its W build reads sum_I H_I X_I^T from the
+records of the two plain iterates before it and
 a product with the columns of each X_I where the projection clipped an
 entry.  Those are not few: on D3 a median 18% (mean 26%) of the columns
 are clipped, and that product takes about 0.16 s of a 1.37 s solve.
@@ -85,26 +86,6 @@ def reconstruction_error(problem: Problem, factors: Factorization) -> float:
     return total
 
 
-@dataclass
-class Grams:
-    """Products with the views shared within one outer iteration.
-
-    ``hxt`` is sum_I H_I X_I^T for the current H and ``wtx[I]`` is W^T X_I
-    for the current W; each must be renewed when its factor changes.  A
-    solve renews ``hxt`` with N products for a plain H, and for an
-    extrapolated one from the ``hxt`` of the two plain H before it plus
-    the views' clipped columns (``solvers._extrapolated``).
-    """
-
-    hxt: np.ndarray
-    wtx: list[np.ndarray | None]
-
-    @classmethod
-    def of(cls, problem: Problem, factors: Factorization) -> "Grams":
-        return cls(view_products(problem.dataset.views, factors.H),
-                   [factors.W.T @ x for x in problem.dataset.views])
-
-
 def view_products(views: Sequence[np.ndarray],
                   H: Sequence[np.ndarray]) -> np.ndarray:
     """sum_I H_I X_I^T over the given views, r x m, the linear term of the
@@ -114,13 +95,13 @@ def view_products(views: Sequence[np.ndarray],
 
 
 def objective_value(problem: Problem, factors: Factorization,
-                    grams: Grams | None = None,
+                    hxt: np.ndarray | None = None,
                     penalty: float | None = None) -> float:
-    """F at ``factors``; ``grams`` supplies hxt and ``penalty`` F's
+    """F at ``factors``; ``hxt`` is sum_I H_I X_I^T and ``penalty`` F's
     ``penalty_value``, each formed here when None."""
     _check_shapes(problem, factors)
-    hxt = (view_products(problem.dataset.views, factors.H) if grams is None
-           else grams.hxt)
+    if hxt is None:
+        hxt = view_products(problem.dataset.views, factors.H)
     if penalty is None:
         penalty = penalty_value(problem, factors)
     return _fit(problem, factors, hxt) + penalty
@@ -182,19 +163,21 @@ def projected_norm(x: np.ndarray, g: np.ndarray,
 
 
 def projected_gradient_norm(problem: Problem, factors: Factorization,
-                            grams: Grams | None = None) -> float:
+                            hxt: np.ndarray | None = None,
+                            wtx: Sequence[np.ndarray] | None = None) -> float:
     """Frobenius norm of the projected gradients stacked over W and all H_I.
 
-    ``grams`` supplies the products with the views; None forms them here.
+    ``hxt`` is sum_I H_I X_I^T and ``wtx[I]`` is W^T X_I; each is formed
+    here when None.
     """
     _check_shapes(problem, factors)
-    if grams is None:
-        grams = Grams.of(problem, factors)
+    if wtx is None:
+        wtx = [factors.W.T @ x for x in problem.dataset.views]
     wt, hs = factors.W.T, factors.H
-    q = w_subproblem(problem, hs, hxt=grams.hxt)
+    q = w_subproblem(problem, hs, hxt=hxt)
     norms = [projected_norm(wt, q.grad(wt))]
-    for i, wtx in enumerate(grams.wtx):
-        q = h_subproblem(problem, factors.W, hs, i, wtx=wtx)
+    for i, x in enumerate(wtx):
+        q = h_subproblem(problem, factors.W, hs, i, wtx=x)
         norms.append(projected_norm(hs[i], q.grad(hs[i])))
     return float(np.linalg.norm(norms))
 
@@ -301,9 +284,11 @@ class QuadSubproblem:
     ``hess_mats`` is ``(M, S, lambda1, tau)``, the Hessian operator
     D -> 2 M D - lambda1 D S + 2 tau D, with M r x r and S k x k or None.
     H_I's block is H_I, with M = W^T W + gamma2 * ones, S the view's
-    summed symmetrized within-constraints and tau = tau2.  W's block is
-    W^T, which puts its quadratic in the same form: M = sum_I H_I H_I^T +
-    (gamma1 + tau1) I, S = None, lambda1 = 0 and tau = 0.
+    summed symmetrized within-constraints (None when lambda1 = 0 or the
+    view has none, so S alone says whether the within term acts) and
+    tau = tau2.  W's block is W^T, which puts its quadratic in the same
+    form: M = sum_I H_I H_I^T + (gamma1 + tau1) I, S = None, lambda1 = 0
+    and tau = 0.
 
     The doubled r x r matrix 2M is formed once when the subproblem is
     built and ``hess_apply`` multiplies by it, which saves a pass and a
@@ -329,7 +314,7 @@ class QuadSubproblem:
     def hess_apply(self, d: np.ndarray) -> np.ndarray:
         _, s, lam1, tau = self.hess_mats
         out = self._doubled @ d
-        if s is not None and lam1:
+        if s is not None:
             out -= lam1 * (d @ s)
         if tau:
             out += 2.0 * tau * d
@@ -347,7 +332,7 @@ class QuadSubproblem:
     def lipschitz(self) -> float:
         m, s, lam1, tau = self.hess_mats
         lip = 2.0 * (float(np.linalg.eigvalsh(m)[-1]) + tau)
-        if s is not None and lam1:
+        if s is not None:
             lip += lam1 * self.s_norm()
         return lip
 
@@ -398,5 +383,6 @@ def h_subproblem(problem: Problem, W: np.ndarray, H: list[np.ndarray],
         g0 -= p.lambda2 * c
     if tau2 and anchor is not None:
         g0 -= 2.0 * tau2 * anchor
-    return QuadSubproblem((m, cons.within_sym(view), p.lambda1, tau2), g0,
+    s = cons.within_sym(view) if p.lambda1 else None
+    return QuadSubproblem((m, s, p.lambda1, tau2), g0,
                           lambda: within_top(problem, view)[1])

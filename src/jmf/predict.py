@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import (Algorithm, ConstraintSet, Factorization, Hyperparameters,
-                    MultiViewDataset, SolverConfig)
+                    MultiViewDataset, SolverConfig, _as_matrix)
 from .objective import projected_norm, view_products
 from .solvers import _as_factor, _build_quad, _engine_step
 
@@ -33,22 +33,22 @@ def _as_view_map(model: TrainedModel, test, axis: int = 1
                  ) -> dict[int, np.ndarray]:
     """The test views by index, checked against the model on ``axis``, the
     one they share with training: columns (1) for JMF/L, where the views
-    must also agree on their rows, or rows (0) for JMF/R."""
+    must also agree on their rows, or rows (0) for JMF/R.  Each view is
+    checked 2-D, finite and nonnegative, as a training view is."""
     if isinstance(test, MultiViewDataset):
-        views = dict(enumerate(test.views))
-    elif isinstance(test, dict):
-        views = {int(k): np.asarray(v, dtype=float) for k, v in test.items()}
-    else:
-        views = dict(enumerate(np.asarray(v, dtype=float) for v in test))
+        test = test.views
+    views = {int(k): v for k, v in (
+        test.items() if isinstance(test, dict) else enumerate(test))}
     if not views:
         raise ValueError("no test views supplied")
-    for i, x in views.items():
+    for i in views:
         if not (0 <= i < len(model.factors.H)):
             raise ValueError(f"unknown view index {i}")
+        x = views[i] = _as_matrix(views[i], f"test view {i}")
         want = (model.factors.H[i] if axis else model.factors.W).shape[axis]
-        if x.ndim != 2 or x.shape[axis] != want:
+        if x.shape[axis] != want:
             raise ValueError(
-                f"test view {i} has {x.shape[axis] if x.ndim == 2 else '?'} "
+                f"test view {i} has {x.shape[axis]} "
                 f"{('rows', 'columns')[axis]}, expected {want}")
     if axis and len({x.shape[0] for x in views.values()}) != 1:
         raise ValueError("test views disagree on the row count")

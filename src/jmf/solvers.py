@@ -11,7 +11,7 @@ import numpy as np
 from .model import (Algorithm, DivergenceError, Factorization, Problem,
                     SolverConfig, SolverReport, StopRule, Termination,
                     TracePoint)
-from .objective import (Grams, QuadSubproblem, _fit, h_subproblem,
+from .objective import (QuadSubproblem, _fit, h_subproblem,
                         network_curvature, objective_value, penalty_value,
                         projected_gradient_norm, projected_norm,
                         view_products, w_subproblem, within_top)
@@ -117,7 +117,7 @@ def _mur_ratio(q: QuadSubproblem, x: np.ndarray, half_neg_g0: np.ndarray,
     np.matmul(m, x, out=work)
     np.maximum(work, _EPS, out=work)
     num = half_neg_g0
-    if lam1 and s is not None:
+    if s is not None:
         num = np.matmul(x, s, out=out)
         num *= 0.5 * lam1
         num += half_neg_g0
@@ -515,7 +515,7 @@ def _check_bounded(problem: Problem, q: QuadSubproblem, view: int,
     sit beside a local minimum of the block, which the engines find.
     """
     m, s, lam1, tau = q.hess_mats
-    if s is None or not lam1:
+    if s is None:
         return
     v, vsv = within_top(problem, view)
     own = 2.0 * (np.diag(m) + tau)
@@ -577,8 +577,8 @@ def panls_subproblem(q: QuadSubproblem, x0: np.ndarray,
     ``_panls_minimize``, the paper's PG and active-set CG phases, to its
     inner tolerance.
     """
-    m, s, lam1, tau = q.hess_mats
-    if s is not None and lam1:
+    m, s, _, tau = q.hess_mats
+    if s is not None:
         return _panls_minimize(q, x0, config)
     try:
         x, solved = _nnls_bpp(2.0 * (m + tau * np.eye(len(m))), -q.g0, x0)
@@ -679,17 +679,19 @@ class _Step:
     """The record of one attempted outer step."""
 
     factors: Factorization
-    grams: Grams
+    hxt: np.ndarray  # sum_I H_I X_I^T, which the next W build reads
     f: float  # F after the rescale
     f_unscaled: float  # F before it: the rescale changes only the penalty
     exhausted: int  # block solves whose step-size search ran out
+    g: float  # the projected-gradient norm
 
 
 def _outer_step(problem: Problem, config: SolverConfig, start: Factorization,
                 hxt: np.ndarray, curvature: float) -> _Step:
     """One outer step, in place on ``start`` (sum_I H_I X_I^T = ``hxt``):
     W's update, ``_check_sweep``'s refusal of an H sweep that ``curvature``
-    leaves uncertified, each H_I's update, the rescale and F.
+    leaves uncertified, each H_I's update, the rescale, F and the
+    projected-gradient norm, which reads the H builds' W^T X_I.
 
     ``_uncoupled`` H_I blocks share M + tau I, so one ``panls_subproblem``
     call solves their quadratics stacked column-wise: the same update as
@@ -718,9 +720,10 @@ def _outer_step(problem: Problem, config: SolverConfig, start: Factorization,
         for w in wtx:
             w /= norms[:, None]
         scaled = penalty_value(problem, start)
-    grams = Grams(view_products(problem.dataset.views, start.H), wtx)
-    f = objective_value(problem, start, grams, scaled)
-    return _Step(start, grams, f, f - scaled + penalty, exhausted)
+    hxt = view_products(problem.dataset.views, start.H)
+    f = objective_value(problem, start, hxt, scaled)
+    return _Step(start, hxt, f, f - scaled + penalty, exhausted,
+                 projected_gradient_norm(problem, start, hxt, wtx))
 
 
 def _extrapolated(views, factors: Factorization, hxt: np.ndarray,
@@ -752,14 +755,15 @@ def solve(problem: Problem, config: SolverConfig,
     """Alternate W and H updates until a stop rule or the iteration cap.
 
     Each outer iteration keeps the ``_Step`` record of one
-    ``_outer_step``: the swept and rescaled factors, their ``Grams`` (the
-    2 N products with the views that F, the projected gradient and the
-    next W build read), F after and before the rescale, and the exhausted
-    searches.  PG, Ne and PANLS start each step after the first from the
-    extrapolated iterate max(0, X_k + beta (X_k - X_k-1)) of the last two
-    kept records (A. Ang and N. Gillis, Neural Computation 31(2), 2019),
-    whose sum H_I X_I^T ``_extrapolated`` forms from theirs and the views'
-    columns where the projection clipped an entry.  The beta rule here
+    ``_outer_step``: the swept and rescaled factors, their sum H_I X_I^T
+    (which the next W build reads), F after and before the rescale, the
+    exhausted searches and the projected-gradient norm; the W^T X_I that
+    the step forms do not outlive it.  PG, Ne and PANLS start each step
+    after the first from the extrapolated iterate max(0, X_k + beta (X_k -
+    X_k-1)) of the last two kept records (A. Ang and N. Gillis, Neural
+    Computation 31(2), 2019), whose sum H_I X_I^T ``_extrapolated`` forms
+    from theirs and the views' columns where the projection clipped an
+    entry.  The beta rule here
     reads the step's record: beta grows after a step that lowers F and
     shrinks after one that raises it.  A step that raises F is redone
     from the plain iterate unless F before the rescale did not rise; then
@@ -780,11 +784,11 @@ def solve(problem: Problem, config: SolverConfig,
         raise ValueError("initial W does not match the problem shapes")
     factors = init.copy()
     views = problem.dataset.views
-    grams = Grams(view_products(views, factors.H), [None] * len(views))
+    hxt = view_products(views, factors.H)
 
     curvature = network_curvature(problem)[0]
     gamma2 = problem.params.gamma2
-    f_init = objective_value(problem, factors, grams)
+    f_init = objective_value(problem, factors, hxt)
     # the size of F's rounding: F itself, or the data's ||X||^2 when F
     # starts near 0, as at an exact factorization
     rise_floor = _RISE_TOL * max(abs(f_init), problem.x_squared_norm())
@@ -805,7 +809,7 @@ def solve(problem: Problem, config: SolverConfig,
     exhausted = extrapolated = redone = 0
     accelerated = config.algorithm is not Algorithm.MUR
     # the kept record, and the one before it if the next step extrapolates
-    curr, prev = _Step(factors, grams, f_init, f_init, 0), None
+    curr, prev = _Step(factors, hxt, f_init, f_init, 0, math.nan), None
     beta, beta_bar = _EXTRAP_BETA, _EXTRAP_BETA_BAR
     start = time.perf_counter()
     for it in range(1, config.max_outer_iters + 1):
@@ -817,8 +821,8 @@ def solve(problem: Problem, config: SolverConfig,
                 if prev is not None:
                     extrapolated += 1
                     step = _outer_step(problem, config, *_extrapolated(
-                        views, curr.factors, curr.grams.hxt, prev.factors,
-                        prev.grams.hxt, beta), curvature)
+                        views, curr.factors, curr.hxt, prev.factors, prev.hxt,
+                        beta), curvature)
                     exhausted += step.exhausted
                     if step.f <= curr.f:
                         beta = min(beta_bar, _EXTRAP_GROW * beta)
@@ -832,8 +836,7 @@ def solve(problem: Problem, config: SolverConfig,
                             step = None
                 if step is None:
                     step = _outer_step(problem, config, Factorization(
-                        curr.factors.W, curr.factors.H), curr.grams.hxt,
-                        curvature)
+                        curr.factors.W, curr.factors.H), curr.hxt, curvature)
                     exhausted += step.exhausted
                 refusal = None
             except DivergenceError as err:  # an unbounded H sweep
@@ -843,19 +846,14 @@ def solve(problem: Problem, config: SolverConfig,
             if refusal is not None:
                 raise DivergenceError(f"{refusal} at outer iteration {it}",
                                       trace, unbounded=True)
-            if not (np.isfinite(step.factors.W).all() and all(
-                    np.isfinite(h).all() for h in step.factors.H)):
+        for what, finite in (
+                ("factor", np.isfinite(step.factors.W).all() and all(
+                    np.isfinite(h).all() for h in step.factors.H)),
+                ("objective", np.isfinite(step.f)),
+                ("projected-gradient norm", np.isfinite(step.g))):
+            if not finite:
                 raise DivergenceError(
-                    f"non-finite factor at outer iteration {it}", trace)
-            g_curr = projected_gradient_norm(problem, step.factors,
-                                             step.grams)
-        if not np.isfinite(step.f):
-            raise DivergenceError(
-                f"non-finite objective at outer iteration {it}", trace)
-        if not np.isfinite(g_curr):
-            raise DivergenceError(
-                f"non-finite projected-gradient norm at outer iteration {it}",
-                trace)
+                    f"non-finite {what} at outer iteration {it}", trace)
         check_sign(step.f, f"at outer iteration {it}", trace)
         if config.stop_rule is StopRule.OBJECTIVE_RATIO:
             reason = (Termination.TOLERANCE_MET if check_stop_objective(
@@ -867,12 +865,10 @@ def solve(problem: Problem, config: SolverConfig,
                     f"objective {step.f:.6g} above its start {f_init:.6g} "
                     f"at outer iteration {it}", trace)
         else:
-            reason = _gradient_stop_reason(state, g_curr, config.tolerance)
-        trace.append(TracePoint(it, step.f, g_curr,
+            reason = _gradient_stop_reason(state, step.g, config.tolerance)
+        trace.append(TracePoint(it, step.f, step.g,
                                 time.perf_counter() - start))
-        # the next step extrapolates from these two, reading only their
-        # factors and hxt; after a kept rise it starts plain
-        step.grams.wtx = [None] * len(views)
+        # the next step extrapolates from these two, unless this is a kept rise
         prev = curr if accelerated and not kept_rise else None
         curr = step
         if reason is not None:
@@ -882,7 +878,7 @@ def solve(problem: Problem, config: SolverConfig,
     return curr.factors, SolverReport(
         trace=trace, termination=termination,
         final_objective=trace[-1].objective,
-        reconstruction_error=_fit(problem, curr.factors, curr.grams.hxt),
+        reconstruction_error=_fit(problem, curr.factors, curr.hxt),
         iterations=trace[-1].iteration, exhausted_searches=exhausted,
         extrapolated_steps=extrapolated, redone_steps=redone,
         network_curvature=curvature, sparsity_curvature=2.0 * gamma2)

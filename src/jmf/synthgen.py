@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ConstraintSet, MultiViewDataset
+from .model import ConstraintSet, MultiViewDataset, _number
 
 _BERNOULLI_RETRIES = 100
 
@@ -23,8 +23,9 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.dataset_id not in ("D1", "D2", "D3", "D4"):
             raise ValueError(f"unknown dataset id {self.dataset_id!r}")
-        if self.mu is not None and self.mu < 0:
-            raise ValueError("noise level must be nonnegative")
+        if self.mu is not None:
+            _number("noise level mu", self.mu)
+        object.__setattr__(self, "seed", _number("seed", self.seed, 0))
 
     @property
     def noise(self) -> float:

@@ -12,7 +12,7 @@ import jmf.solvers
 from jmf import (Algorithm, ConstraintSet, DivergenceError, Factorization,
                  Hyperparameters, MultiViewDataset, SolverConfig, StopRule,
                  Termination, TracePoint, new_problem)
-from jmf.objective import Grams, QuadSubproblem
+from jmf.objective import QuadSubproblem
 
 
 def make_problem(seed=0, m=6, n=(4, 5, 3), r=2, lambda1=0.0, lambda2=0.0,
@@ -467,7 +467,7 @@ def ref_solve(problem, config, init):
     hxt = s.view_products(views, fac.H)
     curvature = s.network_curvature(problem)[0]
     gamma2 = problem.params.gamma2
-    f_init = s.objective_value(problem, fac, Grams(hxt, [None] * len(views)))
+    f_init = s.objective_value(problem, fac, hxt)
     floor = s._RISE_TOL * max(abs(f_init), problem.x_squared_norm())
 
     def refuse_below_0(f, where, trace):
@@ -499,7 +499,7 @@ def ref_solve(problem, config, init):
                 for w in wtx:
                     w /= norms[:, None]
             new_hxt = s.view_products(views, start.H)
-            f = s.objective_value(problem, start, Grams(new_hxt, wtx))
+            f = s.objective_value(problem, start, new_hxt)
             return SimpleNamespace(
                 fac=start, hxt=new_hxt, wtx=wtx, f=f,
                 f_unscaled=f - s.penalty_value(problem, start) + penalty,
@@ -538,8 +538,8 @@ def ref_solve(problem, config, init):
                     raise DivergenceError(
                         f"non-finite factor at outer iteration {it}", trace)
             f = step.f
-            g = s.projected_gradient_norm(problem, step.fac,
-                                          Grams(step.hxt, step.wtx))
+            g = s.projected_gradient_norm(problem, step.fac, step.hxt,
+                                          step.wtx)
         if not np.isfinite(f):
             raise DivergenceError(
                 f"non-finite objective at outer iteration {it}", trace)

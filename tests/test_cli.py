@@ -404,6 +404,48 @@ def test_a_config_with_nothing_to_run_exits_2(tmp_path, capsys, monkeypatch,
     assert not calls and not out.exists()
 
 
+@pytest.mark.parametrize("command, edit, message", [
+    ("solve", lambda cfg: [cfg], "the config must be a JSON object, got ["),
+    ("gridsearch", lambda cfg: [cfg],
+     "the config must be a JSON object, got ["),
+    ("solve", lambda cfg: {**cfg, "seeds": 3},
+     "seeds must be a JSON list, got 3"),
+    ("gridsearch", lambda cfg: {**cfg, "grid_seeds": 3},
+     "grid_seeds must be a JSON list, got 3"),
+    ("gridsearch", lambda cfg: {**cfg, "grid": {"lambda1": 0.1}},
+     "grid axis 'lambda1' must be a JSON list, got 0.1"),
+    ("solve", lambda cfg: {**cfg, "solvers": {"algorithm": "PG"}},
+     "solvers must be a JSON list, got {'algorithm': 'PG'}"),
+    ("solve", lambda cfg: {**cfg, "source": {"synthetic": "D1"}},
+     "synthetic must be a JSON object, got 'D1'"),
+    ("solve", lambda cfg: {**cfg, "source": {"synthetic": {
+        "dataset": "D1", "mu": "2"}}},
+     "noise level mu must be a nonnegative finite number, got '2'"),
+    ("solve", lambda cfg: {**cfg, "source": {"synthetic": {
+        "dataset": "D1", "seed": 2.7}}},
+     "seed must be a nonnegative integer, got 2.7"),
+    ("gridsearch", lambda cfg: {**cfg, "source": {"synthetic": {
+        "dataset": "D1", "seed": True}}},
+     "seed must be a nonnegative integer, got True"),
+], ids=["solve-list-config", "grid-list-config", "scalar-seeds",
+        "scalar-grid-seeds", "scalar-grid-axis", "object-solvers",
+        "string-synthetic-source", "string-noise-level",
+        "fractional-source-seed", "true-source-seed"])
+def test_a_config_of_the_wrong_shape_exits_2_before_solving(
+        tmp_path, capsys, monkeypatch, command, edit, message):
+    # each of these ended in a traceback, named the wrong key, or ran
+    # a truncated seed
+    calls = refuse_to_solve(monkeypatch)
+    path = (solve_config(tmp_path, [{"algorithm": "PG"}], seeds=[0])
+            if command == "solve"
+            else grid_config(tmp_path, {"algorithm": "PG"}, seeds=[0]))
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    out = tmp_path / "out"
+    assert run([command, "--config", path, "--out", out]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not calls and not out.exists()
+
+
 def test_solve_missing_config_exit_2(tmp_path):
     assert run(["solve", "--config", tmp_path / "nope.json",
                 "--out", tmp_path / "o"]) == 2
@@ -583,6 +625,18 @@ def test_load_model_names_a_stale_model_json(tmp_path, capsys, stale):
                 "--test", tmp_path / "X_1.csv", "--views", "0",
                 "--out", tmp_path / "pred"]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [2.7, True], ids=["fraction", "true"])
+def test_load_model_refuses_a_seed_that_is_not_an_integer(tmp_path, seed):
+    # int() loaded 2.7 as seed 2 and true as seed 1
+    model_dir, _ = ground_truth_model_dir(tmp_path)
+    meta = json.loads((model_dir / "model.json").read_text())
+    meta["seed"] = seed
+    (model_dir / "model.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=re.escape(
+            f"seed must be a nonnegative integer, got {seed!r}")):
+        load_model(model_dir)
 
 
 def test_predict_rejects_a_repeated_view_exit_2(tmp_path, capsys):

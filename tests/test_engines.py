@@ -685,16 +685,18 @@ def test_coupled_or_inexact_h_blocks_are_solved_view_by_view(
 def test_solve_reaches_the_engines_through_their_module_names(
         monkeypatch, algorithm, weights, per_update):
     # an outer update makes one engine call per block, or two when the
-    # uncoupled H blocks are solved as one; a profiler that replaces the
-    # module's names must see every call
+    # uncoupled H blocks are solved as one, and one gradient-norm call; a
+    # profiler that replaces the module's names must see every call
     prob = make_problem(seed=3, m=15, n=(6, 9, 4), r=3, gamma1=1e-2,
                         **weights)
     engine = count_calls(monkeypatch, f"{algorithm.lower()}_subproblem")
+    pgnorm = count_calls(monkeypatch, "projected_gradient_norm")
     updates = count_calls(monkeypatch, "_outer_step")
     solve(prob, SolverConfig(algorithm=algorithm, max_outer_iters=5),
           init_factors(prob, 0))
     assert updates
     assert len(engine) == len(updates) * (per_update or prob.n_views + 1)
+    assert len(pgnorm) == len(updates)
 
 
 def test_joint_solve_round_cap_hands_the_stacked_block_to_panls(

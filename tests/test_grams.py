@@ -1,4 +1,4 @@
-"""The Gram record a solve shares within each outer iteration.
+"""The products with the views a solve shares within each outer iteration.
 
 A solve forms the products with the views once per outer iteration and
 reads F, the projected gradient and the next W build from them: 2 N per
@@ -6,8 +6,8 @@ iteration, plus 2 N for each step redone from the plain iterate (PG, Ne
 and PANLS).  A step started from the extrapolated iterate reads its W
 build's sum X_I H_I^T from those of the two plain iterates and forms a
 product only with the columns of X_I where the projection clipped an
-entry of H_I.  These tests pin those counts and check that the record
-describes the factors the solve returns.
+entry of H_I.  These tests pin those counts and check that the step's
+record describes the factors the solve returns.
 """
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from jmf import (ConstraintSet, Factorization, Hyperparameters,
                  init_factors, new_problem, objective_value,
                  projected_gradient_norm, reconstruction_error, solve)
 import jmf.solvers
-from jmf.objective import FIT_FLOOR, Grams, view_products
+from jmf.objective import FIT_FLOOR, view_products
 from jmf.solvers import _extrapolated, _rescale
 from oracles import make_problem, naive_objective
 
@@ -240,18 +240,18 @@ def test_rescale_keeps_every_product(case):
 @given(problems())
 def test_rescaled_record_matches_an_uncached_call(case):
     prob, fac = case
-    grams = Grams.of(prob, fac)
+    wtx = [fac.W.T @ x for x in prob.dataset.views]
     norms = _rescale(fac.W, fac.H)
-    for wtx in grams.wtx:
-        wtx /= norms[:, None]
-    grams.hxt = view_products(prob.dataset.views, fac.H)
+    for w in wtx:
+        w /= norms[:, None]
+    hxt = view_products(prob.dataset.views, fac.H)
     tol = 1e-12 * magnitude(prob, fac)
-    assert objective_value(prob, fac, grams) == pytest.approx(
+    assert objective_value(prob, fac, hxt) == pytest.approx(
         objective_value(prob, fac), rel=1e-12, abs=tol)
     # the scaled W^T X_I differs from a fresh one by rounding in each entry
     g_tol = 1e-12 * (1.0 + sum(float(np.linalg.norm(fac.W.T @ x))
                                for x in prob.dataset.views))
-    assert projected_gradient_norm(prob, fac, grams) == pytest.approx(
+    assert projected_gradient_norm(prob, fac, hxt, wtx) == pytest.approx(
         projected_gradient_norm(prob, fac), rel=1e-10, abs=g_tol)
 
 

@@ -276,6 +276,31 @@ def test_predict_right_rejects_row_mismatch():
         predict_right(model, {0: np.ones((44, 5))})
 
 
+def nan_entry(x):
+    x = x.copy()
+    x[0, 0] = np.nan
+    return x
+
+
+@pytest.mark.parametrize("mode, bad, message", [
+    ("left", nan_entry, "test view 0 contains non-finite entries"),
+    ("left", lambda x: -x, "test view 0 has negative entries"),
+    ("right", lambda x: np.full_like(x, np.nan),
+     "test view 0 contains non-finite entries"),
+    ("right", lambda x: np.where(x > 0, np.inf, x),
+     "test view 0 contains non-finite entries"),
+], ids=["left-nan-entry", "left-negative", "right-all-nan", "right-inf"])
+def test_prediction_refuses_a_test_view_no_training_view_could_be(
+        mode, bad, message):
+    # a NaN entry gave JMF/L an all-NaN basis row, and an all-NaN view gave
+    # JMF/R zeros, each without an error
+    model, truth = ground_truth_model()
+    x = truth.x0[0][:5] if mode == "left" else truth.x0[0][:, :7]
+    predict = predict_left if mode == "left" else predict_right
+    with pytest.raises(ValueError, match=message):
+        predict(model, {0: bad(x)})
+
+
 def test_predict_right_rejects_unknown_view_and_vectors():
     model, truth = ground_truth_model()
     with pytest.raises(ValueError, match="unknown view index 5"):

@@ -14,6 +14,34 @@ def test_invalid_dataset_id_rejected():
         SyntheticSpec(dataset_id="D9")
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("seed", 2.7, "seed must be a nonnegative integer, got 2.7"),
+    ("seed", True, "seed must be a nonnegative integer, got True"),
+    ("seed", -1, "seed must be a nonnegative integer, got -1"),
+    ("seed", "0", "seed must be a nonnegative integer, got '0'"),
+    ("mu", float("nan"), "mu must be a nonnegative finite number, got nan"),
+    ("mu", float("inf"), "mu must be a nonnegative finite number, got inf"),
+    ("mu", "2", "mu must be a nonnegative finite number, got '2'"),
+    ("mu", True, "mu must be a nonnegative finite number, got True"),
+], ids=["fractional-seed", "true-seed", "negative-seed", "string-seed",
+        "nan-mu", "inf-mu", "string-mu", "true-mu"])
+def test_a_malformed_seed_or_noise_level_is_refused(key, value, message):
+    with pytest.raises(ValueError, match=message):
+        SyntheticSpec(dataset_id="D1", **{key: value})
+
+
+@pytest.mark.parametrize("mu", ["nan", "inf"])
+def test_cli_generate_refuses_a_non_finite_noise_level_exit_2(tmp_path,
+                                                              capsys, mu):
+    # NaN noise wrote all-NaN views and exited 0
+    out = tmp_path / "d1"
+    assert main(["generate", "--dataset", "D1", "--mu", mu,
+                 "--out", str(out)]) == 2
+    assert (f"error: noise level mu must be a nonnegative finite number, "
+            f"got {mu}" in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_d1_shapes():
     truth = generate(SyntheticSpec(dataset_id="D1", seed=0))
     assert truth.w0.shape == (45, 4)
