@@ -5,6 +5,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import reprlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -74,13 +75,28 @@ def _write_constraints(out: Path, constraints: ConstraintSet) -> dict:
     return {"within": within, "between": between}
 
 
+def _file_names(value, what: str) -> list:
+    """``value`` if it is a JSON list of file names, else a ``UsageError``."""
+    if isinstance(value, list) and all(isinstance(p, str) for p in value):
+        return value
+    raise UsageError(f"{what} must be a JSON list of file names, got "
+                     f"{reprlib.repr(value)}")
+
+
 def _read_constraints(base: Path, maps: dict) -> ConstraintSet:
     """Read the files of the ``within`` map (view -> list of files) and the
-    ``between`` map ("i,j" -> file) in ``maps``, relative to ``base``."""
+    ``between`` map ("i,j" -> file) in ``maps``, relative to ``base``,
+    once every entry is checked."""
     within, between = maps.get("within") or {}, maps.get("between") or {}
     if not (isinstance(within, dict) and isinstance(between, dict)):
         raise UsageError('networks must be maps: "within" {"view": [file, '
                          '...]} and "between" {"i,j": file}')
+    for i, paths in within.items():
+        _file_names(paths, f"within entry {i!r}")
+    for key, p in between.items():
+        if not (re.fullmatch(r"\d+,\d+", key) and isinstance(p, str)):
+            raise UsageError(f'between entry {key!r} must map "i,j" to a '
+                             f'file name, got {reprlib.repr(p)}')
     return ConstraintSet(
         within={int(i): [read_matrix(base / p) for p in paths]
                 for i, paths in within.items()},
@@ -195,6 +211,13 @@ def _checked(value, kind: type, what: str):
     return value
 
 
+def _required(entry: dict, key: str, what: str):
+    """``entry[key]``, or a ``UsageError`` naming the missing key."""
+    if key not in entry:
+        raise UsageError(f"{what}: missing key {key!r}")
+    return entry[key]
+
+
 def _read_config(path: str) -> dict:
     return _checked(json.loads(Path(path).read_text()), dict, "the config")
 
@@ -251,7 +274,7 @@ def _load_source(cfg: dict):
     source = _checked(cfg.get("source") or {}, dict, "source")
     if "synthetic" in source:
         syn = _checked(source["synthetic"], dict, "synthetic")
-        spec = SyntheticSpec(dataset_id=syn["dataset"],
+        spec = SyntheticSpec(_required(syn, "dataset", "synthetic"),
                              mu=syn.get("mu"), seed=syn.get("seed", 0))
         truth = generate(spec)
         constraints = (truth.constraints if cfg.get("use_constraints", True)
@@ -260,8 +283,9 @@ def _load_source(cfg: dict):
     if "files" in source:
         files = _checked(source["files"], dict, "files")
         base = Path(files.get("base", "."))
-        views = [read_matrix(base / p) for p in files["views"]]
+        names = _file_names(_required(files, "views", "files"), "views")
         constraints = _read_constraints(base, files)
+        views = [read_matrix(base / p) for p in names]
         return MultiViewDataset(views), constraints, None
     raise UsageError("config needs a 'source' with 'synthetic' or 'files'")
 
@@ -317,7 +341,8 @@ def load_model(model_dir: Path) -> TrainedModel:
 def cmd_solve(args) -> int:
     cfg = _read_config(args.config)
     dataset, constraints, truth = _load_source(cfg)
-    params = _from_json(Hyperparameters, cfg["hyperparameters"])
+    params = _from_json(Hyperparameters,
+                        _required(cfg, "hyperparameters", "the config"))
     _check_rank(truth, params.rank)
     problem = new_problem(dataset, constraints, params)
     seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
@@ -492,7 +517,7 @@ def cmd_predict(args) -> int:
             (out / "report.json").write_text(
                 json.dumps({"relative_error": rel}))
             print(f"relative_error={rel:.6g}")
-    elif mode == "r":
+    else:  # "r"; argparse restricts the choices
         hs = predict_right(model, test)
         for i, h in zip(sorted(test), hs):
             write_matrix(out / f"H_hat_{i + 1}.csv", h)
@@ -502,8 +527,6 @@ def cmd_predict(args) -> int:
             auc = auc_score(scores, labels)
             (out / "report.json").write_text(json.dumps({"auc": auc}))
             print(f"auc={auc:.4f}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown mode {mode}")
     return 0
 
 

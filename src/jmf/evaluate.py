@@ -77,18 +77,11 @@ def match_components(learned: Factorization, truth: GroundTruth) -> np.ndarray:
         raise ValueError("rank mismatch between learned factors and truth")
     corr = _column_correlations(learned.W, truth.w0)
     perm = np.full(r, -1, dtype=int)
-    free_learned = set(range(r))
-    free_truth = set(range(r))
-    work = corr.copy()
     for _ in range(r):
-        best = None
-        for i in free_learned:
-            for j in free_truth:
-                if best is None or work[i, j] > work[best]:
-                    best = (i, j)
-        perm[best[0]] = best[1]
-        free_learned.discard(best[0])
-        free_truth.discard(best[1])
+        # the largest correlation left, the first in row-major order on ties
+        i, j = np.unravel_index(np.argmax(corr), corr.shape)
+        perm[i] = j
+        corr[i, :] = corr[:, j] = -np.inf
     return perm
 
 
@@ -131,14 +124,8 @@ def assign_modules(factors: Factorization, threshold: float = 1.5
     """
     modules = []
     for h in factors.H:
-        view_modules = []
-        means = h.mean(axis=1, keepdims=True)
-        stds = h.std(axis=1, keepdims=True)
-        for k in range(h.shape[0]):
-            if stds[k, 0] == 0:
-                view_modules.append(np.array([], dtype=int))
-                continue
-            z = (h[k] - means[k, 0]) / stds[k, 0]
-            view_modules.append(np.flatnonzero(z > threshold))
-        modules.append(view_modules)
+        means, stds = h.mean(axis=1), h.std(axis=1)
+        modules.append([np.flatnonzero((row - mean) / std > threshold)
+                        if std else np.array([], dtype=int)
+                        for row, mean, std in zip(h, means, stds)])
     return ModuleAssignment(threshold=threshold, modules=modules)

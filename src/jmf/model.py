@@ -218,33 +218,22 @@ class Factorization:
 
 @dataclass
 class SolverConfig:
-    """Algorithm choice, stopping rule and iteration budgets."""
+    """Algorithm choice, stopping rule, iteration cap and seed."""
 
     algorithm: Algorithm = Algorithm.PANLS
     stop_rule: StopRule = StopRule.OBJECTIVE_RATIO
     tolerance: float = 1e-7
     max_outer_iters: int = 2000
-    inner_iters: int = 500
     seed: int = 0
-    normalize_rows: bool = True
-    # inner subproblem stopping: absolute floor plus a relative reduction
-    # of the subproblem's entry projected-gradient norm
-    inner_tol: float = 1e-6
-    inner_tol_rel: float = 0.01
 
     def __post_init__(self):
         self.algorithm = Algorithm(self.algorithm)
         self.stop_rule = StopRule(self.stop_rule)
-        for name, lowest in (("max_outer_iters", 1), ("inner_iters", 1),
-                             ("seed", 0)):
+        for name, lowest in (("max_outer_iters", 1), ("seed", 0)):
             setattr(self, name, _number(name, getattr(self, name), lowest))
-        for name in ("tolerance", "inner_tol", "inner_tol_rel"):
-            _number(name, getattr(self, name))
+        _number("tolerance", self.tolerance)
         if self.tolerance == 0:
             raise ValueError("tolerance must be positive")
-        if not isinstance(self.normalize_rows, bool):
-            raise ValueError(f"normalize_rows must be true or false, got "
-                             f"{self.normalize_rows!r}")
 
 
 @dataclass

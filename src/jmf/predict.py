@@ -9,7 +9,7 @@ import numpy as np
 from .model import (Algorithm, ConstraintSet, Factorization, Hyperparameters,
                     MultiViewDataset, SolverConfig, _as_matrix)
 from .objective import projected_norm, view_products
-from .solvers import _as_factor, _build_quad, _engine_step
+from .solvers import _INNER_ITERS, _as_factor, _build_quad, _engine_step
 
 
 @dataclass
@@ -60,15 +60,16 @@ def _solve_block(model: TrainedModel, factors: Factorization, target,
                  ) -> tuple[np.ndarray, bool]:
     """Solve one block ("w" or a view) with the solver's engine on its
     quadratic without the proximal term, to the configured tolerance
-    relative to its start in at most inner_iters * max_outer_iters steps;
-    Ne stands in for MUR.  ``xprod`` is the block's product with the test
-    views.  Returns (block, search-exhausted flag); warns when it is set."""
+    relative to its start (at least 1e-14) in at most _INNER_ITERS *
+    max_outer_iters steps; Ne stands in for MUR.  ``xprod`` is the block's
+    product with the test views.  Returns (block, search-exhausted flag);
+    warns when it is set."""
     alg = config.algorithm
-    inner = replace(config, inner_tol=1e-14, inner_tol_rel=config.tolerance,
-                    inner_iters=config.inner_iters * config.max_outer_iters,
-                    algorithm=Algorithm.NE if alg is Algorithm.MUR else alg)
-    x, exhausted = _engine_step(*_build_quad(model, factors, target,
-                                             xprod=xprod), inner)
+    x, exhausted = _engine_step(
+        *_build_quad(model, factors, target, xprod=xprod),
+        Algorithm.NE if alg is Algorithm.MUR else alg,
+        cap=_INNER_ITERS * config.max_outer_iters, floor=1e-14,
+        rel=config.tolerance)
     if exhausted:
         warnings.warn("the step-size search ran out before the prediction "
                       "subproblem reached its tolerance", RuntimeWarning,

@@ -17,6 +17,9 @@ from .objective import (QuadSubproblem, _fit, h_subproblem,
                         view_products, w_subproblem, within_top)
 
 _EPS = 1e-12  # multiplicative-update denominator guard
+_INNER_ITERS = 500  # an inner engine's default cap on its steps per block
+_INNER_TOL = 1e-6  # and its stop: a projected-gradient norm of at most
+_INNER_TOL_REL = 0.01  # max(_INNER_TOL, _INNER_TOL_REL times the start's)
 _RISE_TOL = 1e-12  # a relative rise of F over its start beyond rounding
 # Gillis and Glineur's inner stop for repeated MUR steps (``mur_subproblem``)
 _MUR_DELTA = 0.1  # 0.01 took 84 outer iterations on perfbench d2-mur, not 60
@@ -145,8 +148,8 @@ def _mur_rho(problem: Problem, view: int | None) -> float:
     return 1.0 + build / step
 
 
-def mur_subproblem(q: QuadSubproblem, x0: np.ndarray, config: SolverConfig,
-                   rho: float) -> tuple[np.ndarray, bool]:
+def mur_subproblem(q: QuadSubproblem, x0: np.ndarray, rho: float, *,
+                   cap: int = _INNER_ITERS) -> tuple[np.ndarray, bool]:
     """Repeated ratio steps on one built quadratic (N. Gillis and
     F. Glineur, Neural Computation 24(4), 2012), so the steps after the
     first form no products with the views; returns (block, False).
@@ -154,14 +157,13 @@ def mur_subproblem(q: QuadSubproblem, x0: np.ndarray, config: SolverConfig,
     Each step lowers q by the Lee-Seung auxiliary function.  The steps stop
     once one moves x by at most ``_MUR_DELTA`` times the first step's
     move (Frobenius norm), or after min(floor(1 + ``_MUR_ALPHA`` rho),
-    ``config.inner_iters``) steps; ``rho`` is ``_mur_rho``'s.
+    ``cap``) steps; ``rho`` is ``_mur_rho``'s.
     """
-    cap = min(int(1.0 + _MUR_ALPHA * rho), config.inner_iters)
     x = x0.copy()
     xn, work = np.empty_like(x), np.empty_like(x)
     half_neg_g0 = -0.5 * q.g0
     first = None
-    for _ in range(cap):
+    for _ in range(min(int(1.0 + _MUR_ALPHA * rho), cap)):
         _mur_ratio(q, x, half_neg_g0, xn, work)
         np.subtract(xn, x, out=work)
         move = math.sqrt(np.vdot(work, work))
@@ -200,14 +202,12 @@ def mur_step_H(problem: Problem, factors: Factorization, view: int,
 # ---------------------------------------------------------------------------
 # generic engines on a built quadratic subproblem
 #
-# Each engine takes a built quadratic q, the block's start x0 and the
-# config, and returns (block, search-exhausted flag).  It owns its iterate
-# and a few work buffers of the block's shape and writes its elementwise
-# updates into them, so an inner step allocates only its Hessian product.
-
-def _inner_tol(config: SolverConfig, pn0: float) -> float:
-    return max(config.inner_tol, config.inner_tol_rel * pn0)
-
+# Each engine takes a built quadratic q and the block's start x0, with its
+# inner stop in keywords: at most ``cap`` steps, ending once the projected-
+# gradient norm is at most max(``floor``, ``rel`` times its value at x0).
+# It returns (block, search-exhausted flag).  It owns its iterate and a
+# few work buffers of the block's shape and writes its elementwise updates
+# into them, so an inner step allocates only its Hessian product.
 
 def _armijo_step(q: QuadSubproblem, x: np.ndarray, g: np.ndarray,
                  out: np.ndarray, d: np.ndarray) -> bool:
@@ -230,8 +230,9 @@ def _armijo_step(q: QuadSubproblem, x: np.ndarray, g: np.ndarray,
     return True
 
 
-def pg_subproblem(q: QuadSubproblem, x0: np.ndarray,
-                  config: SolverConfig) -> tuple[np.ndarray, bool]:
+def pg_subproblem(q: QuadSubproblem, x0: np.ndarray, *,
+                  cap: int = _INNER_ITERS, floor: float = _INNER_TOL,
+                  rel: float = _INNER_TOL_REL) -> tuple[np.ndarray, bool]:
     """Armijo projected gradient; returns (iterate, search-exhausted flag).
 
     The gradient is formed afresh after each accepted step rather than
@@ -242,8 +243,8 @@ def pg_subproblem(q: QuadSubproblem, x0: np.ndarray,
     xn, work = np.empty_like(x), np.empty_like(x)
     g = q.grad(x)
     pn = projected_norm(x, g, work)
-    tol = _inner_tol(config, pn)
-    for _ in range(config.inner_iters):
+    tol = max(floor, rel * pn)
+    for _ in range(cap):
         if pn <= tol:
             break
         if _armijo_step(q, x, g, xn, work):
@@ -254,8 +255,9 @@ def pg_subproblem(q: QuadSubproblem, x0: np.ndarray,
     return x, False
 
 
-def ne_subproblem(q: QuadSubproblem, x0: np.ndarray,
-                  config: SolverConfig) -> tuple[np.ndarray, bool]:
+def ne_subproblem(q: QuadSubproblem, x0: np.ndarray, *,
+                  cap: int = _INNER_ITERS, floor: float = _INNER_TOL,
+                  rel: float = _INNER_TOL_REL) -> tuple[np.ndarray, bool]:
     """Nesterov's projected iteration with step 1 / L; returns
     (iterate, False), as it has no step-size search to run out.
 
@@ -271,7 +273,7 @@ def ne_subproblem(q: QuadSubproblem, x0: np.ndarray,
     g = q.grad(x)
     work = np.empty_like(x)
     pn = projected_norm(x, g, work)
-    tol = _inner_tol(config, pn)
+    tol = max(floor, rel * pn)
     if pn <= tol:
         return x, False
     neg_step = -1.0 / lip
@@ -280,7 +282,7 @@ def ne_subproblem(q: QuadSubproblem, x0: np.ndarray,
     z += x
     step = z.copy()
     alpha = _NE_T0
-    for _ in range(config.inner_iters):
+    for _ in range(cap):
         x = np.maximum(step, 0.0, out=x)
         g = q.grad(x)
         pn = projected_norm(x, g, work)
@@ -314,8 +316,9 @@ def _step_to_bound(x: np.ndarray, d: np.ndarray, out: np.ndarray) -> float:
     return np.inf if np.isnan(step) else step
 
 
-def _panls_minimize(q: QuadSubproblem, x0: np.ndarray,
-                    config: SolverConfig) -> tuple[np.ndarray, bool]:
+def _panls_minimize(q: QuadSubproblem, x0: np.ndarray, *,
+                    cap: int = _INNER_ITERS, floor: float = _INNER_TOL,
+                    rel: float = _INNER_TOL_REL) -> tuple[np.ndarray, bool]:
     """PG steps alternating with conjugate gradients on the inactive set.
 
     Returns (iterate, search-exhausted flag).  ``panls_subproblem`` runs
@@ -331,10 +334,9 @@ def _panls_minimize(q: QuadSubproblem, x0: np.ndarray,
     xn, work = np.empty_like(x), np.empty_like(x)
     g = q.grad(x)
     pn = projected_norm(x, g, work)
-    tol = _inner_tol(config, pn)
+    tol = max(floor, rel * pn)
     eta = _ETA
     k = 0
-    cap = config.inner_iters
     while pn > tol and k < cap:
         # constrained PG phase
         rounds_without_progress = 0
@@ -562,8 +564,9 @@ def _as_factor(target, x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.T) if target == "w" else x
 
 
-def panls_subproblem(q: QuadSubproblem, x0: np.ndarray,
-                     config: SolverConfig) -> tuple[np.ndarray, bool]:
+def panls_subproblem(q: QuadSubproblem, x0: np.ndarray, *,
+                     cap: int = _INNER_ITERS, floor: float = _INNER_TOL,
+                     rel: float = _INNER_TOL_REL) -> tuple[np.ndarray, bool]:
     """PANLS on one built quadratic; returns (block, search-exhausted
     flag).
 
@@ -575,33 +578,29 @@ def panls_subproblem(q: QuadSubproblem, x0: np.ndarray,
     singular, and the block runs ``_panls_minimize`` from x0.  An H_I
     block with lambda1 S_I couples its columns and runs
     ``_panls_minimize``, the paper's PG and active-set CG phases, to its
-    inner tolerance.
+    inner stop.
     """
+    stop = dict(cap=cap, floor=floor, rel=rel)
     m, s, _, tau = q.hess_mats
     if s is not None:
-        return _panls_minimize(q, x0, config)
+        return _panls_minimize(q, x0, **stop)
     try:
         x, solved = _nnls_bpp(2.0 * (m + tau * np.eye(len(m))), -q.g0, x0)
     except np.linalg.LinAlgError:  # a singular passive matrix
         x, solved = x0, False
-    return (x, False) if solved else _panls_minimize(q, x, config)
+    return (x, False) if solved else _panls_minimize(q, x, **stop)
 
 
-def _engine_step(q: QuadSubproblem, x0: np.ndarray, config: SolverConfig,
-                 rho: float = 0.0) -> tuple[np.ndarray, bool]:
-    """The configured algorithm's engine on one built quadratic, with the
-    flag of an exhausted step-size search; ``rho`` is MUR's
-    (``_mur_rho``).  The engines are looked up by name on each call."""
-    alg = config.algorithm
+def _engine_step(q: QuadSubproblem, x0: np.ndarray, alg: Algorithm,
+                 rho: float = 0.0, **stop) -> tuple[np.ndarray, bool]:
+    """``alg``'s engine on one built quadratic, with the flag of an
+    exhausted step-size search; ``rho`` is MUR's (``_mur_rho``), and
+    ``stop`` the engine's inner stop when not its default.  The engines
+    are looked up by name on each call."""
     if alg is Algorithm.MUR:
-        return mur_subproblem(q, x0, config, rho)
-    if alg is Algorithm.PG:
-        return pg_subproblem(q, x0, config)
-    if alg is Algorithm.NE:
-        return ne_subproblem(q, x0, config)
-    if alg is Algorithm.PANLS:
-        return panls_subproblem(q, x0, config)
-    raise ValueError(f"unknown algorithm {alg}")  # pragma: no cover
+        return mur_subproblem(q, x0, rho, **stop)
+    return {Algorithm.PG: pg_subproblem, Algorithm.NE: ne_subproblem,
+            Algorithm.PANLS: panls_subproblem}[alg](q, x0, **stop)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +632,7 @@ def _block_step(problem: Problem, config: SolverConfig,
         factors.W if view is None else factors.H[view])
     q, x0 = _build_quad(problem, factors, target, anchor, xprod)
     rho = _mur_rho(problem, view) if alg is Algorithm.MUR else 0.0
-    x, exhausted = _engine_step(q, x0, config, rho)
+    x, exhausted = _engine_step(q, x0, alg, rho)
     return _as_factor(target, x), exhausted
 
 
@@ -710,16 +709,15 @@ def _outer_step(problem: Problem, config: SolverConfig, start: Factorization,
         m, _, _, tau = quads[0].hess_mats
         joint = QuadSubproblem((m, None, 0.0, tau),
                                np.hstack([q.g0 for q in quads]))
-        x, flag = panls_subproblem(joint, np.hstack(start.H), config)
+        x, flag = panls_subproblem(joint, np.hstack(start.H))
         cuts = np.cumsum([h.shape[1] for h in start.H])[:-1]
         start.H = [np.ascontiguousarray(h) for h in np.split(x, cuts, axis=1)]
         exhausted += flag
-    penalty = scaled = penalty_value(problem, start)
-    if config.normalize_rows:
-        norms = _rescale(start.W, start.H)
-        for w in wtx:
-            w /= norms[:, None]
-        scaled = penalty_value(problem, start)
+    penalty = penalty_value(problem, start)
+    norms = _rescale(start.W, start.H)
+    for w in wtx:
+        w /= norms[:, None]
+    scaled = penalty_value(problem, start)
     hxt = view_products(problem.dataset.views, start.H)
     f = objective_value(problem, start, hxt, scaled)
     return _Step(start, hxt, f, f - scaled + penalty, exhausted,

@@ -10,7 +10,7 @@ import numpy as np
 
 import jmf.solvers
 from jmf import (Algorithm, ConstraintSet, DivergenceError, Factorization,
-                 Hyperparameters, MultiViewDataset, SolverConfig, StopRule,
+                 Hyperparameters, MultiViewDataset, StopRule,
                  Termination, TracePoint, new_problem)
 from jmf.objective import QuadSubproblem
 
@@ -190,6 +190,39 @@ def finite_diff_grad(f, x, step=1e-6):
     return g
 
 
+def ref_greedy_matching(corr):
+    """Greedy matching by loops over the free rows and columns: the largest
+    correlation left, the first found in row-major order on ties."""
+    r = corr.shape[0]
+    perm = np.full(r, -1, dtype=int)
+    free_rows, free_cols = set(range(r)), set(range(r))
+    for _ in range(r):
+        best = None
+        for i in sorted(free_rows):
+            for j in sorted(free_cols):
+                if best is None or corr[i, j] > corr[best]:
+                    best = (i, j)
+        perm[best[0]] = best[1]
+        free_rows.discard(best[0])
+        free_cols.discard(best[1])
+    return perm
+
+
+def ref_modules(hs, threshold):
+    """Per view and row, the columns whose within-row z-score exceeds
+    ``threshold``, row by row; a constant row has none."""
+    modules = []
+    for h in hs:
+        rows = []
+        for row in h:
+            std = row.std()
+            rows.append([] if std == 0 else
+                        [j for j, v in enumerate(row)
+                         if (v - row.mean()) / std > threshold])
+        modules.append(rows)
+    return modules
+
+
 def best_matching_score(corr):
     """Exhaustive assignment: max total correlation over all permutations."""
     r = corr.shape[0]
@@ -206,17 +239,17 @@ def best_matching_score(corr):
 # Kept verbatim, renamed, as the reference the current engines must match.
 # They read their settings from the namespace ``ref_settings`` builds.
 
-def ref_settings(config: SolverConfig) -> SimpleNamespace:
-    """``config``'s inner_* fields plus the algorithm constants, read from
-    ``jmf.solvers`` at call time so that a monkeypatched constant reaches
-    the engine and its reference alike.  ``alpha0`` is Ne's t0 when
-    ``config.algorithm`` is Ne and the Armijo first step otherwise."""
+def ref_settings(cap: int, floor: float, rel: float) -> SimpleNamespace:
+    """The inner stop the engines take in keywords (at most ``cap`` steps,
+    ending at a projected-gradient norm of max(``floor``, ``rel`` times
+    the start's)) plus the algorithm constants, read from ``jmf.solvers``
+    at call time so that a monkeypatched constant reaches the engine and
+    its reference alike.  ``alpha0`` is the Armijo first step, ``t0``
+    Ne's."""
     s = jmf.solvers
-    ne = config.algorithm is Algorithm.NE
     return SimpleNamespace(
-        inner_iters=config.inner_iters, inner_tol=config.inner_tol,
-        inner_tol_rel=config.inner_tol_rel, sigma=s._SIGMA, beta=s._BETA,
-        alpha0=s._NE_T0 if ne else s._ALPHA0,
+        cap=cap, floor=floor, rel=rel, sigma=s._SIGMA, beta=s._BETA,
+        alpha0=s._ALPHA0, t0=s._NE_T0,
         max_backtracks=s._MAX_BACKTRACKS, eta=s._ETA, rho=s._RHO,
         panls_alpha=s._PANLS_ALPHA, panls_beta=s._PANLS_BETA, n1=s._N1,
         n2=s._N2)
@@ -232,7 +265,7 @@ def ref_pgn(x: np.ndarray, g: np.ndarray) -> float:
 
 
 def ref_inner_tol(config: SimpleNamespace, pn0: float) -> float:
-    return max(config.inner_tol, config.inner_tol_rel * pn0)
+    return max(config.floor, config.rel * pn0)
 
 
 def ref_armijo_step(q: QuadSubproblem, x: np.ndarray, g: np.ndarray,
@@ -258,7 +291,7 @@ def ref_pg_minimize(q: QuadSubproblem, x0: np.ndarray,
     g = q.grad(x)
     pn = ref_pgn(x, g)
     tol = ref_inner_tol(config, pn)
-    for _ in range(config.inner_iters):
+    for _ in range(config.cap):
         if pn <= tol:
             break
         x, exhausted = ref_armijo_step(q, x, g, config)
@@ -280,8 +313,8 @@ def ref_ne_minimize(q: QuadSubproblem, x0: np.ndarray,
     if pn <= tol:
         return x
     y = x.copy()
-    alpha = config.alpha0
-    for _ in range(config.inner_iters):
+    alpha = config.t0
+    for _ in range(config.cap):
         xn = np.maximum(y - q.grad(y) / lip, 0.0)
         alpha_next = 0.5 * (1.0 + np.sqrt(4.0 * alpha * alpha + 1.0))
         y = xn + ((alpha - 1.0) / alpha_next) * (xn - x)
@@ -301,7 +334,7 @@ def ref_panls_minimize(q: QuadSubproblem, x0: np.ndarray,
     tol = ref_inner_tol(config, pn)
     eta = config.eta
     k = 0
-    cap = config.inner_iters
+    cap = config.cap
     while pn > tol and k < cap:
         # constrained PG phase
         rounds_without_progress = 0
@@ -414,6 +447,13 @@ def ref_nnls(c: np.ndarray, b: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     return points[0]
 
 
+def no_rescale(monkeypatch) -> None:
+    """Make ``jmf.solvers._rescale`` leave the factors as they are, so an
+    outer step keeps what the engines returned."""
+    monkeypatch.setattr(jmf.solvers, "_rescale",
+                        lambda w, hs: np.ones(w.shape[1]))
+
+
 # ---------------------------------------------------------------------------
 # the alternating outer loop written out in one function: the block sweep,
 # the extrapolated start, the beta rule, redo or keep, the rescale and its
@@ -445,7 +485,7 @@ def ref_sweep(problem, config, fac, hxt, curvature):
     m, _, _, tau = quads[0].hess_mats
     joint = QuadSubproblem((m, None, 0.0, tau),
                            np.hstack([q.g0 for q in quads]))
-    x, flag = s.panls_subproblem(joint, np.hstack(fac.H), config)
+    x, flag = s.panls_subproblem(joint, np.hstack(fac.H))
     cuts = np.cumsum([h.shape[1] for h in fac.H])[:-1]
     fac.H = [np.ascontiguousarray(h) for h in np.split(x, cuts, axis=1)]
     return wtx, exhausted + flag
@@ -490,14 +530,13 @@ def ref_solve(problem, config, init):
             penalty = s.penalty_value(problem, start)
             finite = (np.isfinite(start.W).all()
                       and all(np.isfinite(h).all() for h in start.H))
-            if config.normalize_rows:
-                norms = np.linalg.norm(start.W, axis=0)
-                norms[norms == 0] = 1.0
-                start.W /= norms
-                for h in start.H:
-                    h *= norms[:, None]
-                for w in wtx:
-                    w /= norms[:, None]
+            norms = np.linalg.norm(start.W, axis=0)
+            norms[norms == 0] = 1.0
+            start.W /= norms
+            for h in start.H:
+                h *= norms[:, None]
+            for w in wtx:
+                w /= norms[:, None]
             new_hxt = s.view_products(views, start.H)
             f = s.objective_value(problem, start, new_hxt)
             return SimpleNamespace(

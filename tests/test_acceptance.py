@@ -114,21 +114,19 @@ def test_criterion_4_monotone_convergence_shape(capsys):
                 rel = (curr - prev) / max(abs(prev), 1.0)
                 worst = max(worst, rel)
         # Ne: its convex W-subproblem must still descend each iteration
-        cfg = SolverConfig(algorithm="Ne", stop_rule="ObjectiveRatio",
-                           tolerance=1e-7, max_outer_iters=5)
         fac = init_factors(prob, 0)
         w, hs = fac.W.copy(), [h.copy() for h in fac.H]
         for _ in range(5):
             factors = Factorization(w, hs)
             q = w_subproblem(prob, hs)  # on W's block W^T
             before = q.value(w.T)
-            wt, _ = ne_subproblem(*_build_quad(prob, factors, "w"), cfg)
+            wt, _ = ne_subproblem(*_build_quad(prob, factors, "w"))
             if q.value(wt) > before + 1e-10:
                 ne_ok = False
             w = wt.T
             factors = Factorization(w, hs)
             for i in range(prob.n_views):
-                hs[i], _ = ne_subproblem(*_build_quad(prob, factors, i), cfg)
+                hs[i], _ = ne_subproblem(*_build_quad(prob, factors, i))
     ok = worst <= 1e-8 and ne_ok
     verdict(capsys, 4, "objective traces non-increasing after iteration 2", ok,
             f"worst relative increase {worst:.2e} (allow 1e-8), "
@@ -264,14 +262,12 @@ def test_criterion_9_subproblem_agreement(capsys):
         prob = make_problem(seed=seed, m=5, n=(4, 3), r=3, gamma1=0.5,
                             with_constraints=False)
         fac = random_factors(prob, seed=seed + 300)
-        cfg = lambda alg: SolverConfig(
-            algorithm=alg, stop_rule="ObjectiveRatio", tolerance=1e-7,
-            inner_tol=1e-10, inner_tol_rel=0.0)
+        stop = dict(floor=1e-10, rel=0.0)
         q = w_subproblem(prob, fac.H)
-        w_pg, _ = pg_subproblem(*_build_quad(prob, fac, "w"), cfg("PG"))
-        w_ne, _ = ne_subproblem(*_build_quad(prob, fac, "w"), cfg("Ne"))
+        w_pg, _ = pg_subproblem(*_build_quad(prob, fac, "w"), **stop)
+        w_ne, _ = ne_subproblem(*_build_quad(prob, fac, "w"), **stop)
         w_pa, _ = panls_subproblem(
-            *_build_quad(prob, fac, "w", fac.W.copy()), cfg("PANLS"))
+            *_build_quad(prob, fac, "w", fac.W.copy()), **stop)
         vals = [q.value(w) for w in (w_pg, w_ne, w_pa)]
         spread = (max(vals) - min(vals)) / max(1.0, abs(min(vals)))
         worst = max(worst, spread)

@@ -427,10 +427,33 @@ def test_a_config_with_nothing_to_run_exits_2(tmp_path, capsys, monkeypatch,
     ("gridsearch", lambda cfg: {**cfg, "source": {"synthetic": {
         "dataset": "D1", "seed": True}}},
      "seed must be a nonnegative integer, got True"),
+    ("solve", lambda cfg: {**cfg, "source": {"files": {"views": "X_1.csv"}}},
+     "views must be a JSON list of file names, got 'X_1.csv'"),
+    ("solve", lambda cfg: {**cfg, "source": {"files": {
+        "views": ["X_1.csv"], "within": {"0": "t.csv"}}}},
+     "within entry '0' must be a JSON list of file names, got 't.csv'"),
+    ("solve", lambda cfg: {**cfg, "source": {"files": {
+        "views": ["X_1.csv"], "between": {"0,1": ["R.csv"]}}}},
+     'between entry \'0,1\' must map "i,j" to a file name, got [\'R.csv\']'),
+    ("solve", lambda cfg: {**cfg, "source": {"files": {
+        "views": ["X_1.csv"], "between": {"01": "R.csv"}}}},
+     'between entry \'01\' must map "i,j" to a file name, got \'R.csv\''),
+    ("solve", lambda cfg: {k: v for k, v in cfg.items()
+                           if k != "hyperparameters"},
+     "the config: missing key 'hyperparameters'"),
+    ("solve", lambda cfg: {**cfg, "source": {"synthetic": {"seed": 1}}},
+     "synthetic: missing key 'dataset'"),
+    ("gridsearch", lambda cfg: {**cfg, "source": {"synthetic": {}}},
+     "synthetic: missing key 'dataset'"),
+    ("solve", lambda cfg: {**cfg, "source": {"files": {"base": "."}}},
+     "files: missing key 'views'"),
 ], ids=["solve-list-config", "grid-list-config", "scalar-seeds",
         "scalar-grid-seeds", "scalar-grid-axis", "object-solvers",
         "string-synthetic-source", "string-noise-level",
-        "fractional-source-seed", "true-source-seed"])
+        "fractional-source-seed", "true-source-seed", "string-views",
+        "string-within-entry", "list-between-entry",
+        "unsplit-between-key", "no-hyperparameters", "no-synthetic-dataset",
+        "grid-no-synthetic-dataset", "no-files-views"])
 def test_a_config_of_the_wrong_shape_exits_2_before_solving(
         tmp_path, capsys, monkeypatch, command, edit, message):
     # each of these ended in a traceback, named the wrong key, or ran
@@ -457,7 +480,12 @@ def test_solve_missing_config_exit_2(tmp_path):
      "SolverConfig: unknown key 'eta'"),
     ({"algorithm": "PG", "max_outer_iters": 1}, {"lamda1": 0.1},
      "Hyperparameters: unknown key 'lamda1'"),
-], ids=["misspelled-solver-key", "removed-solver-key", "misspelled-weight"])
+    ({"algorithm": "PG", "inner_iters": 10, "max_outer_iters": 1}, {},
+     "SolverConfig: unknown key 'inner_iters'"),
+    ({"algorithm": "PG", "normalize_rows": False, "max_outer_iters": 1}, {},
+     "SolverConfig: unknown key 'normalize_rows'"),
+], ids=["misspelled-solver-key", "removed-solver-key", "misspelled-weight",
+        "removed-inner-iters", "removed-normalize-rows"])
 def test_solve_bad_config_key_exit_2(tmp_path, capsys, solver, weights,
                                      message):
     cfg = solve_config(tmp_path, [solver], seeds=[0], **weights)

@@ -1,23 +1,23 @@
 """The inner engines on one built block quadratic.
 
 Each engine (``<alg>_subproblem``) takes a quadratic built by
-``_build_quad``, its start and the config, and returns the block and the
-flag of an exhausted step-size search.  The projected engines (PG, Ne,
-PANLS) must follow the reference copies in ``oracles.py`` (equal in exact
-arithmetic), the branch-free projection and the doubled Hessian operator
-must agree with the forms they replaced, the product counts per step are
-pinned, and an exhausted step-size search is reported.  PANLS's exact
-solve of a block that splits into small NNLS problems must reach the one
-KKT point that enumerating the passive sets finds (``ref_nnls``), also
-when every H_I block is stacked into one quadratic.  Its passive-set
-solves must match one solve per column, keep the full set on
-``np.linalg.solve``, raise on a singular passive matrix, and make one
-batched solve per passive-set size, at rank 5 and at rank 20.
-Blocks that read one another, and the other algorithms, keep the
-per-view loop, and ``solve`` reaches each engine through its module
-name.  The MUR engine's first
-step is the paper's single update, its repeated steps never raise the
-block quadratic, and its inner stop keeps to Gillis and Glineur's rule.
+``_build_quad``, its start and, in keywords, its inner stop, and returns
+the block and the flag of an exhausted step-size search.  The projected
+engines (PG, Ne, PANLS) must follow the reference copies in
+``oracles.py`` (equal in exact arithmetic), the branch-free projection
+and the doubled Hessian operator must agree with the forms they
+replaced, the product counts per step are pinned, and an exhausted
+step-size search is reported.  PANLS's exact solve of a block that
+splits into small NNLS problems must reach the one KKT point that
+enumerating the passive sets finds (``ref_nnls``), also when every H_I
+block is stacked into one quadratic.  Its passive-set solves must match
+one solve per column, keep the full set on ``np.linalg.solve``, raise on
+a singular passive matrix, and make one batched solve per passive-set
+size, at rank 5 and at rank 20.  Blocks that read one another, and the
+other algorithms, keep the per-view loop, and ``solve`` reaches each
+engine through its module name.  The MUR engine's first step is the
+paper's single update, its repeated steps never raise the block
+quadratic, and its inner stop keeps to Gillis and Glineur's rule.
 """
 import inspect
 import math
@@ -38,9 +38,9 @@ from jmf.solvers import (_MUR_ALPHA, _MUR_DELTA, _block_step, _build_quad,
                          _passive_solve, mur_step_H, mur_step_W,
                          mur_subproblem, ne_subproblem, panls_subproblem,
                          pg_subproblem)
-from oracles import (make_problem, random_factors, ref_ne_minimize,
-                     ref_nnls, ref_panls_minimize, ref_pg_minimize, ref_pgn,
-                     ref_settings)
+from oracles import (make_problem, no_rescale, random_factors,
+                     ref_ne_minimize, ref_nnls, ref_panls_minimize,
+                     ref_pg_minimize, ref_pgn, ref_settings)
 
 TAU = 1e-2
 
@@ -59,9 +59,8 @@ def weighted_quads(seed):
     return quads
 
 
-def engine_config(**kw):
-    return SolverConfig(**{"inner_iters": 60, "inner_tol": 1e-9,
-                           "inner_tol_rel": 0.0, **kw})
+# the inner stop the reference comparisons run to
+STOP = dict(cap=60, floor=1e-9, rel=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -71,18 +70,17 @@ def engine_config(**kw):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("engine", ["PG", "Ne", "PANLS"])
 def test_engines_match_their_reference(engine, seed):
-    cfg = engine_config(algorithm=engine)
     for q, x0 in weighted_quads(seed):
         if engine == "PG":
-            new, flag = pg_subproblem(q, x0, cfg)
-            ref, ref_flag = ref_pg_minimize(q, x0, ref_settings(cfg))
+            new, flag = pg_subproblem(q, x0, **STOP)
+            ref, ref_flag = ref_pg_minimize(q, x0, ref_settings(**STOP))
             assert flag == ref_flag
         elif engine == "Ne":
-            new, _ = ne_subproblem(q, x0, cfg)
-            ref = ref_ne_minimize(q, x0, ref_settings(cfg))
+            new, _ = ne_subproblem(q, x0, **STOP)
+            ref = ref_ne_minimize(q, x0, ref_settings(**STOP))
         else:
-            new, _ = _panls_minimize(q, x0, cfg)
-            ref = ref_panls_minimize(q, x0, ref_settings(cfg))
+            new, _ = _panls_minimize(q, x0, **STOP)
+            ref = ref_panls_minimize(q, x0, ref_settings(**STOP))
         assert q.value(new) == pytest.approx(q.value(ref), rel=1e-10)
         np.testing.assert_allclose(new, ref, rtol=0, atol=1e-8)
         assert not np.shares_memory(new, x0)
@@ -103,8 +101,9 @@ def random_h_block(seed):
     return q, rng.random((r, n)) * (rng.random((r, n)) < 0.7)
 
 
-def lines_run(fn, *args):
-    """fn(*args) and the line numbers that ran in fn's own frame."""
+def lines_run(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the line numbers that ran in fn's own
+    frame."""
     ran, previous = set(), sys.gettrace()
 
     def local(frame, event, arg):
@@ -115,7 +114,7 @@ def lines_run(fn, *args):
     sys.settrace(lambda frame, event, arg:
                  local if frame.f_code is fn.__code__ else None)
     try:
-        return fn(*args), ran
+        return fn(*args, **kwargs), ran
     finally:
         sys.settrace(previous)
 
@@ -137,10 +136,9 @@ def first_statement_under(fn, marker: str) -> int:
 def test_panls_rare_branches_match_their_reference(seed, branch):
     # blocks found by a random search over random_h_block's seeds
     q, x0 = random_h_block(seed)
-    cfg = engine_config(algorithm="PANLS")
-    (new, _), ran = lines_run(_panls_minimize, q, x0, cfg)
+    (new, _), ran = lines_run(_panls_minimize, q, x0, **STOP)
     assert first_statement_under(_panls_minimize, branch) in ran
-    ref = ref_panls_minimize(q, x0, ref_settings(cfg))
+    ref = ref_panls_minimize(q, x0, ref_settings(**STOP))
     assert q.value(new) == pytest.approx(q.value(ref), rel=1e-10)
     np.testing.assert_allclose(new, ref, rtol=0, atol=1e-8)
 
@@ -232,21 +230,18 @@ def count_products(monkeypatch) -> list:
 @pytest.mark.parametrize("steps", [1, 4, 9])
 def test_ne_forms_one_product_per_step(monkeypatch, steps):
     count = count_products(monkeypatch)
-    cfg = SolverConfig(algorithm="Ne", inner_iters=steps, inner_tol=0.0,
-                       inner_tol_rel=0.0)
     for q, x0 in weighted_quads(0):
         before = count[0]
-        ne_subproblem(q, x0, cfg)
+        ne_subproblem(q, x0, cap=steps, floor=0.0, rel=0.0)
         assert count[0] - before == steps + 1
 
 
 def test_ne_momentum_does_not_read_the_armijo_first_step(monkeypatch):
-    cfg = engine_config(algorithm="Ne")
     quads = weighted_quads(1)
-    before = [ne_subproblem(q, x0, cfg)[0] for q, x0 in quads]
+    before = [ne_subproblem(q, x0, **STOP)[0] for q, x0 in quads]
     monkeypatch.setattr(jmf.solvers, "_ALPHA0", 7.0)
     for (q, x0), x in zip(quads, before):
-        assert np.array_equal(ne_subproblem(q, x0, cfg)[0], x)
+        assert np.array_equal(ne_subproblem(q, x0, **STOP)[0], x)
 
 
 def interior_quad(r=6, rows=40):
@@ -268,14 +263,13 @@ def test_unclipped_cg_step_forms_one_product(monkeypatch):
     # n1 = 0 hands over to CG after one PG step; the interior never
     # falls below eta times the projected gradient, so CG keeps going
     monkeypatch.setattr(jmf.solvers, "_N1", 0)
-    base = dict(algorithm="PANLS", inner_tol=0.0, inner_tol_rel=0.0)
     products = {}
     for engine in (_panls_minimize, ref_panls_minimize):
         for k in (3, 4):
             before = count[0]
-            cfg = SolverConfig(inner_iters=k, **base)
-            out = engine(q, x0, cfg if engine is _panls_minimize
-                         else ref_settings(cfg))
+            stop = dict(cap=k, floor=0.0, rel=0.0)
+            out = (_panls_minimize(q, x0, **stop) if engine is _panls_minimize
+                   else engine(q, x0, ref_settings(**stop)))
             products[engine, k] = count[0] - before
             x = out[0] if isinstance(out, tuple) else out
             assert x.min() > 1.0  # every step stayed off the bound
@@ -289,13 +283,12 @@ def test_unclipped_cg_step_forms_one_product(monkeypatch):
 # exhausted step-size searches
 
 
-def overshooting(monkeypatch, algorithm):
+def overshooting(monkeypatch):
     # one trial step, far too long for any block; no rescale, so the
     # factors are exactly what the engines returned
     monkeypatch.setattr(jmf.solvers, "_MAX_BACKTRACKS", 0)
     monkeypatch.setattr(jmf.solvers, "_ALPHA0", 1e12)
-    return SolverConfig(algorithm=algorithm, max_outer_iters=3,
-                        tolerance=1e-300, normalize_rows=False)
+    no_rescale(monkeypatch)
 
 
 def searched_problem(lambda1=1e-3):
@@ -309,7 +302,10 @@ def searched_problem(lambda1=1e-3):
 def test_exhausted_searches_are_counted(monkeypatch, algorithm):
     prob = searched_problem()
     init = init_factors(prob, 0)
-    final, report = solve(prob, overshooting(monkeypatch, algorithm), init)
+    overshooting(monkeypatch)
+    final, report = solve(prob, SolverConfig(algorithm=algorithm,
+                                             max_outer_iters=3,
+                                             tolerance=1e-300), init)
     searched = prob.n_views + (algorithm == "PG")
     assert report.exhausted_searches == searched * report.iterations
     # an exhausted first search leaves every searched block where it was
@@ -321,23 +317,22 @@ def test_exhausted_searches_are_counted(monkeypatch, algorithm):
 def test_subproblem_returns_the_exhaustion_flag(monkeypatch, algorithm):
     prob = searched_problem()
     fac = random_factors(prob, seed=1)
-    cfg = overshooting(monkeypatch, algorithm)
+    overshooting(monkeypatch)
     if algorithm == "PG":
-        x, flag = pg_subproblem(*_build_quad(prob, fac, "w"), cfg)
+        x, flag = pg_subproblem(*_build_quad(prob, fac, "w"))
         start = fac.W.T  # W's block
     else:
-        x, flag = panls_subproblem(*_build_quad(prob, fac, 1, fac.H[1]), cfg)
+        x, flag = panls_subproblem(*_build_quad(prob, fac, 1, fac.H[1]))
         start = fac.H[1]
         # a block that splits has no search to exhaust
         separable = searched_problem(lambda1=0.0)
         for target, anchor in [("w", fac.W), (1, fac.H[1])]:
             q, x0 = _build_quad(separable, fac, target, anchor)
-            moved, no_flag = panls_subproblem(q, x0, cfg)
+            moved, no_flag = panls_subproblem(q, x0)
             assert not no_flag and not np.array_equal(moved, x0)
     assert flag and np.array_equal(x, start)
     monkeypatch.undo()  # back to the default search
-    _, flag = pg_subproblem(*_build_quad(prob, fac, "w"),
-                            SolverConfig(algorithm="PG"))
+    _, flag = pg_subproblem(*_build_quad(prob, fac, "w"))
     assert not flag
 
 
@@ -432,10 +427,9 @@ def test_bpp_round_cap_hands_the_block_to_panls(monkeypatch):
     prob = make_problem(seed=4, m=12, n=(7, 9), r=3, lambda2=1e-3,
                         gamma1=1e-2, gamma2=1e-2)
     fac = random_factors(prob, seed=5)
-    cfg = SolverConfig(algorithm="PANLS", inner_iters=5000, inner_tol=0.0,
-                       inner_tol_rel=1e-12)
+    stop = dict(cap=5000, floor=0.0, rel=1e-12)
     blocks = [("w", fac.W), (0, fac.H[0]), (1, fac.H[1])]
-    exact = [panls_subproblem(*_build_quad(prob, fac, t, a), cfg)[0]
+    exact = [panls_subproblem(*_build_quad(prob, fac, t, a), **stop)[0]
              for t, a in blocks]
 
     monkeypatch.setattr(jmf.solvers, "_BPP_MAX_ROUNDS", 0)
@@ -448,14 +442,14 @@ def test_bpp_round_cap_hands_the_block_to_panls(monkeypatch):
     starts = []
     original = jmf.solvers._panls_minimize
 
-    def recorded(q, x0, config):
+    def recorded(q, x0, **kwargs):
         starts.append(x0)
-        return original(q, x0, config)
+        return original(q, x0, **kwargs)
 
     monkeypatch.setattr(jmf.solvers, "_panls_minimize", recorded)
     for (target, anchor), want in zip(blocks, exact):
         q, x0 = _build_quad(prob, fac, target, anchor)
-        x, flag = panls_subproblem(q, x0, cfg)
+        x, flag = panls_subproblem(q, x0, **stop)
         assert not flag and x.shape == x0.shape
         assert starts[-1].min() >= 0
         np.testing.assert_allclose(x, want, rtol=0, atol=1e-8)
@@ -477,14 +471,13 @@ def test_panls_solves_d4_shaped_blocks_to_kkt():
     prob = new_problem(truth.to_dataset(), None,
                        Hyperparameters(rank=truth.rank))
     fac = init_factors(prob, 0)
-    cfg = SolverConfig(algorithm="PANLS")
     for target, anchor in [("w", fac.W), (2, fac.H[2])]:
         q, x0 = _build_quad(prob, fac, target, anchor=anchor)
-        x, flag = panls_subproblem(q, x0, cfg)
+        x, flag = panls_subproblem(q, x0)
         assert not flag and x.flags.c_contiguous
         assert_kkt(q, x)
         # the paper's engine stops at its inner tolerance, above the minimum
-        inexact, _ = _panls_minimize(q, x0, cfg)
+        inexact, _ = _panls_minimize(q, x0)
         assert q.value(x) < q.value(inexact)
 
 
@@ -591,8 +584,7 @@ def test_joint_h_solve_makes_one_solve_per_passive_set_size(monkeypatch,
     joint = QuadSubproblem((m, None, 0.0, tau),
                            np.hstack([q.g0 for q in quads]))
     per_call = count_linalg(monkeypatch)
-    _, flag = panls_subproblem(joint, np.hstack(fac.H),
-                               SolverConfig(algorithm="PANLS"))
+    _, flag = panls_subproblem(joint, np.hstack(fac.H))
     assert not flag and len(per_call) > 1
     batched = False
     for call in per_call:
@@ -609,11 +601,11 @@ def test_joint_h_solve_makes_one_solve_per_passive_set_size(monkeypatch,
 # one outer update: the H blocks solved together or one view at a time
 
 
-def outer_update(prob, fac, algorithm):
+def outer_update(monkeypatch, prob, fac, algorithm):
     """``_outer_step``'s block sweep on a copy of ``fac``, with the rescale
     off: the new factors."""
-    cfg = SolverConfig(algorithm=algorithm, normalize_rows=False)
-    return _outer_step(prob, cfg, fac.copy(),
+    no_rescale(monkeypatch)
+    return _outer_step(prob, SolverConfig(algorithm=algorithm), fac.copy(),
                        view_products(prob.dataset.views, fac.H), 0.0).factors
 
 
@@ -622,9 +614,9 @@ def count_calls(monkeypatch, name) -> list:
     calls = []
     original = getattr(jmf.solvers, name)
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(jmf.solvers, name, recorded)
     return calls
@@ -639,7 +631,7 @@ def test_uncoupled_h_blocks_reach_each_views_minimizer(monkeypatch, seed,
                         gamma2=gamma2)
     fac = random_factors(prob, seed=seed + 7)
     calls = count_calls(monkeypatch, "_nnls_bpp")
-    step = outer_update(prob, fac, "PANLS")
+    step = outer_update(monkeypatch, prob, fac, "PANLS")
     assert len(calls) == 2  # W, then every H_I in one solve
     assert calls[1][1].shape[1] == sum(prob.n)
     tau = jmf.solvers._TAU
@@ -668,11 +660,11 @@ def sequential_update(prob, fac, algorithm):
     ("PANLS", dict(lambda2=1e-2, gamma2=0.1)),
     ("MUR", {}), ("PG", {}), ("Ne", dict(gamma2=0.1))])
 def test_coupled_or_inexact_h_blocks_are_solved_view_by_view(
-        algorithm, weights):
+        monkeypatch, algorithm, weights):
     prob = make_problem(seed=3, m=15, n=(6, 9, 4), r=3, gamma1=1e-2,
                         **weights)
     fac = random_factors(prob, seed=11)
-    step = outer_update(prob, fac, algorithm)
+    step = outer_update(monkeypatch, prob, fac, algorithm)
     seq = sequential_update(prob, fac, algorithm)
     assert np.array_equal(step.W, seq.W)
     for got, want in zip(step.H, seq.H):
@@ -706,9 +698,9 @@ def test_joint_solve_round_cap_hands_the_stacked_block_to_panls(
     fac = random_factors(prob, seed=2)
     monkeypatch.setattr(jmf.solvers, "_BPP_MAX_ROUNDS", 0)
     fallbacks = count_calls(monkeypatch, "_panls_minimize")
-    step = outer_update(prob, fac, "PANLS")
+    step = outer_update(monkeypatch, prob, fac, "PANLS")
     # W's block, then the clipped iterate of every view's columns at once
-    assert [x0.shape for _, x0, _ in fallbacks[1:]] == [
+    assert [x0.shape for _, x0 in fallbacks[1:]] == [
         (prob.rank, sum(prob.n))]
     for h, want in zip(step.H, fac.H):
         assert h.shape == want.shape
@@ -723,14 +715,13 @@ def test_joint_solve_of_a_singular_matrix_runs_panls_on_the_stacked_block(
     prob = make_problem(seed=6, m=15, n=(6, 9, 4), r=3)
     fac = random_factors(prob, seed=4)
     fac.W[:, 1] = 0.0
-    cfg = SolverConfig(algorithm="PANLS")
     quads = [_build_quad(prob, fac, i)[0] for i in range(prob.n_views)]
     joint = QuadSubproblem((quads[0].hess_mats[0], None, 0.0, 0.0),
                            np.hstack([q.g0 for q in quads]))
     start = np.hstack(fac.H)
-    want, _ = _panls_minimize(joint, start, cfg)
+    want, _ = _panls_minimize(joint, start)
     fallbacks = count_calls(monkeypatch, "_panls_minimize")
-    x, exhausted = panls_subproblem(joint, start, cfg)
+    x, exhausted = panls_subproblem(joint, start)
     assert not exhausted and np.array_equal(x, want)
     assert len(fallbacks) == 1 and fallbacks[0][1] is start
 
@@ -771,12 +762,9 @@ def test_one_mur_step_is_the_paper_update(seed):
     paper = [mur_step_W(prob, fac).T] + [mur_step_H(prob, fac, i)
                                          for i in range(prob.n_views)]
     for (q, x0), step in zip(mur_quads(prob, fac), paper):
-        # capped at one step by rho = 0 and by the config
-        assert np.array_equal(
-            mur_subproblem(q, x0, SolverConfig(), rho=0.0)[0], step)
-        assert np.array_equal(
-            mur_subproblem(q, x0, SolverConfig(inner_iters=1), rho=50.0)[0],
-            step)
+        # capped at one step by rho = 0 and by the cap
+        assert np.array_equal(mur_subproblem(q, x0, 0.0)[0], step)
+        assert np.array_equal(mur_subproblem(q, x0, 50.0, cap=1)[0], step)
 
 
 @st.composite
@@ -800,7 +788,7 @@ def test_repeated_mur_steps_never_raise_the_block_quadratic(case, rho):
         steps = record_mur_steps(mp)
         for q, x0 in mur_quads(prob, fac):
             steps.clear()
-            x, _ = mur_subproblem(q, x0, SolverConfig(), rho)
+            x, _ = mur_subproblem(q, x0, rho)
             values = [q.value(x0)] + [q.value(s) for s in steps]
             for prev, curr in zip(values, values[1:]):
                 assert curr <= prev + 1e-10 * max(1.0, abs(prev))
@@ -810,14 +798,14 @@ def test_repeated_mur_steps_never_raise_the_block_quadratic(case, rho):
 
 @given(mur_cases(), st.sampled_from([0.0, 0.6, 1.0, 2.5, 7.0]),
        st.integers(1, 20))
-def test_mur_inner_stop_follows_gillis_glineur(case, rho, inner_iters):
+def test_mur_inner_stop_follows_gillis_glineur(case, rho, inner_cap):
     prob, fac = case
-    cap = min(int(1 + _MUR_ALPHA * rho), inner_iters)
+    cap = min(int(1 + _MUR_ALPHA * rho), inner_cap)
     with pytest.MonkeyPatch.context() as mp:
         steps = record_mur_steps(mp)
         for q, x0 in mur_quads(prob, fac):
             steps.clear()
-            mur_subproblem(q, x0, SolverConfig(inner_iters=inner_iters), rho)
+            mur_subproblem(q, x0, rho, cap=inner_cap)
             assert 1 <= len(steps) <= cap
             # each move in Frobenius norm, summed as the engine sums it
             moves = [math.sqrt(np.vdot(b - a, b - a))
@@ -861,7 +849,7 @@ def test_mur_zero_entries_stay_zero_over_repeated_steps():
     fac = random_factors(prob, seed=7)
     fac.W[[0, 3], [1, 2]] = 0.0
     fac.H[1][:, 4] = 0.0
-    cfg = SolverConfig(algorithm="MUR", inner_iters=500)
+    cfg = SolverConfig(algorithm="MUR")
     w, _ = _block_step(prob, cfg, fac, "w", None)
     h, _ = _block_step(prob, cfg, fac, 1, None)
     assert w[0, 1] == 0.0 and w[3, 2] == 0.0

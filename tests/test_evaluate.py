@@ -5,7 +5,8 @@ from jmf import (ConstraintSet, Factorization, Hyperparameters,
                  SyntheticSpec, assign_modules, auc_score, evaluate_factors,
                  generate, match_components, new_problem, reconstruction_error)
 from jmf.evaluate import _average_ranks, _column_correlations
-from oracles import best_matching_score, brute_auc
+from oracles import (best_matching_score, brute_auc, ref_greedy_matching,
+                     ref_modules)
 
 
 def test_auc_perfect_separation():
@@ -173,6 +174,28 @@ def test_evaluate_combined_auc_invariant_to_factor_scale_split():
     b = evaluate_factors(Factorization(w * 100.0,
                                        [h / 100.0 for h in hs]), truth).auc
     assert a == pytest.approx(b, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_matching_and_modules_follow_their_loop_references(seed):
+    # coarse rounding makes tied correlations, zero columns and constant
+    # rows common
+    rng = np.random.default_rng(seed)
+    r, m = int(rng.integers(1, 6)), int(rng.integers(2, 9))
+    w, w0 = (np.round(rng.random((m, r)) * 2, 1) for _ in range(2))
+    w[:, int(rng.integers(r))] = 0.0
+    if seed % 3 == 0:
+        w = w[:, [0] * r]  # every column alike: all correlations tie
+    hs = [np.round(rng.random((r, int(rng.integers(1, 7)))))
+          for _ in range(2)]
+    hs[0][0] = 1.0
+    fac = Factorization(w, hs)
+    corr = _column_correlations(w, w0)
+    assert np.array_equal(match_components(fac, fake_truth(w0, hs)),
+                          ref_greedy_matching(corr))
+    got = assign_modules(fac, threshold=0.5).modules
+    assert [[m.tolist() for m in view] for view in got] == ref_modules(hs,
+                                                                       0.5)
 
 
 def test_assign_modules_spike_row():

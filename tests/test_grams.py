@@ -21,7 +21,7 @@ from jmf import (ConstraintSet, Factorization, Hyperparameters,
 import jmf.solvers
 from jmf.objective import FIT_FLOOR, view_products
 from jmf.solvers import _extrapolated, _rescale
-from oracles import make_problem, naive_objective
+from oracles import make_problem, naive_objective, no_rescale
 
 ALGORITHMS = ["MUR", "PG", "Ne", "PANLS"]
 
@@ -98,13 +98,15 @@ def record_clipped_columns(monkeypatch) -> list:
 def test_two_products_with_each_view_per_outer_iteration(
         monkeypatch, algorithm, normalize):
     clipped = record_clipped_columns(monkeypatch)
+    if not normalize:
+        no_rescale(monkeypatch)
     counts, reports, columns = {}, {}, {}
     for iters in (3, 6):
         prob = weighted_problem()
         count = count_view_products(prob)
         clipped.clear()
-        cfg = SolverConfig(algorithm=algorithm, normalize_rows=normalize,
-                           tolerance=1e-300, max_outer_iters=iters)
+        cfg = SolverConfig(algorithm=algorithm, tolerance=1e-300,
+                           max_outer_iters=iters)
         _, reports[iters] = solve(prob, cfg, init_factors(prob, 0))
         assert reports[iters].iterations == iters
         counts[iters] = count["full"]
@@ -128,11 +130,12 @@ def test_two_products_with_each_view_per_outer_iteration(
 
 @pytest.mark.parametrize("normalize", [True, False])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_cached_monitoring_describes_the_returned_factors(algorithm,
-                                                          normalize):
+def test_cached_monitoring_describes_the_returned_factors(
+        monkeypatch, algorithm, normalize):
+    if not normalize:
+        no_rescale(monkeypatch)
     prob = weighted_problem()
-    cfg = SolverConfig(algorithm=algorithm, normalize_rows=normalize,
-                       max_outer_iters=30)
+    cfg = SolverConfig(algorithm=algorithm, max_outer_iters=30)
     final, report = solve(prob, cfg, init_factors(prob, 0))
     assert report.final_objective == pytest.approx(
         objective_value(prob, final), rel=1e-12)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,22 +139,26 @@ def test_hyperparameters_take_numpy_numbers():
 
 @pytest.mark.parametrize("fields", [
     dict(tolerance="1e-7"), dict(tolerance=0.0), dict(tolerance=float("inf")),
-    dict(inner_tol=float("nan")), dict(inner_tol_rel=-0.1),
-    dict(max_outer_iters=2.5), dict(inner_iters=0), dict(seed=-1),
-    dict(seed="0"), dict(normalize_rows="false"), dict(tolerance=True),
-    dict(max_outer_iters=True), dict(seed=True),
+    dict(max_outer_iters=2.5), dict(seed=-1), dict(seed="0"),
+    dict(tolerance=True), dict(max_outer_iters=True), dict(seed=True),
 ], ids=["string-tolerance", "zero-tolerance", "infinite-tolerance",
-        "nan-inner-tol", "negative-inner-tol-rel", "fractional-cap",
-        "zero-inner-iters", "negative-seed", "string-seed",
-        "string-normalize-rows", "bool-tolerance", "bool-cap", "bool-seed"])
+        "fractional-cap", "negative-seed", "string-seed", "bool-tolerance",
+        "bool-cap", "bool-seed"])
 def test_solver_config_rejects_a_setting_of_the_wrong_kind(fields):
     with pytest.raises(ValueError, match="must be"):
         SolverConfig(**fields)
 
 
+def test_solver_config_holds_only_what_a_caller_chooses():
+    # the inner engines' stop and the unit-column rescale are solver
+    # constants, not settings
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "algorithm", "stop_rule", "tolerance", "max_outer_iters", "seed"]
+
+
 def test_solver_config_takes_numpy_numbers():
     cfg = SolverConfig(tolerance=np.float32(1e-5), max_outer_iters=np.int64(7),
-                       seed=np.int64(3), inner_tol_rel=0)
+                       seed=np.int64(3))
     assert cfg.max_outer_iters == 7 and type(cfg.max_outer_iters) is int
     assert type(cfg.seed) is int and cfg.tolerance == np.float32(1e-5)
 

@@ -18,7 +18,7 @@ from jmf.solvers import (StopState, _build_quad, _gradient_stop_reason,
                          _rescale, check_stop_objective,
                          mur_step_H, mur_step_W, ne_subproblem,
                          panls_subproblem, pg_subproblem)
-from oracles import (make_problem, naive_mur_H, naive_mur_W,
+from oracles import (make_problem, naive_mur_H, naive_mur_W, no_rescale,
                      random_factors, ref_solve)
 
 CFG = dict(stop_rule="ObjectiveRatio", tolerance=1e-7)
@@ -162,51 +162,44 @@ def one_dim_problem():
 
 def test_pg_one_dim_converges_to_closed_form():
     prob, fac = one_dim_problem()
-    cfg = SolverConfig(algorithm="PG", inner_tol=1e-10,
-                       inner_tol_rel=0.0, **CFG)
-    w, exhausted = pg_subproblem(*_build_quad(prob, fac, "w"), cfg)
+    w, exhausted = pg_subproblem(*_build_quad(prob, fac, "w"), floor=1e-10,
+                                 rel=0.0)
     assert not exhausted
     assert w == pytest.approx(np.array([[2.0]]), abs=1e-8)
 
 
 def test_ne_one_dim_converges_to_closed_form():
     prob, fac = one_dim_problem()
-    cfg = SolverConfig(algorithm="Ne", inner_tol=1e-10,
-                       inner_tol_rel=0.0, **CFG)
-    w, _ = ne_subproblem(*_build_quad(prob, fac, "w"), cfg)
+    w, _ = ne_subproblem(*_build_quad(prob, fac, "w"), floor=1e-10, rel=0.0)
     assert w == pytest.approx(np.array([[2.0]]), abs=1e-8)
 
 
 def test_panls_one_dim_proximal_minimizer():
     # min (2-w)^2 + tau1*(w-0)^2 has minimizer 2/(1+tau1)
     prob, fac = one_dim_problem()
-    cfg = SolverConfig(algorithm="PANLS", inner_tol=1e-12,
-                       inner_tol_rel=0.0, **CFG)
     anchor = np.array([[0.0]])
-    w, _ = panls_subproblem(*_build_quad(prob, fac, "w", anchor), cfg)
+    w, _ = panls_subproblem(*_build_quad(prob, fac, "w", anchor),
+                            floor=1e-12, rel=0.0)
     assert w == pytest.approx(np.array([[2.0 / 1.001]]), abs=1e-6)
 
 
 def test_subproblems_return_immediately_at_optimum():
     prob, fac = exact_problem()
-    cfg = SolverConfig(algorithm="PG", **CFG)
-    w, exhausted = pg_subproblem(*_build_quad(prob, fac, "w"), cfg)
+    w, exhausted = pg_subproblem(*_build_quad(prob, fac, "w"))
     assert not exhausted and w == pytest.approx(fac.W)
-    w, _ = ne_subproblem(*_build_quad(prob, fac, "w"),
-                         SolverConfig(algorithm="Ne", **CFG))
+    w, _ = ne_subproblem(*_build_quad(prob, fac, "w"))
     assert w == pytest.approx(fac.W)
 
 
 def test_panls_unique_minimizer_from_different_starts():
     prob = make_problem(seed=9, gamma1=0.3, with_constraints=False)
-    cfg = SolverConfig(algorithm="PANLS", inner_tol=1e-10,
-                       inner_tol_rel=0.0, **CFG)
+    stop = dict(floor=1e-10, rel=0.0)
     fac_a = random_factors(prob, seed=10)
     fac_b = random_factors(prob, seed=11)
     fac_b.H = [h.copy() for h in fac_a.H]  # same subproblem, other start
     anchor = np.zeros(fac_a.W.shape)
-    wa, _ = panls_subproblem(*_build_quad(prob, fac_a, "w", anchor), cfg)
-    wb, _ = panls_subproblem(*_build_quad(prob, fac_b, "w", anchor), cfg)
+    wa, _ = panls_subproblem(*_build_quad(prob, fac_a, "w", anchor), **stop)
+    wb, _ = panls_subproblem(*_build_quad(prob, fac_b, "w", anchor), **stop)
     assert wa == pytest.approx(wb, abs=1e-6)
 
 
@@ -217,14 +210,12 @@ def test_subproblem_descent(seed):
     q = w_subproblem(prob, fac.H)  # on the block W^T
     before = q.value(fac.W.T)
     for alg in ("PG", "Ne", "PANLS"):
-        cfg = SolverConfig(algorithm=alg, **CFG)
         if alg == "PG":
-            out, _ = pg_subproblem(*_build_quad(prob, fac, "w"), cfg)
+            out, _ = pg_subproblem(*_build_quad(prob, fac, "w"))
         elif alg == "Ne":
-            out, _ = ne_subproblem(*_build_quad(prob, fac, "w"), cfg)
+            out, _ = ne_subproblem(*_build_quad(prob, fac, "w"))
         else:
-            out, _ = panls_subproblem(*_build_quad(prob, fac, "w", fac.W),
-                                      cfg)
+            out, _ = panls_subproblem(*_build_quad(prob, fac, "w", fac.W))
         assert q.value(out) <= before + 1e-10
         assert out.min() >= 0
 
@@ -233,13 +224,12 @@ def test_subproblem_descent(seed):
 def test_strictly_convex_w_subproblem_agreement(seed):
     prob = make_problem(seed=seed, gamma1=0.5, with_constraints=False)
     fac = random_factors(prob, seed=seed + 7)
-    cfg = lambda alg: SolverConfig(algorithm=alg, inner_tol=1e-10,
-                                   inner_tol_rel=0.0, **CFG)
+    stop = dict(floor=1e-10, rel=0.0)
     q = w_subproblem(prob, fac.H)
-    w_pg, _ = pg_subproblem(*_build_quad(prob, fac, "w"), cfg("PG"))
-    w_ne, _ = ne_subproblem(*_build_quad(prob, fac, "w"), cfg("Ne"))
+    w_pg, _ = pg_subproblem(*_build_quad(prob, fac, "w"), **stop)
+    w_ne, _ = ne_subproblem(*_build_quad(prob, fac, "w"), **stop)
     w_pa, _ = panls_subproblem(*_build_quad(prob, fac, "w", fac.W.copy()),
-                               cfg("PANLS"))
+                               **stop)
     vals = [q.value(w) for w in (w_pg, w_ne, w_pa)]
     scale = max(1.0, abs(min(vals)))
     assert max(vals) - min(vals) <= 1e-4 * scale
@@ -293,16 +283,17 @@ def test_a_non_finite_outer_step_is_divergence(monkeypatch, value, what):
     prob = make_problem(seed=1, with_constraints=False)
     w_blocks = [0]
 
-    def poisoned(q, x0, *args):
+    def poisoned(q, x0, *args, **kwargs):
         # W's block is W^T, r x m; no H_I block has m = 6 columns here
         w_blocks[0] += x0.shape == (prob.rank, prob.m)
         if w_blocks[0] >= 3:
             return np.full_like(x0, value), False
-        return real(q, x0, *args)
+        return real(q, x0, *args, **kwargs)
 
     monkeypatch.setattr(jmf.solvers, "mur_subproblem", poisoned)
+    no_rescale(monkeypatch)
     cfg = SolverConfig(algorithm="MUR", max_outer_iters=10,
-                       tolerance=1e-300, normalize_rows=False)
+                       tolerance=1e-300)
     with pytest.raises(DivergenceError) as err:
         solve(prob, cfg, init_factors(prob, 0))
     assert str(err.value) == f"non-finite {what} at outer iteration 3"
@@ -311,10 +302,9 @@ def test_a_non_finite_outer_step_is_divergence(monkeypatch, value, what):
 
 def test_ne_keeps_its_start_on_a_flat_block():
     # a zero Hessian has Lipschitz constant 0: Ne takes no step
-    q = QuadSubproblem((np.zeros((1, 1)), None, 0.0, 0.0), np.ones((1, 3)),
-                       "h")
+    q = QuadSubproblem((np.zeros((1, 1)), None, 0.0, 0.0), np.ones((1, 3)))
     x0 = np.array([[0.0, 2.0, 1.5]])
-    x, flag = ne_subproblem(q, x0, SolverConfig(algorithm="Ne"))
+    x, flag = ne_subproblem(q, x0)
     assert np.array_equal(x, x0) and not np.shares_memory(x, x0)
     assert not flag
 
@@ -428,9 +418,6 @@ def loop_case(name: str, monkeypatch) -> tuple:
         return make_problem(seed=4, m=12, n=(8, 9), r=3, gamma2=0.1), \
             SolverConfig(algorithm="Ne", stop_rule="GradientRatio",
                          tolerance=1e-3)
-    if name == "PANLS-unscaled":
-        return make_problem(**small), SolverConfig(normalize_rows=False,
-                                                   **CFG)
     if name == "D1-refused":
         return d1_problem(1e-3, 1e-2, 0.01), SolverConfig()
     assert name == "D1-bounded"
@@ -439,7 +426,7 @@ def loop_case(name: str, monkeypatch) -> tuple:
 
 @pytest.mark.parametrize("name", [
     "MUR", "PG-redo", "PG-kept-rise", "PANLS-kept-rise", "Ne-gradient",
-    "PANLS-unscaled", "D1-refused", "D1-bounded"])
+    "D1-refused", "D1-bounded"])
 def test_solve_matches_the_written_out_loop(monkeypatch, name):
     # the beta schedule, redo or keep, the rescale bookkeeping, the
     # refusals and the stop rules, against ``oracles.ref_solve`` bit for bit
@@ -473,7 +460,6 @@ def test_solve_matches_the_written_out_loop(monkeypatch, name):
             "PG-kept-rise": kept_rises > 0,
             "PANLS-kept-rise": kept_rises > 0,
             "Ne-gradient": report.termination is not Termination.MAX_ITERS,
-            "PANLS-unscaled": report.extrapolated_steps > 0,
             "D1-bounded": kept_rises > 0}[name]
 
 def two_node_problem(lambda1: float, x: list, w: list,
@@ -742,15 +728,14 @@ def test_rescale_preserves_products_and_unit_columns():
         assert np.allclose(w @ h, before, atol=1e-10)
 
 
-def test_solve_normalization_keeps_reconstruction_path():
+def test_solve_normalization_keeps_reconstruction_path(monkeypatch):
     # with all regularizers at zero the rescaling is objective-neutral, so
-    # normalized and raw solves give identical objective traces
+    # solves with and without it give identical objective traces
     prob = make_problem(seed=12, with_constraints=False)
-    base = dict(algorithm="Ne", max_outer_iters=20, **CFG)
-    _, r_on = solve(prob, SolverConfig(normalize_rows=True, **base),
-                    init_factors(prob, 2))
-    _, r_off = solve(prob, SolverConfig(normalize_rows=False, **base),
-                     init_factors(prob, 2))
+    cfg = SolverConfig(algorithm="Ne", max_outer_iters=20, **CFG)
+    _, r_on = solve(prob, cfg, init_factors(prob, 2))
+    no_rescale(monkeypatch)
+    _, r_off = solve(prob, cfg, init_factors(prob, 2))
     on = [p.objective for p in r_on.trace]
     off = [p.objective for p in r_off.trace]
     assert on[0] == pytest.approx(off[0], rel=1e-9)
