@@ -92,6 +92,9 @@ def _read_constraints(base: Path, maps: dict) -> ConstraintSet:
         raise UsageError('networks must be maps: "within" {"view": [file, '
                          '...]} and "between" {"i,j": file}')
     for i, paths in within.items():
+        if not re.fullmatch(r"\d+", i):
+            raise UsageError(f"within entry {i!r} must be keyed by a view "
+                             "index")
         _file_names(paths, f"within entry {i!r}")
     for key, p in between.items():
         if not (re.fullmatch(r"\d+,\d+", key) and isinstance(p, str)):
@@ -272,22 +275,28 @@ def cmd_generate(args) -> int:
 def _load_source(cfg: dict):
     """Returns (dataset, constraints, ground_truth_or_None)."""
     source = _checked(cfg.get("source") or {}, dict, "source")
+    _check_keys("source", source, ("synthetic", "files"))
+    if len(source) != 1:
+        raise UsageError("config needs a 'source' with 'synthetic' or "
+                         f"'files'{', not both' if source else ''}")
+    use = cfg.get("use_constraints", True)
+    if not isinstance(use, bool):
+        raise UsageError(f"use_constraints must be true or false, got "
+                         f"{reprlib.repr(use)}")
     if "synthetic" in source:
         syn = _checked(source["synthetic"], dict, "synthetic")
-        spec = SyntheticSpec(_required(syn, "dataset", "synthetic"),
-                             mu=syn.get("mu"), seed=syn.get("seed", 0))
+        _check_keys("synthetic", syn, ("dataset", "mu", "seed"), ("dataset",))
+        spec = SyntheticSpec(syn["dataset"], mu=syn.get("mu"),
+                             seed=syn.get("seed", 0))
         truth = generate(spec)
-        constraints = (truth.constraints if cfg.get("use_constraints", True)
-                       else ConstraintSet.empty())
+        constraints = truth.constraints if use else ConstraintSet.empty()
         return truth.to_dataset(), constraints, truth
-    if "files" in source:
-        files = _checked(source["files"], dict, "files")
-        base = Path(files.get("base", "."))
-        names = _file_names(_required(files, "views", "files"), "views")
-        constraints = _read_constraints(base, files)
-        views = [read_matrix(base / p) for p in names]
-        return MultiViewDataset(views), constraints, None
-    raise UsageError("config needs a 'source' with 'synthetic' or 'files'")
+    files = _checked(source["files"], dict, "files")
+    base = Path(files.get("base", "."))
+    names = _file_names(_required(files, "views", "files"), "views")
+    constraints = _read_constraints(base, files)
+    views = [read_matrix(base / p) for p in names]
+    return MultiViewDataset(views), constraints, None
 
 
 def _check_rank(truth, rank: int) -> None:
@@ -321,6 +330,8 @@ def _save_model(run_dir: Path, problem, factors, config) -> None:
 def load_model(model_dir: Path) -> TrainedModel:
     model_dir = Path(model_dir)
     meta = json.loads((model_dir / "model.json").read_text())
+    for key in ("W", "H", "n", "rank", "hyperparameters"):
+        _required(meta, key, "model.json")
     w = read_matrix(model_dir / meta["W"])
     hs = [read_matrix(model_dir / p) for p in meta["H"]]
     if meta["n"] != [h.shape[1] for h in hs]:
@@ -340,9 +351,11 @@ def load_model(model_dir: Path) -> TrainedModel:
 
 def cmd_solve(args) -> int:
     cfg = _read_config(args.config)
+    _check_keys("the config", cfg, ("source", "use_constraints",
+                                    "hyperparameters", "solvers", "seeds"),
+                ("hyperparameters",))
     dataset, constraints, truth = _load_source(cfg)
-    params = _from_json(Hyperparameters,
-                        _required(cfg, "hyperparameters", "the config"))
+    params = _from_json(Hyperparameters, cfg["hyperparameters"])
     _check_rank(truth, params.rank)
     problem = new_problem(dataset, constraints, params)
     seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
@@ -409,6 +422,9 @@ def select_best(rows: list[dict], auc_tie: float = 1e-6) -> dict:
 
 def cmd_gridsearch(args) -> int:
     cfg = _read_config(args.config)
+    _check_keys("the config", cfg, ("source", "use_constraints",
+                                    "hyperparameters", "grid", "grid_seeds",
+                                    "solver"))
     if "synthetic" not in _checked(cfg.get("source") or {}, dict, "source"):
         raise UsageError("grid search needs a synthetic source (AUC oracle)")
     grid = _checked(cfg.get("grid") or {}, dict, "grid")
@@ -423,7 +439,8 @@ def cmd_gridsearch(args) -> int:
     grid = {**DEFAULT_GRID, **grid}
     (config,) = _solver_configs([cfg.get("solver") or {"algorithm": "PANLS"}])
     # the grid sets the weights; the rank defaults to the planted one
-    base = {"rank": truth.rank, **(cfg.get("hyperparameters") or {})}
+    base = {"rank": truth.rank, **_checked(
+        cfg.get("hyperparameters") or {}, dict, "hyperparameters")}
     rank = _from_json(Hyperparameters, base).rank
     weights = sorted(set(base) - {"rank"})
     if weights:

@@ -3,8 +3,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,47 +58,31 @@ _EXTRAP_SHRINK = 1.5  # a rise: ceiling <- beta, beta <- beta / 1.5
 # ---------------------------------------------------------------------------
 # stopping criteria
 
-@dataclass
-class StopState:
-    """Per-solve bookkeeping for the two stopping rules."""
+def _stop_reason(trace: list[TracePoint], f_init: float,
+                 config: SolverConfig) -> Termination | None:
+    """The reason the solve stops after the last point of ``trace``, or
+    None; it reads only the trace and F at the start, ``f_init``.
 
-    initial_gradient_norm: float | None = None
-    window: deque = field(default_factory=lambda: deque(maxlen=10))
-
-
-def check_stop_objective(f_prev: float, f_curr: float, f_initial: float,
-                         tol: float) -> bool:
-    """Objective-ratio rule: (F_prev - F_curr) / (F_initial - F_curr) <= tol.
-
-    A non-positive denominator means no net progress since the start, which
-    also stops the solve.  A step where the objective rises (possible when
-    per-iteration rescaling shifts the regularization terms) never counts as
-    converged.
+    Objective ratio: (F_prev - F) / (F_init - F) <= tol, F_prev the point
+    before (F_init at the first).  A non-positive denominator means no net
+    progress since the start, which also stops the solve; a step where F
+    rises (possible when the rescale shifts the regularization terms) never
+    counts as converged.  Gradient ratio: the norm is at most tol times the
+    first point's, or the last ten norms moved by at most 1e-3 tol times it.
     """
-    denom = f_initial - f_curr
-    if denom <= 0:
-        return True
-    progress = f_prev - f_curr
-    if progress < 0:
-        return False
-    return progress / denom <= tol
-
-
-def _gradient_stop_reason(state: StopState, grad_norm: float,
-                          tol: float) -> Termination | None:
-    """Gradient-ratio rule plus the slow-change escape on a 10-norm window:
-    the reason to stop, or None."""
-    if state.initial_gradient_norm is None:
-        # reference norm is the first recorded outer iteration's, so the
-        # rule can be re-checked from the trace alone
-        state.initial_gradient_norm = grad_norm
-    state.window.append(grad_norm)
-    if grad_norm <= tol * state.initial_gradient_norm:
+    tol, last = config.tolerance, trace[-1]
+    if config.stop_rule is StopRule.OBJECTIVE_RATIO:
+        f_prev = trace[-2].objective if len(trace) > 1 else f_init
+        denom, progress = f_init - last.objective, f_prev - last.objective
+        if denom <= 0 or (progress >= 0 and progress / denom <= tol):
+            return Termination.TOLERANCE_MET
+        return None
+    ref = trace[0].grad_norm
+    if last.grad_norm <= tol * ref:
         return Termination.TOLERANCE_MET
-    if len(state.window) == state.window.maxlen:
-        if abs(state.window[-1] - state.window[0]) <= (
-                1e-3 * tol * state.initial_gradient_norm):
-            return Termination.SLOW_GRADIENT_CHANGE
+    if len(trace) >= 10 and abs(last.grad_norm - trace[-10].grad_norm) <= (
+            1e-3 * tol * ref):
+        return Termination.SLOW_GRADIENT_CHANGE
     return None
 
 
@@ -800,7 +783,6 @@ def solve(problem: Problem, config: SolverConfig,
                 f"2 gamma2 = {2.0 * gamma2:.6g})", trace, unbounded=True)
 
     check_sign(f_init, "at the start", [])
-    state = StopState()
 
     trace: list[TracePoint] = []
     termination = Termination.MAX_ITERS
@@ -853,19 +835,16 @@ def solve(problem: Problem, config: SolverConfig,
                 raise DivergenceError(
                     f"non-finite {what} at outer iteration {it}", trace)
         check_sign(step.f, f"at outer iteration {it}", trace)
-        if config.stop_rule is StopRule.OBJECTIVE_RATIO:
-            reason = (Termination.TOLERANCE_MET if check_stop_objective(
-                curr.f, step.f, f_init, config.tolerance) else None)
-            # the rule also stops when F is no lower than at the start;
-            # above it by more than rounding, the solve has gone astray
-            if reason and step.f > f_init + rise_floor:
-                raise DivergenceError(
-                    f"objective {step.f:.6g} above its start {f_init:.6g} "
-                    f"at outer iteration {it}", trace)
-        else:
-            reason = _gradient_stop_reason(state, step.g, config.tolerance)
         trace.append(TracePoint(it, step.f, step.g,
                                 time.perf_counter() - start))
+        reason = _stop_reason(trace, f_init, config)
+        # the objective ratio also stops when F is no lower than at the
+        # start; above it by more than rounding, the solve has gone astray
+        if (reason and config.stop_rule is StopRule.OBJECTIVE_RATIO
+                and step.f > f_init + rise_floor):
+            raise DivergenceError(
+                f"objective {step.f:.6g} above its start {f_init:.6g} "
+                f"at outer iteration {it}", trace[:-1])
         # the next step extrapolates from these two, unless this is a kept rise
         prev = curr if accelerated and not kept_rise else None
         curr = step

@@ -14,12 +14,12 @@ from jmf import (ConstraintSet, Factorization, Hyperparameters,
                  evaluate_factors, generate, init_factors, new_problem,
                  objective_value, solve)
 from jmf.objective import h_subproblem, w_subproblem
-from jmf.solvers import (StopState, _build_quad, _gradient_stop_reason,
-                         check_stop_objective, mur_step_H, mur_step_W,
-                         ne_subproblem, panls_subproblem, pg_subproblem)
+from jmf.solvers import (_build_quad, mur_step_H, mur_step_W, ne_subproblem,
+                         panls_subproblem, pg_subproblem)
 from oracles import (brute_auc, dense_hessian_H, dense_hessian_W,
                      finite_diff_grad, make_problem, naive_objective,
                      quad_form, random_factors)
+from test_solvers import gradient_stops, objective_stop
 
 SEEDS_10 = list(range(10))
 
@@ -298,21 +298,18 @@ def test_criterion_10_mur_fixed_point(capsys):
 
 def test_criterion_11_stop_rule_truth_table(capsys):
     checks = [
-        ("objective stall", check_stop_objective(49.0, 49.0, 100.0, 1e-9)),
+        ("objective stall", objective_stop(49.0, 49.0, 100.0, 1e-9)),
         ("objective big step",
-         not check_stop_objective(50.0, 49.0, 100.0, 1e-2)),
+         not objective_stop(50.0, 49.0, 100.0, 1e-2)),
         ("objective small step",
-         check_stop_objective(49.001, 49.0, 100.0, 1e-3)),
+         objective_stop(49.001, 49.0, 100.0, 1e-3)),
+        ("gradient first iteration", gradient_stops([5.0], 0.5) == [None]),
+        ("gradient exact zero",
+         gradient_stops([10.0, 0.0], 1e-9)[-1] is not None),
     ]
-    s = StopState()
-    checks.append(("gradient first iteration",
-                   _gradient_stop_reason(s, 5.0, 0.5) is None))
-    s2 = StopState(initial_gradient_norm=10.0)
-    checks.append(("gradient exact zero",
-                   _gradient_stop_reason(s2, 0.0, 1e-9) is not None))
-    s3 = StopState(initial_gradient_norm=10.0)
-    window_hits = [_gradient_stop_reason(s3, g, 1e-4) is not None
-                   for g in [5.0] * 9 + [5.0000001]]
+    # the first norm, 10, is the reference
+    window_hits = [reason is not None for reason in
+                   gradient_stops([10.0] + [5.0] * 9 + [5.0000001], 1e-4)]
     checks.append(("gradient slow-change window",
                    not any(window_hits[:-1]) and window_hits[-1]))
     failed = [name for name, passed in checks if not passed]

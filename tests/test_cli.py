@@ -8,10 +8,12 @@ import pytest
 import jmf.cli
 import jmf.objective
 from jmf import (ConstraintSet, Factorization, Hyperparameters, SolverConfig,
-                 SyntheticSpec, generate, init_factors, new_problem, solve)
+                 SyntheticSpec, TracePoint, generate, init_factors,
+                 new_problem, objective_value, solve)
 from jmf.cli import (_save_model, load_model, main, read_matrix, run_all,
                      select_best, write_matrix)
 from jmf.evaluate import auc_score
+from jmf.solvers import _stop_reason
 from oracles import make_problem
 
 
@@ -165,6 +167,35 @@ def test_solve_summary_and_traces(tmp_path, monkeypatch):
             np.mean(finals), abs=1e-12)
     csv_lines = (out / "summary.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 3  # header + 2 rows
+
+
+def test_trace_csv_replays_the_stop(tmp_path, monkeypatch):
+    # trace.csv holds the reported trace bit for bit, and the stop rule
+    # replayed on its rows and F at the start stops at its last row
+    monkeypatch.setenv("JMF_THREADS", "1")
+    solver = {"algorithm": "Ne", "stop_rule": "GradientRatio",
+              "tolerance": 1e-3, "max_outer_iters": 150}
+    out = tmp_path / "out"
+    assert run(["solve", "--config", solve_config(tmp_path, [solver], [0]),
+                "--out", out]) == 0
+    (run_dir,) = (out / "runs").iterdir()
+    rows = [line.split(",") for line in
+            (run_dir / "trace.csv").read_text().splitlines()[1:]]
+    truth = generate(SyntheticSpec(dataset_id="D1", seed=0))
+    prob = new_problem(truth.to_dataset(), ConstraintSet.empty(),
+                       Hyperparameters(rank=4))
+    cfg = SolverConfig(**solver)
+    init = init_factors(prob, 0)
+    _, report = solve(prob, cfg, init)
+    assert [row[1:3] for row in rows] == [
+        [f"{p.objective:.17g}", f"{p.grad_norm:.17g}"] for p in report.trace]
+    trace = [TracePoint(int(it), float(f), float(g), float(t))
+             for it, f, g, t in rows]
+    f_init = objective_value(prob, init)
+    reasons = [_stop_reason(trace[:k], f_init, cfg)
+               for k in range(1, len(trace) + 1)]
+    assert reasons[:-1] == [None] * (len(trace) - 1)
+    assert reasons[-1] is report.termination
 
 
 def test_solve_parallel_matches_serial(tmp_path, monkeypatch):
@@ -447,13 +478,39 @@ def test_a_config_with_nothing_to_run_exits_2(tmp_path, capsys, monkeypatch,
      "synthetic: missing key 'dataset'"),
     ("solve", lambda cfg: {**cfg, "source": {"files": {"base": "."}}},
      "files: missing key 'views'"),
+    ("solve", lambda cfg: {**cfg, "source": {"files": {
+        "views": ["X_1.csv"], "within": {"first": ["t.csv"]}}}},
+     "within entry 'first' must be keyed by a view index"),
+    ("solve", lambda cfg: {**cfg, "seed": [5, 6]},
+     "the config: unknown key 'seed'"),
+    ("solve", lambda cfg: {**cfg, "use_constraint": False},
+     "the config: unknown key 'use_constraint'"),
+    ("gridsearch", lambda cfg: {**cfg, "seeds": [5, 6]},
+     "the config: unknown key 'seeds'"),
+    ("solve", lambda cfg: {**cfg, "source": {
+        **cfg["source"], "files": {"views": ["X_1.csv"]}}},
+     "config needs a 'source' with 'synthetic' or 'files', not both"),
+    ("gridsearch", lambda cfg: {**cfg, "source": {
+        **cfg["source"], "file": {"views": ["X_1.csv"]}}},
+     "source: unknown key 'file'"),
+    ("solve", lambda cfg: {**cfg, "source": {"synthetic": {
+        "dataset": "D1", "noise": 2.0}}},
+     "synthetic: unknown key 'noise'"),
+    ("solve", lambda cfg: {**cfg, "use_constraints": "no"},
+     "use_constraints must be true or false, got 'no'"),
+    ("gridsearch", lambda cfg: {**cfg, "hyperparameters": [4]},
+     "hyperparameters must be a JSON object, got [4]"),
 ], ids=["solve-list-config", "grid-list-config", "scalar-seeds",
         "scalar-grid-seeds", "scalar-grid-axis", "object-solvers",
         "string-synthetic-source", "string-noise-level",
         "fractional-source-seed", "true-source-seed", "string-views",
         "string-within-entry", "list-between-entry",
         "unsplit-between-key", "no-hyperparameters", "no-synthetic-dataset",
-        "grid-no-synthetic-dataset", "no-files-views"])
+        "grid-no-synthetic-dataset", "no-files-views", "named-within-key",
+        "unknown-solve-key", "misspelled-use-constraints",
+        "unknown-grid-key", "two-sources", "unknown-source-key",
+        "unknown-synthetic-key", "string-use-constraints",
+        "list-grid-hyperparameters"])
 def test_a_config_of_the_wrong_shape_exits_2_before_solving(
         tmp_path, capsys, monkeypatch, command, edit, message):
     # each of these ended in a traceback, named the wrong key, or ran
@@ -653,6 +710,21 @@ def test_load_model_names_a_stale_model_json(tmp_path, capsys, stale):
                 "--test", tmp_path / "X_1.csv", "--views", "0",
                 "--out", tmp_path / "pred"]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["W", "H", "n", "rank", "hyperparameters"])
+def test_load_model_names_a_missing_key(tmp_path, capsys, key):
+    # a missing W ended in "error: 'W'"
+    model_dir, truth = ground_truth_model_dir(tmp_path)
+    meta = json.loads((model_dir / "model.json").read_text())
+    del meta[key]
+    (model_dir / "model.json").write_text(json.dumps(meta))
+    write_matrix(tmp_path / "X_1.csv", truth.x0[0])
+    assert run(["predict", "--model", model_dir, "--mode", "l-class",
+                "--test", tmp_path / "X_1.csv", "--views", "0",
+                "--out", tmp_path / "pred"]) == 2
+    assert (f"error: model.json: missing key {key!r}"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("seed", [2.7, True], ids=["fraction", "true"])

@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 import jmf.solvers
 from jmf import (Algorithm, ConstraintSet, DivergenceError, Factorization,
                  Hyperparameters, MultiViewDataset, SolverConfig, StopRule,
-                 SyntheticSpec, Termination, generate, init_factors,
-                 new_problem, objective_value, reconstruction_error, solve)
+                 SyntheticSpec, Termination, TracePoint, generate,
+                 init_factors, new_problem, objective_value,
+                 reconstruction_error, solve)
 from jmf.objective import (QuadSubproblem, h_subproblem,
                            network_curvature, spectral_norm, w_subproblem,
                            within_top)
-from jmf.solvers import (StopState, _build_quad, _gradient_stop_reason,
-                         _rescale, check_stop_objective,
-                         mur_step_H, mur_step_W, ne_subproblem,
-                         panls_subproblem, pg_subproblem)
+from jmf.solvers import (_build_quad, _rescale, _stop_reason, mur_step_H,
+                         mur_step_W, ne_subproblem, panls_subproblem,
+                         pg_subproblem)
 from oracles import (make_problem, naive_mur_H, naive_mur_W, no_rescale,
                      random_factors, ref_solve)
 
@@ -36,56 +36,67 @@ def exact_problem():
 # ---------------------------------------------------------------------------
 # stopping rules
 
+def objective_stop(f_prev, f_curr, f_init, tol):
+    """``_stop_reason`` under the objective ratio on a trace whose last two
+    points have F = ``f_prev``, ``f_curr``."""
+    trace = [TracePoint(1, f_prev, 0.0, 0.0), TracePoint(2, f_curr, 0.0, 0.0)]
+    return _stop_reason(trace, f_init, SolverConfig(
+        stop_rule="ObjectiveRatio", tolerance=tol))
+
+
+def gradient_stops(norms, tol):
+    """``_stop_reason`` under the gradient ratio after each point of a
+    trace with these projected-gradient norms."""
+    cfg = SolverConfig(stop_rule="GradientRatio", tolerance=tol)
+    trace = [TracePoint(k, 0.0, g, 0.0) for k, g in enumerate(norms, 1)]
+    return [_stop_reason(trace[:k], 0.0, cfg)
+            for k in range(1, len(trace) + 1)]
+
+
 def test_stop_objective_stall_is_converged():
-    assert check_stop_objective(49.0, 49.0, 100.0, 1e-9)
+    assert objective_stop(49.0, 49.0, 100.0, 1e-9) is Termination.TOLERANCE_MET
 
 
 def test_stop_objective_large_step_is_not_converged():
-    assert not check_stop_objective(50.0, 49.0, 100.0, 1e-2)
+    assert objective_stop(50.0, 49.0, 100.0, 1e-2) is None
 
 
 def test_stop_objective_small_step_is_converged():
-    assert check_stop_objective(49.001, 49.0, 100.0, 1e-3)
+    assert objective_stop(
+        49.001, 49.0, 100.0, 1e-3) is Termination.TOLERANCE_MET
 
 
 def test_stop_objective_no_net_progress_stops():
-    assert check_stop_objective(99.0, 101.0, 100.0, 1e-7)
+    assert objective_stop(
+        99.0, 101.0, 100.0, 1e-7) is Termination.TOLERANCE_MET
 
 
 def test_stop_objective_increase_with_net_progress_continues():
-    assert not check_stop_objective(49.0, 49.5, 100.0, 1e-2)
+    assert objective_stop(49.0, 49.5, 100.0, 1e-2) is None
 
 
 def test_stop_gradient_first_iteration_is_false():
-    state = StopState()
-    assert _gradient_stop_reason(state, 5.0, 0.5) is None
+    assert gradient_stops([5.0], 0.5) == [None]
 
 
 def test_stop_gradient_zero_norm_is_true():
-    state = StopState(initial_gradient_norm=10.0)
-    assert _gradient_stop_reason(
-        state, 0.0, 1e-9) is Termination.TOLERANCE_MET
+    assert gradient_stops([10.0, 0.0], 1e-9)[-1] is Termination.TOLERANCE_MET
 
 
 def test_stop_gradient_ratio_fires():
-    state = StopState(initial_gradient_norm=10.0)
-    assert _gradient_stop_reason(
-        state, 1e-4, 1e-4) is Termination.TOLERANCE_MET
+    assert gradient_stops([10.0, 1e-4], 1e-4)[-1] is Termination.TOLERANCE_MET
 
 
 def test_stop_gradient_slow_change_window_fires():
-    state = StopState(initial_gradient_norm=10.0)
-    norms = [5.0] * 9 + [5.0000001]
-    results = [_gradient_stop_reason(state, g, 1e-4) for g in norms]
-    assert results[:-1] == [None] * 9
+    results = gradient_stops([10.0] + [5.0] * 9 + [5.0000001], 1e-4)
+    assert results[:-1] == [None] * 10
     # |5.0000001 - 5| = 1e-7 <= 1e-3 * 1e-4 * 10 = 1e-6
     assert results[-1] is Termination.SLOW_GRADIENT_CHANGE
 
 
 def test_stop_gradient_window_does_not_fire_on_fast_change():
-    state = StopState(initial_gradient_norm=10.0)
     norms = [5.0, 4.9, 4.8, 4.7, 4.6, 4.5, 4.4, 4.3, 4.2, 4.1]
-    assert all(_gradient_stop_reason(state, g, 1e-4) is None for g in norms)
+    assert gradient_stops([10.0] + norms, 1e-4) == [None] * 11
 
 
 # ---------------------------------------------------------------------------
@@ -755,6 +766,32 @@ def test_gradient_stop_is_recheckable_from_trace():
         assert abs(norms[-1] - norms[-10]) <= 1e-3 * cfg.tolerance * ref
     else:
         pytest.fail("solve hit the iteration cap; enlarge max_outer_iters")
+
+
+@pytest.mark.parametrize("networks", [False, True])
+@pytest.mark.parametrize("algorithm, rule", [
+    ("MUR", "ObjectiveRatio"), ("PG", "ObjectiveRatio"),
+    ("PG", "GradientRatio"), ("Ne", "ObjectiveRatio"),
+    ("Ne", "GradientRatio"), ("PANLS", "ObjectiveRatio"),
+    ("PANLS", "GradientRatio")])
+def test_the_trace_explains_the_stop(algorithm, rule, networks):
+    # replayed on the reported trace, the stop rule holds back on every
+    # proper prefix and gives the reported reason on the whole of it
+    weights = dict(lambda1=0.01, lambda2=0.01) if networks else {}
+    prob = make_problem(seed=3, m=12, n=(8, 9, 6), r=3, gamma1=0.1,
+                        gamma2=0.1, with_constraints=networks, **weights)
+    cfg = SolverConfig(algorithm=algorithm, stop_rule=rule,
+                       tolerance=1e-6 if rule == "ObjectiveRatio" else 1e-4,
+                       max_outer_iters=300)
+    init = init_factors(prob, 0)
+    _, report = solve(prob, cfg, init)
+    f_init = objective_value(prob, init)
+    trace = report.trace
+    assert all(_stop_reason(trace[:k], f_init, cfg) is None
+               for k in range(1, len(trace)))
+    want = (None if report.termination is Termination.MAX_ITERS
+            else report.termination)
+    assert _stop_reason(trace, f_init, cfg) is want
 
 
 def test_mur_objective_ratio_only_guard_is_cli_level():
