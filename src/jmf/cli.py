@@ -28,8 +28,8 @@ from .synthgen import SyntheticSpec, generate
 DEFAULT_GRID = {
     "lambda1": [0.001, 0.01, 0.1, 1, 10, 100, 1000],
     "lambda2": [0.001, 0.01, 0.1, 1, 10, 100, 1000],
-    "gamma2": [0.001, 0.01, 0.1, 1, 10, 100, 1000],
     "gamma1": [1e-6, 1e-5, 1e-4, 1e-3, 1e-2],
+    "gamma2": [0.001, 0.01, 0.1, 1, 10, 100, 1000],
 }
 
 
@@ -75,19 +75,10 @@ def _write_constraints(out: Path, constraints: ConstraintSet) -> dict:
     return {"within": within, "between": between}
 
 
-def _file_names(value, what: str) -> list:
-    """``value`` if it is a JSON list of file names, else a ``UsageError``."""
-    if isinstance(value, list) and all(isinstance(p, str) for p in value):
-        return value
-    raise UsageError(f"{what} must be a JSON list of file names, got "
-                     f"{reprlib.repr(value)}")
-
-
-def _read_constraints(base: Path, maps: dict) -> ConstraintSet:
-    """Read the files of the ``within`` map (view -> list of files) and the
-    ``between`` map ("i,j" -> file) in ``maps``, relative to ``base``,
-    once every entry is checked."""
-    within, between = maps.get("within") or {}, maps.get("between") or {}
+def _check_networks(maps: dict) -> None:
+    """Refuse network maps in ``maps`` of another shape than ``within``
+    (view -> list of files) and ``between`` ("i,j" -> file)."""
+    within, between = maps["within"], maps["between"]
     if not (isinstance(within, dict) and isinstance(between, dict)):
         raise UsageError('networks must be maps: "within" {"view": [file, '
                          '...]} and "between" {"i,j": file}')
@@ -95,16 +86,20 @@ def _read_constraints(base: Path, maps: dict) -> ConstraintSet:
         if not re.fullmatch(r"\d+", i):
             raise UsageError(f"within entry {i!r} must be keyed by a view "
                              "index")
-        _file_names(paths, f"within entry {i!r}")
+        _typed(f"within entry {i!r}", paths, "files")
     for key, p in between.items():
         if not (re.fullmatch(r"\d+,\d+", key) and isinstance(p, str)):
             raise UsageError(f'between entry {key!r} must map "i,j" to a '
                              f'file name, got {reprlib.repr(p)}')
+
+
+def _read_constraints(base: Path, maps: dict) -> ConstraintSet:
+    """Read the files of the checked network maps in ``maps`` from ``base``."""
     return ConstraintSet(
         within={int(i): [read_matrix(base / p) for p in paths]
-                for i, paths in within.items()},
+                for i, paths in maps["within"].items()},
         between={tuple(int(t) for t in key.split(",")): read_matrix(base / p)
-                 for key, p in between.items()})
+                 for key, p in maps["between"].items()})
 
 
 def _max_workers(n_tasks: int) -> int:
@@ -196,51 +191,79 @@ def _summarize(runs: list[RunResult]) -> dict:
     return out
 
 
-def _check_keys(what: str, entry: dict, names, required=()) -> None:
-    """Raise ``UsageError`` naming each key of ``entry`` outside ``names``
-    and each ``required`` key it lacks."""
-    bad = [f"unknown key {k!r}" for k in sorted(set(entry) - set(names))]
-    bad += [f"missing key {k!r}" for k in required if k not in entry]
+# ---------------------------------------------------------------------------
+# config tables: each JSON object the CLI reads maps a key to (its type, its
+# default or ... when it is required).  An "any" value is checked where it
+# is used: by _from_json, SyntheticSpec or _check_networks.
+
+_TYPES = {"object": (dict, "a JSON object"), "list": (list, "a JSON list"),
+          "files": (list, "a JSON list of file names"),
+          "string": (str, "a JSON string"), "bool": (bool, "true or false"),
+          "any": (object, "")}  # name -> (Python type, words for a message)
+_COMMON_KEYS = {"source": ("object", {}), "use_constraints": ("bool", True)}
+_SOLVE_KEYS = {**_COMMON_KEYS, "hyperparameters": ("any", ...),
+               "solvers": ("list", []), "seeds": ("list", [0])}
+# the grid sets the weights, so "hyperparameters" may name only the rank
+_GRIDSEARCH_KEYS = {**_COMMON_KEYS, "hyperparameters": ("object", {}),
+                    "grid": ("object", {}), "grid_seeds": ("list", [0, 1, 2]),
+                    "solver": ("any", {})}
+_SOURCE_KEYS = {"synthetic": ("object", None), "files": ("object", None)}
+_SYNTHETIC_KEYS = {"dataset": ("any", ...), "mu": ("any", None),
+                   "seed": ("any", 0)}
+_NETWORK_KEYS = {"within": ("any", {}), "between": ("any", {})}
+# a manifest's files block is a source: its W0 and H0 are accepted, not read
+_FILES_KEYS = {"base": ("string", "."), "views": ("files", ...),
+               **_NETWORK_KEYS, "W0": ("string", None), "H0": ("files", None)}
+_GRID_KEYS = {axis: ("list", values) for axis, values in DEFAULT_GRID.items()}
+_MODEL_KEYS = {"rank": ("any", ...), "n": ("list", ...), "W": ("string", ...),
+               "H": ("files", ...), "hyperparameters": ("any", ...),
+               **_NETWORK_KEYS, "algorithm": ("any", "PANLS"),
+               "stop_rule": ("any", "ObjectiveRatio"), "seed": ("any", 0)}
+
+
+def _typed(name: str, value, kind: str) -> None:
+    """Refuse ``value``, naming it, when it is not of type ``kind``."""
+    cls, words = _TYPES[kind]
+    if not isinstance(value, cls) or kind == "files" and not all(
+            isinstance(p, str) for p in value):
+        raise UsageError(f"{name} must be {words}, got {reprlib.repr(value)}")
+
+
+def _read(what: str, value, table: dict, name: str = "{}") -> dict:
+    """Each key of ``table`` with its value in the JSON object ``value``, or
+    its default, once ``value`` has no unknown key, every required key and
+    each value of its type; messages name ``what`` and ``name.format(key)``."""
+    _typed(what, value, "object")
+    bad = [f"unknown key {k!r}" for k in sorted(set(value) - set(table))]
+    bad += [f"missing key {k!r}" for k, (_, default) in table.items()
+            if default is ... and k not in value]
     if bad:
         raise UsageError(f"{what}: {', '.join(bad)}")
+    for key in value:
+        _typed(name.format(key), value[key], table[key][0])
+    return {k: value.get(k, default) for k, (_, default) in table.items()}
 
 
-def _checked(value, kind: type, what: str):
-    """``value`` when it is a JSON object (``kind`` dict) or list (list),
-    else a ``UsageError`` naming ``what``."""
-    if not isinstance(value, kind):
-        what += f" must be a JSON {'object' if kind is dict else 'list'}"
-        raise UsageError(f"{what}, got {reprlib.repr(value)}")
-    return value
-
-
-def _required(entry: dict, key: str, what: str):
-    """``entry[key]``, or a ``UsageError`` naming the missing key."""
-    if key not in entry:
-        raise UsageError(f"{what}: missing key {key!r}")
-    return entry[key]
-
-
-def _read_config(path: str) -> dict:
-    return _checked(json.loads(Path(path).read_text()), dict, "the config")
-
-
-def _from_json(cls, entry: dict):
+def _from_json(cls, entry):
     """``cls`` from a JSON object whose keys are its field names."""
-    _checked(entry, dict, cls.__name__)
-    _check_keys(cls.__name__, entry, [f.name for f in fields(cls)],
-                [f.name for f in fields(cls) if f.default is MISSING])
-    return cls(**entry)
+    return cls(**_read(cls.__name__, entry, {
+        f.name: ("any", ... if f.default is MISSING else f.default)
+        for f in fields(cls)}))
 
 
-def _solver_configs(entries: list[dict]) -> list[SolverConfig]:
-    """Build and check the solver entries of an experiment config."""
-    configs = [_from_json(SolverConfig, entry)
-               for entry in _checked(entries, list, "solvers")]
+def _refuse_mur_gradient(configs: list[SolverConfig]) -> None:
     if any(c.algorithm is Algorithm.MUR
            and c.stop_rule is StopRule.GRADIENT_RATIO for c in configs):
         raise UsageError("MUR runs only under the objective-ratio stop rule")
-    return configs
+
+
+def _int_list(text: str) -> list[int]:
+    """The comma list of integers an option such as ``--seeds`` takes."""
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a comma list of integers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -273,29 +296,24 @@ def cmd_generate(args) -> int:
 # solve
 
 def _load_source(cfg: dict):
-    """Returns (dataset, constraints, ground_truth_or_None)."""
-    source = _checked(cfg.get("source") or {}, dict, "source")
-    _check_keys("source", source, ("synthetic", "files"))
-    if len(source) != 1:
-        raise UsageError("config needs a 'source' with 'synthetic' or "
-                         f"'files'{', not both' if source else ''}")
-    use = cfg.get("use_constraints", True)
-    if not isinstance(use, bool):
-        raise UsageError(f"use_constraints must be true or false, got "
-                         f"{reprlib.repr(use)}")
-    if "synthetic" in source:
-        syn = _checked(source["synthetic"], dict, "synthetic")
-        _check_keys("synthetic", syn, ("dataset", "mu", "seed"), ("dataset",))
-        spec = SyntheticSpec(syn["dataset"], mu=syn.get("mu"),
-                             seed=syn.get("seed", 0))
-        truth = generate(spec)
+    """Returns (dataset, constraints, ground_truth_or_None) from the source,
+    checked in full; a files source reads its networks only when used."""
+    source = _read("source", cfg["source"], _SOURCE_KEYS)
+    if (source["synthetic"] is None) == (source["files"] is None):
+        raise UsageError("config needs a 'source' with 'synthetic' or 'files'"
+                         f"{'' if source['files'] is None else ', not both'}")
+    use = cfg["use_constraints"]
+    if source["files"] is None:
+        syn = _read("synthetic", source["synthetic"], _SYNTHETIC_KEYS)
+        truth = generate(SyntheticSpec(syn["dataset"], syn["mu"], syn["seed"]))
         constraints = truth.constraints if use else ConstraintSet.empty()
         return truth.to_dataset(), constraints, truth
-    files = _checked(source["files"], dict, "files")
-    base = Path(files.get("base", "."))
-    names = _file_names(_required(files, "views", "files"), "views")
-    constraints = _read_constraints(base, files)
-    views = [read_matrix(base / p) for p in names]
+    files = _read("files", source["files"], _FILES_KEYS)
+    _check_networks(files)
+    base = Path(files["base"])
+    constraints = (_read_constraints(base, files) if use
+                   else ConstraintSet.empty())
+    views = [read_matrix(base / p) for p in files["views"]]
     return MultiViewDataset(views), constraints, None
 
 
@@ -329,17 +347,16 @@ def _save_model(run_dir: Path, problem, factors, config) -> None:
 
 def load_model(model_dir: Path) -> TrainedModel:
     model_dir = Path(model_dir)
-    meta = json.loads((model_dir / "model.json").read_text())
-    for key in ("W", "H", "n", "rank", "hyperparameters"):
-        _required(meta, key, "model.json")
+    meta = _read("model.json", json.loads(
+        (model_dir / "model.json").read_text()), _MODEL_KEYS)
+    _check_networks(meta)
+    config = SolverConfig(algorithm=meta["algorithm"],
+                          stop_rule=meta["stop_rule"], seed=meta["seed"])
     w = read_matrix(model_dir / meta["W"])
     hs = [read_matrix(model_dir / p) for p in meta["H"]]
     if meta["n"] != [h.shape[1] for h in hs]:
         raise ValueError(f"model.json's n {meta['n']} does not match the "
                          f"H files' columns {[h.shape[1] for h in hs]}")
-    config = SolverConfig(algorithm=meta.get("algorithm", "PANLS"),
-                          stop_rule=meta.get("stop_rule", "ObjectiveRatio"),
-                          seed=meta.get("seed", 0))
     model = TrainedModel(Factorization(w, hs),
                          _from_json(Hyperparameters, meta["hyperparameters"]),
                          _read_constraints(model_dir, meta), config)
@@ -350,26 +367,23 @@ def load_model(model_dir: Path) -> TrainedModel:
 
 
 def cmd_solve(args) -> int:
-    cfg = _read_config(args.config)
-    _check_keys("the config", cfg, ("source", "use_constraints",
-                                    "hyperparameters", "solvers", "seeds"),
-                ("hyperparameters",))
-    dataset, constraints, truth = _load_source(cfg)
+    cfg = _read("the config", json.loads(Path(args.config).read_text()),
+                _SOLVE_KEYS)
     params = _from_json(Hyperparameters, cfg["hyperparameters"])
-    _check_rank(truth, params.rank)
-    problem = new_problem(dataset, constraints, params)
-    seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
-             else [SolverConfig(seed=s).seed
-                   for s in _checked(cfg.get("seeds", [0]), list, "seeds")])
-    if not cfg.get("solvers") or not seeds:
+    seeds = [SolverConfig(seed=s).seed for s in args.seeds or cfg["seeds"]]
+    if not cfg["solvers"] or not seeds:
         raise UsageError("config needs at least one solver and one seed")
-    configs = _solver_configs(cfg["solvers"])
+    configs = [_from_json(SolverConfig, entry) for entry in cfg["solvers"]]
+    _refuse_mur_gradient(configs)
     tags = [_run_tag(config) for config in configs]
     for what, keys in (("run tag", tags), ("seed", seeds)):
         twice = next((k for k in keys if keys.count(k) > 1), None)
         if twice is not None:
             raise UsageError(f"{what} {twice} occurs twice, and each run "
                              f"writes into runs/<run tag>_seed<seed>")
+    dataset, constraints, truth = _load_source(cfg)
+    _check_rank(truth, params.rank)
+    problem = new_problem(dataset, constraints, params)
 
     out = Path(args.out)  # made with the first run's directory
     results = run_all(problem, truth,
@@ -421,26 +435,21 @@ def select_best(rows: list[dict], auc_tie: float = 1e-6) -> dict:
 
 
 def cmd_gridsearch(args) -> int:
-    cfg = _read_config(args.config)
-    _check_keys("the config", cfg, ("source", "use_constraints",
-                                    "hyperparameters", "grid", "grid_seeds",
-                                    "solver"))
-    if "synthetic" not in _checked(cfg.get("source") or {}, dict, "source"):
+    cfg = _read("the config", json.loads(Path(args.config).read_text()),
+                _GRIDSEARCH_KEYS)
+    if "synthetic" not in cfg["source"]:
         raise UsageError("grid search needs a synthetic source (AUC oracle)")
-    grid = _checked(cfg.get("grid") or {}, dict, "grid")
-    _check_keys("grid", grid, DEFAULT_GRID)
-    for key, axis in grid.items():
-        _checked(axis, list, f"grid axis {key!r}")
-    seeds = [SolverConfig(seed=s).seed for s in _checked(
-        cfg.get("grid_seeds", [0, 1, 2]), list, "grid_seeds")]
+    grid = _read("grid", cfg["grid"], _GRID_KEYS, "grid axis {!r}")
+    seeds = [SolverConfig(seed=s).seed for s in cfg["grid_seeds"]]
     if not seeds:
         raise UsageError("grid search needs at least one grid seed")
+    config = _from_json(SolverConfig, cfg["solver"])
+    _refuse_mur_gradient([config])
+    cells = list(itertools.product(*grid.values()))  # l1, l2, g1, g2
+    if not cells:
+        raise UsageError("empty parameter grid")
     dataset, constraints, truth = _load_source(cfg)
-    grid = {**DEFAULT_GRID, **grid}
-    (config,) = _solver_configs([cfg.get("solver") or {"algorithm": "PANLS"}])
-    # the grid sets the weights; the rank defaults to the planted one
-    base = {"rank": truth.rank, **_checked(
-        cfg.get("hyperparameters") or {}, dict, "hyperparameters")}
+    base = {"rank": truth.rank, **cfg["hyperparameters"]}
     rank = _from_json(Hyperparameters, base).rank
     weights = sorted(set(base) - {"rank"})
     if weights:
@@ -450,10 +459,6 @@ def cmd_gridsearch(args) -> int:
             "a one-value 'grid' axis")
     _check_rank(truth, rank)
 
-    cells = list(itertools.product(grid["lambda1"], grid["lambda2"],
-                                   grid["gamma1"], grid["gamma2"]))
-    if not cells:
-        raise UsageError("empty parameter grid")
     problem = new_problem(dataset, constraints, Hyperparameters(rank=rank))
     tasks = [(Hyperparameters(rank=rank, lambda1=l1, lambda2=l2, gamma1=g1,
                               gamma2=g2), replace(config, seed=s))
@@ -501,16 +506,10 @@ def cmd_predict(args) -> int:
     model = load_model(Path(args.model))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    view_ids = ([int(v) for v in args.views.split(",")] if args.views
-                else list(range(len(args.test))))
+    view_ids = args.views or list(range(len(args.test)))
     if len(view_ids) != len(args.test) or len(set(view_ids)) != len(view_ids):
         raise UsageError("--views must list one distinct index per test file")
-    test = {}
-    for i, path in zip(view_ids, args.test):
-        p = Path(path)
-        if not p.exists():
-            raise UsageError(f"missing test file {p}")
-        test[i] = read_matrix(p)
+    test = {i: read_matrix(Path(p)) for i, p in zip(view_ids, args.test)}
 
     mode = args.mode
     if mode == "l-class":
@@ -567,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="run solver/seed benchmark sweeps")
     s.add_argument("--config", required=True, help="JSON experiment config")
     s.add_argument("--out", required=True)
-    s.add_argument("--seeds", default=None,
+    s.add_argument("--seeds", type=_int_list, default=None,
                    help="comma list overriding the config seeds")
     s.set_defaults(func=cmd_solve)
 
@@ -581,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=["l-class", "l-view", "r"])
     p.add_argument("--test", nargs="+", required=True,
                    help="test matrix CSV files")
-    p.add_argument("--views", default=None,
+    p.add_argument("--views", type=_int_list, default=None,
                    help="comma list of view indices for the test files")
     p.add_argument("--target-view", type=int, default=0)
     p.add_argument("--labels", default=None,

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,23 @@ def test_generate_manifest_files_are_a_files_source(tmp_path):
     assert model.constraints.between.keys() == truth.between.keys()
     for i, mats in truth.within.items():
         assert np.array_equal(model.constraints.within[i][0], mats[0])
+
+
+def test_a_files_source_without_constraints_reads_no_network(tmp_path):
+    # the networks were read and used whatever use_constraints said
+    data = tmp_path / "d1"
+    assert run(["generate", "--dataset", "D1", "--out", data]) == 0
+    files = json.loads((data / "manifest.json").read_text())["files"]
+    for name in data.glob("model_*.csv"):
+        name.unlink()
+    cfg = files_config(tmp_path, {"base": str(data), **files})
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()),
+                               "use_constraints": False}))
+    out = tmp_path / "out"
+    assert run(["solve", "--config", cfg, "--out", out]) == 0
+    (run_dir,) = (out / "runs").iterdir()
+    meta = json.loads((run_dir / "model.json").read_text())
+    assert meta["within"] == {} and meta["between"] == {}
 
 
 def test_solve_rejects_a_list_shaped_network_map_exit_2(tmp_path, capsys):
@@ -500,6 +518,19 @@ def test_a_config_with_nothing_to_run_exits_2(tmp_path, capsys, monkeypatch,
      "use_constraints must be true or false, got 'no'"),
     ("gridsearch", lambda cfg: {**cfg, "hyperparameters": [4]},
      "hyperparameters must be a JSON object, got [4]"),
+    ("solve", lambda cfg: {**cfg, "source": {"files": {
+        "views": ["X_1.csv"], "betwen": {"0,1": "R.csv"}}}},
+     "files: unknown key 'betwen'"),
+    ("solve", lambda cfg: {**cfg, "source": {"files": {
+        "base": 5, "views": ["X_1.csv"]}}},
+     "base must be a JSON string, got 5"),
+    ("solve", lambda cfg: {**cfg, "source": {"files": {
+        "views": ["X_1.csv"], "within": []}}},
+     'networks must be maps: "within" {"view": [file'),
+    ("gridsearch", lambda cfg: {**cfg, "grid": []},
+     "grid must be a JSON object, got []"),
+    ("gridsearch", lambda cfg: {**cfg, "solver": []},
+     "SolverConfig must be a JSON object, got []"),
 ], ids=["solve-list-config", "grid-list-config", "scalar-seeds",
         "scalar-grid-seeds", "scalar-grid-axis", "object-solvers",
         "string-synthetic-source", "string-noise-level",
@@ -510,7 +541,8 @@ def test_a_config_with_nothing_to_run_exits_2(tmp_path, capsys, monkeypatch,
         "unknown-solve-key", "misspelled-use-constraints",
         "unknown-grid-key", "two-sources", "unknown-source-key",
         "unknown-synthetic-key", "string-use-constraints",
-        "list-grid-hyperparameters"])
+        "list-grid-hyperparameters", "misspelled-files-key", "integer-base",
+        "empty-list-within", "empty-list-grid", "empty-list-solver"])
 def test_a_config_of_the_wrong_shape_exits_2_before_solving(
         tmp_path, capsys, monkeypatch, command, edit, message):
     # each of these ended in a traceback, named the wrong key, or ran
@@ -524,6 +556,50 @@ def test_a_config_of_the_wrong_shape_exits_2_before_solving(
     assert run([command, "--config", path, "--out", out]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not calls and not out.exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    (["solve", "--config", "c.json", "--out", "o"], ["--seeds", "1,x"]),
+    (["predict", "--model", "m", "--mode", "r", "--test", "t.csv",
+      "--out", "o"], ["--views", "a"]),
+], ids=["seeds", "views"])
+def test_a_malformed_comma_list_names_its_option_exit_2(capsys, command,
+                                                        option):
+    # int()'s message named neither the option nor the list
+    with pytest.raises(SystemExit) as exc:
+        run(command + option)
+    assert exc.value.code == 2
+    assert (f"argument {option[0]}: must be a comma list of integers, got "
+            f"{option[1]!r}") in capsys.readouterr().err
+
+
+def test_readme_tables_list_the_keys_of_the_config_tables():
+    def required(table):
+        return {key for key, (_, default) in table.items() if default is ...}
+
+    def dataclass_table(cls):
+        return {f.name: (None, ... if f.default is MISSING else f.default)
+                for f in fields(cls)}
+
+    code = {"`solve` config": jmf.cli._SOLVE_KEYS,
+            "`gridsearch` config": jmf.cli._GRIDSEARCH_KEYS,
+            "`source`": jmf.cli._SOURCE_KEYS,
+            "`synthetic` source": jmf.cli._SYNTHETIC_KEYS,
+            "`files` source": jmf.cli._FILES_KEYS,
+            "`grid`": jmf.cli._GRID_KEYS,
+            "solver entry": dataclass_table(SolverConfig),
+            "`hyperparameters`": dataclass_table(Hyperparameters),
+            "`model.json`": jmf.cli._MODEL_KEYS}
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    tables = dict(re.findall(r"^\*\*(.+?)\*\*.*\n\n\| key \|.*\n\|---.*\n"
+                             r"((?:\|.*\n)+)", readme.read_text(), re.M))
+    assert tables.keys() == code.keys()
+    for caption, table in code.items():
+        rows = [[cell.strip() for cell in row.split("|")[1:-1]]
+                for row in tables[caption].splitlines()]
+        assert [row[0] for row in rows] == [f"`{key}`" for key in table]
+        assert ({row[0].strip("`") for row in rows if row[2] == "required"}
+                == required(table))
 
 
 def test_solve_missing_config_exit_2(tmp_path):
