@@ -167,19 +167,6 @@ class ConstraintSet:
                 self._within_sym[view] = s
         return self._within_sym[view]
 
-    def between_partners(self, view: int) -> list[tuple[int, np.ndarray]]:
-        """Pairs (J, M) with M sized n_J x n_I so H_J @ M enters view I's terms.
-
-        Stored R_IJ contributes its transpose; stored R_JI contributes itself.
-        """
-        out = []
-        for (i, j), mat in self.between.items():
-            if i == view:
-                out.append((j, mat.T))
-            elif j == view:
-                out.append((i, mat))
-        return out
-
 
 @dataclass(frozen=True)
 class Hyperparameters:

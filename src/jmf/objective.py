@@ -121,17 +121,11 @@ def _fit(problem: Problem, factors: Factorization, hxt: np.ndarray) -> float:
 
 def penalty_value(problem: Problem, factors: Factorization) -> float:
     """F's network and sparsity terms, everything but the fit: the part of
-    F that a product-preserving rescale of the factors can change."""
+    F that a product-preserving rescale of the factors can change.  The
+    network terms are -1/2 <H, H B> (``network_product``)."""
     p = problem.params
-    value = 0.0
-    if p.lambda1:
-        for i, h in enumerate(factors.H):
-            for theta in problem.constraints.within.get(i, ()):
-                value -= p.lambda1 * float(np.trace(h @ theta @ h.T))
-    if p.lambda2:
-        for (i, j), r_ij in problem.constraints.between.items():
-            value -= p.lambda2 * float(
-                np.sum((factors.H[i] @ r_ij) * factors.H[j]))
+    value = -0.5 * sum(float(np.vdot(h, hb)) for h, hb in zip(
+        factors.H, network_product(problem, factors.H)))
     if p.gamma1:
         value += p.gamma1 * float(np.sum(factors.W * factors.W))
     if p.gamma2:
@@ -139,6 +133,42 @@ def penalty_value(problem: Problem, factors: Factorization) -> float:
             col_l1 = h.sum(axis=0)
             value += p.gamma2 * float(np.sum(col_l1 * col_l1))
     return value
+
+
+def networks(problem: Problem, view: int
+             ) -> tuple[np.ndarray | None, list[tuple[int, np.ndarray]]]:
+    """The networks that view I's terms read under positive weights:
+    lambda1's S_I, the summed symmetrized within-networks (None when
+    lambda1 = 0 or the view has none), and lambda2's pairs (J, M), M
+    n_J x n_I, so that H_J M enters view I's terms: a stored R_IJ enters
+    as R_IJ^T and a stored R_JI as itself (none when lambda2 = 0)."""
+    p, cons = problem.params, problem.constraints
+    s = cons.within_sym(view) if p.lambda1 else None
+    pairs = []
+    if p.lambda2:
+        for (i, j), r in cons.between.items():
+            if i == view:
+                pairs.append((j, r.T))
+            elif j == view:
+                pairs.append((i, r))
+    return s, pairs
+
+
+def network_product(problem: Problem,
+                    H: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """(H B)_I for each view I, H = [H_1 ... H_N] blocks with any common
+    number of rows and B the matrix of F's network terms: lambda1 H_I S_I
+    plus lambda2 H_J M for each of ``networks``' pairs (J, M).  This is
+    the one place where B is written out (see ``network_curvature``)."""
+    p = problem.params
+    out = []
+    for i, h in enumerate(H):
+        s, pairs = networks(problem, i)
+        hb = np.zeros_like(h) if s is None else p.lambda1 * (h @ s)
+        for j, mat in pairs:
+            hb += p.lambda2 * (H[j] @ mat)
+        out.append(hb)
+    return out
 
 
 def _projected(x: np.ndarray, g: np.ndarray,
@@ -226,28 +256,18 @@ def network_curvature(problem: Problem) -> tuple[float, np.ndarray]:
     t v, F changes by t^2 (gamma2 - v^T B v / 2) plus a term linear in t,
     so lambda > 2 gamma2 proves F unbounded below, whatever the tolerance.
 
-    ``_top_eigenpair`` runs on B by blocks to the relative tolerance
-    ``_CURVATURE_TOL``.  Without networks under a positive weight B is
+    ``_top_eigenpair`` runs on B to the relative tolerance
+    ``_CURVATURE_TOL``, each product ``network_product`` on the one-row
+    blocks of its vector.  Without networks under a positive weight B is
     0, and it returns (0, the uniform vector).
     """
-    p, cons = problem.params, problem.constraints
-    within = {i: s for i in range(problem.n_views)
-              if p.lambda1 and (s := cons.within_sym(i)) is not None}
-    between = cons.between if p.lambda2 else {}
-    cuts = np.cumsum((0,) + problem.n)
+    cuts = np.cumsum(problem.n)[:-1]
 
     def times_b(x: np.ndarray) -> np.ndarray:
-        parts = [x[a:b] for a, b in zip(cuts, cuts[1:])]
-        out = np.zeros_like(x)
-        outs = [out[a:b] for a, b in zip(cuts, cuts[1:])]
-        for i, s in within.items():
-            outs[i] += p.lambda1 * (s @ parts[i])
-        for (i, j), r in between.items():
-            outs[i] += p.lambda2 * (r @ parts[j])
-            outs[j] += p.lambda2 * (parts[i] @ r)
-        return out
+        rows = [part[None] for part in np.split(x, cuts)]
+        return np.hstack(network_product(problem, rows))[0]
 
-    return _top_eigenpair(times_b, int(cuts[-1]), _CURVATURE_TOL)
+    return _top_eigenpair(times_b, sum(problem.n), _CURVATURE_TOL)
 
 
 def spectral_norm(mat: np.ndarray, tol: float = _NORM_TOL) -> float:
@@ -369,20 +389,16 @@ def h_subproblem(problem: Problem, W: np.ndarray, H: list[np.ndarray],
     are ``problem``'s views read, so prediction passes its test columns'
     product and a ``TrainedModel`` (weights and constraints) as ``problem``.
     """
-    p, cons = problem.params, problem.constraints
+    p = problem.params
     r = W.shape[1]
     if wtx is None:
         wtx = W.T @ problem.dataset.views[view]
     m = W.T @ W + p.gamma2 * np.ones((r, r))
     g0 = -2.0 * wtx
-    if p.lambda2:
-        # C = sum over partner views J of H_J @ M_J (r x n_I)
-        c = np.zeros((r, wtx.shape[1]))
-        for j, mat in cons.between_partners(view):
-            c += H[j] @ mat
-        g0 -= p.lambda2 * c
+    s, pairs = networks(problem, view)
+    if pairs:
+        g0 -= p.lambda2 * sum(H[j] @ mat for j, mat in pairs)
     if tau2 and anchor is not None:
         g0 -= 2.0 * tau2 * anchor
-    s = cons.within_sym(view) if p.lambda1 else None
     return QuadSubproblem((m, s, p.lambda1, tau2), g0,
                           lambda: within_top(problem, view)[1])

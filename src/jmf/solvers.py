@@ -11,9 +11,10 @@ from .model import (Algorithm, DivergenceError, Factorization, Problem,
                     SolverConfig, SolverReport, StopRule, Termination,
                     TracePoint)
 from .objective import (QuadSubproblem, _fit, h_subproblem,
-                        network_curvature, objective_value, penalty_value,
-                        projected_gradient_norm, projected_norm,
-                        view_products, w_subproblem, within_top)
+                        network_curvature, networks, objective_value,
+                        penalty_value, projected_gradient_norm,
+                        projected_norm, view_products, w_subproblem,
+                        within_top)
 
 _EPS = 1e-12  # multiplicative-update denominator guard
 _INNER_ITERS = 500  # an inner engine's default cap on its steps per block
@@ -116,18 +117,15 @@ def _mur_rho(problem: Problem, view: int | None) -> float:
     """Gillis and Glineur's rho for W (``view`` None) or H_I: one plus the
     cost of building the block quadratic over the cost of one ratio step,
     in multiply-adds divided by r, from the shapes and the network terms
-    in use.  An H_I build adds H_J M_J for each between-partner J when
-    lambda2 > 0; an H_I step adds x S when lambda1 > 0 and S exists."""
+    in use (``networks``).  An H_I build adds H_J M for each of its
+    lambda2 pairs (J, M); an H_I step adds x S when it has lambda1's S."""
     m, r = problem.m, problem.rank
     if view is None:
         return 1.0 + sum(problem.n) * (m + r) / (m * (r + 1))
-    p, n, cons = problem.params, problem.n[view], problem.constraints
-    build = m * (n + r)
-    if p.lambda2:
-        build += n * sum(problem.n[j] for j, _ in cons.between_partners(view))
-    step = n * (r + 1)
-    if p.lambda1 and cons.within_sym(view) is not None:
-        step += n * n
+    n = problem.n[view]
+    s, pairs = networks(problem, view)
+    build = m * (n + r) + n * sum(problem.n[j] for j, _ in pairs)
+    step = n * (r + 1) + (0 if s is None else n * n)
     return 1.0 + build / step
 
 
@@ -621,13 +619,11 @@ def _block_step(problem: Problem, config: SolverConfig,
 
 def _uncoupled(problem: Problem, config: SolverConfig) -> bool:
     """Whether PANLS solves every H_I block exactly and no H_I block reads
-    another: no view has lambda1 S_I, nor a between-partner under
-    lambda2 > 0."""
-    p, cons = problem.params, problem.constraints
+    another: no view reads a network under a positive weight
+    (``networks``)."""
     return config.algorithm is Algorithm.PANLS and not any(
-        (p.lambda1 and cons.within_sym(i) is not None)
-        or (p.lambda2 and cons.between_partners(i))
-        for i in range(problem.n_views))
+        s is not None or pairs for s, pairs in
+        (networks(problem, i) for i in range(problem.n_views)))
 
 
 def _check_sweep(problem: Problem, config: SolverConfig, w: np.ndarray,

@@ -236,7 +236,8 @@ def best_matching_score(corr):
 # the projected inner engines (PG, Ne, PANLS) as they were before each step
 # was cut to one Hessian product: every step recomputes the gradient with
 # q.grad, the projection uses np.where, and sums allocate temporaries.
-# Kept verbatim, renamed, as the reference the current engines must match.
+# Kept verbatim, renamed, as the reference the current engines must match,
+# except that PG and PANLS also return the flag of an exhausted search.
 # They read their settings from the namespace ``ref_settings`` builds.
 
 def ref_settings(cap: int, floor: float, rel: float) -> SimpleNamespace:
@@ -326,8 +327,11 @@ def ref_ne_minimize(q: QuadSubproblem, x0: np.ndarray,
 
 
 def ref_panls_minimize(q: QuadSubproblem, x0: np.ndarray,
-                       config: SimpleNamespace) -> np.ndarray:
-    """PG steps alternating with conjugate gradients on the inactive set."""
+                       config: SimpleNamespace) -> tuple[np.ndarray, bool]:
+    """PG steps alternating with conjugate gradients on the inactive set.
+
+    Returns (iterate, search-exhausted flag); an exhausted search in the
+    PG phase or in a CG breakdown's PG step ends the minimization."""
     x = x0.copy()
     g = q.grad(x)
     pn = ref_pgn(x, g)
@@ -344,7 +348,7 @@ def ref_panls_minimize(q: QuadSubproblem, x0: np.ndarray,
             g = q.grad(x)
             pn = ref_pgn(x, g)
             if exhausted:
-                return x
+                return x, True
             interior = float(np.linalg.norm(g * (x > 0)))
             if interior < eta * pn:
                 eta *= config.rho
@@ -367,7 +371,9 @@ def ref_panls_minimize(q: QuadSubproblem, x0: np.ndarray,
             curv = float(np.sum(direction * qd))
             if curv <= 0:
                 # breakdown: fall back to a PG step
-                x, _ = ref_armijo_step(q, x, g, config)
+                x, exhausted = ref_armijo_step(q, x, g, config)
+                if exhausted:
+                    return x, True
                 k += 1
                 g = q.grad(x)
                 pn = ref_pgn(x, g)
@@ -411,7 +417,7 @@ def ref_panls_minimize(q: QuadSubproblem, x0: np.ndarray,
             rr_new = float(np.sum(resid_new * resid_new))
             direction = resid_new + (rr_new / rr) * direction
             resid, rr = resid_new, rr_new
-    return x
+    return x, False
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +478,11 @@ def ref_sweep(problem, config, fac, hxt, curvature):
     s._check_sweep(problem, config, fac.W, curvature)
     wtx = [fac.W.T @ x for x in problem.dataset.views]
     p, cons = problem.params, problem.constraints
-    coupled = any((p.lambda1 and cons.within_sym(i) is not None)
-                  or (p.lambda2 and cons.between_partners(i))
-                  for i in range(problem.n_views))
+    # a block reads a network when lambda1 > 0 and its view has a within
+    # network, or lambda2 > 0 and any between network is stored
+    coupled = (p.lambda1 and any(cons.within_sym(i) is not None
+                                 for i in range(problem.n_views))
+               ) or (p.lambda2 and bool(cons.between))
     if config.algorithm is not Algorithm.PANLS or coupled:
         for i in range(problem.n_views):
             fac.H[i], flag = s._block_step(problem, config, fac, i, wtx[i])

@@ -22,6 +22,7 @@ quadratic, and its inner stop keeps to Gillis and Glineur's rule.
 import inspect
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,18 +30,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import jmf.solvers
+import oracles
 from jmf import (Hyperparameters, SolverConfig, SyntheticSpec, generate,
                  init_factors, new_problem, solve)
 from jmf.objective import (QuadSubproblem, _projected, h_subproblem,
                            projected_norm, view_products, w_subproblem)
-from jmf.solvers import (_MUR_ALPHA, _MUR_DELTA, _block_step, _build_quad,
-                         _mur_rho, _nnls_bpp, _outer_step, _panls_minimize,
-                         _passive_solve, mur_step_H, mur_step_W,
-                         mur_subproblem, ne_subproblem, panls_subproblem,
-                         pg_subproblem)
+from jmf.solvers import (_MUR_ALPHA, _MUR_DELTA, _armijo_step, _block_step,
+                         _build_quad, _mur_rho, _nnls_bpp, _outer_step,
+                         _panls_minimize, _passive_solve, mur_step_H,
+                         mur_step_W, mur_subproblem, ne_subproblem,
+                         panls_subproblem, pg_subproblem)
 from oracles import (make_problem, no_rescale, random_factors,
-                     ref_ne_minimize, ref_nnls, ref_panls_minimize,
-                     ref_pg_minimize, ref_pgn, ref_settings)
+                     ref_armijo_step, ref_ne_minimize, ref_nnls,
+                     ref_panls_minimize, ref_pg_minimize, ref_pgn,
+                     ref_settings)
 
 TAU = 1e-2
 
@@ -79,8 +82,9 @@ def test_engines_match_their_reference(engine, seed):
             new, _ = ne_subproblem(q, x0, **STOP)
             ref = ref_ne_minimize(q, x0, ref_settings(**STOP))
         else:
-            new, _ = _panls_minimize(q, x0, **STOP)
-            ref = ref_panls_minimize(q, x0, ref_settings(**STOP))
+            new, flag = _panls_minimize(q, x0, **STOP)
+            ref, ref_flag = ref_panls_minimize(q, x0, ref_settings(**STOP))
+            assert flag == ref_flag
         assert q.value(new) == pytest.approx(q.value(ref), rel=1e-10)
         np.testing.assert_allclose(new, ref, rtol=0, atol=1e-8)
         assert not np.shares_memory(new, x0)
@@ -103,16 +107,23 @@ def random_h_block(seed):
 
 def lines_run(fn, *args, **kwargs):
     """fn(*args, **kwargs) and the line numbers that ran in fn's own
-    frame."""
+    frame.  A trace function already set (a debugger, or the line trace
+    of ``tests/linetrace.py``) goes on seeing every frame."""
     ran, previous = set(), sys.gettrace()
 
-    def local(frame, event, arg):
-        if event == "line":
-            ran.add(frame.f_lineno)
-        return local
+    def chained(frame, event, arg):
+        outer = previous and previous(frame, event, arg)
+        mine = frame.f_code is fn.__code__
 
-    sys.settrace(lambda frame, event, arg:
-                 local if frame.f_code is fn.__code__ else None)
+        def local(frame, event, arg):
+            nonlocal outer
+            if mine and event == "line":
+                ran.add(frame.f_lineno)
+            outer = outer and outer(frame, event, arg)
+            return local
+        return local if mine or outer else None
+
+    sys.settrace(chained)
     try:
         return fn(*args, **kwargs), ran
     finally:
@@ -128,19 +139,97 @@ def first_statement_under(fn, marker: str) -> int:
                         if not lines[j].lstrip().startswith("#"))
 
 
-@pytest.mark.parametrize("seed, branch", [
-    (0, "if curv <= 0:"),
-    (4440, "if rr == 0.0:"),
-    (1274, "if uncertain and 0 < growth <= _N2:"),
-], ids=["cg-breakdown-pg-step", "zero-residual", "clipped-cg-back-to-pg"])
-def test_panls_rare_branches_match_their_reference(seed, branch):
-    # blocks found by a random search over random_h_block's seeds
-    q, x0 = random_h_block(seed)
-    (new, _), ran = lines_run(_panls_minimize, q, x0, **STOP)
+def saddle_block():
+    """An H block beside a saddle point x* = 4, with its start x* + U / 4
+    on the direction U = [1 1; -1 -1] of the Hessian's one negative
+    eigenvalue: 2 M - lambda1 S is indefinite (eigenvalues -0.8, 1.2,
+    2.8, 4.8 over the block) on the whole block, which is inactive.  PG
+    steps move further along U, so CG's first direction is U and breaks
+    down.  The off-diagonal M_kl >= 0 and 2 M_kk >= lambda1 ||S||_2, so q
+    is convex along every direction D >= 0 and bounded below on x >= 0:
+    the engine goes on to the boundary, where U's second row reaches 0."""
+    m = np.array([[1.0, 0.9], [0.9, 1.0]])
+    s = np.array([[0.0, 1.0], [1.0, 0.0]])
+    saddle = np.full((2, 2), 4.0)
+    hess = QuadSubproblem((m, s, 1.0, 0.0), np.zeros((2, 2))).hess_apply
+    q = QuadSubproblem((m, s, 1.0, 0.0), -hess(saddle), s_norm=lambda: 1.0)
+    return q, saddle + 0.25 * np.array([[1.0, 1.0], [-1.0, -1.0]])
+
+
+def zero_residual_block():
+    """A one-column block of rows a, b, c, in binary fractions so that
+    every step below is exact.  a = 1 is at its minimizer and stays
+    there; b falls from 15.5 by PG steps to 1.5, and c stays at 0 while
+    b > 1 holds its gradient 0.5 b - 0.5 >= 0.  The CG step on {a, b}
+    is clipped where b reaches 0, leaving a, the one inactive entry,
+    with gradient 0: the restarted residual is 0 while c's gradient,
+    -0.5, keeps the projected norm up."""
+    m = np.array([[0.5, 0.0, 0.0], [0.0, 0.25, 0.25], [0.0, 0.25, 0.5]])
+    q = QuadSubproblem((m, None, 0.0, 0.0), np.array([[-1.0], [0.25],
+                                                      [-0.5]]))
+    return q, np.array([[1.0], [15.5], [0.0]])
+
+
+def uncertain_block():
+    """A one-column block of two uncoupled rows, in binary fractions:
+    after three PG steps a = 9 (minimizer 8) and b = 1.5 (minimizer
+    below 0).  The CG step is clipped where b reaches 0, one entry more
+    in the active set, and leaves a = 8.25 with gradient 0.125, the
+    whole projected gradient: a is uncertain, so PANLS goes back to PG."""
+    q = QuadSubproblem((0.25 * np.eye(2), None, 0.0, 0.0),
+                       np.array([[-4.0], [0.25]]))
+    return q, np.array([[16.0], [15.5]])
+
+
+@pytest.mark.parametrize("block, branch", [
+    (partial(random_h_block, 0), "if curv <= 0:"),
+    (partial(random_h_block, 4440), "if rr == 0.0:"),
+    (partial(random_h_block, 1274), "if uncertain and 0 < growth <= _N2:"),
+    (saddle_block, "if curv <= 0:"),
+    (zero_residual_block, "if rr == 0.0:"),
+    (uncertain_block, "if uncertain and 0 < growth <= _N2:"),
+], ids=["cg-breakdown-pg-step", "zero-residual", "clipped-cg-back-to-pg",
+        "saddle-cg-breakdown", "built-zero-residual",
+        "built-clipped-cg-back-to-pg"])
+def test_panls_rare_branches_match_their_reference(block, branch):
+    # the random blocks were found by a search over random_h_block's
+    # seeds, the others are built to reach their branch
+    q, x0 = block()
+    (new, flag), ran = lines_run(_panls_minimize, q, x0, **STOP)
     assert first_statement_under(_panls_minimize, branch) in ran
-    ref = ref_panls_minimize(q, x0, ref_settings(**STOP))
+    ref, ref_flag = ref_panls_minimize(q, x0, ref_settings(**STOP))
+    assert flag == ref_flag
     assert q.value(new) == pytest.approx(q.value(ref), rel=1e-10)
     np.testing.assert_allclose(new, ref, rtol=0, atol=1e-8)
+    assert q.value(new) <= q.value(x0)
+
+
+def fourth_search_runs_out(search, ran_out):
+    """A spy on an Armijo search: the search itself, except that its
+    fourth call returns ``ran_out(x)``, an exhausted search at x; and the
+    list of the iterates it was called at."""
+    starts = []
+
+    def spy(q, x, *rest):
+        starts.append(x.copy())
+        return ran_out(x) if len(starts) == 4 else search(q, x, *rest)
+    return spy, starts
+
+
+def test_an_exhausted_search_after_a_cg_breakdown_ends_panls(monkeypatch):
+    # the saddle block's fourth Armijo search is the PG step after CG's
+    # breakdown; when it runs out, the engine and its reference both
+    # return the iterate it started from, with the flag set
+    search, starts = fourth_search_runs_out(_armijo_step, lambda x: True)
+    monkeypatch.setattr(jmf.solvers, "_armijo_step", search)
+    monkeypatch.setattr(oracles, "ref_armijo_step", fourth_search_runs_out(
+        ref_armijo_step, lambda x: (x, True))[0])
+    q, x0 = saddle_block()
+    (x, flag), ran = lines_run(_panls_minimize, q, x0, **STOP)
+    assert first_statement_under(_panls_minimize, "if curv <= 0:") in ran
+    assert flag and len(starts) == 4 and np.array_equal(x, starts[-1])
+    ref, ref_flag = oracles.ref_panls_minimize(q, x0, ref_settings(**STOP))
+    assert ref_flag and np.array_equal(ref, x)
 
 
 def test_projected_norm_matches_the_reference_norm():

@@ -32,6 +32,11 @@ def test_auc_degenerate_labels_rejected():
         auc_score([1.0, 2.0], [0, 0])
 
 
+def test_auc_scores_and_labels_of_different_lengths_rejected():
+    with pytest.raises(ValueError, match="scores and labels differ in length"):
+        auc_score([0.1, 0.4, 0.35], [0, 1])
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_auc_matches_brute_force(seed):
     rng = np.random.default_rng(seed)

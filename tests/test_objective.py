@@ -9,8 +9,8 @@ from jmf import (ConstraintSet, DivergenceError, Factorization,
                  SyntheticSpec, generate, new_problem, objective_value,
                  projected_gradient_norm, reconstruction_error, solve,
                  spectral_norm)
-from jmf.objective import (h_subproblem, network_curvature, w_subproblem,
-                           within_top)
+from jmf.objective import (h_subproblem, network_curvature, network_product,
+                           networks, penalty_value, w_subproblem, within_top)
 from oracles import (dense_hessian_H, dense_hessian_W, finite_diff_grad,
                      make_problem, naive_objective, quad_form, random_factors)
 
@@ -487,6 +487,88 @@ def dense_network_matrix(prob) -> np.ndarray:
         b[blocks[i], blocks[j]] += p.lambda2 * r
         b[blocks[j], blocks[i]] += p.lambda2 * r.T
     return b
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("lambda1, lambda2", [
+    (0.3, 0.2), (0.0, 0.2), (0.3, 0.0), (0.0, 0.0)],
+    ids=["both", "between-only", "within-only", "none"])
+def test_network_product_is_h_times_the_dense_network_matrix(
+        rows, lambda1, lambda2):
+    prob = make_problem(seed=5, m=5, n=(7, 4, 9), lambda1=lambda1,
+                        lambda2=lambda2)
+    rng = np.random.default_rng(rows)
+    hs = [rng.random((rows, n)) for n in prob.n]
+    got = network_product(prob, hs)
+    assert [hb.shape for hb in got] == [h.shape for h in hs]
+    np.testing.assert_allclose(np.hstack(got),
+                               np.hstack(hs) @ dense_network_matrix(prob),
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("lambda1, lambda2", [(0.3, 0.2), (0.0, 0.0)])
+def test_networks_lists_what_each_view_reads_under_its_weights(
+        lambda1, lambda2):
+    # make_problem stores R_01, R_02 and R_12: a stored R_IJ enters view I
+    # as R_IJ^T and view J as itself
+    prob = make_problem(seed=5, m=5, n=(7, 4, 9), lambda1=lambda1,
+                        lambda2=lambda2)
+    cons = prob.constraints
+    for view, partners in enumerate([[1, 2], [0, 2], [0, 1]]):
+        s, pairs = networks(prob, view)
+        assert s is (cons.within_sym(view) if lambda1 else None)
+        assert [j for j, _ in pairs] == (partners if lambda2 else [])
+        for j, mat in pairs:
+            want = (cons.between[(view, j)].T if view < j
+                    else cons.between[(j, view)])
+            assert mat.shape == (prob.n[j], prob.n[view])
+            assert np.array_equal(mat, want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_penalty_is_half_the_network_quadratic_plus_the_sparsity_terms(
+        seed):
+    prob = make_problem(seed=seed, m=5, n=(7, 4, 9), lambda1=0.3,
+                        lambda2=0.2, gamma1=0.1, gamma2=0.6)
+    fac = random_factors(prob, seed=seed + 20)
+    h = np.hstack(fac.H)
+    p = prob.params
+    want = (-0.5 * np.trace(h @ dense_network_matrix(prob) @ h.T)
+            + p.gamma1 * np.sum(fac.W ** 2)
+            + p.gamma2 * np.sum(h.sum(axis=0) ** 2))
+    assert penalty_value(prob, fac) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+def test_power_iteration_stopped_at_its_cap_keeps_its_bounds(monkeypatch,
+                                                             cap):
+    # ``_top_eigenpair`` returns its last iterate when the quotient still
+    # moves at the cap: network_curvature's lambda stays a lower bound on
+    # lambda_max(B), which its refusals rely on, and within_top's v stays
+    # a unit vector >= 0
+    prob = make_problem(seed=3, m=5, n=(7, 4, 9), lambda1=0.3, lambda2=0.2)
+    converged = within_top(make_problem(seed=3, lambda1=0.3), 0)[1]
+    monkeypatch.setattr(jmf.objective, "_POWER_MAX_ITER", cap)
+    quotients, product = [], jmf.objective.network_product
+
+    def spy(problem, rows):
+        out = product(problem, rows)
+        quotients.append(sum(float(np.vdot(a, b)) for a, b in zip(rows, out)))
+        return out
+
+    monkeypatch.setattr(jmf.objective, "network_product", spy)
+    lam, v = network_curvature(prob)
+    assert len(quotients) == cap + 1  # the start and cap iterations
+    assert abs(quotients[-1] - quotients[-2]) > (
+        jmf.objective._CURVATURE_TOL * quotients[-1])
+    assert lam == pytest.approx(quotients[-1], rel=1e-12)
+    assert lam <= np.linalg.eigvalsh(dense_network_matrix(prob))[-1]
+    assert np.all(v >= 0) and np.linalg.norm(v) == pytest.approx(1.0)
+    capped = make_problem(seed=3, lambda1=0.3)
+    v, vsv = within_top(capped, 0)
+    s = capped.constraints.within_sym(0)
+    assert np.all(v >= 0) and np.linalg.norm(v) == pytest.approx(1.0)
+    assert vsv < converged <= np.linalg.eigvalsh(s)[-1] * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("call, message", [

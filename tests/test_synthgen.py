@@ -111,6 +111,17 @@ def test_d3_w0_consecutive_columns_share_15_rows():
         assert shared == 15
 
 
+def test_rows_left_all_zero_after_the_redraws_are_counted(monkeypatch):
+    # with no redraws, D2's Bernoulli(0.1) W0 keeps every row that came
+    # out all zero (0.9^10, about a third of them), and the metadata
+    # counts each
+    monkeypatch.setattr(synthgen, "_BERNOULLI_RETRIES", 0)
+    truth = generate(SyntheticSpec("D2", seed=0))
+    zero_rows = int(np.sum(~truth.w0.any(axis=1)))
+    assert zero_rows > 0
+    assert truth.metadata["all_zero_rows"] == zero_rows
+
+
 def test_build_within_noise_free_counts():
     h0 = np.array([[1.0, 1.0], [0.0, 0.0]])
     theta = build_within(h0, noise_scale=0.0)
