@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -258,11 +258,15 @@ class Problem:
 
     Construct through :func:`new_problem`, which validates shapes and signs.
     The weight-free caches live on the dataset and the constraint set.
+    Each view's lambda1 S_I, which the weights change, is held here
+    (``objective.weighted_within``), so it is freed with the problem.
     """
 
     dataset: MultiViewDataset
     constraints: ConstraintSet
     params: Hyperparameters
+    _weighted_within: dict = field(default_factory=dict, init=False,
+                                   repr=False, compare=False)
 
     @property
     def m(self) -> int:

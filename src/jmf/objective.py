@@ -42,6 +42,14 @@ fit's relative error grows as the fit shrinks: about 1e-12 at
 ||X||^2 the fit is therefore summed from the residuals themselves, which
 keeps small fits (and the objective-ratio rule's differences of them)
 accurate and an exact factorization at 0.0.
+
+F's network terms, -1/2 sum_I <H_I, (H B)_I>, and the network part of
+each H_I gradient read one product, (H B)_I (``network_terms``).  A solve
+forms it once per outer step, after the rescale: F, the projected-
+gradient norm and F before the rescale read it, the last in closed form
+(``solvers._unscaled_network``).  A problem without networks forms none.
+The weighted network lambda1 S_I that H_I's Hessian products read is
+formed once per problem and view (``weighted_within``).
 """
 from __future__ import annotations
 
@@ -119,13 +127,25 @@ def _fit(problem: Problem, factors: Factorization, hxt: np.ndarray) -> float:
     return value
 
 
-def penalty_value(problem: Problem, factors: Factorization) -> float:
+def penalty_value(problem: Problem, factors: Factorization,
+                  hb: Sequence[np.ndarray] | None = None) -> float:
     """F's network and sparsity terms, everything but the fit: the part of
     F that a product-preserving rescale of the factors can change.  The
-    network terms are -1/2 <H, H B> (``network_product``)."""
+    network terms are -1/2 sum_I <H_I, (H B)_I>, read from ``hb``, the
+    factors' ``network_terms``, formed here when None; it is None when B
+    is 0, and then so are the network terms."""
+    if hb is None:
+        hb = network_terms(problem, factors.H)
+    value = 0.0 if hb is None else -0.5 * sum(
+        float(np.vdot(h, b)) for h, b in zip(factors.H, hb))
+    return sparsity_value(problem, factors, value)
+
+
+def sparsity_value(problem: Problem, factors: Factorization,
+                   value: float = 0.0) -> float:
+    """``value`` plus F's sparsity terms, gamma1 ||W||^2 and then gamma2
+    sum_I sum_j ||h_j^I||_1^2, added to it in that order."""
     p = problem.params
-    value = -0.5 * sum(float(np.vdot(h, hb)) for h, hb in zip(
-        factors.H, network_product(problem, factors.H)))
     if p.gamma1:
         value += p.gamma1 * float(np.sum(factors.W * factors.W))
     if p.gamma2:
@@ -154,6 +174,41 @@ def networks(problem: Problem, view: int
     return s, pairs
 
 
+def weighted_within(problem: Problem, view: int) -> np.ndarray | None:
+    """lambda1 S_I, the within term of H_I's Hessian (None without S_I).
+
+    A ``Problem`` forms it once per view, at the view's first H_I build,
+    and holds it, so that it is freed with the problem: it depends on
+    the weights, which differ between the problems of a grid on one
+    constraint set.  A solve refused before its first H_I build forms
+    none.  Another holder of weights and constraints (prediction's
+    ``TrainedModel``) forms it on each call.
+    """
+    cache = getattr(problem, "_weighted_within", {})
+    if view not in cache:
+        s = networks(problem, view)[0]
+        if s is not None:
+            s = problem.params.lambda1 * s
+            s.flags.writeable = False
+        cache[view] = s
+    return cache[view]
+
+
+def reads_networks(problem: Problem) -> bool:
+    """Whether any view reads a network under a positive weight
+    (``networks``); otherwise B is 0 and so are F's network terms."""
+    return any(s is not None or pairs for s, pairs in
+               (networks(problem, i) for i in range(problem.n_views)))
+
+
+def network_terms(problem: Problem,
+                  H: Sequence[np.ndarray]) -> list[np.ndarray] | None:
+    """``network_product``'s (H B)_I, or None when B is 0
+    (``reads_networks``), so that a problem without networks forms no
+    zero blocks."""
+    return network_product(problem, H) if reads_networks(problem) else None
+
+
 def network_product(problem: Problem,
                     H: Sequence[np.ndarray]) -> list[np.ndarray]:
     """(H B)_I for each view I, H = [H_1 ... H_N] blocks with any common
@@ -171,44 +226,58 @@ def network_product(problem: Problem,
     return out
 
 
-def _projected(x: np.ndarray, g: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
+def _projected(x: np.ndarray, g: np.ndarray, out: np.ndarray | None = None,
+               positive: np.ndarray | None = None) -> np.ndarray:
     """KKT residual: at the zero bound, positive gradients are projected out.
 
     Zeroes g where x <= 0 and g >= 0 by a multiply with a mask, which does
     not branch per entry as ``np.where`` does; every entry's square equals
     that of ``np.where(x > 0, g, np.minimum(g, 0.0))`` for finite g (a
     +inf gradient at the bound becomes NaN instead of 0).  ``out`` is an
-    optional buffer of x's shape.
+    optional buffer of x's shape, and ``positive`` the mask x > 0 when
+    the caller holds it.
     """
-    return np.multiply(g, (x > 0) | (g < 0), out=out)
+    if positive is None:
+        positive = x > 0
+    return np.multiply(g, positive | (g < 0), out=out)
 
 
 def projected_norm(x: np.ndarray, g: np.ndarray,
-                   out: np.ndarray | None = None) -> float:
+                   out: np.ndarray | None = None,
+                   positive: np.ndarray | None = None) -> float:
     """Frobenius norm of one block's projected gradient ``_projected(x, g)``,
     written to the optional buffer ``out`` on the way."""
-    p = _projected(x, g, out)
+    p = _projected(x, g, out, positive)
     return math.sqrt(np.vdot(p, p))
 
 
 def projected_gradient_norm(problem: Problem, factors: Factorization,
                             hxt: np.ndarray | None = None,
-                            wtx: Sequence[np.ndarray] | None = None) -> float:
+                            wtx: Sequence[np.ndarray] | None = None,
+                            hb: Sequence[np.ndarray] | None = None) -> float:
     """Frobenius norm of the projected gradients stacked over W and all H_I.
 
-    ``hxt`` is sum_I H_I X_I^T and ``wtx[I]`` is W^T X_I; each is formed
-    here when None.
+    ``hxt`` is sum_I H_I X_I^T, ``wtx[I]`` is W^T X_I and ``hb`` the
+    factors' ``network_terms``; each is formed here when None.  H_I's
+    gradient is 2 M H_I - 2 W^T X_I - (H B)_I, M = W^T W + gamma2 11^T,
+    the gradient of its quadratic (``h_subproblem``) without building it.
     """
     _check_shapes(problem, factors)
     if wtx is None:
         wtx = [factors.W.T @ x for x in problem.dataset.views]
+    if hb is None:
+        hb = network_terms(problem, factors.H)
     wt, hs = factors.W.T, factors.H
     q = w_subproblem(problem, hs, hxt=hxt)
     norms = [projected_norm(wt, q.grad(wt))]
-    for i, x in enumerate(wtx):
-        q = h_subproblem(problem, factors.W, hs, i, wtx=x)
-        norms.append(projected_norm(hs[i], q.grad(hs[i])))
+    r = problem.rank
+    doubled = 2.0 * (wt @ factors.W + problem.params.gamma2 * np.ones((r, r)))
+    for i, (h, x) in enumerate(zip(hs, wtx)):
+        g = doubled @ h
+        g -= 2.0 * x
+        if hb is not None:
+            g -= hb[i]
+        norms.append(projected_norm(h, g))
     return float(np.linalg.norm(norms))
 
 
@@ -308,13 +377,19 @@ class QuadSubproblem:
     view has none, so S alone says whether the within term acts) and
     tau = tau2.  W's block is W^T, which puts its quadratic in the same
     form: M = sum_I H_I H_I^T + (gamma1 + tau1) I, S = None, lambda1 = 0
-    and tau = 0.
+    and tau = 0.  MUR's ratio steps, the Lipschitz constant and the
+    boundedness check read ``hess_mats``.
 
-    The doubled r x r matrix 2M is formed once when the subproblem is
-    built and ``hess_apply`` multiplies by it, which saves a pass and a
-    temporary over each product.  Doubling is exact, so (2M) D equals
-    2 (M D) bit for bit unless an entry overflows or falls into the
-    subnormal range.
+    ``hess_apply`` applies the operator folded into two matrices, formed
+    once per subproblem: the r x r ``doubled`` = 2 (M + tau I) and the
+    k x k ``weighted_s`` = lambda1 S (None without S), so that a product
+    is doubled D - D weighted_s, two matrix products and one subtraction.
+    The fold rounds differently from the unfolded sum, by a few eps
+    relative; without S and tau it is 2 (M D) bit for bit, as doubling
+    is exact unless an entry overflows or falls into the subnormal
+    range.  ``weighted_s`` is formed here when not given; an H_I build
+    passes the one its ``Problem`` holds for the view.  PANLS's exact
+    solve of a block without S takes ``doubled`` as its matrix.
 
     ``lipschitz()`` is computed on request: 2 (lambda_max(M) + tau) plus
     lambda1 ||S||_2.  ``s_norm`` supplies ||S||_2, which ``within_top``
@@ -324,20 +399,21 @@ class QuadSubproblem:
     hess_mats: tuple
     g0: np.ndarray
     s_norm: Callable[[], float] | None = None
+    weighted_s: np.ndarray | None = None
     # the name of the one layout, read only by the benchmark's flop count
     kind: ClassVar[str] = "h"
-    _doubled: np.ndarray = field(init=False, repr=False)
+    doubled: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._doubled = 2.0 * self.hess_mats[0]
+        m, s, lam1, tau = self.hess_mats
+        self.doubled = 2.0 * (m + tau * np.eye(len(m)) if tau else m)
+        if s is not None and self.weighted_s is None:
+            self.weighted_s = lam1 * s
 
     def hess_apply(self, d: np.ndarray) -> np.ndarray:
-        _, s, lam1, tau = self.hess_mats
-        out = self._doubled @ d
-        if s is not None:
-            out -= lam1 * (d @ s)
-        if tau:
-            out += 2.0 * tau * d
+        out = self.doubled @ d
+        if self.weighted_s is not None:
+            out -= d @ self.weighted_s
         return out
 
     def grad(self, x: np.ndarray) -> np.ndarray:
@@ -401,4 +477,5 @@ def h_subproblem(problem: Problem, W: np.ndarray, H: list[np.ndarray],
     if tau2 and anchor is not None:
         g0 -= 2.0 * tau2 * anchor
     return QuadSubproblem((m, s, p.lambda1, tau2), g0,
-                          lambda: within_top(problem, view)[1])
+                          lambda: within_top(problem, view)[1],
+                          weighted_within(problem, view))

@@ -11,10 +11,11 @@ from .model import (Algorithm, DivergenceError, Factorization, Problem,
                     SolverConfig, SolverReport, StopRule, Termination,
                     TracePoint)
 from .objective import (QuadSubproblem, _fit, h_subproblem,
-                        network_curvature, networks, objective_value,
-                        penalty_value, projected_gradient_norm,
-                        projected_norm, view_products, w_subproblem,
-                        within_top)
+                        network_curvature, network_terms, networks,
+                        objective_value, penalty_value,
+                        projected_gradient_norm, projected_norm,
+                        reads_networks, sparsity_value, view_products,
+                        w_subproblem, within_top)
 
 _EPS = 1e-12  # multiplicative-update denominator guard
 _INNER_ITERS = 500  # an inner engine's default cap on its steps per block
@@ -287,12 +288,12 @@ def _step_to_bound(x: np.ndarray, d: np.ndarray, out: np.ndarray) -> float:
     the entries with d < 0, inf when there is none.
 
     Branch-free: the ratios x / max(-d, 0) are inf or NaN where d >= 0,
-    and ``np.fmin`` skips NaN.  ``out`` is a work buffer.
+    and ``np.fmin`` skips NaN; the caller silences the division's
+    warnings.  ``out`` is a work buffer.
     """
     np.negative(d, out=out)
     np.maximum(out, 0.0, out=out)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(x, out, out=out)
+    np.divide(x, out, out=out)
     step = float(np.fmin.reduce(out, axis=None))
     return np.inf if np.isnan(step) else step
 
@@ -313,87 +314,92 @@ def _panls_minimize(q: QuadSubproblem, x0: np.ndarray, *,
     """
     x = x0.copy()
     xn, work = np.empty_like(x), np.empty_like(x)
+    mask = np.empty(x.shape, dtype=bool)  # x > 0, the inactive set
     g = q.grad(x)
     pn = projected_norm(x, g, work)
     tol = max(floor, rel * pn)
     eta = _ETA
     k = 0
-    while pn > tol and k < cap:
-        # constrained PG phase
-        rounds_without_progress = 0
+    # ``_step_to_bound``'s ratios divide by 0 where d >= 0
+    with np.errstate(divide="ignore", invalid="ignore"):
         while pn > tol and k < cap:
-            if _armijo_step(q, x, g, xn, work):
-                return x, True
-            x, xn = xn, x
-            k += 1
-            g = q.grad(x)
-            pn = projected_norm(x, g, work)
-            np.multiply(g, x > 0, out=work)
-            interior = math.sqrt(np.vdot(work, work))
-            if interior < eta * pn:
-                eta *= _RHO
-                rounds_without_progress = 0
-            else:
-                rounds_without_progress += 1
-                if rounds_without_progress > _N1:
-                    break
-        if pn <= tol or k >= cap:
-            break
-        # unconstrained CG phase restricted to the inactive set; the
-        # direction starts at the residual -(g * mask)
-        mask = x > 0
-        direction = np.multiply(g, mask)
-        np.negative(direction, out=direction)
-        rr = float(np.vdot(direction, direction))
-        while pn > tol and k < cap:
-            if rr == 0.0:
-                break
-            qd = q.hess_apply(direction)
-            curv = float(np.vdot(direction, qd))
-            if curv <= 0:
-                # breakdown: fall back to a PG step
+            # constrained PG phase
+            rounds_without_progress = 0
+            while pn > tol and k < cap:
                 if _armijo_step(q, x, g, xn, work):
                     return x, True
                 x, xn = xn, x
                 k += 1
                 g = q.grad(x)
-                pn = projected_norm(x, g, work)
-                break
-            step = rr / curv
-            # truncate at the nonnegativity boundary
-            step_max = _step_to_bound(x, direction, work)
-            clipped = step >= step_max
-            np.multiply(direction, step_max if clipped else step, out=work)
-            x += work
-            np.maximum(x, 0.0, out=x)
-            k += 1
-            if clipped:
-                active_before = x.size - np.count_nonzero(mask)
-                g = q.grad(x)
-                pn = projected_norm(x, g, work)
                 np.greater(x, 0.0, out=mask)
-                growth = (x.size - np.count_nonzero(mask)) - active_before
-                uncertain = np.any(
-                    (np.abs(g) >= pn ** _PANLS_ALPHA)
-                    & (x >= pn ** _PANLS_BETA))
-                if uncertain and 0 < growth <= _N2:
+                pn = projected_norm(x, g, work, mask)
+                np.multiply(g, mask, out=work)
+                interior = math.sqrt(np.vdot(work, work))
+                if interior < eta * pn:
+                    eta *= _RHO
+                    rounds_without_progress = 0
+                else:
+                    rounds_without_progress += 1
+                    if rounds_without_progress > _N1:
+                        break
+            if pn <= tol or k >= cap:
+                break
+            # unconstrained CG phase restricted to the inactive set, which
+            # ``mask`` holds from the last PG step; the direction starts
+            # at the residual -(g * mask)
+            direction = np.multiply(g, mask)
+            np.negative(direction, out=direction)
+            rr = float(np.vdot(direction, direction))
+            while pn > tol and k < cap:
+                if rr == 0.0:
+                    break
+                qd = q.hess_apply(direction)
+                curv = float(np.vdot(direction, qd))
+                if curv <= 0:
+                    # breakdown: fall back to a PG step
+                    if _armijo_step(q, x, g, xn, work):
+                        return x, True
+                    x, xn = xn, x
+                    k += 1
+                    g = q.grad(x)
+                    pn = projected_norm(x, g, work)
+                    break
+                step = rr / curv
+                # truncate at the nonnegativity boundary
+                step_max = _step_to_bound(x, direction, work)
+                clipped = step >= step_max
+                np.multiply(direction, step_max if clipped else step,
+                            out=work)
+                x += work
+                np.maximum(x, 0.0, out=x)
+                k += 1
+                if clipped:
+                    active_before = x.size - np.count_nonzero(mask)
+                    g = q.grad(x)
+                    np.greater(x, 0.0, out=mask)
+                    pn = projected_norm(x, g, work, mask)
+                    growth = (x.size - np.count_nonzero(mask)) - active_before
+                    uncertain = ((np.abs(g) >= pn ** _PANLS_ALPHA)
+                                 & (x >= pn ** _PANLS_BETA)).any()
+                    if uncertain and 0 < growth <= _N2:
+                        break  # return to the PG phase
+                    # restart CG at the reduced dimension
+                    np.multiply(g, mask, out=direction)
+                    np.negative(direction, out=direction)
+                    rr = float(np.vdot(direction, direction))
+                    continue
+                # the step kept every inactive entry positive: mask holds
+                qd *= step
+                g += qd
+                pn = projected_norm(x, g, work, mask)
+                # work = g * mask = -(new residual)
+                np.multiply(g, mask, out=work)
+                rr_new = float(np.vdot(work, work))
+                if math.sqrt(rr_new) < eta * pn:
                     break  # return to the PG phase
-                # restart CG at the reduced dimension
-                np.multiply(g, mask, out=direction)
-                np.negative(direction, out=direction)
-                rr = float(np.vdot(direction, direction))
-                continue
-            qd *= step
-            g += qd
-            pn = projected_norm(x, g, work)
-            # work = g * mask = -(new residual)
-            np.multiply(g, mask, out=work)
-            rr_new = float(np.vdot(work, work))
-            if math.sqrt(rr_new) < eta * pn:
-                break  # return to the PG phase
-            direction *= rr_new / rr
-            direction -= work
-            rr = rr_new
+                direction *= rr_new / rr
+                direction -= work
+                rr = rr_new
     return x, False
 
 
@@ -562,11 +568,10 @@ def panls_subproblem(q: QuadSubproblem, x0: np.ndarray, *,
     inner stop.
     """
     stop = dict(cap=cap, floor=floor, rel=rel)
-    m, s, _, tau = q.hess_mats
-    if s is not None:
+    if q.hess_mats[1] is not None:
         return _panls_minimize(q, x0, **stop)
     try:
-        x, solved = _nnls_bpp(2.0 * (m + tau * np.eye(len(m))), -q.g0, x0)
+        x, solved = _nnls_bpp(q.doubled, -q.g0, x0)
     except np.linalg.LinAlgError:  # a singular passive matrix
         x, solved = x0, False
     return (x, False) if solved else _panls_minimize(q, x, **stop)
@@ -600,6 +605,22 @@ def _rescale(w: np.ndarray, hs: list[np.ndarray]) -> np.ndarray:
     return norms
 
 
+def _unscaled_network(hs: list[np.ndarray], hb: list[np.ndarray] | None,
+                      norms: np.ndarray) -> float:
+    """F's network terms before the rescale that divided W's columns by
+    ``norms``, from the rescaled H_I and their ``network_terms`` ``hb``.
+
+    The rescale multiplied row k of every H_I by n_k, so it multiplied by
+    n_k^2 the share a_k of -1/2 sum_I <H_I, (H B)_I> that row k carries,
+    a_k the row sums of sum_I H_I o (H B)_I: the terms before it are
+    -1/2 sum_k a_k / n_k^2.
+    """
+    if hb is None:
+        return 0.0
+    a = sum(np.einsum("ij,ij->i", h, b) for h, b in zip(hs, hb))
+    return -0.5 * float(np.sum(a / (norms * norms)))
+
+
 def _block_step(problem: Problem, config: SolverConfig,
                 factors: Factorization, target,
                 xprod: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -620,10 +641,9 @@ def _block_step(problem: Problem, config: SolverConfig,
 def _uncoupled(problem: Problem, config: SolverConfig) -> bool:
     """Whether PANLS solves every H_I block exactly and no H_I block reads
     another: no view reads a network under a positive weight
-    (``networks``)."""
-    return config.algorithm is Algorithm.PANLS and not any(
-        s is not None or pairs for s, pairs in
-        (networks(problem, i) for i in range(problem.n_views)))
+    (``reads_networks``)."""
+    return (config.algorithm is Algorithm.PANLS
+            and not reads_networks(problem))
 
 
 def _check_sweep(problem: Problem, config: SolverConfig, w: np.ndarray,
@@ -659,7 +679,9 @@ class _Step:
     factors: Factorization
     hxt: np.ndarray  # sum_I H_I X_I^T, which the next W build reads
     f: float  # F after the rescale
-    f_unscaled: float  # F before it: the rescale changes only the penalty
+    # F before it: the rescale changes only the penalty, whose terms
+    # before it are the sparsity terms taken then and ``_unscaled_network``
+    f_unscaled: float
     exhausted: int  # block solves whose step-size search ran out
     g: float  # the projected-gradient norm
 
@@ -669,7 +691,9 @@ def _outer_step(problem: Problem, config: SolverConfig, start: Factorization,
     """One outer step, in place on ``start`` (sum_I H_I X_I^T = ``hxt``):
     W's update, ``_check_sweep``'s refusal of an H sweep that ``curvature``
     leaves uncertified, each H_I's update, the rescale, F and the
-    projected-gradient norm, which reads the H builds' W^T X_I.
+    projected-gradient norm, which reads the H builds' W^T X_I.  F, F
+    before the rescale and the norm read one ``network_terms`` product
+    of the rescaled H.
 
     ``_uncoupled`` H_I blocks share M + tau I, so one ``panls_subproblem``
     call solves their quadratics stacked column-wise: the same update as
@@ -692,15 +716,17 @@ def _outer_step(problem: Problem, config: SolverConfig, start: Factorization,
         cuts = np.cumsum([h.shape[1] for h in start.H])[:-1]
         start.H = [np.ascontiguousarray(h) for h in np.split(x, cuts, axis=1)]
         exhausted += flag
-    penalty = penalty_value(problem, start)
+    sparsity = sparsity_value(problem, start)
     norms = _rescale(start.W, start.H)
     for w in wtx:
         w /= norms[:, None]
-    scaled = penalty_value(problem, start)
+    hb = network_terms(problem, start.H)
+    scaled = penalty_value(problem, start, hb)
     hxt = view_products(problem.dataset.views, start.H)
     f = objective_value(problem, start, hxt, scaled)
-    return _Step(start, hxt, f, f - scaled + penalty, exhausted,
-                 projected_gradient_norm(problem, start, hxt, wtx))
+    unscaled = sparsity + _unscaled_network(start.H, hb, norms)
+    return _Step(start, hxt, f, f - scaled + unscaled, exhausted,
+                 projected_gradient_norm(problem, start, hxt, wtx, hb))
 
 
 def _extrapolated(views, factors: Factorization, hxt: np.ndarray,

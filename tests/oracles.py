@@ -535,7 +535,7 @@ def ref_solve(problem, config, init):
         except DivergenceError as err:
             message = str(err)
         else:
-            penalty = s.penalty_value(problem, start)
+            sparsity = s.sparsity_value(problem, start)
             finite = (np.isfinite(start.W).all()
                       and all(np.isfinite(h).all() for h in start.H))
             norms = np.linalg.norm(start.W, axis=0)
@@ -547,6 +547,12 @@ def ref_solve(problem, config, init):
                 w /= norms[:, None]
             new_hxt = s.view_products(views, start.H)
             f = s.objective_value(problem, start, new_hxt)
+            # the penalty before the rescale: the sparsity terms taken
+            # then, and the network terms in closed form, row k's share
+            # a_k of -1/2 <H, H B> divided by the n_k^2 the rescale put in
+            a = sum(np.einsum("ij,ij->i", h, hb) for h, hb in zip(
+                start.H, jmf.objective.network_product(problem, start.H)))
+            penalty = sparsity - 0.5 * float(np.sum(a / (norms * norms)))
             return SimpleNamespace(
                 fac=start, hxt=new_hxt, wtx=wtx, f=f,
                 f_unscaled=f - s.penalty_value(problem, start) + penalty,

@@ -5,9 +5,10 @@ Each engine (``<alg>_subproblem``) takes a quadratic built by
 the block and the flag of an exhausted step-size search.  The projected
 engines (PG, Ne, PANLS) must follow the reference copies in
 ``oracles.py`` (equal in exact arithmetic), the branch-free projection
-and the doubled Hessian operator must agree with the forms they
-replaced, the product counts per step are pinned, and an exhausted
-step-size search is reported.  PANLS's exact solve of a block that
+must agree with the form it replaced, the folded Hessian operator with
+its two products and, to rounding, with the unfolded sum, the product
+counts per step are pinned, and an exhausted step-size search is
+reported.  PANLS's exact solve of a block that
 splits into small NNLS problems must reach the one KKT point that
 enumerating the passive sets finds (``ref_nnls``), also when every H_I
 block is stacked into one quadratic.  Its passive-set solves must match
@@ -277,9 +278,10 @@ def operator_cases(draw):
 
 
 @given(operator_cases())
-def test_doubled_operator_is_bitwise_the_old_product(case):
+def test_folded_operator_is_bitwise_its_two_products(case):
     rng, r, rows, cols, scale, lam1, tau, networks = case
-    # W's block W^T, r x m: a symmetric M and no S, lambda1 or tau
+    # W's block W^T, r x m: a symmetric M and no S, lambda1 or tau, where
+    # the fold is exactly 2 (M D)
     a = scale * rng.random((r, r))
     a = a + a.T
     d = rng.standard_normal((r, rows))
@@ -290,13 +292,23 @@ def test_doubled_operator_is_bitwise_the_old_product(case):
     s = rng.random((cols, cols)) if networks else None
     d = rng.standard_normal((r, cols))
     q = QuadSubproblem((m, s, lam1, tau), np.zeros((r, cols)))
+    folded = (2.0 * (m + tau * np.eye(r))) @ d
+    if s is not None:
+        folded -= d @ (lam1 * s)
+    assert np.array_equal(q.hess_apply(d), folded)
+    # the unfolded operator 2 M D - lambda1 D S + 2 tau D, to 1e-13 of
+    # the size of its terms (d has entries of both signs, so the sum can
+    # cancel to 0 while its rounding cannot)
     old = 2.0 * (m @ d)
-    if s is not None and lam1:
+    size = 2.0 * (m @ np.abs(d)) + 2.0 * tau * np.abs(d)
+    if s is not None:
         old -= lam1 * (d @ s)
+        size += lam1 * (np.abs(d) @ s)
     if tau:
         old += 2.0 * tau * d
-    assert np.array_equal(q.hess_apply(d), old)
-    # the one layout that MUR, PANLS and the flop count read
+    assert np.all(np.abs(q.hess_apply(d) - old) <= 1e-13 * size)
+    # the one layout that MUR, the Lipschitz constant, the boundedness
+    # check and the flop count read
     assert q.hess_mats[0] is m
 
 

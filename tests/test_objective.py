@@ -1,3 +1,6 @@
+import gc
+import itertools
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -6,11 +9,14 @@ import pytest
 import jmf.objective
 from jmf import (ConstraintSet, DivergenceError, Factorization,
                  Hyperparameters, MultiViewDataset, SolverConfig,
-                 SyntheticSpec, generate, new_problem, objective_value,
-                 projected_gradient_norm, reconstruction_error, solve,
-                 spectral_norm)
-from jmf.objective import (h_subproblem, network_curvature, network_product,
-                           networks, penalty_value, w_subproblem, within_top)
+                 SyntheticSpec, generate, init_factors, new_problem,
+                 objective_value, projected_gradient_norm,
+                 reconstruction_error, solve, spectral_norm)
+from jmf.objective import (_fit, h_subproblem, network_curvature,
+                           network_product, networks, penalty_value,
+                           projected_norm, sparsity_value, view_products,
+                           w_subproblem, weighted_within, within_top)
+from jmf.solvers import _outer_step, _rescale, _unscaled_network
 from oracles import (dense_hessian_H, dense_hessian_W, finite_diff_grad,
                      make_problem, naive_objective, quad_form, random_factors)
 
@@ -663,3 +669,129 @@ def test_f_along_the_perron_ray_has_the_curvature_of_the_test(
     expected = 2 * t * t * (prob.params.gamma2 * float(v @ v) - lam / 2)
     assert expected < 0  # this ray proves F unbounded
     assert second == pytest.approx(expected, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one network product per outer step: F, F before the rescale and the
+# projected-gradient norm read the (H B)_I of ``network_product``
+
+def d1_grid():
+    """D1 instance 0 at each of the 18 cells of perfbench's d1-net-grid,
+    with its ``init_factors``, whose W columns have norms 3.7-4.5."""
+    truth = generate(SyntheticSpec("D1", seed=0))
+    data = truth.to_dataset()
+    for l1, l2, g2 in itertools.product((1e-3, 1e-2, 1e-1),
+                                        (1e-3, 1e-2, 1e-1), (0.01, 0.1)):
+        prob = new_problem(data, truth.constraints, Hyperparameters(
+            rank=truth.rank, lambda1=l1, lambda2=l2, gamma1=1e-4,
+            gamma2=g2))
+        yield prob, init_factors(prob, 0)
+
+
+def networked_cases():
+    """The D1 grid, then small random problems under all four weights."""
+    yield from d1_grid()
+    for seed in range(3):
+        prob = make_problem(seed=seed, m=5, n=(7, 4, 9), lambda1=0.3,
+                            lambda2=0.2, gamma1=0.1, gamma2=0.6)
+        yield prob, random_factors(prob, seed=seed + 20)
+
+
+def network_free_cases():
+    """Problems whose networks F does not read: no weight, or none
+    stored under positive weights."""
+    yield make_problem(seed=1, gamma1=0.1, gamma2=0.6)
+    yield make_problem(seed=2, lambda1=1.0, lambda2=1.0, gamma2=0.3,
+                       with_constraints=False)
+
+
+def rebuilt_gradient_norm(prob, fac):
+    """The projected-gradient norm from each block's quadratic, W's and
+    every H_I's built afresh."""
+    wt = fac.W.T
+    norms = [projected_norm(wt, w_subproblem(prob, fac.H).grad(wt))]
+    for i, h in enumerate(fac.H):
+        norms.append(projected_norm(
+            h, h_subproblem(prob, fac.W, fac.H, i).grad(h)))
+    return float(np.linalg.norm(norms))
+
+
+def test_penalty_given_the_network_product_is_bitwise_its_own():
+    for prob, fac in networked_cases():
+        hb = network_product(prob, fac.H)
+        assert repr(penalty_value(prob, fac, hb)) == repr(
+            penalty_value(prob, fac))
+
+
+def test_penalty_before_the_rescale_is_closed_form():
+    # the sparsity terms taken before the rescale, and the network terms
+    # from the rescaled H and their product
+    for prob, fac in networked_cases():
+        want = penalty_value(prob, fac)
+        sparsity = sparsity_value(prob, fac)
+        scaled = fac.copy()
+        norms = _rescale(scaled.W, scaled.H)
+        assert not np.allclose(norms, 1.0)
+        got = sparsity + _unscaled_network(
+            scaled.H, network_product(prob, scaled.H), norms)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_gradient_norm_given_the_network_product_matches_the_rebuild():
+    for prob, fac in networked_cases():
+        got = projected_gradient_norm(prob, fac,
+                                      hb=network_product(prob, fac.H))
+        assert got == pytest.approx(rebuilt_gradient_norm(prob, fac),
+                                    rel=1e-12)
+    for prob in network_free_cases():
+        fac = random_factors(prob, seed=3)
+        assert repr(projected_gradient_norm(prob, fac)) == repr(
+            rebuilt_gradient_norm(prob, fac))
+
+
+def test_a_problem_without_networks_forms_no_network_product(monkeypatch):
+    calls = counted_calls(monkeypatch, "network_product")
+    for prob in network_free_cases():
+        fac = random_factors(prob, seed=3)
+        # F as it was summed with the zero blocks of (H B)_I
+        p = prob.params
+        old = -0.5 * sum(float(np.vdot(h, np.zeros_like(h))) for h in fac.H)
+        old += p.gamma1 * float(np.sum(fac.W * fac.W))
+        for h in fac.H:
+            col_l1 = h.sum(axis=0)
+            old += p.gamma2 * float(np.sum(col_l1 * col_l1))
+        hxt = view_products(prob.dataset.views, fac.H)
+        assert repr(objective_value(prob, fac)) == repr(
+            _fit(prob, fac, hxt) + old)
+        projected_gradient_norm(prob, fac)
+        step = _outer_step(prob, SolverConfig(), fac, hxt, 0.0)
+        assert step.f == objective_value(prob, step.factors, step.hxt)
+    assert calls == []
+
+
+def refuse_sweep(*args):
+    raise DivergenceError("refused", unbounded=True)
+
+
+def test_a_problems_weighted_networks_are_freed_with_it(monkeypatch):
+    # lambda1 S_I is formed once per problem and view, at its first H_I
+    # build, and held by the problem alone: the constraint set, which
+    # every problem of a grid shares, and the module hold no copy
+    prob = networked_problem()
+    cons, data, params = prob.constraints, prob.dataset, prob.params
+    fac = random_factors(prob, seed=4)
+    solve(prob, SolverConfig(max_outer_iters=3), fac)
+    held = weighted_within(prob, 0)
+    np.testing.assert_array_equal(held, params.lambda1 * cons.within_sym(0))
+    assert weighted_within(prob, 0) is held
+    assert h_subproblem(prob, fac.W, fac.H, 0).weighted_s is held
+    ref = weakref.ref(held)
+    del prob, held
+    gc.collect()
+    assert ref() is None
+    # a solve refused before it builds an H_I block forms none
+    prob = new_problem(data, cons, params)
+    monkeypatch.setattr(jmf.solvers, "_check_sweep", refuse_sweep)
+    with pytest.raises(DivergenceError):
+        solve(prob, SolverConfig(), fac)
+    assert prob._weighted_within == {}
