@@ -43,13 +43,13 @@ fit's relative error grows as the fit shrinks: about 1e-12 at
 keeps small fits (and the objective-ratio rule's differences of them)
 accurate and an exact factorization at 0.0.
 
-F's network terms, -1/2 sum_I <H_I, (H B)_I>, and the network part of
-each H_I gradient read one product, (H B)_I (``network_terms``).  A solve
-forms it once per outer step, after the rescale: F, the projected-
-gradient norm and F before the rescale read it, the last in closed form
-(``solvers._unscaled_network``).  A problem without networks forms none.
-The weighted network lambda1 S_I that H_I's Hessian products read is
-formed once per problem and view (``weighted_within``).
+F's penalty is one closed form (``orbit_penalty``) in three small arrays
+(``penalty_terms``).  Its network terms and the network part of each H_I
+gradient read one product, (H B)_I (``network_terms``), which a solve
+forms once per outer step, after the rescale: F, F before the rescale
+and the projected-gradient norm read it.  A problem without networks
+forms none.  The weighted network lambda1 S_I that H_I's Hessian products
+read is formed once per problem and view (``weighted_within``).
 """
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .model import Factorization, Problem
+from .model import Factorization, Hyperparameters, Problem
 
 # fits below this share of ||X||^2 are summed from the residual (see above)
 FIT_FLOOR = 1e-4
@@ -104,55 +104,61 @@ def view_products(views: Sequence[np.ndarray],
 
 def objective_value(problem: Problem, factors: Factorization,
                     hxt: np.ndarray | None = None,
-                    penalty: float | None = None) -> float:
-    """F at ``factors``; ``hxt`` is sum_I H_I X_I^T and ``penalty`` F's
-    ``penalty_value``, each formed here when None."""
+                    terms: tuple | None = None) -> float:
+    """F at ``factors``; ``hxt`` is sum_I H_I X_I^T and ``terms`` the
+    factors' ``penalty_terms``, each formed here when None."""
     _check_shapes(problem, factors)
     if hxt is None:
         hxt = view_products(problem.dataset.views, factors.H)
-    if penalty is None:
-        penalty = penalty_value(problem, factors)
-    return _fit(problem, factors, hxt) + penalty
+    if terms is None:
+        terms = penalty_terms(problem, factors)
+    return _fit(problem, factors, hxt, terms[2]) + orbit_penalty(
+        problem.params, terms)
 
 
-def _fit(problem: Problem, factors: Factorization, hxt: np.ndarray) -> float:
-    """sum_I ||X_I - W H_I||_F^2 from the trace identity and hxt =
-    sum_I H_I X_I^T, or from the residuals below ``FIT_FLOOR`` ||X||^2."""
+def _fit(problem: Problem, factors: Factorization, hxt: np.ndarray,
+         gram: np.ndarray) -> float:
+    """sum_I ||X_I - W H_I||_F^2 from the trace identity, hxt =
+    sum_I H_I X_I^T and gram = sum_I H_I H_I^T, or from the residuals
+    below ``FIT_FLOOR`` ||X||^2."""
     w = factors.W
     x_sq = problem.x_squared_norm()
     value = x_sq - 2.0 * float(np.vdot(w.T, hxt)) + float(
-        np.vdot(w.T @ w, sum(h @ h.T for h in factors.H)))
+        np.vdot(w.T @ w, gram))
     if not value >= FIT_FLOOR * x_sq:  # also catches a NaN identity
         value = reconstruction_error(problem, factors)
     return value
 
 
-def penalty_value(problem: Problem, factors: Factorization,
-                  hb: Sequence[np.ndarray] | None = None) -> float:
-    """F's network and sparsity terms, everything but the fit: the part of
-    F that a product-preserving rescale of the factors can change.  The
-    network terms are -1/2 sum_I <H_I, (H B)_I>, read from ``hb``, the
-    factors' ``network_terms``, formed here when None; it is None when B
-    is 0, and then so are the network terms."""
+def penalty_terms(problem: Problem, factors: Factorization,
+                  hb: Sequence[np.ndarray] | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, a, G), all that F's penalty reads (``orbit_penalty``): c_k =
+    ||w_k||^2, a_k the row sums of sum_I H_I o (H B)_I, with ``hb`` the
+    factors' ``network_terms`` (formed here when None, and a = 0 when it
+    is None), and G = sum_I H_I H_I^T, which ``_fit`` reads too."""
     if hb is None:
         hb = network_terms(problem, factors.H)
-    value = 0.0 if hb is None else -0.5 * sum(
-        float(np.vdot(h, b)) for h, b in zip(factors.H, hb))
-    return sparsity_value(problem, factors, value)
+    w = factors.W
+    c = np.einsum("ij,ij->j", w, w)
+    a = np.zeros_like(c) if hb is None else sum(
+        np.einsum("ij,ij->i", h, b) for h, b in zip(factors.H, hb))
+    return c, a, sum(h @ h.T for h in factors.H)
 
 
-def sparsity_value(problem: Problem, factors: Factorization,
-                   value: float = 0.0) -> float:
-    """``value`` plus F's sparsity terms, gamma1 ||W||^2 and then gamma2
-    sum_I sum_j ||h_j^I||_1^2, added to it in that order."""
-    p = problem.params
-    if p.gamma1:
-        value += p.gamma1 * float(np.sum(factors.W * factors.W))
-    if p.gamma2:
-        for h in factors.H:
-            col_l1 = h.sum(axis=0)
-            value += p.gamma2 * float(np.sum(col_l1 * col_l1))
-    return value
+def orbit_penalty(params: Hyperparameters, terms: tuple,
+                  d: np.ndarray | float = 1.0) -> float:
+    """F's penalty, everything but the fit, at (W D^-1, D H_I), D =
+    diag(d) > 0, from the ``penalty_terms`` (c, a, G) of (W, H_I): gamma1
+    sum_k c_k / d_k^2 - 1/2 sum_k a_k d_k^2 + gamma2 d^T G d, its terms
+    gamma1 ||W||^2, -1/2 sum_I <H_I, (H B)_I> and gamma2 sum_I 1^T H_I
+    H_I^T 1 on the orbit that keeps the fit; d = 1 is (W, H_I) itself."""
+    c, a, gram = terms
+    d = np.ones_like(c) * d
+    sq = d * d
+    return (params.gamma1 * float((c / sq).sum())
+            - 0.5 * float((a * sq).sum())
+            + params.gamma2 * float(d @ gram @ d))
 
 
 def networks(problem: Problem, view: int
@@ -365,10 +371,8 @@ def within_top(problem: Problem, view: int) -> tuple[np.ndarray, float]:
 
 @dataclass
 class QuadSubproblem:
-    """One block's subproblem as an explicit quadratic in an r x k block.
-
-    grad(X) = hess_apply(X) + g0; value(X) omits the additive constant, so it
-    is only meaningful for comparisons within one subproblem.
+    """One block's subproblem as an explicit quadratic in an r x k block,
+    with grad(X) = hess_apply(X) + g0.
 
     ``hess_mats`` is ``(M, S, lambda1, tau)``, the Hessian operator
     D -> 2 M D - lambda1 D S + 2 tau D, with M r x r and S k x k or None.
@@ -420,10 +424,6 @@ class QuadSubproblem:
         out = self.hess_apply(x)
         out += self.g0
         return out
-
-    def value(self, x: np.ndarray) -> float:
-        return 0.5 * float(np.vdot(x, self.hess_apply(x))) + float(
-            np.vdot(self.g0, x))
 
     def lipschitz(self) -> float:
         m, s, lam1, tau = self.hess_mats

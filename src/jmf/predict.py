@@ -117,7 +117,8 @@ def predict_right(model: TrainedModel, test, config: SolverConfig | None = None
     Views are updated in ascending order, each seeing the freshest others
     (the between-view terms couple them); sweeps repeat until the projected
     gradient has shrunk by the configured tolerance, or stop at once when a
-    view's step-size search runs out.  A view whose block is unbounded
+    view's step-size search runs out.  That and ``max_outer_iters`` sweeps
+    that end above the tolerance warn.  A view whose block is unbounded
     below raises ``DivergenceError``.
 
     Within/between regularizers apply only when every test view's column
@@ -150,6 +151,12 @@ def predict_right(model: TrainedModel, test, config: SolverConfig | None = None
                                                    wtx[i])
             if exhausted:
                 return [factors.H[i] for i in idx]
-        if residual() <= target:
+        left = residual()
+        if left <= target:
             break
+    else:
+        warnings.warn(f"the prediction sweeps reached max_outer_iters = "
+                      f"{config.max_outer_iters} with the projected-gradient "
+                      f"residual {left:.6g} above its target {target:.6g}",
+                      RuntimeWarning, stacklevel=2)
     return [factors.H[i] for i in idx]

@@ -12,10 +12,10 @@ from .model import (Algorithm, DivergenceError, Factorization, Problem,
                     TracePoint)
 from .objective import (QuadSubproblem, _fit, h_subproblem,
                         network_curvature, network_terms, networks,
-                        objective_value, penalty_value,
+                        objective_value, orbit_penalty, penalty_terms,
                         projected_gradient_norm, projected_norm,
-                        reads_networks, sparsity_value, view_products,
-                        w_subproblem, within_top)
+                        reads_networks, view_products, w_subproblem,
+                        within_top)
 
 _EPS = 1e-12  # multiplicative-update denominator guard
 _INNER_ITERS = 500  # an inner engine's default cap on its steps per block
@@ -605,22 +605,6 @@ def _rescale(w: np.ndarray, hs: list[np.ndarray]) -> np.ndarray:
     return norms
 
 
-def _unscaled_network(hs: list[np.ndarray], hb: list[np.ndarray] | None,
-                      norms: np.ndarray) -> float:
-    """F's network terms before the rescale that divided W's columns by
-    ``norms``, from the rescaled H_I and their ``network_terms`` ``hb``.
-
-    The rescale multiplied row k of every H_I by n_k, so it multiplied by
-    n_k^2 the share a_k of -1/2 sum_I <H_I, (H B)_I> that row k carries,
-    a_k the row sums of sum_I H_I o (H B)_I: the terms before it are
-    -1/2 sum_k a_k / n_k^2.
-    """
-    if hb is None:
-        return 0.0
-    a = sum(np.einsum("ij,ij->i", h, b) for h, b in zip(hs, hb))
-    return -0.5 * float(np.sum(a / (norms * norms)))
-
-
 def _block_step(problem: Problem, config: SolverConfig,
                 factors: Factorization, target,
                 xprod: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -674,13 +658,16 @@ def _check_sweep(problem: Problem, config: SolverConfig, w: np.ndarray,
 
 @dataclass
 class _Step:
-    """The record of one attempted outer step."""
+    """The record of one attempted outer step.  Its ``terms`` give F's
+    penalty at any point of the factors' rescale orbit (``orbit_penalty``),
+    and the fit reads their G."""
 
     factors: Factorization
     hxt: np.ndarray  # sum_I H_I X_I^T, which the next W build reads
+    terms: tuple  # the factors' ``penalty_terms`` (c, a, G)
     f: float  # F after the rescale
-    # F before it: the rescale changes only the penalty, whose terms
-    # before it are the sparsity terms taken then and ``_unscaled_network``
+    # F before it: the rescale changes only the penalty, so this is F with
+    # the penalty at d = 1 / (the rescale's column norms) on the orbit
     f_unscaled: float
     exhausted: int  # block solves whose step-size search ran out
     g: float  # the projected-gradient norm
@@ -691,9 +678,9 @@ def _outer_step(problem: Problem, config: SolverConfig, start: Factorization,
     """One outer step, in place on ``start`` (sum_I H_I X_I^T = ``hxt``):
     W's update, ``_check_sweep``'s refusal of an H sweep that ``curvature``
     leaves uncertified, each H_I's update, the rescale, F and the
-    projected-gradient norm, which reads the H builds' W^T X_I.  F, F
-    before the rescale and the norm read one ``network_terms`` product
-    of the rescaled H.
+    projected-gradient norm, which reads the H builds' W^T X_I.  The norm
+    reads one ``network_terms`` product of the rescaled H, and F and F
+    before the rescale read the ``penalty_terms`` formed from it.
 
     ``_uncoupled`` H_I blocks share M + tau I, so one ``panls_subproblem``
     call solves their quadratics stacked column-wise: the same update as
@@ -716,16 +703,17 @@ def _outer_step(problem: Problem, config: SolverConfig, start: Factorization,
         cuts = np.cumsum([h.shape[1] for h in start.H])[:-1]
         start.H = [np.ascontiguousarray(h) for h in np.split(x, cuts, axis=1)]
         exhausted += flag
-    sparsity = sparsity_value(problem, start)
     norms = _rescale(start.W, start.H)
     for w in wtx:
         w /= norms[:, None]
     hb = network_terms(problem, start.H)
-    scaled = penalty_value(problem, start, hb)
+    terms = penalty_terms(problem, start, hb)
     hxt = view_products(problem.dataset.views, start.H)
-    f = objective_value(problem, start, hxt, scaled)
-    unscaled = sparsity + _unscaled_network(start.H, hb, norms)
-    return _Step(start, hxt, f, f - scaled + unscaled, exhausted,
+    f = objective_value(problem, start, hxt, terms)
+    p = problem.params
+    unscaled = (f - orbit_penalty(p, terms)
+                + orbit_penalty(p, terms, 1.0 / norms))
+    return _Step(start, hxt, terms, f, unscaled, exhausted,
                  projected_gradient_norm(problem, start, hxt, wtx, hb))
 
 
@@ -791,7 +779,8 @@ def solve(problem: Problem, config: SolverConfig,
 
     curvature = network_curvature(problem)[0]
     gamma2 = problem.params.gamma2
-    f_init = objective_value(problem, factors, hxt)
+    terms = penalty_terms(problem, factors)
+    f_init = objective_value(problem, factors, hxt, terms)
     # the size of F's rounding: F itself, or the data's ||X||^2 when F
     # starts near 0, as at an exact factorization
     rise_floor = _RISE_TOL * max(abs(f_init), problem.x_squared_norm())
@@ -811,7 +800,8 @@ def solve(problem: Problem, config: SolverConfig,
     exhausted = extrapolated = redone = 0
     accelerated = config.algorithm is not Algorithm.MUR
     # the kept record, and the one before it if the next step extrapolates
-    curr, prev = _Step(factors, hxt, f_init, f_init, 0, math.nan), None
+    curr, prev = _Step(factors, hxt, terms, f_init, f_init, 0,
+                       math.nan), None
     beta, beta_bar = _EXTRAP_BETA, _EXTRAP_BETA_BAR
     start = time.perf_counter()
     for it in range(1, config.max_outer_iters + 1):
@@ -877,7 +867,8 @@ def solve(problem: Problem, config: SolverConfig,
     return curr.factors, SolverReport(
         trace=trace, termination=termination,
         final_objective=trace[-1].objective,
-        reconstruction_error=_fit(problem, curr.factors, curr.hxt),
+        reconstruction_error=_fit(problem, curr.factors, curr.hxt,
+                                  curr.terms[2]),
         iterations=trace[-1].iteration, exhausted_searches=exhausted,
         extrapolated_steps=extrapolated, redone_steps=redone,
         network_curvature=curvature, sparsity_curvature=2.0 * gamma2)

@@ -168,6 +168,13 @@ def dense_hessian_H(w, s_sym, lambda1, gamma2, tau2, n):
     return q
 
 
+def quad_value(q: QuadSubproblem, x: np.ndarray) -> float:
+    """The block quadratic's value at ``x`` without its additive constant,
+    so only meaningful for comparisons within one subproblem."""
+    return 0.5 * float(np.vdot(x, q.hess_apply(x))) + float(
+        np.vdot(q.g0, x))
+
+
 def quad_form(q_dense, d):
     v = d.ravel(order="F")
     return float(v @ q_dense @ v)
@@ -465,8 +472,10 @@ def no_rescale(monkeypatch) -> None:
 # the extrapolated start, the beta rule, redo or keep, the rescale and its
 # bookkeeping, the refusals and the stop rules.  It reaches the library
 # only for the block steps and engines, ``_check_sweep``,
-# ``_extrapolated``, the products with the views, F and the projected
-# gradient, all read from ``jmf.solvers`` at call time with its constants.
+# ``_extrapolated``, the products with the views and with B
+# (``network_product``), F and the projected gradient, all read from
+# ``jmf.solvers`` at call time with its constants.  F's penalty before and
+# after the rescale is written out here.
 
 def ref_sweep(problem, config, fac, hxt, curvature):
     """W's update from ``hxt``, the sweep certificate, then every H_I,
@@ -497,6 +506,14 @@ def ref_sweep(problem, config, fac, hxt, curvature):
     cuts = np.cumsum([h.shape[1] for h in fac.H])[:-1]
     fac.H = [np.ascontiguousarray(h) for h in np.split(x, cuts, axis=1)]
     return wtx, exhausted + flag
+
+
+def written_sparsity(problem, fac):
+    """F's sparsity terms, gamma1 ||W||^2 + gamma2 sum_I sum_j
+    ||h_j^I||_1^2, summed from the factors."""
+    p = problem.params
+    return p.gamma1 * float(np.sum(fac.W * fac.W)) + p.gamma2 * sum(
+        float(np.sum(h.sum(axis=0) ** 2)) for h in fac.H)
 
 
 def ref_solve(problem, config, init):
@@ -535,7 +552,7 @@ def ref_solve(problem, config, init):
         except DivergenceError as err:
             message = str(err)
         else:
-            sparsity = s.sparsity_value(problem, start)
+            sparsity = written_sparsity(problem, start)
             finite = (np.isfinite(start.W).all()
                       and all(np.isfinite(h).all() for h in start.H))
             norms = np.linalg.norm(start.W, axis=0)
@@ -547,15 +564,17 @@ def ref_solve(problem, config, init):
                 w /= norms[:, None]
             new_hxt = s.view_products(views, start.H)
             f = s.objective_value(problem, start, new_hxt)
-            # the penalty before the rescale: the sparsity terms taken
-            # then, and the network terms in closed form, row k's share
-            # a_k of -1/2 <H, H B> divided by the n_k^2 the rescale put in
+            # the penalty after the rescale and before it: the sparsity
+            # terms taken at each, and the network terms, row k's share
+            # a_k of -1/2 <H, H B>, before it divided by the n_k^2 that
+            # the rescale put in
             a = sum(np.einsum("ij,ij->i", h, hb) for h, hb in zip(
                 start.H, jmf.objective.network_product(problem, start.H)))
-            penalty = sparsity - 0.5 * float(np.sum(a / (norms * norms)))
+            after = written_sparsity(problem, start) - 0.5 * float(np.sum(a))
+            before = sparsity - 0.5 * float(np.sum(a / (norms * norms)))
             return SimpleNamespace(
                 fac=start, hxt=new_hxt, wtx=wtx, f=f,
-                f_unscaled=f - s.penalty_value(problem, start) + penalty,
+                f_unscaled=f - after + before,
                 exhausted=exhausted, finite=finite)
         raise DivergenceError(f"{message} at outer iteration {it}", trace,
                               unbounded=True)

@@ -18,7 +18,7 @@ from jmf.solvers import (_build_quad, mur_step_H, mur_step_W, ne_subproblem,
                          panls_subproblem, pg_subproblem)
 from oracles import (brute_auc, dense_hessian_H, dense_hessian_W,
                      finite_diff_grad, make_problem, naive_objective,
-                     quad_form, random_factors)
+                     quad_form, quad_value, random_factors)
 from test_solvers import gradient_stops, objective_stop
 
 SEEDS_10 = list(range(10))
@@ -119,9 +119,9 @@ def test_criterion_4_monotone_convergence_shape(capsys):
         for _ in range(5):
             factors = Factorization(w, hs)
             q = w_subproblem(prob, hs)  # on W's block W^T
-            before = q.value(w.T)
+            before = quad_value(q, w.T)
             wt, _ = ne_subproblem(*_build_quad(prob, factors, "w"))
-            if q.value(wt) > before + 1e-10:
+            if quad_value(q, wt) > before + 1e-10:
                 ne_ok = False
             w = wt.T
             factors = Factorization(w, hs)
@@ -268,7 +268,7 @@ def test_criterion_9_subproblem_agreement(capsys):
         w_ne, _ = ne_subproblem(*_build_quad(prob, fac, "w"), **stop)
         w_pa, _ = panls_subproblem(
             *_build_quad(prob, fac, "w", fac.W.copy()), **stop)
-        vals = [q.value(w) for w in (w_pg, w_ne, w_pa)]
+        vals = [quad_value(q, w) for w in (w_pg, w_ne, w_pa)]
         spread = (max(vals) - min(vals)) / max(1.0, abs(min(vals)))
         worst = max(worst, spread)
     ok = worst <= 1e-4

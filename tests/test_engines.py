@@ -41,7 +41,7 @@ from jmf.solvers import (_MUR_ALPHA, _MUR_DELTA, _armijo_step, _block_step,
                          _panls_minimize, _passive_solve, mur_step_H,
                          mur_step_W, mur_subproblem, ne_subproblem,
                          panls_subproblem, pg_subproblem)
-from oracles import (make_problem, no_rescale, random_factors,
+from oracles import (make_problem, no_rescale, quad_value, random_factors,
                      ref_armijo_step, ref_ne_minimize, ref_nnls,
                      ref_panls_minimize, ref_pg_minimize, ref_pgn,
                      ref_settings)
@@ -86,7 +86,8 @@ def test_engines_match_their_reference(engine, seed):
             new, flag = _panls_minimize(q, x0, **STOP)
             ref, ref_flag = ref_panls_minimize(q, x0, ref_settings(**STOP))
             assert flag == ref_flag
-        assert q.value(new) == pytest.approx(q.value(ref), rel=1e-10)
+        assert quad_value(q, new) == pytest.approx(quad_value(q, ref),
+                                                   rel=1e-10)
         np.testing.assert_allclose(new, ref, rtol=0, atol=1e-8)
         assert not np.shares_memory(new, x0)
 
@@ -200,9 +201,10 @@ def test_panls_rare_branches_match_their_reference(block, branch):
     assert first_statement_under(_panls_minimize, branch) in ran
     ref, ref_flag = ref_panls_minimize(q, x0, ref_settings(**STOP))
     assert flag == ref_flag
-    assert q.value(new) == pytest.approx(q.value(ref), rel=1e-10)
+    assert quad_value(q, new) == pytest.approx(quad_value(q, ref),
+                                               rel=1e-10)
     np.testing.assert_allclose(new, ref, rtol=0, atol=1e-8)
-    assert q.value(new) <= q.value(x0)
+    assert quad_value(q, new) <= quad_value(q, x0)
 
 
 def fourth_search_runs_out(search, ran_out):
@@ -579,7 +581,7 @@ def test_panls_solves_d4_shaped_blocks_to_kkt():
         assert_kkt(q, x)
         # the paper's engine stops at its inner tolerance, above the minimum
         inexact, _ = _panls_minimize(q, x0)
-        assert q.value(x) < q.value(inexact)
+        assert quad_value(q, x) < quad_value(q, inexact)
 
 
 # ---------------------------------------------------------------------------
@@ -890,7 +892,7 @@ def test_repeated_mur_steps_never_raise_the_block_quadratic(case, rho):
         for q, x0 in mur_quads(prob, fac):
             steps.clear()
             x, _ = mur_subproblem(q, x0, rho)
-            values = [q.value(x0)] + [q.value(s) for s in steps]
+            values = [quad_value(q, s) for s in (x0, *steps)]
             for prev, curr in zip(values, values[1:]):
                 assert curr <= prev + 1e-10 * max(1.0, abs(prev))
             assert np.array_equal(x, steps[-1])

@@ -13,12 +13,13 @@ from jmf import (ConstraintSet, DivergenceError, Factorization,
                  objective_value, projected_gradient_norm,
                  reconstruction_error, solve, spectral_norm)
 from jmf.objective import (_fit, h_subproblem, network_curvature,
-                           network_product, networks, penalty_value,
-                           projected_norm, sparsity_value, view_products,
+                           network_product, networks, orbit_penalty,
+                           penalty_terms, projected_norm, view_products,
                            w_subproblem, weighted_within, within_top)
-from jmf.solvers import _outer_step, _rescale, _unscaled_network
+from jmf.solvers import _outer_step, _rescale
 from oracles import (dense_hessian_H, dense_hessian_W, finite_diff_grad,
-                     make_problem, naive_objective, quad_form, random_factors)
+                     make_problem, naive_objective, quad_form, quad_value,
+                     random_factors)
 
 
 def tiny_problem(**kw):
@@ -341,7 +342,8 @@ def test_w_subproblem_is_the_w_quadratic_in_w_transpose(seed):
              + tau1 * float(np.sum((w - anchor) ** 2)))
     constant = sum(float(np.sum(x * x)) for x in views) \
         + tau1 * float(np.sum(anchor * anchor))
-    assert q.value(w.T) + constant == pytest.approx(block, rel=1e-12)
+    assert quad_value(q, w.T) + constant == pytest.approx(block,
+                                                          rel=1e-12)
     assert q.lipschitz() == pytest.approx(np.linalg.eigvalsh(dense)[-1],
                                           rel=1e-12)
 
@@ -479,6 +481,17 @@ def test_within_top_is_bitwise_the_spectral_norm_on_d1():
 # network curvature: F is bounded below iff lambda_max(B) <= 2 gamma2
 
 
+def written_penalty(prob, w, hs) -> float:
+    """F's penalty at (W, H_I), everything but the fit, written out over
+    H = [H_1 ... H_N] with B dense: -1/2 Tr(H B H^T) + gamma1 ||W||^2 +
+    gamma2 sum_j ||h_j||_1^2."""
+    h = np.hstack(hs)
+    p = prob.params
+    return (-0.5 * np.trace(h @ dense_network_matrix(prob) @ h.T)
+            + p.gamma1 * np.sum(w ** 2)
+            + p.gamma2 * np.sum(h.sum(axis=0) ** 2))
+
+
 def dense_network_matrix(prob) -> np.ndarray:
     """B over all views' columns: lambda1 S_I on diagonal block I,
     lambda2 R_IJ at (I, J) and R_IJ^T at (J, I)."""
@@ -537,12 +550,8 @@ def test_penalty_is_half_the_network_quadratic_plus_the_sparsity_terms(
     prob = make_problem(seed=seed, m=5, n=(7, 4, 9), lambda1=0.3,
                         lambda2=0.2, gamma1=0.1, gamma2=0.6)
     fac = random_factors(prob, seed=seed + 20)
-    h = np.hstack(fac.H)
-    p = prob.params
-    want = (-0.5 * np.trace(h @ dense_network_matrix(prob) @ h.T)
-            + p.gamma1 * np.sum(fac.W ** 2)
-            + p.gamma2 * np.sum(h.sum(axis=0) ** 2))
-    assert penalty_value(prob, fac) == pytest.approx(want, rel=1e-12)
+    assert orbit_penalty(prob.params, penalty_terms(prob, fac)) == \
+        pytest.approx(written_penalty(prob, fac.W, fac.H), rel=1e-12)
 
 
 @pytest.mark.parametrize("cap", [1, 3])
@@ -716,24 +725,45 @@ def rebuilt_gradient_norm(prob, fac):
     return float(np.linalg.norm(norms))
 
 
+@pytest.mark.parametrize("zero_column", [False, True])
+def test_orbit_penalty_is_the_penalty_along_the_rescale_orbit(zero_column):
+    # F's penalty at (W D^-1, D H_I), D = diag(d), written out with B
+    # dense, at d = 1 and at random d > 0; a zero column of W carries
+    # c_k = 0 at every d
+    rng = np.random.default_rng(7)
+    cases = [*networked_cases(), *((prob, random_factors(prob, seed=3))
+                                   for prob in network_free_cases())]
+    for prob, fac in cases:
+        if zero_column:
+            fac.W[:, 1] = 0.0
+        terms, p = penalty_terms(prob, fac), prob.params
+        assert orbit_penalty(p, terms) == pytest.approx(
+            written_penalty(prob, fac.W, fac.H), rel=1e-12)
+        for d in rng.uniform(0.2, 5.0, (3, prob.rank)):
+            want = written_penalty(prob, fac.W / d,
+                                   [d[:, None] * h for h in fac.H])
+            assert orbit_penalty(p, terms, d) == pytest.approx(want,
+                                                               rel=1e-12)
+
+
 def test_penalty_given_the_network_product_is_bitwise_its_own():
     for prob, fac in networked_cases():
         hb = network_product(prob, fac.H)
-        assert repr(penalty_value(prob, fac, hb)) == repr(
-            penalty_value(prob, fac))
+        for got, want in zip(penalty_terms(prob, fac, hb),
+                             penalty_terms(prob, fac)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_penalty_before_the_rescale_is_closed_form():
-    # the sparsity terms taken before the rescale, and the network terms
-    # from the rescaled H and their product
+    # the penalty of the factors before the rescale is the orbit's at
+    # d = 1 / norms, from the terms of the rescaled factors
     for prob, fac in networked_cases():
-        want = penalty_value(prob, fac)
-        sparsity = sparsity_value(prob, fac)
+        want = written_penalty(prob, fac.W, fac.H)
         scaled = fac.copy()
         norms = _rescale(scaled.W, scaled.H)
         assert not np.allclose(norms, 1.0)
-        got = sparsity + _unscaled_network(
-            scaled.H, network_product(prob, scaled.H), norms)
+        got = orbit_penalty(prob.params, penalty_terms(prob, scaled),
+                            1.0 / norms)
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -753,16 +783,13 @@ def test_a_problem_without_networks_forms_no_network_product(monkeypatch):
     calls = counted_calls(monkeypatch, "network_product")
     for prob in network_free_cases():
         fac = random_factors(prob, seed=3)
-        # F as it was summed with the zero blocks of (H B)_I
-        p = prob.params
-        old = -0.5 * sum(float(np.vdot(h, np.zeros_like(h))) for h in fac.H)
-        old += p.gamma1 * float(np.sum(fac.W * fac.W))
-        for h in fac.H:
-            col_l1 = h.sum(axis=0)
-            old += p.gamma2 * float(np.sum(col_l1 * col_l1))
+        # F in closed form with the row terms of the zero blocks of (H B)_I
+        # written in: skipping them changes no bit of F
+        zeros = [np.zeros_like(h) for h in fac.H]
+        terms = penalty_terms(prob, fac, zeros)
         hxt = view_products(prob.dataset.views, fac.H)
         assert repr(objective_value(prob, fac)) == repr(
-            _fit(prob, fac, hxt) + old)
+            _fit(prob, fac, hxt, terms[2]) + orbit_penalty(prob.params, terms))
         projected_gradient_norm(prob, fac)
         step = _outer_step(prob, SolverConfig(), fac, hxt, 0.0)
         assert step.f == objective_value(prob, step.factors, step.hxt)

@@ -326,7 +326,8 @@ def test_predict_right_sweeps_views_in_order():
     fac = random_factors(prob, seed=2)
     cfg = SolverConfig(algorithm="PG", tolerance=1e-10, max_outer_iters=1)
     model = TrainedModel(fac, prob.params, prob.constraints, cfg)
-    hs = predict_right(model, dict(enumerate(prob.dataset.views)))
+    with pytest.warns(RuntimeWarning, match="max_outer_iters = 1"):
+        hs = predict_right(model, dict(enumerate(prob.dataset.views)))
     last = prob.n_views - 1
     q = h_subproblem(prob, fac.W, hs, last)
     # predict_right starts every view from rng(config.seed).random
@@ -334,3 +335,22 @@ def test_predict_right_sweeps_views_in_order():
     h_start = [rng.random((prob.rank, ni)) for ni in prob.n][last]
     pn0 = projected_norm(h_start, q.grad(h_start))
     assert projected_norm(hs[last], q.grad(hs[last])) <= cfg.tolerance * pn0
+
+
+def test_predict_right_warns_when_its_sweeps_reach_the_cap():
+    # the between-view terms couple the views, so one sweep leaves the
+    # residual above its target, and a prediction capped there says so
+    # instead of returning as if it had converged; uncapped, the same
+    # prediction converges without a warning
+    prob = make_problem(seed=1, m=8, n=(5, 6), r=2, lambda1=0.05,
+                        lambda2=0.5, gamma2=0.1)
+    cfg = SolverConfig(algorithm="PG", tolerance=1e-10, max_outer_iters=1)
+    model = TrainedModel(random_factors(prob, seed=2), prob.params,
+                         prob.constraints, cfg)
+    test = dict(enumerate(prob.dataset.views))
+    with pytest.warns(RuntimeWarning, match=(
+            r"reached max_outer_iters = 1 with the projected-gradient "
+            r"residual \S+ above its target")):
+        hs = predict_right(model, test)
+    assert [h.shape for h in hs] == [h.shape for h in model.factors.H]
+    predict_right(model, test, replace(cfg, max_outer_iters=2000))

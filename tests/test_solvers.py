@@ -19,7 +19,7 @@ from jmf.solvers import (_build_quad, _rescale, _stop_reason, mur_step_H,
                          mur_step_W, ne_subproblem, panls_subproblem,
                          pg_subproblem)
 from oracles import (make_problem, naive_mur_H, naive_mur_W, no_rescale,
-                     random_factors, ref_solve)
+                     quad_value, random_factors, ref_solve)
 
 CFG = dict(stop_rule="ObjectiveRatio", tolerance=1e-7)
 ALGORITHMS = ["MUR", "PG", "Ne", "PANLS"]
@@ -219,7 +219,7 @@ def test_subproblem_descent(seed):
     prob = make_problem(seed=seed, lambda1=0.01, gamma1=0.1, gamma2=0.1)
     fac = random_factors(prob, seed=seed + 30)
     q = w_subproblem(prob, fac.H)  # on the block W^T
-    before = q.value(fac.W.T)
+    before = quad_value(q, fac.W.T)
     for alg in ("PG", "Ne", "PANLS"):
         if alg == "PG":
             out, _ = pg_subproblem(*_build_quad(prob, fac, "w"))
@@ -227,7 +227,7 @@ def test_subproblem_descent(seed):
             out, _ = ne_subproblem(*_build_quad(prob, fac, "w"))
         else:
             out, _ = panls_subproblem(*_build_quad(prob, fac, "w", fac.W))
-        assert q.value(out) <= before + 1e-10
+        assert quad_value(q, out) <= before + 1e-10
         assert out.min() >= 0
 
 
@@ -241,7 +241,7 @@ def test_strictly_convex_w_subproblem_agreement(seed):
     w_ne, _ = ne_subproblem(*_build_quad(prob, fac, "w"), **stop)
     w_pa, _ = panls_subproblem(*_build_quad(prob, fac, "w", fac.W.copy()),
                                **stop)
-    vals = [q.value(w) for w in (w_pg, w_ne, w_pa)]
+    vals = [quad_value(q, w) for w in (w_pg, w_ne, w_pa)]
     scale = max(1.0, abs(min(vals)))
     assert max(vals) - min(vals) <= 1e-4 * scale
 
