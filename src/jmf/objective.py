@@ -43,13 +43,15 @@ fit's relative error grows as the fit shrinks: about 1e-12 at
 keeps small fits (and the objective-ratio rule's differences of them)
 accurate and an exact factorization at 0.0.
 
-F's penalty is one closed form (``orbit_penalty``) in three small arrays
-(``penalty_terms``).  Its network terms and the network part of each H_I
-gradient read one product, (H B)_I (``network_terms``), which a solve
-forms once per outer step, after the rescale: F, F before the rescale
-and the projected-gradient norm read it.  A problem without networks
-forms none.  The weighted network lambda1 S_I that H_I's Hessian products
-read is formed once per problem and view (``weighted_within``).
+An iterate's record (``penalty_terms``) holds the small products that F
+and the projected-gradient norm read: c_k = ||w_k||^2, the row terms a,
+G = sum_I H_I H_I^T, the network product (H B)_I (None without networks)
+and W^T W.  A solve forms it once per outer step, after the rescale: F's
+fit reads G and W^T W, F's penalty is one closed form in (c, a, G)
+(``orbit_penalty``), at the iterate and before the rescale, and the
+gradient norm reads G, (H B)_I and W^T W.  The weighted network
+lambda1 S_I that H_I's Hessian products read is formed once per problem
+and view (``weighted_within``).
 """
 from __future__ import annotations
 
@@ -112,48 +114,46 @@ def objective_value(problem: Problem, factors: Factorization,
         hxt = view_products(problem.dataset.views, factors.H)
     if terms is None:
         terms = penalty_terms(problem, factors)
-    return _fit(problem, factors, hxt, terms[2]) + orbit_penalty(
+    return _fit(problem, factors, hxt, terms) + orbit_penalty(
         problem.params, terms)
 
 
 def _fit(problem: Problem, factors: Factorization, hxt: np.ndarray,
-         gram: np.ndarray) -> float:
-    """sum_I ||X_I - W H_I||_F^2 from the trace identity, hxt =
-    sum_I H_I X_I^T and gram = sum_I H_I H_I^T, or from the residuals
-    below ``FIT_FLOOR`` ||X||^2."""
-    w = factors.W
+         terms: tuple) -> float:
+    """sum_I ||X_I - W H_I||_F^2 from the trace identity, with hxt =
+    sum_I H_I X_I^T and the factors' ``penalty_terms``' G and W^T W, or
+    from the residuals below ``FIT_FLOOR`` ||X||^2."""
+    c, a, gram, hb, wtw = terms
     x_sq = problem.x_squared_norm()
-    value = x_sq - 2.0 * float(np.vdot(w.T, hxt)) + float(
-        np.vdot(w.T @ w, gram))
+    value = x_sq - 2.0 * float(np.vdot(factors.W.T, hxt)) + float(
+        np.vdot(wtw, gram))
     if not value >= FIT_FLOOR * x_sq:  # also catches a NaN identity
         value = reconstruction_error(problem, factors)
     return value
 
 
-def penalty_terms(problem: Problem, factors: Factorization,
-                  hb: Sequence[np.ndarray] | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(c, a, G), all that F's penalty reads (``orbit_penalty``): c_k =
-    ||w_k||^2, a_k the row sums of sum_I H_I o (H B)_I, with ``hb`` the
-    factors' ``network_terms`` (formed here when None, and a = 0 when it
-    is None), and G = sum_I H_I H_I^T, which ``_fit`` reads too."""
-    if hb is None:
-        hb = network_terms(problem, factors.H)
-    w = factors.W
+def penalty_terms(problem: Problem, factors: Factorization) -> tuple:
+    """The record of an iterate that F and the projected-gradient norm
+    read, (c, a, G, HB, W^T W): c_k = ||w_k||^2, a_k the row sums of
+    sum_I H_I o (H B)_I, G = sum_I H_I H_I^T and HB the list of
+    ``network_product``'s (H B)_I.  Without networks (``reads_networks``)
+    HB is None and a = 0, so that no zero blocks are formed."""
+    w, hs = factors.W, factors.H
+    hb = network_product(problem, hs) if reads_networks(problem) else None
     c = np.einsum("ij,ij->j", w, w)
     a = np.zeros_like(c) if hb is None else sum(
-        np.einsum("ij,ij->i", h, b) for h, b in zip(factors.H, hb))
-    return c, a, sum(h @ h.T for h in factors.H)
+        np.einsum("ij,ij->i", h, b) for h, b in zip(hs, hb))
+    return c, a, sum(h @ h.T for h in hs), hb, w.T @ w
 
 
 def orbit_penalty(params: Hyperparameters, terms: tuple,
                   d: np.ndarray | float = 1.0) -> float:
     """F's penalty, everything but the fit, at (W D^-1, D H_I), D =
-    diag(d) > 0, from the ``penalty_terms`` (c, a, G) of (W, H_I): gamma1
+    diag(d) > 0, from the ``penalty_terms`` of (W, H_I): gamma1
     sum_k c_k / d_k^2 - 1/2 sum_k a_k d_k^2 + gamma2 d^T G d, its terms
     gamma1 ||W||^2, -1/2 sum_I <H_I, (H B)_I> and gamma2 sum_I 1^T H_I
     H_I^T 1 on the orbit that keeps the fit; d = 1 is (W, H_I) itself."""
-    c, a, gram = terms
+    c, a, gram, hb, wtw = terms
     d = np.ones_like(c) * d
     sq = d * d
     return (params.gamma1 * float((c / sq).sum())
@@ -207,14 +207,6 @@ def reads_networks(problem: Problem) -> bool:
                (networks(problem, i) for i in range(problem.n_views)))
 
 
-def network_terms(problem: Problem,
-                  H: Sequence[np.ndarray]) -> list[np.ndarray] | None:
-    """``network_product``'s (H B)_I, or None when B is 0
-    (``reads_networks``), so that a problem without networks forms no
-    zero blocks."""
-    return network_product(problem, H) if reads_networks(problem) else None
-
-
 def network_product(problem: Problem,
                     H: Sequence[np.ndarray]) -> list[np.ndarray]:
     """(H B)_I for each view I, H = [H_1 ... H_N] blocks with any common
@@ -260,25 +252,30 @@ def projected_norm(x: np.ndarray, g: np.ndarray,
 def projected_gradient_norm(problem: Problem, factors: Factorization,
                             hxt: np.ndarray | None = None,
                             wtx: Sequence[np.ndarray] | None = None,
-                            hb: Sequence[np.ndarray] | None = None) -> float:
+                            terms: tuple | None = None) -> float:
     """Frobenius norm of the projected gradients stacked over W and all H_I.
 
-    ``hxt`` is sum_I H_I X_I^T, ``wtx[I]`` is W^T X_I and ``hb`` the
-    factors' ``network_terms``; each is formed here when None.  H_I's
-    gradient is 2 M H_I - 2 W^T X_I - (H B)_I, M = W^T W + gamma2 11^T,
-    the gradient of its quadratic (``h_subproblem``) without building it.
+    ``hxt`` is sum_I H_I X_I^T, ``wtx[I]`` is W^T X_I and ``terms`` the
+    factors' ``penalty_terms``; each is formed here when None.  The
+    gradients are those of the block quadratics (``w_subproblem``,
+    ``h_subproblem``), written out from the terms without building them:
+    W^T's is 2 (G + gamma1 I) W^T - 2 hxt and H_I's is 2 M H_I -
+    2 W^T X_I - (H B)_I, M = W^T W + gamma2 11^T.
     """
     _check_shapes(problem, factors)
+    if hxt is None:
+        hxt = view_products(problem.dataset.views, factors.H)
     if wtx is None:
         wtx = [factors.W.T @ x for x in problem.dataset.views]
-    if hb is None:
-        hb = network_terms(problem, factors.H)
-    wt, hs = factors.W.T, factors.H
-    q = w_subproblem(problem, hs, hxt=hxt)
-    norms = [projected_norm(wt, q.grad(wt))]
-    r = problem.rank
-    doubled = 2.0 * (wt @ factors.W + problem.params.gamma2 * np.ones((r, r)))
-    for i, (h, x) in enumerate(zip(hs, wtx)):
+    if terms is None:
+        terms = penalty_terms(problem, factors)
+    c, a, gram, hb, wtw = terms
+    p, r, wt = problem.params, problem.rank, factors.W.T
+    g = 2.0 * (gram + p.gamma1 * np.eye(r)) @ wt
+    g -= 2.0 * hxt
+    norms = [projected_norm(wt, g)]
+    doubled = 2.0 * (wtw + p.gamma2 * np.ones((r, r)))
+    for i, (h, x) in enumerate(zip(factors.H, wtx)):
         g = doubled @ h
         g -= 2.0 * x
         if hb is not None:

@@ -10,9 +10,9 @@ import numpy as np
 from .model import (Algorithm, DivergenceError, Factorization, Problem,
                     SolverConfig, SolverReport, StopRule, Termination,
                     TracePoint)
-from .objective import (QuadSubproblem, _fit, h_subproblem,
-                        network_curvature, network_terms, networks,
-                        objective_value, orbit_penalty, penalty_terms,
+from .objective import (QuadSubproblem, _check_shapes, _fit, h_subproblem,
+                        network_curvature, networks, objective_value,
+                        orbit_penalty, penalty_terms,
                         projected_gradient_norm, projected_norm,
                         reads_networks, view_products, w_subproblem,
                         within_top)
@@ -158,25 +158,22 @@ def mur_subproblem(q: QuadSubproblem, x0: np.ndarray, rho: float, *,
     return x, False
 
 
-def mur_step_W(problem: Problem, factors: Factorization,
-               xprod: np.ndarray | None = None) -> np.ndarray:
+def mur_step_W(problem: Problem, factors: Factorization) -> np.ndarray:
     """The paper's single multiplicative update of W: one ratio step on
-    the W quadratic (see ``_mur_ratio``).  ``xprod`` is sum_I H_I X_I^T
-    when the caller holds it.  ``solve`` repeats the step through
-    ``mur_subproblem`` instead."""
-    q, wt = _build_quad(problem, factors, "w", xprod=xprod)
+    the W quadratic (see ``_mur_ratio``).  ``solve`` repeats the step
+    through ``mur_subproblem`` instead."""
+    q, wt = _build_quad(problem, factors, "w")
     return _as_factor("w", _mur_ratio(q, wt, -0.5 * q.g0, np.empty_like(wt),
                                       np.empty_like(wt)))
 
 
-def mur_step_H(problem: Problem, factors: Factorization, view: int,
-               xprod: np.ndarray | None = None) -> np.ndarray:
+def mur_step_H(problem: Problem, factors: Factorization,
+               view: int) -> np.ndarray:
     """The paper's single multiplicative update of H_I: one ratio step on
-    the H_I quadratic (see ``_mur_ratio``).  ``xprod`` is W^T X_I when the
-    caller holds it.  ``solve`` repeats the step through
-    ``mur_subproblem`` instead, on a quadratic whose build also checks
-    that it is bounded below (``_build_quad``)."""
-    q = h_subproblem(problem, factors.W, factors.H, view, wtx=xprod)
+    the H_I quadratic (see ``_mur_ratio``).  ``solve`` repeats the step
+    through ``mur_subproblem`` instead, on a quadratic whose build also
+    checks that it is bounded below (``_build_quad``)."""
+    q = h_subproblem(problem, factors.W, factors.H, view)
     h = factors.H[view]
     return _mur_ratio(q, h, -0.5 * q.g0, np.empty_like(h), np.empty_like(h))
 
@@ -660,11 +657,11 @@ def _check_sweep(problem: Problem, config: SolverConfig, w: np.ndarray,
 class _Step:
     """The record of one attempted outer step.  Its ``terms`` give F's
     penalty at any point of the factors' rescale orbit (``orbit_penalty``),
-    and the fit reads their G."""
+    and the fit and the projected-gradient norm read them too."""
 
     factors: Factorization
     hxt: np.ndarray  # sum_I H_I X_I^T, which the next W build reads
-    terms: tuple  # the factors' ``penalty_terms`` (c, a, G)
+    terms: tuple  # the factors' ``penalty_terms`` (c, a, G, HB, W^T W)
     f: float  # F after the rescale
     # F before it: the rescale changes only the penalty, so this is F with
     # the penalty at d = 1 / (the rescale's column norms) on the orbit
@@ -678,9 +675,9 @@ def _outer_step(problem: Problem, config: SolverConfig, start: Factorization,
     """One outer step, in place on ``start`` (sum_I H_I X_I^T = ``hxt``):
     W's update, ``_check_sweep``'s refusal of an H sweep that ``curvature``
     leaves uncertified, each H_I's update, the rescale, F and the
-    projected-gradient norm, which reads the H builds' W^T X_I.  The norm
-    reads one ``network_terms`` product of the rescaled H, and F and F
-    before the rescale read the ``penalty_terms`` formed from it.
+    projected-gradient norm, which reads the H builds' W^T X_I.  The
+    rescaled factors' ``penalty_terms`` are formed once: F, F before the
+    rescale and the norm read them.
 
     ``_uncoupled`` H_I blocks share M + tau I, so one ``panls_subproblem``
     call solves their quadratics stacked column-wise: the same update as
@@ -706,15 +703,14 @@ def _outer_step(problem: Problem, config: SolverConfig, start: Factorization,
     norms = _rescale(start.W, start.H)
     for w in wtx:
         w /= norms[:, None]
-    hb = network_terms(problem, start.H)
-    terms = penalty_terms(problem, start, hb)
+    terms = penalty_terms(problem, start)
     hxt = view_products(problem.dataset.views, start.H)
     f = objective_value(problem, start, hxt, terms)
     p = problem.params
     unscaled = (f - orbit_penalty(p, terms)
                 + orbit_penalty(p, terms, 1.0 / norms))
     return _Step(start, hxt, terms, f, unscaled, exhausted,
-                 projected_gradient_norm(problem, start, hxt, wtx, hb))
+                 projected_gradient_norm(problem, start, hxt, wtx, terms))
 
 
 def _extrapolated(views, factors: Factorization, hxt: np.ndarray,
@@ -747,9 +743,10 @@ def solve(problem: Problem, config: SolverConfig,
 
     Each outer iteration keeps the ``_Step`` record of one
     ``_outer_step``: the swept and rescaled factors, their sum H_I X_I^T
-    (which the next W build reads), F after and before the rescale, the
-    exhausted searches and the projected-gradient norm; the W^T X_I that
-    the step forms do not outlive it.  PG, Ne and PANLS start each step
+    (which the next W build reads) and ``penalty_terms`` (which the
+    report's fit reads), F after and before the rescale, the exhausted
+    searches and the projected-gradient norm; the W^T X_I that the step
+    forms do not outlive it.  PG, Ne and PANLS start each step
     after the first from the extrapolated iterate max(0, X_k + beta (X_k -
     X_k-1)) of the last two kept records (A. Ang and N. Gillis, Neural
     Computation 31(2), 2019), whose sum H_I X_I^T ``_extrapolated`` forms
@@ -771,8 +768,7 @@ def solve(problem: Problem, config: SolverConfig,
     current H_I when it is built (``_check_bounded``).  A refusal inside
     an extrapolated step raises too, with no redo.
     """
-    if init.W.shape != (problem.m, problem.rank):
-        raise ValueError("initial W does not match the problem shapes")
+    _check_shapes(problem, init)
     factors = init.copy()
     views = problem.dataset.views
     hxt = view_products(views, factors.H)
@@ -868,7 +864,7 @@ def solve(problem: Problem, config: SolverConfig,
         trace=trace, termination=termination,
         final_objective=trace[-1].objective,
         reconstruction_error=_fit(problem, curr.factors, curr.hxt,
-                                  curr.terms[2]),
+                                  curr.terms),
         iterations=trace[-1].iteration, exhausted_searches=exhausted,
         extrapolated_steps=extrapolated, redone_steps=redone,
         network_curvature=curvature, sparsity_curvature=2.0 * gamma2)

@@ -746,12 +746,19 @@ def test_orbit_penalty_is_the_penalty_along_the_rescale_orbit(zero_column):
                                                                rel=1e-12)
 
 
-def test_penalty_given_the_network_product_is_bitwise_its_own():
+def test_the_record_holds_the_network_product_and_w_gram_bitwise():
     for prob, fac in networked_cases():
-        hb = network_product(prob, fac.H)
-        for got, want in zip(penalty_terms(prob, fac, hb),
-                             penalty_terms(prob, fac)):
-            assert got.tobytes() == want.tobytes()
+        c, a, gram, hb, wtw = penalty_terms(prob, fac)
+        want = network_product(prob, fac.H)
+        assert len(hb) == len(want)
+        for got, block in zip(hb, want):
+            assert got.tobytes() == block.tobytes()
+        assert wtw.tobytes() == (fac.W.T @ fac.W).tobytes()
+    for prob in network_free_cases():
+        fac = random_factors(prob, seed=3)
+        c, a, gram, hb, wtw = penalty_terms(prob, fac)
+        assert hb is None
+        assert wtw.tobytes() == (fac.W.T @ fac.W).tobytes()
 
 
 def test_penalty_before_the_rescale_is_closed_form():
@@ -770,7 +777,7 @@ def test_penalty_before_the_rescale_is_closed_form():
 def test_gradient_norm_given_the_network_product_matches_the_rebuild():
     for prob, fac in networked_cases():
         got = projected_gradient_norm(prob, fac,
-                                      hb=network_product(prob, fac.H))
+                                      terms=penalty_terms(prob, fac))
         assert got == pytest.approx(rebuilt_gradient_norm(prob, fac),
                                     rel=1e-12)
     for prob in network_free_cases():
@@ -785,15 +792,37 @@ def test_a_problem_without_networks_forms_no_network_product(monkeypatch):
         fac = random_factors(prob, seed=3)
         # F in closed form with the row terms of the zero blocks of (H B)_I
         # written in: skipping them changes no bit of F
+        c, _, gram, _, wtw = penalty_terms(prob, fac)
         zeros = [np.zeros_like(h) for h in fac.H]
-        terms = penalty_terms(prob, fac, zeros)
+        a = sum(np.einsum("ij,ij->i", h, z) for h, z in zip(fac.H, zeros))
+        terms = (c, a, gram, zeros, wtw)
         hxt = view_products(prob.dataset.views, fac.H)
         assert repr(objective_value(prob, fac)) == repr(
-            _fit(prob, fac, hxt, terms[2]) + orbit_penalty(prob.params, terms))
+            _fit(prob, fac, hxt, terms) + orbit_penalty(prob.params, terms))
         projected_gradient_norm(prob, fac)
         step = _outer_step(prob, SolverConfig(), fac, hxt, 0.0)
         assert step.f == objective_value(prob, step.factors, step.hxt)
     assert calls == []
+
+
+def test_an_outer_step_builds_each_block_quadratic_once(monkeypatch):
+    # W's build and one per H_I; the gradient norm builds none
+    prob = make_problem(seed=0, m=5, n=(7, 4, 9), lambda1=0.3,
+                        lambda2=0.2, gamma1=0.1, gamma2=0.6)
+    fac = random_factors(prob, seed=20)
+    assert jmf.objective.reads_networks(prob)
+    built = []
+    post_init = jmf.objective.QuadSubproblem.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(jmf.objective.QuadSubproblem, "__post_init__",
+                        counted)
+    hxt = view_products(prob.dataset.views, fac.H)
+    _outer_step(prob, SolverConfig(algorithm="PG"), fac, hxt, 0.0)
+    assert len(built) == 1 + prob.n_views
 
 
 def refuse_sweep(*args):

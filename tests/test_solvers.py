@@ -278,8 +278,16 @@ def test_non_finite_gradient_norm_is_divergence(monkeypatch):
 def test_an_initial_w_of_the_wrong_shape_is_refused():
     prob = make_problem(seed=1, with_constraints=False)
     init = init_factors(prob, 0)
-    with pytest.raises(ValueError, match="^initial W does not match"):
+    with pytest.raises(ValueError, match=r"^W shape \(\d+, \d+\) != "):
         solve(prob, SolverConfig(), Factorization(init.W[1:], init.H))
+
+
+def test_an_initial_h_of_the_wrong_shape_is_refused():
+    prob = make_problem(seed=1, with_constraints=False)
+    init = init_factors(prob, 0)
+    h = [init.H[0][:, 1:], *init.H[1:]]
+    with pytest.raises(ValueError, match=r"^H\[0\] shape \(\d+, \d+\) != "):
+        solve(prob, SolverConfig(), Factorization(init.W, h))
 
 
 @pytest.mark.parametrize("value, what", [
