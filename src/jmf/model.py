@@ -59,10 +59,14 @@ def _number(name: str, value, lowest: int | None = None):
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """A read-only row-major copy.  A transposed, column-permuted or
-    pandas-backed input is column-major, and BLAS forms X H^T on a
-    row-major X about 1.5 times as fast (500 x 2000 at rank 5, one
-    thread)."""
+    """``arr`` itself if it is already read-only, row-major float64 and
+    owns its data (is no view of another array), else a read-only
+    row-major copy.  A transposed, column-permuted or pandas-backed
+    input is column-major, and BLAS forms X H^T on a row-major X about
+    1.5 times as fast (500 x 2000 at rank 5, one thread)."""
+    if (arr.dtype == np.float64 and arr.flags.c_contiguous
+            and arr.flags.owndata and not arr.flags.writeable):
+        return arr
     out = np.array(arr, dtype=float, copy=True, order="C")
     out.flags.writeable = False
     return out

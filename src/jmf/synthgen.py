@@ -39,7 +39,9 @@ class GroundTruth:
 
     ``constraints`` is a ``ConstraintSet`` or a zero-argument callable that
     builds one; a callable runs on the first read of ``.constraints``, and
-    later reads return the set it built.
+    later reads return the set it built.  Once ``to_dataset`` has run,
+    ``x0`` holds the dataset's read-only row-major views, so the instance
+    keeps one copy of each view.
     """
 
     def __init__(self, w0: np.ndarray, h0: list, x0: list,
@@ -49,6 +51,7 @@ class GroundTruth:
         self._constraints = (ConstraintSet.empty() if constraints is None
                              else constraints)
         self.metadata = {} if metadata is None else metadata
+        self._dataset: MultiViewDataset | None = None
 
     @property
     def constraints(self) -> ConstraintSet:
@@ -61,7 +64,12 @@ class GroundTruth:
         return self.w0.shape[1]
 
     def to_dataset(self) -> MultiViewDataset:
-        return MultiViewDataset(self.x0)
+        """The views as a ``MultiViewDataset``, built on the first call and
+        returned by every later one; ``x0`` then lists its views."""
+        if self._dataset is None:
+            self._dataset = MultiViewDataset(self.x0)
+            self.x0 = list(self._dataset.views)
+        return self._dataset
 
 
 def _block_rows(r: int, n: int, block: int, coph: int, skip=()) -> np.ndarray:
@@ -90,16 +98,35 @@ def _bernoulli(rng: np.random.Generator, shape: tuple[int, int],
     return mat, stuck
 
 
+def _add_noise(a: np.ndarray, scale: float,
+               rng: np.random.Generator) -> None:
+    """``a += scale * N(0, 1)`` in place, the draws taken in ``a``'s shape:
+    the same numbers as ``a + scale * rng.standard_normal(a.shape)``."""
+    noise = rng.standard_normal(a.shape)
+    noise *= scale
+    a += noise
+
+
+def _frozen_in_place(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only, so ``MultiViewDataset`` and ``ConstraintSet``
+    store it without a copy."""
+    a.flags.writeable = False
+    return a
+
+
 def build_within(h0: np.ndarray, noise_scale: float = 0.1,
                  rng: np.random.Generator | int = 0) -> np.ndarray:
     """Co-membership counts of column pairs, noised, symmetrized, clamped."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    a = h0.T @ h0  # sum_k outer(row_k, row_k)
+    # sum_k outer(row_k, row_k), as floats so integer factors take the
+    # in-place steps below
+    a = (h0.T @ h0).astype(float, copy=False)
     if noise_scale:
-        a = a + noise_scale * rng.standard_normal(a.shape)
-    theta = 0.5 * (a + a.T)
-    return np.maximum(theta, 0.0)
+        _add_noise(a, noise_scale, rng)
+    np.add(a, a.T, out=a)  # NumPy buffers the overlapping a.T
+    a *= 0.5
+    return np.maximum(a, 0.0, out=a)
 
 
 def build_between(h0_i: np.ndarray, h0_j: np.ndarray,
@@ -110,10 +137,10 @@ def build_between(h0_i: np.ndarray, h0_j: np.ndarray,
         raise ValueError("coefficient matrices must share the rank")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    r_ij = h0_i.T @ h0_j
+    r_ij = (h0_i.T @ h0_j).astype(float, copy=False)
     if noise_scale:
-        r_ij = r_ij + noise_scale * rng.standard_normal(r_ij.shape)
-    return np.maximum(r_ij, 0.0)
+        _add_noise(r_ij, noise_scale, rng)
+    return np.maximum(r_ij, 0.0, out=r_ij)
 
 
 def generate(spec: SyntheticSpec) -> GroundTruth:
@@ -158,8 +185,8 @@ def generate(spec: SyntheticSpec) -> GroundTruth:
     for h in h0:
         x = w0 @ h
         if mu:
-            x = x + mu * rng.standard_normal(x.shape)
-        x0.append(np.maximum(x, 0.0))
+            _add_noise(x, mu, rng)
+        x0.append(_frozen_in_place(np.maximum(x, 0.0, out=x)))
 
     # the networks draw last, so building them on first read leaves every
     # draw where it was; a draw added after the views must leave the
@@ -171,9 +198,11 @@ def generate(spec: SyntheticSpec) -> GroundTruth:
 def _networks(h0: list, rng: np.random.Generator) -> ConstraintSet:
     """Each view's within network, then each pair's between network, drawn
     from ``rng`` in that order."""
-    within = {i: [build_within(h, rng=rng)] for i, h in enumerate(h0)}
+    within = {i: [_frozen_in_place(build_within(h, rng=rng))]
+              for i, h in enumerate(h0)}
     between = {}
     for i in range(len(h0)):
         for j in range(i + 1, len(h0)):
-            between[(i, j)] = build_between(h0[i], h0[j], rng=rng)
+            between[(i, j)] = _frozen_in_place(
+                build_between(h0[i], h0[j], rng=rng))
     return ConstraintSet(within=within, between=between)

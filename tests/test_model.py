@@ -53,6 +53,42 @@ def test_inputs_are_stored_row_major_and_read_only(layout):
     stored_as_given(cons.between[(0, 1)], between)
 
 
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def test_a_frozen_row_major_owned_input_is_stored_as_is():
+    rng = np.random.default_rng(8)
+    view, within, between = (read_only(rng.random(s))
+                             for s in ((7, 4), (4, 4), (4, 3)))
+    assert MultiViewDataset([view]).views[0] is view
+    cons = ConstraintSet(within={0: [within]}, between={(0, 1): between})
+    assert cons.within[0][0] is within
+    assert cons.between[(0, 1)] is between
+
+
+# each misses one condition of storing an input without a copy
+NOT_FROZEN_OWNED = {
+    "writeable": lambda a: a,
+    "read-only-view": lambda a: read_only(a[:]),
+    "column-major": lambda a: read_only(np.asfortranarray(a)),
+    "float32": lambda a: read_only(a.astype(np.float32)),
+}
+
+
+@pytest.mark.parametrize("kind", NOT_FROZEN_OWNED)
+def test_any_other_input_is_copied(kind):
+    given = NOT_FROZEN_OWNED[kind](np.random.default_rng(9).random((5, 3)))
+    stored = MultiViewDataset([given]).views[0]
+    cons = ConstraintSet(between={(0, 1): given})
+    for kept in (stored, cons.between[(0, 1)]):
+        assert not np.shares_memory(kept, given)
+        assert kept.flags.c_contiguous and not kept.flags.writeable
+        assert kept.dtype == np.float64
+        np.testing.assert_array_equal(kept, given)
+
+
 @pytest.mark.parametrize("algorithm", ["PG", "PANLS"])
 def test_column_major_data_solve_like_row_major_data(algorithm):
     prob = make_problem(seed=6, m=20, n=(9, 12), r=3, lambda1=1e-3,

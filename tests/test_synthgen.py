@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,58 @@ def test_a_given_constraint_set_is_returned_as_is():
     bare = GroundTruth(truth.w0, truth.h0, truth.x0)
     assert bare.constraints.within == {} and bare.constraints.between == {}
     assert bare.metadata == {} and bare.rank == 4
+
+
+# ---------------------------------------------------------------------------
+# one copy of each view
+
+def test_the_dataset_is_built_once_and_holds_the_generated_views():
+    truth = generate(SyntheticSpec(dataset_id="D1", seed=0))
+    generated = list(truth.x0)
+    data = truth.to_dataset()
+    assert truth.to_dataset() is data
+    for x, made, view in zip(truth.x0, generated, data.views):
+        assert x is view and made is view and not x.flags.writeable
+
+
+def test_the_generated_networks_are_stored_without_a_copy(monkeypatch):
+    built = []
+    for name in ("build_within", "build_between"):
+        def kept(*args, _build=getattr(synthgen, name), **kwargs):
+            built.append(_build(*args, **kwargs))
+            return built[-1]
+        monkeypatch.setattr(synthgen, name, kept)
+    c = generate(SyntheticSpec(dataset_id="D1", seed=0)).constraints
+    stored = [c.within[i][0] for i in range(3)] + list(c.between.values())
+    assert len(built) == 6
+    assert all(a is b and not a.flags.writeable
+               for a, b in zip(stored, built))
+
+
+def test_a_ground_truth_holds_each_view_once():
+    rng = np.random.default_rng(3)
+    w0 = np.ones((400, 2))
+    h0 = [np.ones((2, n)) for n in (120, 80)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        views = [rng.random((n, 400)).T for n in (120, 80)]  # column-major
+        nbytes = sum(v.nbytes for v in views)
+        truth = GroundTruth(w0, h0, views)
+        data = truth.to_dataset()
+        del views
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * nbytes
+    assert all(x is v for x, v in zip(truth.x0, data.views))
+
+
+def test_the_network_builders_return_writeable_arrays():
+    # only the generator freezes what it builds
+    h0 = np.ones((2, 3))
+    assert build_within(h0).flags.writeable
+    assert build_between(h0, h0).flags.writeable
 
 
 @pytest.mark.parametrize("use_constraints, builds", [
