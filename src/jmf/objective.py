@@ -417,8 +417,17 @@ class QuadSubproblem:
             out -= d @ self.weighted_s
         return out
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        out = self.hess_apply(x)
+    def grad(self, x: np.ndarray, out: np.ndarray | None = None
+             ) -> np.ndarray:
+        """hess_apply(x) + g0, written to ``out`` when given (a row-major
+        buffer of x's shape): its product is then formed in place, by the
+        same operations, and not through ``hess_apply``."""
+        if out is None:
+            out = self.hess_apply(x)
+        else:
+            np.matmul(self.doubled, x, out=out)
+            if self.weighted_s is not None:
+                out -= x @ self.weighted_s
         out += self.g0
         return out
 

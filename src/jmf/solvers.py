@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -216,7 +217,9 @@ def pg_subproblem(q: QuadSubproblem, x0: np.ndarray, *,
 
     The gradient is formed afresh after each accepted step rather than
     carried over as g + H d from the search, so rounding does not
-    accumulate from one step to the next.
+    accumulate from one step to the next.  The projected-gradient norm
+    is read only to stop, so each step after the first tests it through
+    ``_screened_norm``.
     """
     x = x0.copy()
     xn, work = np.empty_like(x), np.empty_like(x)
@@ -230,54 +233,122 @@ def pg_subproblem(q: QuadSubproblem, x0: np.ndarray, *,
             return x, True
         x, xn = xn, x
         g = q.grad(x)
-        pn = projected_norm(x, g, work)
+        pn = _screened_norm(x, g, tol, work)
     return x, False
 
 
-def ne_subproblem(q: QuadSubproblem, x0: np.ndarray, *,
+def _screened_norm(x: np.ndarray, g: np.ndarray, tol: float,
+                   work: np.ndarray) -> float:
+    """The projected-gradient norm of (x, g), ``projected_norm``'s, or a
+    lower bound on it that already exceeds ``tol``: ||min(g, 0)||, one
+    pass where the exact norm takes four.
+
+    Entry by entry min(g, 0) is 0 or the projected gradient's entry, so
+    its square is at most that entry's.  Both sums of squares run in
+    ``work``, by the same ``np.vdot`` in the same order, and rounding
+    is monotone: a rounded square or sum of nonnegative terms does not
+    fall when a term grows.  So the bound never exceeds the norm, and a
+    test ``<= tol`` on the result decides as it would on the exact norm.
+    """
+    np.minimum(g, 0.0, out=work)
+    bound = math.sqrt(np.vdot(work, work))
+    return bound if bound > tol else projected_norm(x, g, work)
+
+
+def _segments(buf: np.ndarray, shapes: list) -> list[np.ndarray]:
+    """Views of the flat ``buf`` as consecutive row-major blocks of the
+    given shapes."""
+    cuts = np.cumsum([r * n for r, n in shapes])[:-1]
+    return [part.reshape(shape)
+            for part, shape in zip(np.split(buf, cuts), shapes)]
+
+
+def ne_subproblem(q: QuadSubproblem | list[QuadSubproblem],
+                  x0: np.ndarray | list[np.ndarray], *,
                   cap: int = _INNER_ITERS, floor: float = _INNER_TOL,
-                  rel: float = _INNER_TOL_REL) -> tuple[np.ndarray, bool]:
-    """Nesterov's projected iteration with step 1 / L; returns
-    (iterate, False), as it has no step-size search to run out.
+                  rel: float = _INNER_TOL_REL) -> tuple:
+    """Nesterov's projected iteration with step 1 / L on one block, or on
+    a list of blocks ``q`` (starts ``x0``) that share their Hessian: the
+    same ``doubled`` and no S.  Returns (iterate, False), or (list of
+    iterates, False) for a list, as it has no step-size search to run out.
 
     Each step projects the gradient step from the extrapolated point
     y = x + b (x - x_prev).  The gradient is affine, so that step is
     z + b (z - z_prev) with z = x - grad(x) / L: one Hessian product per
     step, in the gradient at its new iterate, and no y is kept.
+
+    One block is a list of one.  The blocks share L and the momentum
+    sequence, so they run in lock-step: their iterates lie side by side
+    in block-major buffers, and each elementwise pass covers every block
+    still running.  Each block's gradient is its own product, written
+    into its segment of the gradient buffer (``QuadSubproblem.grad``),
+    and each block keeps its own inner stop, tested through
+    ``_screened_norm``; a stopped block leaves the buffers and takes no
+    more products or passes.  Every block's iterates are bit for bit
+    those of a run on it alone.
     """
-    lip = q.lipschitz()
+    single = isinstance(q, QuadSubproblem)
+    quads, starts = ([q], [x0]) if single else (q, x0)
+    lip = quads[0].lipschitz()
     if lip <= 0:
-        return x0.copy(), False
-    x = x0.copy()
-    g = q.grad(x)
-    work = np.empty_like(x)
-    pn = projected_norm(x, g, work)
-    tol = max(floor, rel * pn)
-    if pn <= tol:
-        return x, False
+        out = [x.copy() for x in starts]
+        return (out[0] if single else out), False
+    out = [None] * len(starts)
+    live, shapes = list(range(len(starts))), [x.shape for x in starts]
+    x = np.concatenate([a.ravel() for a in starts])
+    g, work = np.empty_like(x), np.empty_like(x)
+    xs, gs, ws = (_segments(a, shapes) for a in (x, g, work))
+    tol, stopped = [], []
+    for k in live:
+        pn = projected_norm(xs[k], quads[k].grad(xs[k], out=gs[k]), ws[k])
+        tol.append(max(floor, rel * pn))
+        if pn <= tol[k]:
+            stopped.append(k)
     neg_step = -1.0 / lip
-    # at the start y = x, so the first step is z itself
-    z = np.multiply(g, neg_step)
-    z += x
-    step = z.copy()
+    z = step = None
     alpha = _NE_T0
     for _ in range(cap):
-        x = np.maximum(step, 0.0, out=x)
-        g = q.grad(x)
-        pn = projected_norm(x, g, work)
-        if pn <= tol:
-            break
-        alpha_next = 0.5 * (1.0 + math.sqrt(4.0 * alpha * alpha + 1.0))
-        b = (alpha - 1.0) / alpha_next
-        # the new z goes where the last step was; the old z's buffer then
-        # takes the next step, z_new + b (z_new - z)
-        z_new = np.multiply(g, neg_step, out=step)
-        z_new += x
-        z -= z_new
-        z *= -b
-        z += z_new
-        z, step, alpha = z_new, z, alpha_next
-    return x, False
+        if stopped:
+            for j in stopped:
+                out[live[j]] = xs[j].copy()
+            stay = [j not in stopped for j in range(len(live))]
+            if not any(stay):
+                break
+            kept = np.repeat(stay, [r * n for r, n in shapes])
+            live = list(compress(live, stay))
+            shapes = list(compress(shapes, stay))
+            x, g = x[kept], g[kept]
+            z = None if z is None else z[kept]
+            step, work = np.empty_like(x), np.empty_like(x)
+            xs, gs, ws = (_segments(a, shapes) for a in (x, g, work))
+            stopped = []
+        if z is None:
+            # at the start y = x, so the first step is z itself
+            z = np.multiply(g, neg_step)
+            z += x
+            step = z.copy()
+        else:
+            alpha_next = 0.5 * (1.0 + math.sqrt(4.0 * alpha * alpha + 1.0))
+            b = (alpha - 1.0) / alpha_next
+            # the new z goes where the last step was; the old z's buffer
+            # then takes the next step, z_new + b (z_new - z)
+            z_new = np.multiply(g, neg_step, out=step)
+            z_new += x
+            z -= z_new
+            z *= -b
+            z += z_new
+            z, step, alpha = z_new, z, alpha_next
+        np.maximum(step, 0.0, out=x)
+        for j, k in enumerate(live):
+            pn = _screened_norm(xs[j], quads[k].grad(xs[j], out=gs[j]),
+                                tol[k], ws[j])
+            if pn <= tol[k]:
+                stopped.append(j)
+    else:
+        # the cap: every block still in the buffers ends here
+        for j, k in enumerate(live):
+            out[k] = xs[j].copy()
+    return (out[0] if single else out), False
 
 
 def _step_to_bound(x: np.ndarray, d: np.ndarray, out: np.ndarray) -> float:
@@ -292,7 +363,7 @@ def _step_to_bound(x: np.ndarray, d: np.ndarray, out: np.ndarray) -> float:
     np.maximum(out, 0.0, out=out)
     np.divide(x, out, out=out)
     step = float(np.fmin.reduce(out, axis=None))
-    return np.inf if np.isnan(step) else step
+    return np.inf if math.isnan(step) else step
 
 
 def _panls_minimize(q: QuadSubproblem, x0: np.ndarray, *,
@@ -620,10 +691,10 @@ def _block_step(problem: Problem, config: SolverConfig,
 
 
 def _uncoupled(problem: Problem, config: SolverConfig) -> bool:
-    """Whether PANLS solves every H_I block exactly and no H_I block reads
-    another: no view reads a network under a positive weight
-    (``reads_networks``)."""
-    return (config.algorithm is Algorithm.PANLS
+    """Whether PANLS or Ne solves the H_I blocks together: no view reads a
+    network under a positive weight (``reads_networks``), so no H_I block
+    reads another, and all of them share one Hessian without S."""
+    return (config.algorithm in (Algorithm.PANLS, Algorithm.NE)
             and not reads_networks(problem))
 
 
@@ -679,10 +750,11 @@ def _outer_step(problem: Problem, config: SolverConfig, start: Factorization,
     rescaled factors' ``penalty_terms`` are formed once: F, F before the
     rescale and the norm read them.
 
-    ``_uncoupled`` H_I blocks share M + tau I, so one ``panls_subproblem``
-    call solves their quadratics stacked column-wise: the same update as
-    one solve per view, up to rounding.  Otherwise H_I's build reads the
-    H_J updated before it."""
+    ``_uncoupled`` H_I blocks share M + tau I, so one engine call solves
+    all of them: ``panls_subproblem`` their quadratics stacked
+    column-wise, the same update as one solve per view up to rounding,
+    and ``ne_subproblem`` the list of them in lock-step, the same update
+    bit for bit.  Otherwise H_I's build reads the H_J updated before it."""
     start.W, exhausted = _block_step(problem, config, start, "w", hxt)
     _check_sweep(problem, config, start.W, curvature)
     wtx = [start.W.T @ x for x in problem.dataset.views]
@@ -690,6 +762,10 @@ def _outer_step(problem: Problem, config: SolverConfig, start: Factorization,
         for i in range(problem.n_views):
             start.H[i], flag = _block_step(problem, config, start, i, wtx[i])
             exhausted += flag
+    elif config.algorithm is Algorithm.NE:
+        quads = [_build_quad(problem, start, i, xprod=x)[0]
+                 for i, x in enumerate(wtx)]
+        start.H = ne_subproblem(quads, start.H)[0]
     else:
         quads = [_build_quad(problem, start, i, h, x)[0]
                  for i, (h, x) in enumerate(zip(start.H, wtx))]

@@ -4,6 +4,7 @@ Everything here is written with naive loops or dense materialization,
 deliberately avoiding the library's own vectorized code paths.
 """
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ import jmf.solvers
 from jmf import (Algorithm, ConstraintSet, DivergenceError, Factorization,
                  Hyperparameters, MultiViewDataset, StopRule,
                  Termination, TracePoint, new_problem)
-from jmf.objective import QuadSubproblem
+from jmf.objective import QuadSubproblem, projected_norm
 
 
 def make_problem(seed=0, m=6, n=(4, 5, 3), r=2, lambda1=0.0, lambda2=0.0,
@@ -424,6 +425,71 @@ def ref_panls_minimize(q: QuadSubproblem, x0: np.ndarray,
             rr_new = float(np.sum(resid_new * resid_new))
             direction = resid_new + (rr_new / rr) * direction
             resid, rr = resid_new, rr_new
+    return x, False
+
+
+# ---------------------------------------------------------------------------
+# PG's and Ne's loops as they were before their stop test was screened by
+# the bound ||min(g, 0)|| and before Ne ran its blocks in lock-step: every
+# step takes the exact projected-gradient norm, and Ne forms each gradient
+# through ``hess_apply``.  Kept verbatim, renamed, with the engines' inner
+# stop in keywords, as the reference the screened loops must equal bit for
+# bit, gradient call by gradient call.
+
+def unscreened_pg(q: QuadSubproblem, x0: np.ndarray, *,
+                  cap: int, floor: float, rel: float
+                  ) -> tuple[np.ndarray, bool]:
+    x = x0.copy()
+    xn, work = np.empty_like(x), np.empty_like(x)
+    g = q.grad(x)
+    pn = projected_norm(x, g, work)
+    tol = max(floor, rel * pn)
+    for _ in range(cap):
+        if pn <= tol:
+            break
+        if jmf.solvers._armijo_step(q, x, g, xn, work):
+            return x, True
+        x, xn = xn, x
+        g = q.grad(x)
+        pn = projected_norm(x, g, work)
+    return x, False
+
+
+def unscreened_ne(q: QuadSubproblem, x0: np.ndarray, *,
+                  cap: int, floor: float, rel: float
+                  ) -> tuple[np.ndarray, bool]:
+    lip = q.lipschitz()
+    if lip <= 0:
+        return x0.copy(), False
+    x = x0.copy()
+    g = q.grad(x)
+    work = np.empty_like(x)
+    pn = projected_norm(x, g, work)
+    tol = max(floor, rel * pn)
+    if pn <= tol:
+        return x, False
+    neg_step = -1.0 / lip
+    # at the start y = x, so the first step is z itself
+    z = np.multiply(g, neg_step)
+    z += x
+    step = z.copy()
+    alpha = jmf.solvers._NE_T0
+    for _ in range(cap):
+        x = np.maximum(step, 0.0, out=x)
+        g = q.grad(x)
+        pn = projected_norm(x, g, work)
+        if pn <= tol:
+            break
+        alpha_next = 0.5 * (1.0 + math.sqrt(4.0 * alpha * alpha + 1.0))
+        b = (alpha - 1.0) / alpha_next
+        # the new z goes where the last step was; the old z's buffer then
+        # takes the next step, z_new + b (z_new - z)
+        z_new = np.multiply(g, neg_step, out=step)
+        z_new += x
+        z -= z_new
+        z *= -b
+        z += z_new
+        z, step, alpha = z_new, z, alpha_next
     return x, False
 
 

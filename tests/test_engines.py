@@ -8,14 +8,18 @@ engines (PG, Ne, PANLS) must follow the reference copies in
 must agree with the form it replaced, the folded Hessian operator with
 its two products and, to rounding, with the unfolded sum, the product
 counts per step are pinned, and an exhausted step-size search is
-reported.  PANLS's exact solve of a block that
+reported.  PG's and Ne's stop test, screened by the bound ||min(g, 0)||,
+must stop where the unscreened loops kept in ``oracles.py`` do, bit for
+bit, and Ne's lock-step run of blocks that share their Hessian must
+equal each block run alone, a stopped block taking no more gradients.
+PANLS's exact solve of a block that
 splits into small NNLS problems must reach the one KKT point that
 enumerating the passive sets finds (``ref_nnls``), also when every H_I
 block is stacked into one quadratic.  Its passive-set solves must match
 one solve per column, keep the full set on ``np.linalg.solve``, raise on
 a singular passive matrix, and make one batched solve per passive-set
-size, at rank 5 and at rank 20.  Blocks that read one another, and the
-other algorithms, keep the per-view loop, and ``solve`` reaches each
+size, at rank 5 and at rank 20.  Blocks that read one another, and MUR
+and PG, keep the per-view loop, and ``solve`` reaches each
 engine through its module name.  The MUR engine's first step is the
 paper's single update, its repeated steps never raise the block
 quadratic, and its inner stop keeps to Gillis and Glineur's rule.
@@ -38,9 +42,9 @@ from jmf.objective import (QuadSubproblem, _projected, h_subproblem,
                            projected_norm, view_products, w_subproblem)
 from jmf.solvers import (_MUR_ALPHA, _MUR_DELTA, _armijo_step, _block_step,
                          _build_quad, _mur_rho, _nnls_bpp, _outer_step,
-                         _panls_minimize, _passive_solve, mur_step_H,
-                         mur_step_W, mur_subproblem, ne_subproblem,
-                         panls_subproblem, pg_subproblem)
+                         _panls_minimize, _passive_solve, _screened_norm,
+                         mur_step_H, mur_step_W, mur_subproblem,
+                         ne_subproblem, panls_subproblem, pg_subproblem)
 from oracles import (make_problem, no_rescale, quad_value, random_factors,
                      ref_armijo_step, ref_ne_minimize, ref_nnls,
                      ref_panls_minimize, ref_pg_minimize, ref_pgn,
@@ -265,6 +269,23 @@ def test_branch_free_projection_squares_equal_np_where(rows, cols, data):
         assert np.array_equal(buf ** 2, old ** 2)
 
 
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_the_screen_decides_as_the_projected_norm(rows, cols, data):
+    # ||min(g, 0)||, summed in the same buffer, never exceeds the norm, so
+    # a test against any tol decides as the norm does
+    shape = (rows, cols)
+    x, g = (np.array(data.draw(st.lists(_entries, min_size=rows * cols,
+                                        max_size=rows * cols))).reshape(shape)
+            for _ in range(2))
+    tol = data.draw(st.sampled_from([0.0, 1e-3, 1.0, 7.0, 1e300]))
+    work = np.empty(shape)
+    with np.errstate(over="ignore"):
+        pn = projected_norm(x, g)
+        np.minimum(g, 0.0, out=work)
+        assert math.sqrt(np.vdot(work, work)) <= pn
+        assert (_screened_norm(x, g, tol, work) <= tol) == (pn <= tol)
+
+
 @st.composite
 def operator_cases(draw):
     seed = draw(st.integers(0, 2**32 - 1))
@@ -318,25 +339,29 @@ def test_folded_operator_is_bitwise_its_two_products(case):
 # Hessian products per inner step
 
 
-def count_products(monkeypatch) -> list:
+def count_products(monkeypatch, name="hess_apply") -> list:
+    """Count the calls of ``QuadSubproblem.<name>``."""
     count = [0]
-    original = QuadSubproblem.hess_apply
+    original = getattr(QuadSubproblem, name)
 
-    def counted(self, d):
+    def counted(self, *args, **kwargs):
         count[0] += 1
-        return original(self, d)
+        return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(QuadSubproblem, "hess_apply", counted)
+    monkeypatch.setattr(QuadSubproblem, name, counted)
     return count
 
 
 @pytest.mark.parametrize("steps", [1, 4, 9])
 def test_ne_forms_one_product_per_step(monkeypatch, steps):
-    count = count_products(monkeypatch)
+    # each step's one product is its gradient's, formed in place
+    products = count_products(monkeypatch)
+    grads = count_products(monkeypatch, "grad")
     for q, x0 in weighted_quads(0):
-        before = count[0]
+        before = grads[0]
         ne_subproblem(q, x0, cap=steps, floor=0.0, rel=0.0)
-        assert count[0] - before == steps + 1
+        assert grads[0] - before == steps + 1
+    assert products[0] == 0
 
 
 def test_ne_momentum_does_not_read_the_armijo_first_step(monkeypatch):
@@ -345,6 +370,161 @@ def test_ne_momentum_does_not_read_the_armijo_first_step(monkeypatch):
     monkeypatch.setattr(jmf.solvers, "_ALPHA0", 7.0)
     for (q, x0), x in zip(quads, before):
         assert np.array_equal(ne_subproblem(q, x0, **STOP)[0], x)
+
+
+# ---------------------------------------------------------------------------
+# the screened stop test and Ne's lock-step run
+
+
+def count_grads(monkeypatch) -> dict:
+    """Count ``QuadSubproblem.grad`` calls per quadratic (by its id)."""
+    counts = {}
+    original = QuadSubproblem.grad
+
+    def counted(self, *args, **kwargs):
+        counts[id(self)] = counts.get(id(self), 0) + 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuadSubproblem, "grad", counted)
+    return counts
+
+
+def slow_pg_block():
+    """A block whose PG iterates stay positive with a positive gradient
+    for many steps: 0.1 x + 1 on x >= 0, from x = 10, so min(g, 0) = 0
+    while the projected-gradient norm ||g|| stays above the stop."""
+    q = QuadSubproblem((np.full((1, 1), 0.05), None, 0.0, 0.0),
+                       np.ones((1, 4)))
+    return q, np.full((1, 4), 10.0)
+
+
+@pytest.mark.parametrize("case", ["seed0", "seed1", "seed2", "seed3",
+                                  "screen-below-tol"])
+def test_pg_screen_keeps_every_stop(monkeypatch, case):
+    blocks = ([slow_pg_block()] if case == "screen-below-tol"
+              else weighted_quads(int(case[-1])))
+    stop = dict(cap=60, floor=1e-9, rel=1e-2)
+    counts = count_grads(monkeypatch)
+    exact = count_calls(monkeypatch, "projected_norm")
+    for q, x0 in blocks:
+        x, flag = pg_subproblem(q, x0, **stop)
+        screened, counts[id(q)] = counts[id(q)], 0
+        want, want_flag = oracles.unscreened_pg(q, x0, **stop)
+        assert np.array_equal(x, want) and flag == want_flag
+        assert screened == counts[id(q)]
+    if case == "screen-below-tol":
+        # the bound read 0 <= tol at every step after the first, so the
+        # exact norm decided each of them: it took more than one step
+        assert screened > 2 and len(exact) == screened
+
+
+def lockstep_blocks(seed):
+    """Three H_I blocks that share one M and have no S, with their
+    starts: the first has a zero start and a nonnegative g0, so it stops
+    at its start, and the third's g0 is 1e6 times the second's scale, so
+    it needs far more steps to reach the same floor."""
+    rng = np.random.default_rng(seed)
+    r = 4
+    a = rng.random((r + 2, r))
+    m = a.T @ a + 0.1 * np.ones((r, r))
+    g0s = [rng.random((r, 5)), rng.standard_normal((r, 8)),
+           1e6 * rng.standard_normal((r, 6))]
+    quads = [QuadSubproblem((m, None, 0.0, 0.0), g0) for g0 in g0s]
+    starts = [np.zeros((r, 5)), rng.random((r, 8)), rng.random((r, 6))]
+    return quads, starts
+
+
+def lockstep_stop(quads, starts):
+    """An inner stop under which ``lockstep_blocks``' first block stops at
+    its start, the second mid-run and the third at the cap, with the
+    gradients each block takes on its own."""
+    stop = dict(cap=500, floor=1e-8, rel=0.0)
+    mid = oracles.unscreened_ne
+    # the second block's steps to the floor, found with the cap far off
+    steps = 0
+    while not np.array_equal(
+            mid(quads[1], starts[1], **dict(stop, cap=steps))[0],
+            mid(quads[1], starts[1], **dict(stop, cap=steps + 1))[0]):
+        steps += 1
+    assert steps > 1
+    stop["cap"] = steps + 3
+    return stop, [1, steps + 1, stop["cap"] + 1]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lockstep_ne_equals_each_block_run_alone(monkeypatch, seed):
+    quads, starts = lockstep_blocks(seed)
+    stop, want_grads = lockstep_stop(quads, starts)
+    counts = count_grads(monkeypatch)
+    alone = [ne_subproblem(q, x0, **stop)[0] for q, x0 in zip(quads, starts)]
+    assert [counts.pop(id(q)) for q in quads] == want_grads
+    together, flag = ne_subproblem(quads, starts, **stop)
+    assert flag is False and len(together) == len(quads)
+    for got, want, x0, q in zip(together, alone, starts, quads):
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, oracles.unscreened_ne(q, x0, **stop)[0])
+        assert got.flags.c_contiguous and not np.shares_memory(got, x0)
+    # the third block reached the cap: a longer cap moves it
+    longer = dict(stop, cap=stop["cap"] + 5)
+    assert not np.array_equal(ne_subproblem(quads[2], starts[2], **longer)[0],
+                              together[2])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_stopped_block_takes_no_more_gradients(monkeypatch, seed):
+    quads, starts = lockstep_blocks(seed)
+    stop, want_grads = lockstep_stop(quads, starts)
+    counts = count_grads(monkeypatch)
+    products = count_products(monkeypatch)
+    ne_subproblem(quads, starts, **stop)
+    # one gradient at the start, one per step while the block runs
+    assert [counts[id(q)] for q in quads] == want_grads
+    assert products[0] == 0
+
+
+@st.composite
+def ne_blocks(draw):
+    """One to three random blocks that share an r x r M (no S), each with
+    a start that has zero entries, and an inner stop."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = draw(st.integers(1, 5))
+    a = rng.standard_normal((r + draw(st.integers(0, 3)), r))
+    m = a.T @ a + draw(st.sampled_from([0.0, 1e-3, 1.0])) * np.ones((r, r))
+    tau = draw(st.sampled_from([0.0, 1e-3]))
+    blocks = []
+    for cols in draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)):
+        g0 = draw(st.sampled_from([1e-3, 1.0, 1e4])) * rng.standard_normal(
+            (r, cols))
+        x0 = rng.random((r, cols)) * (rng.random((r, cols)) < 0.6)
+        blocks.append((QuadSubproblem((m, None, 0.0, tau), g0), x0))
+    stop = dict(cap=draw(st.integers(0, 80)),
+                floor=draw(st.sampled_from([0.0, 1e-9, 1e-3])),
+                rel=draw(st.sampled_from([0.0, 1e-4, 1e-2])))
+    return blocks, stop
+
+
+@given(ne_blocks())
+def test_screened_ne_stops_where_the_unscreened_loop_does(case):
+    blocks, stop = case
+    counts = {}
+    original = QuadSubproblem.grad
+
+    def counted(self, *args, **kwargs):
+        counts[id(self)] = counts.get(id(self), 0) + 1
+        return original(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(QuadSubproblem, "grad", counted)
+        want = []
+        for q, x0 in blocks:
+            want.append(oracles.unscreened_ne(q, x0, **stop)[0])
+        unscreened, counts = counts, {}
+        together = ne_subproblem([q for q, _ in blocks],
+                                 [x0 for _, x0 in blocks], **stop)[0]
+        assert counts == unscreened
+        for (q, x0), got, ref in zip(blocks, together, want):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(ne_subproblem(q, x0, **stop)[0], ref)
 
 
 def interior_quad(r=6, rows=40):
@@ -775,13 +955,15 @@ def test_coupled_or_inexact_h_blocks_are_solved_view_by_view(
 
 
 @pytest.mark.parametrize("algorithm, weights, per_update", [
-    ("PG", {}, None), ("Ne", {}, None), ("PANLS", dict(lambda1=1e-3), None),
-    ("PANLS", {}, 2)], ids=["PG", "Ne", "PANLS-coupled", "PANLS-uncoupled"])
+    ("PG", {}, None), ("Ne", {}, 2), ("Ne", dict(lambda1=1e-3), None),
+    ("PANLS", dict(lambda1=1e-3), None), ("PANLS", {}, 2)],
+    ids=["PG", "Ne", "Ne-networked", "PANLS-coupled", "PANLS-uncoupled"])
 def test_solve_reaches_the_engines_through_their_module_names(
         monkeypatch, algorithm, weights, per_update):
     # an outer update makes one engine call per block, or two when the
-    # uncoupled H blocks are solved as one, and one gradient-norm call; a
-    # profiler that replaces the module's names must see every call
+    # uncoupled H blocks are solved in one call (PANLS and Ne), and one
+    # gradient-norm call; a profiler that replaces the module's names must
+    # see every call
     prob = make_problem(seed=3, m=15, n=(6, 9, 4), r=3, gamma1=1e-2,
                         **weights)
     engine = count_calls(monkeypatch, f"{algorithm.lower()}_subproblem")
